@@ -365,9 +365,10 @@ func run(opts options) error {
 			if checker != nil {
 				// The checker holds this matcher to exactly-once coverage of
 				// every passing bottle, so the seen window must outlast the
-				// whole run — a recycled slot would re-evaluate.
+				// whole run — a recycled slot would re-evaluate. (Past
+				// MaxSeenCap bottles it cannot; the checker then says so.)
 				checker.RegisterSweeper(sid, part.Matcher().ResidueSet(core.DefaultPrime))
-				scfg.SeenCap = 4*opts.bottles + 256
+				scfg.SeenCap = min(4*opts.bottles+256, sealedbottle.MaxSeenCap)
 				scfg.OnResult = func(pkg *core.RequestPackage, hr *core.HandleResult) {
 					checker.ObserveEvaluation(sid, pkg.ID, hr.Dropped)
 				}

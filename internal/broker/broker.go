@@ -146,6 +146,9 @@ type Rack struct {
 	dur       *durability
 	recovered uint64
 
+	// windows holds the sweepers' exclusion windows (window.go).
+	windows *windowTable
+
 	jobs    chan sweepJob
 	closed  chan struct{}
 	closeMu sync.Mutex
@@ -153,26 +156,38 @@ type Rack struct {
 	wg      sync.WaitGroup
 }
 
-// seenMaps recycles the per-query seen sets built by Sweep; sweepers echo back
-// windows of thousands of IDs every tick, and rebuilding the map each sweep
-// was a measurable slice of steady-state garbage.
-var seenMaps = sync.Pool{
-	New: func() any { return make(map[string]struct{}, DefaultSweepLimit) },
+// sweepRun is what the shard jobs of one sweep share. seen is the query's
+// exclusion window, read-only while the jobs run; remaining is the query's
+// collection budget — shards reserve slots from it and stop scanning once it
+// is spent, so one sweep never collects more than Limit bottles across the
+// whole rack.
+type sweepRun struct {
+	q         SweepQuery
+	seen      *SeenWindow
+	now       time.Time
+	remaining atomic.Int64
+	out       chan shardSweep
+
+	// held, when the window is one the rack keeps, stays busy until unreported
+	// reaches zero: Sweep returns early on cancellation, and the window must
+	// not take the next delta while an abandoned job still reads it.
+	held       *heldWindow
+	unreported atomic.Int64
 }
 
-// sweepJob asks a worker to scan one shard for one query. The seen set is
-// built once per query and shared read-only across all shard jobs; remaining
-// is the query's shared collection budget — shards reserve slots from it and
-// stop scanning once it is spent, so one sweep never collects more than
-// Limit bottles across the whole rack.
+// reported accounts n shard jobs as finished (or never dispatched) and frees
+// the held window after the last one.
+func (run *sweepRun) reported(n int) {
+	if run.held != nil && run.unreported.Add(-int64(n)) == 0 {
+		<-run.held.busy
+	}
+}
+
+// sweepJob asks a worker to scan one shard for one sweep.
 type sweepJob struct {
-	sh        *shard
-	q         *SweepQuery
-	seen      map[string]struct{}
-	now       time.Time
-	remaining *atomic.Int64
-	out       chan<- shardSweep
-	idx       int
+	run *sweepRun
+	sh  *shard
+	idx int
 }
 
 // New builds a rack and starts its worker pool and (unless disabled) reaper.
@@ -195,11 +210,12 @@ func Open(cfg Config) (*Rack, error) {
 		return nil, err
 	}
 	r := &Rack{
-		cfg:    cfg,
-		mask:   uint64(cfg.Shards - 1),
-		shards: make([]*shard, cfg.Shards),
-		jobs:   make(chan sweepJob, cfg.Shards),
-		closed: make(chan struct{}),
+		cfg:     cfg,
+		mask:    uint64(cfg.Shards - 1),
+		shards:  make([]*shard, cfg.Shards),
+		windows: newWindowTable(),
+		jobs:    make(chan sweepJob, cfg.Shards),
+		closed:  make(chan struct{}),
 	}
 	for i := range r.shards {
 		r.shards[i] = newShard()
@@ -532,8 +548,25 @@ type SweepQuery struct {
 	// wants its own requests back).
 	ExcludeOrigin string
 	// Seen lists request IDs the candidate has already evaluated; they are
-	// skipped server-side so the limit is spent on fresh bottles.
+	// skipped server-side so the limit is spent on fresh bottles. With Window
+	// zero it is the whole exclusion list of this one query and the rack keeps
+	// nothing. With a window named it is either that window's whole content
+	// (SeenFull) or only the IDs added to it since the query before.
 	Seen []string
+	// Window, when nonzero, names an exclusion window the rack holds for the
+	// caller's identity between sweeps (soft state: see SweepResult.Resync).
+	// Sweepers draw it at random once.
+	Window uint64
+	// SeenBase is how many IDs had ever been added to the window before
+	// those in Seen; the rack applies a delta only to a window standing
+	// exactly there, so a lost or repeated query can never skew it.
+	SeenBase uint64
+	// SeenFull marks Seen as the window's whole content, replacing whatever
+	// the rack holds under Window.
+	SeenFull bool
+	// SeenCap is the window's bound (zero or beyond MaxSeenCap: MaxSeenCap);
+	// the rack evicts oldest-first at the same length the sweeper does.
+	SeenCap int
 }
 
 // normalize validates the query and fills defaults. Residue sets are
@@ -592,6 +625,17 @@ type SweepResult struct {
 	Rejected int
 	// Truncated is true when more bottles passed than Limit allowed.
 	Truncated bool
+	// Resync is true when the rack did not hold the query's Window at
+	// SeenBase (never seen, evicted, restarted, a missed delta): nothing was
+	// scanned, and the caller must repeat the query with SeenFull set.
+	Resync bool
+	// Partial is set by a backend that fans a sweep out to several racks (a
+	// ring) when a rack it asked gave no answer — shed, timed out, down. That
+	// rack has missed the query's delta, so the caller's next query should
+	// carry the whole window rather than wait for the rack to ask for it:
+	// a rack that sheds load may not admit the two queries a resync takes.
+	// Never on the wire.
+	Partial bool
 }
 
 // Sweep screens every racked bottle against the query's residue sets and
@@ -600,8 +644,9 @@ type SweepResult struct {
 // sweep through its collection budget: the budget is zeroed so in-flight
 // shard scans stop at their next passing bottle, no further shards are
 // dispatched, and the call returns the context's error — bottles already
-// collected are discarded (a sweep mutates nothing, so a canceled sweep is
-// free to repeat).
+// collected are discarded. A sweep mutates no bottle, and the one thing it
+// does mutate, the caller's held exclusion window, takes the same delta twice
+// as a no-op — so a canceled or lost sweep is free to repeat.
 func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SweepResult{}, err
@@ -609,38 +654,38 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	if r.isClosed() {
 		return SweepResult{}, ErrRackClosed
 	}
-	if err := q.normalize(); err != nil {
+	// out is buffered to the shard count so workers never block on it, even
+	// when this sweep aborts early.
+	run := &sweepRun{q: q, now: r.cfg.Now().UTC(), out: make(chan shardSweep, len(r.shards))}
+	if err := run.q.normalize(); err != nil {
 		return SweepResult{}, err
 	}
-	now := r.cfg.Now().UTC()
-	var seen map[string]struct{}
-	if len(q.Seen) > 0 {
-		seen = seenMaps.Get().(map[string]struct{})
-		for _, id := range q.Seen {
-			// Shards key bottles by the untagged ID; clients echo back the
-			// tagged IDs sweeps handed them.
-			seen[r.untagID(id)] = struct{}{}
+	switch {
+	case q.Window != 0:
+		held, err := r.windows.hold(ctx, r.closed, &run.q, r.cfg.RackTag, run.now)
+		if held == nil {
+			return SweepResult{Resync: err == nil}, err
 		}
+		run.held, run.seen = held, &held.set
+		run.unreported.Store(int64(len(r.shards)))
+	case len(q.Seen) > 0:
+		// An ad-hoc list is a window nobody holds: same membership code.
+		run.q.SeenFull = true
+		run.seen = new(SeenWindow)
+		run.seen.apply(&run.q, r.cfg.RackTag)
 	}
-	// remaining is the query's whole-rack collection budget: shards reserve
-	// one slot per passing bottle and stop scanning when it is spent, so a
-	// sweep collects at most Limit bottles total instead of up to Limit per
-	// shard.
-	var remaining atomic.Int64
-	remaining.Store(int64(q.Limit))
-	// out is buffered to the shard count so workers never block on it, even
-	// when this sweep aborts early on Close.
-	out := make(chan shardSweep, len(r.shards))
+	run.remaining.Store(int64(run.q.Limit))
 	dispatched := 0
 	for i, sh := range r.shards {
 		select {
-		case r.jobs <- sweepJob{sh: sh, q: &q, seen: seen, now: now, remaining: &remaining, out: out, idx: i}:
+		case r.jobs <- sweepJob{run: run, sh: sh, idx: i}:
 			dispatched++
 		case <-ctx.Done():
 			// Zero the budget so already-dispatched shard scans stop at their
 			// next passing bottle; their results land in the buffered out
 			// channel, so abandoning them blocks no worker.
-			remaining.Store(0)
+			run.remaining.Store(0)
+			run.reported(len(r.shards) - dispatched)
 			return SweepResult{}, ctx.Err()
 		case <-r.closed:
 			return SweepResult{}, ErrRackClosed
@@ -649,22 +694,15 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	parts := make([]shardSweep, dispatched)
 	for i := 0; i < dispatched; i++ {
 		select {
-		case p := <-out:
+		case p := <-run.out:
 			parts[p.idx] = p
 		case <-ctx.Done():
-			remaining.Store(0)
+			run.remaining.Store(0)
 			return SweepResult{}, ctx.Err()
 		case <-r.closed:
 			// Workers are gone; queued jobs will never be served.
 			return SweepResult{}, ErrRackClosed
 		}
-	}
-	if seen != nil {
-		// Every shard job has reported back, so no worker can still read the
-		// map; recycle it. Abandoning sweeps (the error returns above) leave
-		// their maps to the GC because in-flight workers may still hold them.
-		clear(seen)
-		seenMaps.Put(seen)
 	}
 	// Merge in shard order: results are deterministic for a quiescent rack as
 	// long as the sweep is not truncated. Under truncation, which shards win
@@ -677,7 +715,7 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 		res.Rejected += p.rejected
 		res.Truncated = res.Truncated || p.truncated
 		for _, b := range p.bottles {
-			if len(res.Bottles) >= q.Limit {
+			if len(res.Bottles) >= run.q.Limit {
 				res.Truncated = true
 				break
 			}
@@ -698,9 +736,11 @@ func (r *Rack) worker() {
 	for {
 		select {
 		case job := <-r.jobs:
-			out := job.sh.sweep(job.q, job.seen, job.now, job.remaining)
+			run := job.run
+			out := job.sh.sweep(&run.q, run.seen, run.now, &run.remaining)
 			out.idx = job.idx
-			job.out <- out
+			run.out <- out
+			run.reported(1)
 		case <-r.closed:
 			return
 		}
@@ -773,6 +813,7 @@ func (r *Rack) Reap() int {
 	for _, sh := range r.shards {
 		n += sh.reap(now)
 	}
+	r.windows.reap(now)
 	return n
 }
 
@@ -849,6 +890,9 @@ type Stats struct {
 	// by a replica-enabled server, plus the ring's client-side read-repair
 	// and dedup counters in ring-aggregated stats. Zero on a bare rack.
 	Replication ReplicationStats
+	// Windows counts the sweep exclusion windows this rack holds. It is read
+	// in process (the rack's /metrics); the Stats opcode does not carry it.
+	Windows WindowStats
 }
 
 // PrefilterRejectRate is the fraction of screened bottles the residue
@@ -900,6 +944,7 @@ func (r *Rack) Stats(ctx context.Context) (Stats, error) {
 	}
 	st.Primes = core.MergePrimes(primes...)
 	st.Recovered = r.recovered
+	st.Windows = r.windows.snapshot()
 	if r.dur != nil {
 		st.WALBytes = uint64(r.dur.log.SizeBytes())
 	}

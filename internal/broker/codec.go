@@ -39,13 +39,14 @@ func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
 	}
 	// A non-positive limit means "use the server default"; clamping here keeps
 	// the wire semantics identical to the in-process rack (a raw uint32 cast
-	// would turn -1 into an effectively unlimited 4294967295).
-	limit := q.Limit
-	if limit < 0 {
-		limit = 0
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(limit))
+	// would turn -1 into an effectively unlimited 4294967295). The window
+	// bound is clamped the same way.
+	buf = binary.BigEndian.AppendUint32(buf, uint32(max(0, q.Limit)))
 	buf = appendString16(buf, q.ExcludeOrigin)
+	buf = binary.BigEndian.AppendUint64(buf, q.Window)
+	buf = binary.BigEndian.AppendUint64(buf, q.SeenBase)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(max(0, q.SeenCap)))
+	buf = appendBool(buf, q.SeenFull)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(q.Seen)))
 	for _, id := range q.Seen {
 		buf = appendString16(buf, id)
@@ -53,12 +54,26 @@ func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
 	return buf
 }
 
-// UnmarshalSweepQuery decodes a sweep query.
+// Smallest encodings of one list entry, used to refuse a count the rest of
+// the frame cannot hold before anything is allocated for it: a residue set
+// (prime + word count), a seen ID (empty string16) and a swept bottle (empty
+// string16 + empty package).
+const (
+	minResidueSetBytes  = 6
+	minSeenIDBytes      = 2
+	minSweptBottleBytes = 6
+)
+
+// UnmarshalSweepQuery decodes a sweep query. The seen IDs are cut from one
+// copy of the frame's seen region, not copied out one by one: a rack that
+// keeps them in an exclusion window then holds one allocation per query —
+// all of it for as long as it keeps any, which the window accounts for
+// (heldWindow.pinned).
 func UnmarshalSweepQuery(data []byte) (SweepQuery, error) {
 	r := &reader{data: data}
 	var q SweepQuery
 	n, err := r.uint16()
-	if err != nil {
+	if err != nil || int(n) > r.remaining()/minResidueSetBytes {
 		return q, fmt.Errorf("%w: residue count", ErrMalformedFrame)
 	}
 	q.Residues = make([]core.ResidueSet, n)
@@ -67,14 +82,12 @@ func UnmarshalSweepQuery(data []byte) (SweepQuery, error) {
 			return q, fmt.Errorf("%w: residue prime", ErrMalformedFrame)
 		}
 		words, err := r.uint16()
-		if err != nil {
+		if err != nil || int(words) > r.remaining()/8 {
 			return q, fmt.Errorf("%w: residue words", ErrMalformedFrame)
 		}
 		q.Residues[i].Bits = make([]uint64, words)
 		for j := range q.Residues[i].Bits {
-			if q.Residues[i].Bits[j], err = r.uint64(); err != nil {
-				return q, fmt.Errorf("%w: residue bits", ErrMalformedFrame)
-			}
+			q.Residues[i].Bits[j], _ = r.uint64() // length checked above
 		}
 	}
 	limit, err := r.uint32()
@@ -85,18 +98,40 @@ func UnmarshalSweepQuery(data []byte) (SweepQuery, error) {
 	if q.ExcludeOrigin, err = r.string16(); err != nil {
 		return q, fmt.Errorf("%w: exclude origin", ErrMalformedFrame)
 	}
+	if q.Window, err = r.uint64(); err != nil {
+		return q, fmt.Errorf("%w: window", ErrMalformedFrame)
+	}
+	if q.SeenBase, err = r.uint64(); err != nil {
+		return q, fmt.Errorf("%w: seen base", ErrMalformedFrame)
+	}
+	seenCap, err := r.uint32()
+	if err != nil {
+		return q, fmt.Errorf("%w: seen cap", ErrMalformedFrame)
+	}
+	q.SeenCap = int(seenCap)
+	if q.SeenFull, err = r.bool(); err != nil {
+		return q, fmt.Errorf("%w: seen flags", ErrMalformedFrame)
+	}
 	seen, err := r.uint32()
 	if err != nil {
 		return q, fmt.Errorf("%w: seen count", ErrMalformedFrame)
 	}
-	if int(seen) > r.remaining() {
+	if seen > MaxSeenCap || int(seen) > r.remaining()/minSeenIDBytes {
 		return q, fmt.Errorf("%w: implausible seen count %d", ErrMalformedFrame, seen)
 	}
-	q.Seen = make([]string, seen)
+	// The seen list is the frame's tail, so its region is everything left.
+	var region string
+	base := r.off
+	if seen > 0 {
+		region, q.Seen = string(data[base:]), make([]string, seen)
+	}
 	for i := range q.Seen {
-		if q.Seen[i], err = r.string16(); err != nil {
+		id, err := r.bytes16()
+		if err != nil {
 			return q, fmt.Errorf("%w: seen id", ErrMalformedFrame)
 		}
+		end := r.off - base
+		q.Seen[i] = region[end-len(id) : end]
 	}
 	if r.remaining() != 0 {
 		return q, fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
@@ -117,12 +152,8 @@ func AppendSweepResult(buf []byte, res SweepResult) []byte {
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(res.Scanned))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(res.Rejected))
-	if res.Truncated {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
+	buf = appendBool(buf, res.Truncated)
+	return appendBool(buf, res.Resync)
 }
 
 // UnmarshalSweepResult decodes a sweep result. Bottle Raw payloads alias
@@ -135,7 +166,7 @@ func UnmarshalSweepResult(data []byte) (SweepResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("%w: bottle count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minSweptBottleBytes {
 		return res, fmt.Errorf("%w: implausible bottle count %d", ErrMalformedFrame, n)
 	}
 	res.Bottles = make([]SweptBottle, n)
@@ -159,13 +190,13 @@ func UnmarshalSweepResult(data []byte) (SweepResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("%w: rejected", ErrMalformedFrame)
 	}
-	trunc, err := r.byte()
-	if err != nil {
+	if res.Truncated, err = r.bool(); err != nil {
 		return res, fmt.Errorf("%w: truncated flag", ErrMalformedFrame)
 	}
-	res.Scanned = int(scanned)
-	res.Rejected = int(rejected)
-	res.Truncated = trunc != 0
+	if res.Resync, err = r.bool(); err != nil {
+		return res, fmt.Errorf("%w: resync flag", ErrMalformedFrame)
+	}
+	res.Scanned, res.Rejected = int(scanned), int(rejected)
 	if r.remaining() != 0 {
 		return res, fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
 	}
@@ -709,6 +740,14 @@ func appendString16(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// appendBool appends a flag byte.
+func appendBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
 // reader is a minimal bounds-checked cursor over a byte slice.
 type reader struct {
 	data []byte
@@ -732,6 +771,11 @@ func (r *reader) byte() (byte, error) {
 		return 0, err
 	}
 	return b[0], nil
+}
+
+func (r *reader) bool() (bool, error) {
+	b, err := r.byte()
+	return b != 0, err
 }
 
 func (r *reader) uint16() (uint16, error) {
@@ -791,10 +835,11 @@ type SweptBottleView struct {
 type SweepResultView struct {
 	// Bottles holds the prefilter-passing packages, aliasing the frame.
 	Bottles []SweptBottleView
-	// Scanned, Rejected and Truncated mirror SweepResult.
+	// Scanned, Rejected, Truncated and Resync mirror SweepResult.
 	Scanned   int
 	Rejected  int
 	Truncated bool
+	Resync    bool
 }
 
 // UnmarshalSweepResultView decodes a sweep result into v, reusing v.Bottles'
@@ -807,7 +852,7 @@ func UnmarshalSweepResultView(data []byte, v *SweepResultView) error {
 	if err != nil {
 		return fmt.Errorf("%w: bottle count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minSweptBottleBytes {
 		return fmt.Errorf("%w: implausible bottle count %d", ErrMalformedFrame, n)
 	}
 	v.Bottles = v.Bottles[:0]
@@ -833,11 +878,13 @@ func UnmarshalSweepResultView(data []byte, v *SweepResultView) error {
 	if err != nil {
 		return fmt.Errorf("%w: rejected", ErrMalformedFrame)
 	}
-	trunc, err := r.byte()
-	if err != nil {
+	if v.Truncated, err = r.bool(); err != nil {
 		return fmt.Errorf("%w: truncated flag", ErrMalformedFrame)
 	}
-	v.Scanned, v.Rejected, v.Truncated = int(scanned), int(rejected), trunc != 0
+	if v.Resync, err = r.bool(); err != nil {
+		return fmt.Errorf("%w: resync flag", ErrMalformedFrame)
+	}
+	v.Scanned, v.Rejected = int(scanned), int(rejected)
 	if r.remaining() != 0 {
 		return fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sealedbottle/internal/core"
@@ -17,15 +18,157 @@ func TestSweepQueryRoundTrip(t *testing.T) {
 		},
 		Limit:         42,
 		ExcludeOrigin: "alice",
-		Seen:          []string{"id-1", "id-2"},
+		Seen:          []string{"id-1", "", "id-2"},
+		Window:        0xfeedface00c0ffee,
+		SeenBase:      1 << 40,
+		SeenCap:       4096,
 	}
-	got, err := UnmarshalSweepQuery(MarshalSweepQuery(q))
-	if err != nil {
-		t.Fatal(err)
+	for _, full := range []bool{false, true} {
+		q.SeenFull = full
+		got, err := UnmarshalSweepQuery(MarshalSweepQuery(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(q, got) {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", q, got)
+		}
 	}
-	if !reflect.DeepEqual(q, got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", q, got)
+}
+
+// TestSweepCodecRefusesAmplifyingCounts pins the decode-amplification fix: a
+// count prefix is refused before anything is allocated for it unless the
+// rest of the frame could hold that many smallest-possible entries. Before,
+// any count up to the bytes remaining was accepted, so a 16 MiB frame
+// claiming 16 M seen IDs (16 bytes of slice header each) or swept bottles (40
+// bytes each) cost hundreds of MiB before the first entry failed to parse.
+func TestSweepCodecRefusesAmplifyingCounts(t *testing.T) {
+	rs := []core.ResidueSet{core.NewResidueSet(11, []uint32{1})}
+	// withCount rewrites the u32 count that precedes an encoding's list and
+	// pads the frame with zero bytes, which parse as empty entries.
+	withCount := func(enc []byte, countAt int, count uint32, pad int) []byte {
+		out := append(append([]byte(nil), enc[:countAt+4]...), make([]byte, pad)...)
+		out[countAt], out[countAt+1], out[countAt+2], out[countAt+3] = byte(count>>24), byte(count>>16), byte(count>>8), byte(count)
+		return out
 	}
+	query := MarshalSweepQuery(SweepQuery{Residues: rs})
+	seenAt := len(query) - 4 // the seen count ends an empty query
+	for name, frame := range map[string][]byte{
+		"one more seen ID than bytes for them": withCount(query, seenAt, 51, 100),
+		"seen count past MaxSeenCap":           withCount(query, seenAt, MaxSeenCap+1, 2*(MaxSeenCap+1)),
+		"16M seen IDs":                         withCount(query, seenAt, 16<<20, 1<<10),
+	} {
+		if _, err := UnmarshalSweepQuery(frame); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("query with %s: err = %v, want ErrMalformedFrame", name, err)
+		}
+	}
+	if q, err := UnmarshalSweepQuery(withCount(query, seenAt, 50, 100)); err != nil || len(q.Seen) != 50 {
+		t.Errorf("query with exactly the seen IDs its bytes hold: %d IDs, %v", len(q.Seen), err)
+	}
+	// A result's bottle count leads the frame; 6 bytes is an empty bottle.
+	result := MarshalSweepResult(SweepResult{})
+	for name, frame := range map[string][]byte{
+		"one more bottle than bytes for them": withCount(result, 0, 11, 60+len(result)-4),
+		"16M bottles":                         withCount(result, 0, 16<<20, 1<<10),
+	} {
+		if _, err := UnmarshalSweepResult(frame); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("result with %s: err = %v, want ErrMalformedFrame", name, err)
+		}
+		if err := UnmarshalSweepResultView(frame, new(SweepResultView)); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("result view with %s: err = %v, want ErrMalformedFrame", name, err)
+		}
+	}
+	// What the refusal is for: a 1 MiB frame claiming 1 Mi entries used to
+	// allocate the whole slice (16 and 40 MiB) before failing.
+	allocated := func(decode func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	bigQuery, bigResult := withCount(query, seenAt, 1<<20, 1<<20), withCount(result, 0, 1<<20, 1<<20)
+	if n := allocated(func() { UnmarshalSweepQuery(bigQuery) }); n > 1<<20 {
+		t.Errorf("refusing a lying seen count allocated %d bytes", n)
+	}
+	if n := allocated(func() { UnmarshalSweepResult(bigResult) }); n > 1<<20 {
+		t.Errorf("refusing a lying bottle count allocated %d bytes", n)
+	}
+	// A residue-set count and a word count are bounded the same way.
+	for name, frame := range map[string][]byte{
+		"65535 residue sets": {0xff, 0xff, 0, 0, 0, 11, 0, 1},
+		"65535 words":        {0, 1, 0, 0, 0, 11, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := UnmarshalSweepQuery(frame); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("query with %s: err = %v, want ErrMalformedFrame", name, err)
+		}
+	}
+}
+
+// sweepFuzzSeeds are revision-5 sweep frames: an ad-hoc list, a full and a
+// delta window query, a scan answer and a resync answer.
+func sweepFuzzSeeds() (queries, results [][]byte) {
+	q := SweepQuery{
+		Residues:      []core.ResidueSet{core.NewResidueSet(11, []uint32{0, 3, 7})},
+		Limit:         64,
+		ExcludeOrigin: "alice",
+		Seen:          []string{"r1@0123456789abcdef", "fedcba9876543210"},
+	}
+	queries = append(queries, MarshalSweepQuery(q))
+	q.Window, q.SeenCap, q.SeenBase, q.SeenFull = 7, 4096, 100, true
+	queries = append(queries, MarshalSweepQuery(q))
+	q.SeenFull = false
+	queries = append(queries, MarshalSweepQuery(q), nil)
+	results = append(results,
+		MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1, 2, 3}}, {ID: "b"}}, Scanned: 9, Rejected: 7, Truncated: true}),
+		MarshalSweepResult(SweepResult{Resync: true}), nil)
+	return queries, results
+}
+
+// FuzzSweepQueryUnmarshal: the decoder never panics, never returns more seen
+// IDs than MaxSeenCap, and accepts its own re-encoding of whatever it took.
+func FuzzSweepQueryUnmarshal(f *testing.F) {
+	queries, _ := sweepFuzzSeeds()
+	for _, seed := range queries {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := UnmarshalSweepQuery(data)
+		if err != nil {
+			return
+		}
+		if len(q.Seen) > MaxSeenCap {
+			t.Fatalf("decoded %d seen IDs", len(q.Seen))
+		}
+		again, err := UnmarshalSweepQuery(MarshalSweepQuery(q))
+		if err != nil || !reflect.DeepEqual(q, again) {
+			t.Fatalf("re-decode of the re-encoded query: %v\n got %+v\nwant %+v", err, again, q)
+		}
+	})
+}
+
+// FuzzSweepResultUnmarshal: both result decoders never panic, agree with each
+// other, and accept their own re-encoding.
+func FuzzSweepResultUnmarshal(f *testing.F) {
+	_, results := sweepFuzzSeeds()
+	for _, seed := range results {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := UnmarshalSweepResult(data)
+		var view SweepResultView
+		if viewErr := UnmarshalSweepResultView(data, &view); (err == nil) != (viewErr == nil) {
+			t.Fatalf("decoders disagree: %v vs view %v", err, viewErr)
+		}
+		if err != nil {
+			return
+		}
+		if len(view.Bottles) != len(res.Bottles) || view.Resync != res.Resync || view.Truncated != res.Truncated {
+			t.Fatalf("view %+v differs from %+v", view, res)
+		}
+		if _, err := UnmarshalSweepResult(MarshalSweepResult(res)); err != nil {
+			t.Fatalf("re-decode of the re-encoded result: %v", err)
+		}
+	})
 }
 
 func TestSweepQueryRoundTripEmpty(t *testing.T) {
@@ -70,8 +213,11 @@ func TestSweepResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scanned != 100 || got.Rejected != 90 || !got.Truncated || len(got.Bottles) != 2 {
+	if got.Scanned != 100 || got.Rejected != 90 || !got.Truncated || got.Resync || len(got.Bottles) != 2 {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+	if got, err := UnmarshalSweepResult(MarshalSweepResult(SweepResult{Resync: true})); err != nil || !got.Resync || got.Truncated {
+		t.Fatalf("resync answer round trip: %+v, %v", got, err)
 	}
 	if got.Bottles[0].ID != "a" || !bytes.Equal(got.Bottles[0].Raw, []byte{1, 2, 3}) {
 		t.Fatalf("bottle mismatch: %+v", got.Bottles[0])

@@ -118,15 +118,15 @@ type shardSweep struct {
 }
 
 // sweep screens the shard's bottles against the query; seen is the query's
-// already-evaluated ID set, built once by the rack and shared read-only
-// across shard jobs, and remaining is the query's whole-rack collection
+// exclusion window (nil: none), shared read-only across the sweep's shard
+// jobs, and remaining is the query's whole-rack collection
 // budget shared by every shard job of the sweep. Expired bottles encountered
 // along the way are unlinked (lazy expiry). Each passing bottle reserves one
 // slot from the budget before it is collected; once the budget is spent the
 // scan stops immediately — without the shared bound every shard would collect
 // up to the full query limit, handing the merge up to shards×Limit bottles of
 // which all but Limit are discarded.
-func (s *shard) sweep(q *SweepQuery, seen map[string]struct{}, now time.Time, remaining *atomic.Int64) shardSweep {
+func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, now time.Time, remaining *atomic.Int64) shardSweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Sweeps++
@@ -136,10 +136,8 @@ func (s *shard) sweep(q *SweepQuery, seen map[string]struct{}, now time.Time, re
 			if b.origin != "" && b.origin == q.ExcludeOrigin {
 				continue
 			}
-			if seen != nil {
-				if _, dup := seen[b.id]; dup {
-					continue
-				}
+			if seen != nil && seen.Has(b.id) {
+				continue
 			}
 			s.stats.Scanned++
 			out.scanned++

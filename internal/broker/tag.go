@@ -69,9 +69,11 @@ func (r *Rack) tagID(id string) string {
 // tag leaves the ID unchanged: a foreign-tagged ID simply misses the index
 // (the bottle lives on another rack), and untagged IDs keep working against a
 // tagged rack so single-rack clients need not know about tags at all.
-func (r *Rack) untagID(id string) string {
-	if tag := r.cfg.RackTag; tag != "" &&
-		len(id) > len(tag) && id[len(tag)] == TagSep && id[:len(tag)] == tag {
+func (r *Rack) untagID(id string) string { return untagOwn(r.cfg.RackTag, id) }
+
+// untagOwn strips tag, and only tag, from an inbound ID.
+func untagOwn(tag, id string) string {
+	if tag != "" && len(id) > len(tag) && id[len(tag)] == TagSep && id[:len(tag)] == tag {
 		return id[len(tag)+1:]
 	}
 	return id

@@ -31,7 +31,8 @@
 //     with the full core.Matcher, post replies batched (transport-failed
 //     posts are queued and retried next tick, never silently lost), and
 //     remember evaluated IDs in a bounded seen-window so the broker spends
-//     its sweep limit on fresh bottles.
+//     its sweep limit on fresh bottles (the racks hold a copy of the window;
+//     a sweep ships only what was added to it since the last one).
 //   - Ring (NewRing) scales all of the above out to a cluster: it implements
 //     the same Backend surface over N rack endpoints, routing submits by
 //     rendezvous hashing, fanning sweeps out to every healthy rack, and

@@ -71,6 +71,7 @@ type SweeperMetrics struct {
 	replies     *obs.Counter
 	replyErrors *obs.Counter
 	duplicates  *obs.Counter
+	resyncs     *obs.Counter
 }
 
 // NewSweeperMetrics registers the sweeper series on reg.
@@ -90,6 +91,8 @@ func NewSweeperMetrics(reg *obs.Registry) *SweeperMetrics {
 			"Reply posts that failed (transport failures retry next tick)."),
 		duplicates: reg.Counter("sealedbottle_sweeper_duplicates_total",
 			"Swept bottles dropped as replica copies within one tick."),
+		resyncs: reg.Counter("sealedbottle_sweeper_resyncs_total",
+			"Sweeps repeated with the whole seen window because a rack no longer held it."),
 	}
 }
 
@@ -102,4 +105,5 @@ func (m *SweeperMetrics) record(start time.Time, st TickStats) {
 	m.replies.Add(uint64(st.Replies))
 	m.replyErrors.Add(uint64(st.ReplyErrors))
 	m.duplicates.Add(uint64(st.Duplicates))
+	m.resyncs.Add(uint64(st.Resyncs))
 }

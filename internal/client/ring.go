@@ -525,7 +525,11 @@ func (r *Ring) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitR
 // racks are real and already learned into the routing table — callers may
 // use or discard them). Each returned bottle teaches the routing table which
 // rack holds it, which is what lets the subsequent replies route without
-// fan-out.
+// fan-out. The result asks for a resync when any rack did: a member that
+// missed sweeps (ejected, restarted) no longer holds the sweeper's window at
+// the query's base. It is marked partial when a rack that was asked did not
+// answer, so that the sweeper's next query brings that rack's window up to
+// date by itself.
 func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
 	healthy := r.healthy()
 	if len(healthy) == 0 {
@@ -580,6 +584,10 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 		out.Scanned += p.res.Scanned
 		out.Rejected += p.res.Rejected
 		out.Truncated = out.Truncated || p.res.Truncated
+		// One rack without the sweeper's window makes the whole sweep a
+		// resync: the sweeper keeps one base for all racks, and its full
+		// resend brings every rack back to it.
+		out.Resync = out.Resync || p.res.Resync
 		for _, b := range p.res.Bottles {
 			if _, dup := merged[broker.UntagID(b.ID)]; dup {
 				r.replicaDedup.Add(1)
@@ -600,6 +608,7 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 	if answered == 0 {
 		return broker.SweepResult{}, firstErr
 	}
+	out.Partial = answered < len(parts)
 	return out, nil
 }
 

@@ -26,6 +26,9 @@ var errRackDown = errors.New("dial tcp: connection refused (simulated)")
 type unstableBackend struct {
 	rack *broker.Rack
 	dead atomic.Bool
+	// shed is how many of a sweeper's next sweeps (those that name a window)
+	// are refused as over quota: the rack is up, it just does not serve them.
+	shed atomic.Int32
 }
 
 func (u *unstableBackend) Submit(ctx context.Context, raw []byte) (string, error) {
@@ -38,6 +41,10 @@ func (u *unstableBackend) Submit(ctx context.Context, raw []byte) (string, error
 func (u *unstableBackend) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
 	if u.dead.Load() {
 		return broker.SweepResult{}, errRackDown
+	}
+	if q.Window != 0 && u.shed.Load() > 0 {
+		u.shed.Add(-1)
+		return broker.SweepResult{}, broker.ErrOverload
 	}
 	return u.rack.Sweep(ctx, q)
 }

@@ -2,7 +2,10 @@ package client
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"time"
 
 	"sealedbottle/internal/broker"
@@ -10,10 +13,10 @@ import (
 	"sealedbottle/internal/core"
 )
 
-// DefaultSeenCap bounds the seen-ID window shipped with every sweep query;
-// without a bound a long-lived sweeper's queries would grow (and cost the
-// broker) linearly with its lifetime. IDs that fall out of the window may be
-// swept again; the participant's own duplicate suppression drops them.
+// DefaultSeenCap bounds the window of evaluated IDs a sweeper has the racks
+// exclude; without a bound a long-lived sweeper would cost every rack memory
+// linear in its lifetime. IDs that fall out of the window may be swept again;
+// the participant's own duplicate suppression drops them.
 const DefaultSeenCap = 4096
 
 // SweeperConfig configures a Sweeper.
@@ -25,7 +28,8 @@ type SweeperConfig struct {
 	Primes []uint32
 	// Limit caps bottles per sweep (zero: the broker's default).
 	Limit int
-	// SeenCap bounds the seen-ID window (zero: DefaultSeenCap).
+	// SeenCap bounds the seen-ID window (zero: DefaultSeenCap; at most
+	// broker.MaxSeenCap).
 	SeenCap int
 	// ExcludeOrigin skips bottles submitted by this origin server-side.
 	ExcludeOrigin string
@@ -65,13 +69,18 @@ type TickStats struct {
 	// Truncated reports that more bottles passed the prefilter than Limit
 	// allowed; another tick will pick them up.
 	Truncated bool
+	// Resyncs is 1 when a rack no longer held the sweeper's window and the
+	// sweep was repeated with the whole window attached (0 otherwise).
+	Resyncs int
 }
 
 // Sweeper drives the candidate side of the rendezvous protocol: each Tick
 // sweeps the rack with the participant's residue sets, evaluates every
 // returned bottle with the full Matcher machinery, posts the resulting
 // replies batched, and remembers evaluated IDs so the next sweep spends its
-// limit on fresh bottles. It is the single implementation of the loop that
+// limit on fresh bottles. The racks hold a copy of that window under the
+// sweeper's handle, so a query carries only the IDs added since the last
+// sweep that succeeded. It is the single implementation of the loop that
 // loadgen, the msn simulator and the examples previously each hand-rolled.
 // It runs against any Backend — an in-process rack, a courier, a whole ring.
 // Not safe for concurrent use; run one Sweeper per goroutine (they may share
@@ -80,7 +89,17 @@ type Sweeper struct {
 	rv       broker.Backend
 	cfg      SweeperConfig
 	residues []core.ResidueSet
-	seen     *seenWindow
+	// seen is the window of evaluated IDs; window is the handle the racks
+	// hold their copy under, and acked is seen.Total() as of the last sweep
+	// that succeeded — what the racks' copies stand at.
+	seen   *broker.SeenWindow
+	window uint64
+	acked  uint64
+	// full says the next query carries the whole window whatever acked is:
+	// some rack of a ring did not answer the last one and has missed its delta.
+	full bool
+	// delta backs the per-tick list of IDs added since acked.
+	delta []string
 	// pending holds replies whose post failed at the transport level; they
 	// are retried on the next Tick. Without it a failed post lost the reply
 	// forever: the bottle was already in the seen window (and in the
@@ -107,12 +126,68 @@ func NewSweeper(rv broker.Backend, cfg SweeperConfig) (*Sweeper, error) {
 	if cfg.SeenCap <= 0 {
 		cfg.SeenCap = DefaultSeenCap
 	}
+	if cfg.SeenCap > broker.MaxSeenCap {
+		return nil, fmt.Errorf("client: sweeper SeenCap %d exceeds the %d racks hold", cfg.SeenCap, broker.MaxSeenCap)
+	}
+	// The handle names this sweeper's window on every rack; random, so that
+	// sweepers sharing an identity never share a window, and nonzero.
+	var handle [8]byte
+	if _, err := rand.Read(handle[:]); err != nil {
+		return nil, fmt.Errorf("client: sweeper window handle: %w", err)
+	}
 	matcher := cfg.Participant.Matcher()
 	residues := make([]core.ResidueSet, 0, len(cfg.Primes))
 	for _, p := range cfg.Primes {
 		residues = append(residues, matcher.ResidueSet(p))
 	}
-	return &Sweeper{rv: rv, cfg: cfg, residues: residues, seen: newSeenWindow(cfg.SeenCap)}, nil
+	return &Sweeper{
+		rv: rv, cfg: cfg, residues: residues,
+		seen:   broker.NewSeenWindow(cfg.SeenCap),
+		window: binary.BigEndian.Uint64(handle[:]) | 1,
+	}, nil
+}
+
+// sweep runs the tick's query: the IDs added to the window since the last
+// sweep that succeeded, or — first tick, a rack asked for a resync, or a rack
+// of the ring missed the last query — the whole window. A failed sweep leaves
+// acked alone, so the next tick sends the same delta again, which racks that
+// did apply it recognize.
+func (s *Sweeper) sweep(ctx context.Context) (res broker.SweepResult, resyncs int, err error) {
+	total := s.seen.Total()
+	q := broker.SweepQuery{
+		Residues:      s.residues,
+		Limit:         s.cfg.Limit,
+		ExcludeOrigin: s.cfg.ExcludeOrigin,
+		Window:        s.window,
+		SeenCap:       s.cfg.SeenCap,
+	}
+	// A delta as long as the window is the window.
+	unacked := total - s.acked
+	q.SeenFull = s.full || unacked >= uint64(s.seen.Len())
+	for {
+		if q.SeenFull {
+			// Whole-window lists are rare; not worth holding on to.
+			q.Seen = s.seen.AppendNewest(nil, s.seen.Len())
+		} else {
+			s.delta = s.seen.AppendNewest(s.delta[:0], int(unacked))
+			q.Seen = s.delta
+		}
+		q.SeenBase = total - uint64(len(q.Seen))
+		res, err = s.rv.Sweep(ctx, q)
+		switch {
+		case err != nil:
+			return res, resyncs, err
+		case !res.Resync:
+			s.acked, s.full = total, res.Partial
+			return res, resyncs, nil
+		case q.SeenFull:
+			return res, resyncs, errors.New("client: rack asked to resync a sweep that carried the whole window")
+		}
+		// A rack lost the window (restart, eviction, ticks missed while
+		// ejected) and scanned nothing: discard, resend everything.
+		resyncs++
+		q.SeenFull = true
+	}
 }
 
 // Tick performs one sweep-evaluate-reply cycle. The returned error is a
@@ -125,12 +200,7 @@ func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 	if s.cfg.Metrics != nil {
 		start = time.Now()
 	}
-	res, err := s.rv.Sweep(ctx, broker.SweepQuery{
-		Residues:      s.residues,
-		Limit:         s.cfg.Limit,
-		ExcludeOrigin: s.cfg.ExcludeOrigin,
-		Seen:          s.seen.snapshot(),
-	})
+	res, resyncs, err := s.sweep(ctx)
 	if err != nil {
 		return TickStats{}, err
 	}
@@ -139,6 +209,7 @@ func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 		Scanned:   res.Scanned,
 		Rejected:  res.Rejected,
 		Truncated: res.Truncated,
+		Resyncs:   resyncs,
 	}
 	// Replies whose post failed at the transport on an earlier tick are
 	// retried ahead of this tick's fresh posts. Keeping the bottle out of the
@@ -162,7 +233,7 @@ func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 			continue
 		}
 		tick[id] = struct{}{}
-		s.seen.add(id)
+		s.seen.Add(id)
 		// Skip decides on the request ID proper; swept IDs may carry a rack
 		// tag ("tag@id") that callers keying by package ID never see.
 		if s.cfg.Skip != nil && s.cfg.Skip(id) {

@@ -165,8 +165,8 @@ func TestSweeperSeenWindowBound(t *testing.T) {
 		if _, err := sweeper.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if sweeper.seen.len() > 8 {
-			t.Fatalf("seen window grew to %d (> cap 8) on tick %d", sweeper.seen.len(), i)
+		if sweeper.seen.Len() > 8 {
+			t.Fatalf("seen window grew to %d (> cap 8) on tick %d", sweeper.seen.Len(), i)
 		}
 	}
 }

@@ -200,6 +200,7 @@ func (d *directSweep) Sweep(ctx context.Context, q sealedbottle.SweepQuery) (sea
 		out.Scanned += res.Scanned
 		out.Rejected += res.Rejected
 		out.Truncated = out.Truncated || res.Truncated
+		out.Resync = out.Resync || res.Resync
 	}
 	if answered == 0 {
 		if firstErr == nil {
@@ -207,5 +208,6 @@ func (d *directSweep) Sweep(ctx context.Context, q sealedbottle.SweepQuery) (sea
 		}
 		return sealedbottle.SweepResult{}, firstErr
 	}
+	out.Partial = firstErr != nil
 	return out, nil
 }

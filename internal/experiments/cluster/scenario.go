@@ -12,6 +12,8 @@ import (
 	"sealedbottle"
 	"sealedbottle/internal/adversary"
 	"sealedbottle/internal/attr"
+	"sealedbottle/internal/broker"
+	"sealedbottle/internal/client"
 	"sealedbottle/internal/core"
 	"sealedbottle/internal/dataset"
 	"sealedbottle/internal/msn"
@@ -149,6 +151,7 @@ func addTicks(sum *sealedbottle.TickStats, st sealedbottle.TickStats) {
 	sum.Replies += st.Replies
 	sum.ReplyErrors += st.ReplyErrors
 	sum.Duplicates += st.Duplicates
+	sum.Resyncs += st.Resyncs
 	sum.Scanned += st.Scanned
 	sum.Rejected += st.Rejected
 	sum.Truncated = sum.Truncated || st.Truncated
@@ -303,7 +306,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		sw, err := sealedbottle.NewSweeper(l, sealedbottle.SweeperConfig{
 			Participant: part,
 			Limit:       cfg.SweepLimit,
-			SeenCap:     4*cfg.Bottles + 256,
+			SeenCap:     min(4*cfg.Bottles+256, sealedbottle.MaxSeenCap),
 			OnResult: func(pkg *core.RequestPackage, hr *core.HandleResult) {
 				checker.ObserveEvaluation(sid, pkg.ID, hr.Dropped)
 			},
@@ -442,7 +445,10 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		advWG.Add(1)
 		go func() {
 			defer advWG.Done()
-			seen := make(map[string]struct{})
+			// The adversary remembers what it attacked the way a sweeper does:
+			// a bounded window, oldest out first, or its query would grow
+			// with the run.
+			seen := broker.NewSeenWindow(client.DefaultSeenCap)
 			var seenList []string
 			for {
 				select {
@@ -452,6 +458,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 					return
 				default:
 				}
+				seenList = seen.AppendNewest(seenList[:0], seen.Len())
 				res, err := advLink.Sweep(ctx, sealedbottle.SweepQuery{
 					Residues: []core.ResidueSet{advResidues},
 					Limit:    64,
@@ -463,11 +470,9 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 				}
 				for _, b := range res.Bottles {
 					uid := sealedbottle.UntagID(b.ID)
-					if _, dup := seen[uid]; dup {
+					if !seen.Add(uid) {
 						continue
 					}
-					seen[uid] = struct{}{}
-					seenList = append(seenList, uid)
 					pkg, err := core.UnmarshalPackage(b.Raw)
 					if err != nil {
 						continue

@@ -23,9 +23,9 @@ type pendingRequest struct {
 	expires time.Time
 }
 
-// rendezvousSeenCap bounds the seen-ID window shipped with every sweep query;
-// without it a long-lived node's queries would grow (and cost the broker)
-// linearly with its lifetime.
+// rendezvousSeenCap bounds the window of evaluated IDs the broker excludes
+// from the node's sweeps; without it a long-lived node would cost the broker
+// memory linear in its lifetime.
 const rendezvousSeenCap = 4096
 
 // initRendezvous builds the node's sweeper, wiring the participant's

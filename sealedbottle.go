@@ -213,6 +213,9 @@ const (
 	// DefaultSweepLimit caps a sweep's returned bottles when the query sets
 	// no limit.
 	DefaultSweepLimit = broker.DefaultSweepLimit
+	// MaxSeenCap is the largest SweeperConfig.SeenCap: racks hold a copy of
+	// every sweeper's seen window, at most this long.
+	MaxSeenCap = broker.MaxSeenCap
 	// DefaultReapInterval is the rack's background expiry period.
 	DefaultReapInterval = broker.DefaultReapInterval
 	// DefaultCallTimeout bounds one courier round trip unless configured.
