@@ -17,6 +17,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzRequestPackageUnmarshal -fuzztime 20s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzReplyUnmarshal -fuzztime 10s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzNormalize -fuzztime 10s ./internal/attr
 	$(GO) test -run NONE -fuzz FuzzMuxFrame -fuzztime 10s ./internal/broker/transport
 	$(GO) test -run NONE -fuzz FuzzWALReplay -fuzztime 10s ./internal/broker/wal
 	$(GO) test -run NONE -fuzz FuzzHandoffUnmarshal -fuzztime 10s ./internal/broker

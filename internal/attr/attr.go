@@ -13,7 +13,7 @@ package attr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -40,13 +40,25 @@ const (
 
 // Attribute is a single profile entry: a category header plus a value.
 //
-// The zero value is not a valid attribute; use New (which normalizes) or
-// construct both fields explicitly and call Canonical.
+// New, Parse and the Profile methods return attributes whose fields are
+// normalized to the fixed point of Normalize and which carry their canonical
+// "header:value" form, computed once. A struct literal carries none, and
+// neither does an attribute whose Header or Value was reassigned: such an
+// attribute is normalized again on each call to Canonical, Equal or Less, so
+// it behaves the same, only slower. The zero value is not a valid attribute.
+//
+// Because of the carried form, == on two attributes is not equivalence: a
+// literal and the attribute New builds from the same text compare unequal.
+// Use Equal.
 type Attribute struct {
 	// Header names the attribute category, e.g. "interest".
 	Header string
 	// Value is the attribute value, e.g. "basketball".
 	Value string
+
+	// canon is Header + Separator + Value, set by canonicalize; Header and
+	// Value are substrings of it.
+	canon string
 }
 
 // ErrEmptyAttribute is returned when an attribute normalizes to nothing,
@@ -61,7 +73,26 @@ func New(header, value string) (Attribute, error) {
 	if n == "" || v == "" {
 		return Attribute{}, fmt.Errorf("%w: header=%q value=%q", ErrEmptyAttribute, header, value)
 	}
-	return Attribute{Header: n, Value: v}, nil
+	return canonicalize(n, v), nil
+}
+
+// canonicalize builds the attribute for an already normalized header and
+// value, with its canonical form stored in one string.
+func canonicalize(header, value string) Attribute {
+	canon := header + Separator + value
+	return Attribute{Header: canon[:len(header)], Value: canon[len(header)+len(Separator):], canon: canon}
+}
+
+// normalized returns a itself if it still carries the canonical form of its
+// fields, or else the normalized attribute that carries it. The comparisons
+// are cheap when they hold, because the fields then alias canon.
+func (a Attribute) normalized() Attribute {
+	n := len(a.Header)
+	if len(a.canon) == n+len(Separator)+len(a.Value) &&
+		a.canon[:n] == a.Header && a.canon[n+len(Separator):] == a.Value {
+		return a
+	}
+	return canonicalize(Normalize(a.Header), Normalize(a.Value))
 }
 
 // MustNew is New but panics on error. It is intended for tests, examples and
@@ -87,9 +118,7 @@ func Parse(s string) (Attribute, error) {
 // Canonical returns the canonical textual form "header:value" after
 // normalizing both fields. Canonical strings are the unit that gets hashed
 // into the profile vector.
-func (a Attribute) Canonical() string {
-	return Normalize(a.Header) + Separator + Normalize(a.Value)
-}
+func (a Attribute) Canonical() string { return a.normalized().canon }
 
 // String implements fmt.Stringer using the canonical form.
 func (a Attribute) String() string { return a.Canonical() }
@@ -112,7 +141,7 @@ type Profile struct {
 // NewProfile builds a profile from the given attributes, normalizing,
 // de-duplicating and sorting them.
 func NewProfile(attrs ...Attribute) *Profile {
-	p := &Profile{}
+	p := &Profile{attrs: make([]Attribute, 0, len(attrs))}
 	for _, a := range attrs {
 		p.Add(a)
 	}
@@ -135,33 +164,36 @@ func ParseProfile(canonical ...string) (*Profile, error) {
 // Add inserts an attribute, keeping the profile sorted and duplicate-free.
 // It reports whether the attribute was newly added.
 func (p *Profile) Add(a Attribute) bool {
-	c := a.Canonical()
-	i := sort.Search(len(p.attrs), func(i int) bool { return p.attrs[i].Canonical() >= c })
-	if i < len(p.attrs) && p.attrs[i].Canonical() == c {
+	a = a.normalized()
+	i, found := p.search(a.canon)
+	if found {
 		return false
 	}
-	p.attrs = append(p.attrs, Attribute{})
-	copy(p.attrs[i+1:], p.attrs[i:])
-	p.attrs[i] = Attribute{Header: Normalize(a.Header), Value: Normalize(a.Value)}
+	p.attrs = slices.Insert(p.attrs, i, a)
 	return true
 }
 
 // Remove deletes an attribute if present and reports whether it was removed.
 func (p *Profile) Remove(a Attribute) bool {
-	c := a.Canonical()
-	i := sort.Search(len(p.attrs), func(i int) bool { return p.attrs[i].Canonical() >= c })
-	if i >= len(p.attrs) || p.attrs[i].Canonical() != c {
-		return false
+	i, found := p.search(a.Canonical())
+	if found {
+		p.attrs = slices.Delete(p.attrs, i, i+1)
 	}
-	p.attrs = append(p.attrs[:i], p.attrs[i+1:]...)
-	return true
+	return found
 }
 
 // Contains reports whether the profile owns an attribute equivalent to a.
 func (p *Profile) Contains(a Attribute) bool {
-	c := a.Canonical()
-	i := sort.Search(len(p.attrs), func(i int) bool { return p.attrs[i].Canonical() >= c })
-	return i < len(p.attrs) && p.attrs[i].Canonical() == c
+	_, found := p.search(a.Canonical())
+	return found
+}
+
+// search finds the position of canonical form c among the sorted attributes.
+// Every attribute a profile holds carries its canonical form.
+func (p *Profile) search(c string) (int, bool) {
+	return slices.BinarySearchFunc(p.attrs, c, func(a Attribute, c string) int {
+		return strings.Compare(a.canon, c)
+	})
 }
 
 // Len returns the number of attributes m_k.
@@ -179,7 +211,7 @@ func (p *Profile) Attributes() []Attribute {
 func (p *Profile) Canonicals() []string {
 	out := make([]string, len(p.attrs))
 	for i, a := range p.attrs {
-		out[i] = a.Canonical()
+		out[i] = a.canon
 	}
 	return out
 }
@@ -194,7 +226,8 @@ func (p *Profile) Intersection(q *Profile) *Profile {
 	out := &Profile{}
 	for _, a := range p.attrs {
 		if q.Contains(a) {
-			out.Add(a)
+			// p is sorted and duplicate-free, so its subsequence is too.
+			out.attrs = append(out.attrs, a)
 		}
 	}
 	return out

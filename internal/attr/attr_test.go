@@ -63,6 +63,58 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// checkCanonicalsAgree fails t unless the attribute built by New, its copy
+// held by a profile, a struct literal of the raw text and that literal's
+// copy held by a profile all have the same canonical form.
+func checkCanonicalsAgree(t *testing.T, header, value string) {
+	t.Helper()
+	a, err := New(header, value)
+	if err != nil {
+		return // nothing to compare: the text normalizes to nothing
+	}
+	lit := Attribute{Header: header, Value: value}
+	forms := []string{
+		a.Canonical(),
+		NewProfile(a).Attributes()[0].Canonical(),
+		lit.Canonical(),
+		NewProfile(lit).Attributes()[0].Canonical(),
+	}
+	for _, f := range forms[1:] {
+		if f != forms[0] {
+			t.Fatalf("canonical forms of (%q, %q) disagree: %q", header, value, forms)
+		}
+	}
+	if !a.Equal(lit) || !NewProfile(a).Contains(lit) {
+		t.Fatalf("(%q, %q): constructed attribute and literal are not equivalent", header, value)
+	}
+}
+
+// Property: the constructor, a profile and a literal agree on the canonical
+// form of arbitrary text.
+func TestCanonicalFormsAgreeProperty(t *testing.T) {
+	for _, s := range []string{"10 s", "bus es", "m e"} {
+		checkCanonicalsAgree(t, HeaderTag, s)
+	}
+	f := func(h, v string) bool {
+		checkCanonicalsAgree(t, h, v)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestReassignedFieldsDropTheCachedForm(t *testing.T) {
+	a := MustNew("interest", "chess")
+	a.Value = "Go"
+	if got := a.Canonical(); got != "interest:go" {
+		t.Errorf("Canonical after reassigning Value = %q, want interest:go", got)
+	}
+	if p := NewProfile(a); !p.Contains(MustNew("interest", "go")) || p.Len() != 1 {
+		t.Errorf("profile of the reassigned attribute = %v", p)
+	}
+}
+
 func TestEquivalentSpellingsHashIdentically(t *testing.T) {
 	pairs := [][2]string{
 		{"Basket Ball", "basketball"},

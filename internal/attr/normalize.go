@@ -3,6 +3,7 @@ package attr
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize applies the paper's profile-normalization pipeline (Section
@@ -19,89 +20,65 @@ import (
 //
 // Semantic equivalence between different words (synonyms) is explicitly out
 // of scope, exactly as in the paper.
+//
+// Because the words are joined with no separator, one pass can create a word
+// the next pass would change ("10 s" -> "tens" -> "ten", "m e" -> "me" ->
+// "mechanicalengineering"). Normalize therefore repeats the pipeline until
+// its output stops changing, so Normalize(Normalize(s)) == Normalize(s).
 func Normalize(s string) string {
-	s = strings.ToLower(s)
-	s = stripDiacritics(s)
-	words := splitWords(s)
-	out := make([]string, 0, len(words))
-	for _, w := range words {
-		if w == "" {
-			continue
+	for {
+		next := normalize(s, "")
+		if next == s {
+			return next
 		}
-		w = expandAbbreviation(w)
-		// Expansion may introduce several words ("cs" -> "computer science");
-		// each expanded word goes through the remaining steps independently.
-		for _, part := range strings.Fields(w) {
-			part = numberToWords(part)
-			for _, np := range strings.Fields(part) {
-				np = singularize(np)
-				if np != "" {
-					out = append(out, np)
-				}
-			}
-		}
+		s = next
 	}
-	return strings.Join(out, "")
 }
 
-// NormalizeWords is Normalize but keeps single spaces between words, which is
-// occasionally useful for presenting normalized text to humans.
-func NormalizeWords(s string) string {
-	s = strings.ToLower(s)
-	s = stripDiacritics(s)
-	words := splitWords(s)
-	out := make([]string, 0, len(words))
-	for _, w := range words {
-		if w == "" {
-			continue
-		}
-		w = expandAbbreviation(w)
-		for _, part := range strings.Fields(w) {
-			part = numberToWords(part)
-			for _, np := range strings.Fields(part) {
-				np = singularize(np)
-				if np != "" {
+// NormalizeWords is one pass of the Normalize pipeline that keeps single
+// spaces between words, which is occasionally useful for presenting
+// normalized text to humans.
+func NormalizeWords(s string) string { return normalize(s, " ") }
+
+// normalize runs the six steps once and joins the resulting words with sep.
+func normalize(s, sep string) string {
+	s = stripDiacritics(strings.ToLower(s))
+	out := make([]string, 0, 8)
+	for _, w := range splitWords(s) {
+		// Expansion may introduce several words ("cs" -> "computer science");
+		// each expanded word goes through the remaining steps independently.
+		for part := range strings.FieldsSeq(expandAbbreviation(w)) {
+			for np := range strings.FieldsSeq(numberToWords(part)) {
+				if np = singularize(np); np != "" {
 					out = append(out, np)
 				}
 			}
 		}
 	}
-	return strings.Join(out, " ")
+	return strings.Join(out, sep)
 }
 
 // splitWords breaks the input at whitespace and punctuation, keeping letter
 // and digit runs. Digits and letters are kept in separate words so that
-// "windows7" normalizes the same way as "windows 7".
+// "windows7" normalizes the same way as "windows 7". The words are substrings
+// of s.
 func splitWords(s string) []string {
 	var words []string
-	var cur strings.Builder
-	var curDigit bool
-	flush := func() {
-		if cur.Len() > 0 {
-			words = append(words, cur.String())
-			cur.Reset()
+	start, curDigit := -1, false
+	for i, r := range s {
+		letter, digit := unicode.IsLetter(r), unicode.IsDigit(r)
+		if start >= 0 && (!(letter || digit) || digit != curDigit) {
+			words = append(words, s[start:i])
+			start = -1
 		}
-	}
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r):
-			if curDigit {
-				flush()
-			}
-			curDigit = false
-			cur.WriteRune(r)
-		case unicode.IsDigit(r):
-			if !curDigit && cur.Len() > 0 {
-				flush()
-			}
-			curDigit = true
-			cur.WriteRune(r)
-		default:
-			flush()
-			curDigit = false
+		if start < 0 && (letter || digit) {
+			start = i
 		}
+		curDigit = digit
 	}
-	flush()
+	if start >= 0 {
+		words = append(words, s[start:])
+	}
 	return words
 }
 
@@ -136,6 +113,9 @@ var _diacriticFold = map[rune]rune{
 }
 
 func stripDiacritics(s string) string {
+	if isASCII(s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
 	for _, r := range s {
@@ -150,6 +130,15 @@ func stripDiacritics(s string) string {
 		b.WriteRune(r)
 	}
 	return b.String()
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // _abbreviations expands common social-network profile abbreviations. The
@@ -243,10 +232,10 @@ var _tens = []string{
 	"", "", "twenty", "thirty", "forty", "fifty", "sixty", "seventy", "eighty", "ninety",
 }
 
-// numberToWords converts a decimal digit string into English words, e.g.
-// "1987" -> "one thousand nine hundred eighty seven". Non-numeric words are
-// returned unchanged. Numbers too large to matter for profile attributes
-// (>= 10^15) are spelled digit by digit.
+// numberToWords converts a decimal digit string of any script into English
+// words, e.g. "1987" -> "one thousand nine hundred eighty seven". Non-numeric
+// words are returned unchanged. Numbers too large to matter for profile
+// attributes (>= 10^15) are spelled digit by digit.
 func numberToWords(w string) string {
 	if w == "" {
 		return w
@@ -257,22 +246,42 @@ func numberToWords(w string) string {
 		}
 	}
 	// Strip leading zeros but keep a single zero.
-	trimmed := strings.TrimLeft(w, "0")
-	if trimmed == "" {
+	digits := make([]byte, 0, 16)
+	for _, r := range w {
+		if d := digitValue(r); d > 0 || len(digits) > 0 {
+			digits = append(digits, d)
+		}
+	}
+	if len(digits) == 0 {
 		return "zero"
 	}
-	if len(trimmed) > 15 {
-		parts := make([]string, 0, len(trimmed))
-		for _, r := range trimmed {
-			parts = append(parts, _ones[r-'0'])
+	if len(digits) > 15 {
+		parts := make([]string, len(digits))
+		for i, d := range digits {
+			parts[i] = _ones[d]
 		}
 		return strings.Join(parts, " ")
 	}
 	var n int64
-	for _, r := range trimmed {
-		n = n*10 + int64(r-'0')
+	for _, d := range digits {
+		n = n*10 + int64(d)
 	}
 	return int64ToWords(n)
+}
+
+// digitValue returns the value of a decimal digit of any script. Unicode
+// encodes each script's digits as one run of code points from zero to nine,
+// and some runs abut (the mathematical digits are five runs back to back), so
+// the value is the distance from the start of the run modulo ten.
+func digitValue(r rune) byte {
+	if r >= '0' && r <= '9' {
+		return byte(r - '0')
+	}
+	start := r
+	for unicode.IsDigit(start - 1) {
+		start--
+	}
+	return byte((r - start) % 10)
 }
 
 func int64ToWords(n int64) string {

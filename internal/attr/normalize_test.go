@@ -36,6 +36,11 @@ func TestNormalize(t *testing.T) {
 		{"empty", "   ", ""},
 		{"only punct", "!!!", ""},
 		{"hyphenated", "hip-hop", "hiphop"},
+		{"joined plural", "10 s", "ten"},
+		{"joined abbreviation", "m e", "mechanicalengineering"},
+		{"arabic-indic digits", "٤٢", "fortytwo"},
+		{"mathematical digit", "𝟗", "nine"},
+		{"long non-ascii number", strings.Repeat("٣", 16), strings.Repeat("three", 16)},
 		{"date like", "2012-07-31", "twothousandtwelvesevenhundredthirtyone" /* split on hyphen: 2012,07,31 -> two thousand twelve seven thirty one */},
 	}
 	for _, tt := range tests {
@@ -72,6 +77,9 @@ func TestNormalizeIdempotent(t *testing.T) {
 	inputs := []string{
 		"Basket Ball", "engineers", "1987", "cs", "Zürich", "hip-hop DJs",
 		"computer games", "New York City", "children", "windows7",
+		// One pass of the pipeline is not idempotent on these: joining the
+		// words makes "tens", "buses" and "me", which the next pass changes.
+		"10 s", "bus es", "m e",
 	}
 	for _, in := range inputs {
 		once := Normalize(in)
@@ -112,6 +120,22 @@ func TestNormalizeIdempotentProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzNormalize checks that Normalize returns its own fixed point and that
+// every way to get an attribute's canonical form agrees on the input.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{"10 s", "bus es", "m e", "Basket Ball", "Café Zürich", "1987"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		once := Normalize(s)
+		if twice := Normalize(once); twice != once {
+			t.Fatalf("Normalize(%q) = %q, but Normalize(%q) = %q", s, once, once, twice)
+		}
+		checkCanonicalsAgree(t, HeaderTag, s)
+		checkCanonicalsAgree(t, s, "x")
+	})
 }
 
 func TestInt64ToWords(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"time"
 
@@ -408,8 +409,19 @@ type Participant struct {
 	profile   *attr.Profile
 	rng       io.Reader
 	now       func() time.Time
-	seen      map[string]struct{}
+	seen      map[requestKey]struct{}
+	seeds     [2]maphash.Seed
 	lastReply map[string]time.Time
+}
+
+// requestKey is what a participant keeps of a request it has handled: a
+// 128-bit keyed hash of the ID, not the ID. An entry of the duplicate set
+// then costs 16 bytes and holds no decoded string alive, and the random
+// seeds leave no one able to make two IDs collide.
+type requestKey [2]uint64
+
+func (p *Participant) requestKey(id string) requestKey {
+	return requestKey{maphash.String(p.seeds[0], id), maphash.String(p.seeds[1], id)}
 }
 
 // NewParticipant builds a participant for the given profile.
@@ -441,7 +453,8 @@ func NewParticipant(profile *attr.Profile, cfg ParticipantConfig) (*Participant,
 		profile:   profile.Clone(),
 		rng:       rng,
 		now:       now,
-		seen:      make(map[string]struct{}),
+		seen:      make(map[requestKey]struct{}),
+		seeds:     [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
 		lastReply: make(map[string]time.Time),
 	}, nil
 }
@@ -477,11 +490,12 @@ func (p *Participant) HandleRequest(pkg *RequestPackage) (*HandleResult, error) 
 		res.Dropped = "expired"
 		return res, nil
 	}
-	if _, dup := p.seen[pkg.ID]; dup {
+	key := p.requestKey(pkg.ID)
+	if _, dup := p.seen[key]; dup {
 		res.Dropped = "duplicate"
 		return res, nil
 	}
-	p.seen[pkg.ID] = struct{}{}
+	p.seen[key] = struct{}{}
 
 	rateLimited := false
 	if last, ok := p.lastReply[pkg.Origin]; ok && now.Sub(last) < p.cfg.MinReplyInterval {

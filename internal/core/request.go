@@ -3,7 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"sealedbottle/internal/attr"
 )
@@ -105,7 +106,7 @@ func (s RequestSpec) Validate() error {
 	}
 	// Duplicate attributes within a group would silently weaken the
 	// threshold; reject them.
-	if attr.NewProfile(s.Necessary...).Len() != len(s.Necessary) {
+	if necessary.Len() != len(s.Necessary) {
 		return errors.New("core: duplicate necessary attributes")
 	}
 	if attr.NewProfile(s.Optional...).Len() != len(s.Optional) {
@@ -147,19 +148,18 @@ type layout struct {
 // buildLayout sorts the request attributes and marks the optional positions.
 func (s RequestSpec) buildLayout() layout {
 	type entry struct {
+		key      string
 		a        attr.Attribute
 		optional bool
 	}
 	entries := make([]entry, 0, s.Total())
 	for _, a := range s.Necessary {
-		entries = append(entries, entry{a: a})
+		entries = append(entries, entry{key: a.Canonical(), a: a})
 	}
 	for _, a := range s.Optional {
-		entries = append(entries, entry{a: a, optional: true})
+		entries = append(entries, entry{key: a.Canonical(), a: a, optional: true})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].a.Canonical() < entries[j].a.Canonical()
-	})
+	slices.SortFunc(entries, func(x, y entry) int { return strings.Compare(x.key, y.key) })
 	l := layout{
 		attrs:    make([]attr.Attribute, len(entries)),
 		optional: make([]bool, len(entries)),
