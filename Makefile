@@ -28,8 +28,10 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Profile the submit/sweep hot path; inspect with `go tool pprof cpu.pprof`
-# (or mem.pprof). bench.test is kept so pprof can resolve symbols.
+# Profile the submit/sweep hot path; `RackSweep` also selects
+# BenchmarkRackSweepScreening, the rack scan in the friend-1rack workload's
+# shape. Inspect with `go tool pprof cpu.pprof` (or mem.pprof). bench.test is
+# kept so pprof can resolve symbols.
 profile:
 	$(GO) test -run '^$$' -bench 'BrokerSubmitDurable|RackSweep|TransportSubmitPipelined' -benchtime 2s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o bench.test .

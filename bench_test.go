@@ -14,6 +14,7 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
+	mrand "math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -475,6 +476,90 @@ func BenchmarkRackSweep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRackSweepScreening measures the scan in the shape of the
+// benchmark's friend-1rack workload: 16 shards racking 5000 real packages of
+// 8–10 necessary and 3 optional tags, swept by a candidate with 7 distinct
+// residues mod 11 through a held window of 4096 IDs that already holds every
+// racked bottle the candidate passes. Each sweep screens every bottle and
+// returns none, so ns/bottle is the per-bottle cost of the screen.
+func BenchmarkRackSweepScreening(b *testing.B) {
+	const (
+		shards   = 16
+		racked   = 5000
+		seenCap  = 4096
+		residues = 7
+	)
+	rng := mrand.New(mrand.NewSource(1))
+	rack := broker.New(broker.Config{Shards: shards, ReapInterval: -1})
+	defer rack.Close()
+	var candidate core.ResidueSet
+	for candidate.Count() != residues {
+		profile := attr.NewProfile()
+		for profile.Len() < residues {
+			profile.Add(attr.MustNew("cand", fmt.Sprintf("a%d", rng.Intn(1<<20))))
+		}
+		m, err := core.NewMatcher(profile, core.MatcherConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		candidate = m.ResidueSet(core.DefaultPrime)
+	}
+	var seen []string
+	for i := 0; i < racked; i++ {
+		// Distinct tags out of a vocabulary of 5000, as the workload draws them.
+		necessary := 8 + i%3
+		spec := core.RequestSpec{MinOptional: 3 - (i/3)%2}
+		drawn := make(map[int]bool)
+		for len(drawn) < necessary+3 {
+			tag := rng.Intn(5000)
+			if drawn[tag] {
+				continue
+			}
+			drawn[tag] = true
+			a := attr.MustNew(attr.HeaderTag, fmt.Sprintf("t%d", tag))
+			if len(spec.Necessary) < necessary {
+				spec.Necessary = append(spec.Necessary, a)
+			} else {
+				spec.Optional = append(spec.Optional, a)
+			}
+		}
+		built, err := core.BuildRequest(spec, core.BuildOptions{Origin: "standing"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := built.Package.Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rack.Submit(context.Background(), raw); err != nil {
+			b.Fatal(err)
+		}
+		if built.Package.PrefilterMatch(candidate) {
+			seen = append(seen, built.Package.ID)
+		}
+	}
+	for i := len(seen); i < seenCap; i++ {
+		seen = append(seen, fmt.Sprintf("%032x", i))
+	}
+	q := broker.SweepQuery{
+		Residues: []core.ResidueSet{candidate},
+		Window:   1, SeenCap: seenCap, SeenFull: true, Seen: seen,
+	}
+	if res, err := rack.Sweep(context.Background(), q); err != nil || res.Resync || len(res.Bottles) != 0 || res.Scanned != racked {
+		b.Fatalf("warm-up sweep: %d bottles of %d scanned, resync %v, %v", len(res.Bottles), res.Scanned, res.Resync, err)
+	}
+	// From here on every sweep is an empty delta against the held window.
+	q.SeenFull, q.SeenBase, q.Seen = false, seenCap, nil
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rack.Sweep(context.Background(), q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*racked), "ns/bottle")
 }
 
 // BenchmarkBrokerSweepRackSize measures how sweep cost scales with the number

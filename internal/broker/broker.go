@@ -326,7 +326,9 @@ type SubmitResult struct {
 // parsing is most of the submit path's CPU. Copy-on-retain happens here — the
 // caller's buffer may be a transport frame that is reused after the handler
 // returns, so the bottle copies first and the view aliases the bottle's own
-// copy.
+// copy. Every bottle — submitted, replayed or handed off — is made here, so
+// this is also where its necessary-residue mask is derived; the mask is never
+// logged.
 func bottleFromRaw(raw []byte, now time.Time) (*bottle, error) {
 	owned := append([]byte(nil), raw...)
 	v, err := core.UnmarshalPackageView(owned)
@@ -343,6 +345,7 @@ func bottleFromRaw(raw []byte, now time.Time) (*bottle, error) {
 		raw:       owned,
 		pkg:       v,
 		expiresAt: v.ExpiresAt,
+		need:      necessaryMask(&v),
 	}, nil
 }
 
@@ -619,9 +622,11 @@ type SweptBottle struct {
 type SweepResult struct {
 	// Bottles holds the prefilter-passing packages, in shard order.
 	Bottles []SweptBottle
-	// Scanned is how many live bottles were screened.
+	// Scanned is how many live bottles were screened: every one the scan
+	// visited, including those the exclusion window or ExcludeOrigin then
+	// skipped.
 	Scanned int
-	// Rejected is how many were dismissed by the residue prefilter.
+	// Rejected is how many of them the residue prefilter dismissed.
 	Rejected int
 	// Truncated is true when more bottles passed than Limit allowed.
 	Truncated bool
@@ -797,7 +802,7 @@ func (r *Rack) Remove(ctx context.Context, requestID string) (bool, error) {
 		return false, ErrRackClosed
 	}
 	requestID = r.untagID(requestID)
-	held, err := r.shardFor(requestID).remove(requestID, IdentityFromContext(ctx))
+	held, err := r.shardFor(requestID).remove(requestID, IdentityFromContext(ctx), r.cfg.Now().UTC())
 	if err != nil || !held {
 		return false, err
 	}

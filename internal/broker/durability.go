@@ -154,7 +154,7 @@ func (r *Rack) replayRecord(typ byte, payload []byte) error {
 		// Replay is pre-serving and owner-blind: recovered bottles carry open
 		// ownership (the record format predates it), so the empty caller is
 		// always allowed.
-		_, _ = r.shardFor(id).remove(id, "")
+		_, _ = r.shardFor(id).remove(id, "", now)
 	case walRecDrain:
 		id := string(payload)
 		_, _ = r.shardFor(id).drainReplies(id, "")

@@ -20,7 +20,7 @@ func CollectStats(e *obs.Emitter, st Stats) {
 	e.Counter("sealedbottle_duplicates_total", "Submissions refused as duplicate IDs.", t.Duplicates)
 	e.Counter("sealedbottle_expired_total", "Bottles reaped after their deadline.", t.Expired)
 	e.Counter("sealedbottle_sweeps_total", "Sweep operations served.", t.Sweeps)
-	e.Counter("sealedbottle_swept_scanned_total", "Bottles scanned by sweeps past the prefilter.", t.Scanned)
+	e.Counter("sealedbottle_swept_scanned_total", "Live bottles screened by sweeps.", t.Scanned)
 	e.Counter("sealedbottle_swept_rejected_total", "Bottles rejected by the residue prefilter.", t.Rejected)
 	e.Counter("sealedbottle_swept_returned_total", "Bottles returned to sweepers.", t.Returned)
 	e.Counter("sealedbottle_replies_in_total", "Replies accepted by Reply/ReplyBatch.", t.RepliesIn)

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +25,79 @@ type bottle struct {
 	raw       []byte
 	pkg       core.PackageView
 	expiresAt time.Time
-	// gone marks a bottle removed from the ID index but not yet compacted out
-	// of its prime group slice.
-	gone bool
+	// need is the bottle's necessary-residue mask (necessaryMask); slot is its
+	// index in its prime group, kept current by compaction.
+	need uint64
+	slot int
 }
 
 // expired reports whether the bottle is past its validity window.
 func (b *bottle) expired(now time.Time) bool {
 	return !b.expiresAt.IsZero() && now.After(b.expiresAt)
+}
+
+// maskPrimes bounds the primes that get a necessary-residue mask: below it
+// every residue is a bit of one word. Larger primes store a zero mask, which
+// the screen always passes, so their bottles go to PrefilterMatch alone — a
+// submitter's choice of prime never sizes anything the rack keeps.
+const maskPrimes = 64
+
+// deadSlot is the mask of a removed or expired bottle's slot until its group
+// is compacted. No live mask has bit 63 (it is a residue only of primes above
+// maskPrimes, whose masks are zero) and the sweep clears it from what the
+// candidate has, so a dead slot fails the screen like a reject and is told
+// apart from one by equality.
+const deadSlot uint64 = 1 << 63
+
+// necessaryMask is the presence bitmap of a package's necessary remainders,
+// in the shape of ResidueSet.Bits[0]: a candidate whose first word lacks any
+// of its bits fails the presence form of Eqs. 6–7 on a necessary position,
+// which PrefilterMatch would reject too.
+func necessaryMask(v *core.PackageView) uint64 {
+	if v.Prime >= maskPrimes {
+		return 0
+	}
+	var m uint64
+	for i := 0; i < v.AttributeCount(); i++ {
+		if !v.IsOptional(i) {
+			m |= 1 << v.Remainder(i)
+		}
+	}
+	return m
+}
+
+// primeGroup is one prime's bottles on a shard in insertion order, with their
+// necessary-residue masks in a column beside them: the sweep's reject path
+// reads one word per bottle and never the bottle. A removed or expired bottle
+// leaves a dead slot (nil bottle, deadSlot mask) until the group compacts.
+type primeGroup struct {
+	bottles []*bottle
+	need    []uint64
+	dead    int
+	// expiry is the earliest deadline among the group's bottles (zero: none
+	// expires). A removed bottle can leave it early, which costs one
+	// compaction that then recomputes it.
+	expiry time.Time
+}
+
+// deadShare is the share of a group's slots (one in so many) that may be dead
+// before it compacts: removal then costs a constant number of slot moves
+// however often the group is swept, and a dead slot costs the scan one word.
+const deadShare = 4
+
+func (g *primeGroup) add(b *bottle) {
+	b.slot = len(g.bottles)
+	g.bottles = append(g.bottles, b)
+	g.need = append(g.need, b.need)
+	if !b.expiresAt.IsZero() && (g.expiry.IsZero() || b.expiresAt.Before(g.expiry)) {
+		g.expiry = b.expiresAt
+	}
+}
+
+// due reports whether the group holds too many dead slots or may hold an
+// expired bottle.
+func (g *primeGroup) due(now time.Time) bool {
+	return g.dead*deadShare > len(g.bottles) || (!g.expiry.IsZero() && now.After(g.expiry))
 }
 
 // ownerAllows reports whether caller may drain or remove an owned bottle:
@@ -47,7 +113,7 @@ func ownerAllows(owner, caller string) bool { return owner == "" || owner == cal
 type shard struct {
 	mu      sync.Mutex
 	bottles map[string]*bottle
-	byPrime map[uint32][]*bottle
+	byPrime map[uint32]*primeGroup
 	replies map[string][][]byte
 	stats   ShardStats
 
@@ -68,7 +134,7 @@ type shard struct {
 func newShard() *shard {
 	return &shard{
 		bottles: make(map[string]*bottle),
-		byPrime: make(map[uint32][]*bottle),
+		byPrime: make(map[uint32]*primeGroup),
 		replies: make(map[string][][]byte),
 	}
 }
@@ -100,7 +166,12 @@ func (s *shard) putLocked(b *bottle) error {
 		return ErrDuplicateBottle
 	}
 	s.bottles[b.id] = b
-	s.byPrime[b.prime] = append(s.byPrime[b.prime], b)
+	g := s.byPrime[b.prime]
+	if g == nil {
+		g = &primeGroup{}
+		s.byPrime[b.prime] = g
+	}
+	g.add(b)
 	s.stats.Submitted++
 	if s.logRec != nil {
 		s.logRec(walRecSubmit, b.raw)
@@ -119,31 +190,47 @@ type shardSweep struct {
 
 // sweep screens the shard's bottles against the query; seen is the query's
 // exclusion window (nil: none), shared read-only across the sweep's shard
-// jobs, and remaining is the query's whole-rack collection
-// budget shared by every shard job of the sweep. Expired bottles encountered
-// along the way are unlinked (lazy expiry). Each passing bottle reserves one
-// slot from the budget before it is collected; once the budget is spent the
-// scan stops immediately — without the shared bound every shard would collect
-// up to the full query limit, handing the merge up to shards×Limit bottles of
-// which all but Limit are discarded.
+// jobs, and remaining is the query's whole-rack collection budget shared by
+// every shard job of the sweep. A group whose earliest deadline has passed is
+// compacted first, so the scan meets no expired bottle (lazy expiry).
+//
+// The screen is ordered by cost: the mask column rejects most bottles in one
+// word operation without touching them; survivors take PrefilterMatch for
+// the optional/γ count, then the origin and exclusion-window checks. Every
+// live bottle visited counts as scanned, seen or not. Each bottle that passes
+// everything reserves one slot from the budget before it is collected; once
+// the budget is spent the scan stops immediately — without the shared bound
+// every shard would collect up to the full query limit, handing the merge up
+// to shards×Limit bottles of which all but Limit are discarded.
 func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, now time.Time, remaining *atomic.Int64) shardSweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Sweeps++
 	var out shardSweep
+scan:
 	for _, rs := range q.Residues {
-		for _, b := range s.compactLocked(rs.Prime, now) {
-			if b.origin != "" && b.origin == q.ExcludeOrigin {
+		g := s.byPrime[rs.Prime]
+		if g != nil && g.due(now) {
+			g = s.compactLocked(rs.Prime, g, now)
+		}
+		if g == nil {
+			continue
+		}
+		have := rs.Bits[0] &^ deadSlot
+		for i, need := range g.need {
+			if need&^have != 0 {
+				if need != deadSlot {
+					out.scanned++
+					out.rejected++
+				}
 				continue
 			}
-			if seen != nil && seen.Has(b.id) {
-				continue
-			}
-			s.stats.Scanned++
 			out.scanned++
+			b := g.bottles[i]
 			if !b.pkg.PrefilterMatch(rs) {
-				s.stats.Rejected++
 				out.rejected++
+				continue
+			}
+			if b.origin != "" && b.origin == q.ExcludeOrigin || seen != nil && seen.Has(b.id) {
 				continue
 			}
 			if remaining.Add(-1) < 0 {
@@ -152,53 +239,56 @@ func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, now time.Time, remaining 
 				// scanning — the next sweep (with this tick's IDs in its seen
 				// window) picks up where the budget ran out.
 				out.truncated = true
-				return out
+				break scan
 			}
 			out.bottles = append(out.bottles, SweptBottle{ID: b.id, Raw: b.raw})
-			s.stats.Returned++
 		}
 	}
+	s.stats.Sweeps++
+	s.stats.Scanned += uint64(out.scanned)
+	s.stats.Rejected += uint64(out.rejected)
+	s.stats.Returned += uint64(len(out.bottles))
 	return out
 }
 
-// compactLocked removes gone and expired bottles from a prime group in place
-// (unlinking expired ones from the ID index) and returns the surviving
-// bottles. It is the single compaction path shared by lazy (sweep) and
-// background (reap) expiry. The caller holds mu.
-func (s *shard) compactLocked(prime uint32, now time.Time) []*bottle {
-	group := s.byPrime[prime]
-	if len(group) == 0 {
-		return nil
-	}
-	kept := group[:0]
-	for _, b := range group {
-		if b.gone {
+// compactLocked squeezes the dead slots out of a prime group, expiring (and
+// unlinking from the ID index) every bottle past its deadline on the way, and
+// returns the group, or nil once it is empty and gone. It is the single
+// compaction path shared by removal, lazy (sweep) and background (reap)
+// expiry. A group left under a quarter of its capacity is copied into smaller
+// slices, so a burst's high-water mark is not held until the next one. The
+// caller holds mu.
+func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *primeGroup {
+	// Survivors are re-added in place: each lands at or before the slot it
+	// is read from.
+	old := g.bottles
+	g.bottles, g.need, g.dead, g.expiry = old[:0], g.need[:0], 0, time.Time{}
+	for _, b := range old {
+		if b == nil {
 			continue
 		}
 		if b.expired(now) {
 			s.dropLocked(b)
 			continue
 		}
-		kept = append(kept, b)
+		g.add(b)
 	}
-	for i := len(kept); i < len(group); i++ {
-		group[i] = nil
-	}
-	if len(kept) == 0 {
+	kept := len(g.bottles)
+	if kept == 0 {
 		delete(s.byPrime, prime)
 		return nil
 	}
-	s.byPrime[prime] = kept
-	return kept
+	clear(old[kept:])
+	if kept < cap(g.bottles)/4 {
+		g.bottles, g.need = slices.Clone(g.bottles), slices.Clone(g.need)
+	}
+	return g
 }
 
-// dropLocked removes an expired bottle from the ID index and its reply queue.
-// The caller holds mu and is responsible for unlinking it from prime groups.
+// dropLocked expires a bottle: it leaves the ID index and its reply queue.
+// Only compaction calls it, which unlinks the bottle itself. The caller holds
+// mu.
 func (s *shard) dropLocked(b *bottle) {
-	if b.gone {
-		return
-	}
-	b.gone = true
 	delete(s.bottles, b.id)
 	delete(s.replies, b.id)
 	s.stats.Expired++
@@ -322,8 +412,9 @@ func (s *shard) peek(id string, now time.Time) (raw []byte, owner string, replie
 
 // remove unlinks a bottle by ID; caller is the authenticated identity
 // removing it (empty: anonymous). An imposter gets ErrUnauthorized and the
-// bottle stays racked.
-func (s *shard) remove(id, caller string) (bool, error) {
+// bottle stays racked. The bottle's slot goes dead at once, so nothing the
+// rack holds keeps the bottle alive; its group compacts when due.
+func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.bottles[id]
@@ -333,11 +424,15 @@ func (s *shard) remove(id, caller string) (bool, error) {
 	if !ownerAllows(b.owner, caller) {
 		return false, ErrUnauthorized
 	}
-	b.gone = true
 	delete(s.bottles, id)
 	delete(s.replies, id)
 	if s.logRec != nil {
 		s.logRec(walRecRemove, []byte(id))
+	}
+	g := s.byPrime[b.prime]
+	g.bottles[b.slot], g.need[b.slot] = nil, deadSlot
+	if g.dead++; g.due(now) {
+		s.compactLocked(b.prime, g, now)
 	}
 	return true, nil
 }
@@ -360,12 +455,8 @@ func (s *shard) reap(now time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	before := s.stats.Expired
-	primes := make([]uint32, 0, len(s.byPrime))
-	for p := range s.byPrime {
-		primes = append(primes, p)
-	}
-	for _, p := range primes {
-		s.compactLocked(p, now)
+	for p, g := range s.byPrime {
+		s.compactLocked(p, g, now)
 	}
 	return int(s.stats.Expired - before)
 }

@@ -403,16 +403,32 @@ type HandleResult struct {
 // Participant is the relay/candidate side of the protocols: it fast-checks
 // incoming requests, enumerates candidate keys when warranted, and produces
 // replies according to the configured protocol.
+//
+// Its memory is bounded however many requests it handles. A request is
+// recognised as a duplicate across at least the last dupGeneration (4 096)
+// handled requests; a replay from further back is handled again. The
+// initiator's RejectDuplicatePeer and the per-origin MinReplyInterval still
+// cap what such a replay can produce.
 type Participant struct {
-	cfg       ParticipantConfig
-	matcher   *Matcher
-	profile   *attr.Profile
-	rng       io.Reader
-	now       func() time.Time
-	seen      map[requestKey]struct{}
-	seeds     [2]maphash.Seed
+	cfg     ParticipantConfig
+	matcher *Matcher
+	profile *attr.Profile
+	rng     io.Reader
+	now     func() time.Time
+	// seen and seenBefore are the two generations of the duplicate set: seen
+	// fills up to dupGeneration keys, then becomes seenBefore and the old
+	// seenBefore, emptied, takes its place.
+	seen, seenBefore map[requestKey]struct{}
+	seeds            [2]maphash.Seed
+	// lastReply holds when each origin was last replied to; entries older than
+	// MinReplyInterval are pruned at each generation change.
 	lastReply map[string]time.Time
 }
+
+// dupGeneration is the size of one generation of a participant's duplicate
+// set; at least a sweeper's seen window (client.DefaultSeenCap), so that a
+// bottle a rack sweeps again is still known.
+const dupGeneration = 4096
 
 // requestKey is what a participant keeps of a request it has handled: a
 // 128-bit keyed hash of the ID, not the ID. An entry of the duplicate set
@@ -448,15 +464,39 @@ func NewParticipant(profile *attr.Profile, cfg ParticipantConfig) (*Participant,
 		now = time.Now
 	}
 	return &Participant{
-		cfg:       cfg,
-		matcher:   matcher,
-		profile:   profile.Clone(),
-		rng:       rng,
-		now:       now,
-		seen:      make(map[requestKey]struct{}),
-		seeds:     [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
-		lastReply: make(map[string]time.Time),
+		cfg:        cfg,
+		matcher:    matcher,
+		profile:    profile.Clone(),
+		rng:        rng,
+		now:        now,
+		seen:       make(map[requestKey]struct{}),
+		seenBefore: make(map[requestKey]struct{}),
+		seeds:      [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
+		lastReply:  make(map[string]time.Time),
 	}, nil
+}
+
+// firstSight records a request key and reports whether it is new to the
+// duplicate set. A full generation rotates out the older one and prunes the
+// reply times that can no longer rate-limit anything.
+func (p *Participant) firstSight(key requestKey, now time.Time) bool {
+	if _, dup := p.seen[key]; dup {
+		return false
+	}
+	if _, dup := p.seenBefore[key]; dup {
+		return false
+	}
+	if len(p.seen) >= dupGeneration {
+		clear(p.seenBefore)
+		p.seen, p.seenBefore = p.seenBefore, p.seen
+		for origin, last := range p.lastReply {
+			if now.Sub(last) >= p.cfg.MinReplyInterval {
+				delete(p.lastReply, origin)
+			}
+		}
+	}
+	p.seen[key] = struct{}{}
+	return true
 }
 
 // Matcher exposes the underlying matcher (e.g. to bind a dynamic location key).
@@ -490,12 +530,10 @@ func (p *Participant) HandleRequest(pkg *RequestPackage) (*HandleResult, error) 
 		res.Dropped = "expired"
 		return res, nil
 	}
-	key := p.requestKey(pkg.ID)
-	if _, dup := p.seen[key]; dup {
+	if !p.firstSight(p.requestKey(pkg.ID), now) {
 		res.Dropped = "duplicate"
 		return res, nil
 	}
-	p.seen[key] = struct{}{}
 
 	rateLimited := false
 	if last, ok := p.lastReply[pkg.Origin]; ok && now.Sub(last) < p.cfg.MinReplyInterval {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -387,6 +388,54 @@ func TestParticipantRateLimitsPerOrigin(t *testing.T) {
 	}
 	if res2.Dropped != "rate-limited" {
 		t.Errorf("dropped reason = %q", res2.Dropped)
+	}
+}
+
+// TestParticipantStateBounded handles more than three generations of distinct
+// requests, each from an origin of its own and each answered. The duplicate
+// set and the reply times must stay bounded, the last dupGeneration IDs must
+// still read as duplicates, and a replay from before them is handled again.
+func TestParticipantStateBounded(t *testing.T) {
+	pkg := newTestInitiator(t, Protocol1, standardSpec()).Request()
+	now := testEpoch.Add(time.Second)
+	const step = 10 * time.Millisecond
+	p := newTestParticipant(t, "bob", profileOf("male", "columbia", "basketball", "chess"), ParticipantConfig{
+		Matcher:          MatcherConfig{AllowCollisionSkip: true},
+		MinReplyInterval: time.Second,
+		Now:              func() time.Time { return now },
+	})
+	handle := func(i int) *HandleResult {
+		t.Helper()
+		req := *pkg
+		req.ID, req.Origin = fmt.Sprintf("req-%d", i), fmt.Sprintf("origin-%d", i)
+		res, err := p.HandleRequest(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const n = 3*dupGeneration + 100
+	for i := 0; i < n; i++ {
+		now = now.Add(step)
+		if res := handle(i); res.Reply == nil {
+			t.Fatalf("request %d not answered: %q", i, res.Dropped)
+		}
+		if len(p.seen) > dupGeneration || len(p.seenBefore) > dupGeneration {
+			t.Fatalf("after %d requests the duplicate set holds %d + %d keys", i+1, len(p.seen), len(p.seenBefore))
+		}
+		// Pruned at each generation change down to the origins answered
+		// within MinReplyInterval, then one entry per request handled.
+		if len(p.lastReply) > dupGeneration+int(time.Second/step) {
+			t.Fatalf("after %d requests %d reply times are held", i+1, len(p.lastReply))
+		}
+	}
+	for i := n - dupGeneration; i < n; i++ {
+		if res := handle(i); res.Dropped != "duplicate" {
+			t.Fatalf("request %d of the last %d not recognised: %q", i, dupGeneration, res.Dropped)
+		}
+	}
+	if res := handle(0); res.Dropped != "" || res.Reply == nil {
+		t.Fatalf("a replay from %d requests back was not handled again: %q", n, res.Dropped)
 	}
 }
 

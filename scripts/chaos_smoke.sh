@@ -42,7 +42,9 @@ set -euo pipefail
 
 BIN=${BIN:-$(mktemp -d)}
 OUT=${OUT:-$BIN}
-BOTTLES=${BOTTLES:-20000}
+# Phases 3-5 kill or drain a rack 2 s into loadgen: BOTTLES must keep it
+# submitting past that (about 4 s for 60 000 on a 2-core host).
+BOTTLES=${BOTTLES:-60000}
 MATRIX_BOTTLES=${MATRIX_BOTTLES:-4000}
 SCENARIOS=${SCENARIOS:-"burst adversarial zipf lossy"}
 
