@@ -30,10 +30,11 @@ bench:
 
 # Profile the submit/sweep hot path; `RackSweep` also selects
 # BenchmarkRackSweepScreening, the rack scan in the friend-1rack workload's
-# shape. Inspect with `go tool pprof cpu.pprof` (or mem.pprof). bench.test is
-# kept so pprof can resolve symbols.
+# shape, and BenchmarkTransportRoundTrip is one caller's sequential calls in
+# the submit-storm workload's shape. Inspect with `go tool pprof cpu.pprof`
+# (or mem.pprof). bench.test is kept so pprof can resolve symbols.
 profile:
-	$(GO) test -run '^$$' -bench 'BrokerSubmitDurable|RackSweep|TransportSubmitPipelined' -benchtime 2s \
+	$(GO) test -run '^$$' -bench 'BrokerSubmitDurable|RackSweep|TransportSubmitPipelined|TransportRoundTrip' -benchtime 2s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o bench.test .
 	@echo wrote cpu.pprof, mem.pprof, bench.test
 

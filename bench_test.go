@@ -415,7 +415,8 @@ func BenchmarkBrokerSubmit(b *testing.B) {
 }
 
 // BenchmarkBrokerSweepShards measures sweep latency over a fixed-size rack as
-// the shard count grows — the worker pool fans one query across shards.
+// the shard count grows — the caller and idle workers claim shards of one
+// query between them.
 func BenchmarkBrokerSweepShards(b *testing.B) {
 	const rackSize = 4096
 	for _, shards := range []int{1, 8, 64} {
@@ -776,6 +777,33 @@ func BenchmarkTransportSubmitLockstep(b *testing.B) { benchSubmitThroughput(b, t
 // single connection; the acceptance bar for the refactor is ≥2× the lock-step
 // submit throughput.
 func BenchmarkTransportSubmitPipelined(b *testing.B) { benchSubmitThroughput(b, false) }
+
+// BenchmarkTransportRoundTrip is one caller doing sequential Submit and
+// Remove calls on one multiplexed connection over loopback TCP — the
+// submit-storm workload's shape. Nothing overlaps, so it times the call
+// itself: framing, goroutine wake-ups and server dispatch on both ends.
+func BenchmarkTransportRoundTrip(b *testing.B) {
+	addr, cleanup := benchTransportRack(b)
+	defer cleanup()
+	courier, err := client.Dial(client.Config{Addr: addr, Conns: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer courier.Close()
+	raws := benchRawBottles(b, b.N)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, raw := range raws {
+		id, err := courier.Submit(ctx, raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if held, err := courier.Remove(ctx, id); err != nil || !held {
+			b.Fatalf("remove %s: held %v, %v", id, held, err)
+		}
+	}
+}
 
 // BenchmarkTransportSubmitBatched adds the SubmitBatch opcode on top of the
 // multiplexed framing: one round trip and one shard-lock acquisition per

@@ -10,11 +10,11 @@
 // social network has.
 //
 // The rack is sharded (power-of-two shard count, one mutex per shard) so
-// submissions scale across cores, and sweeps are fanned out over a fixed
-// worker pool so a single large query is served by every core while
-// concurrent queries batch fairly behind it. Expiry is lazy (expired bottles
-// are skipped and unlinked as sweeps encounter them) with a background reaper
-// closing the long tail.
+// submissions scale across cores, and a sweep's caller scans shards itself
+// while idle workers of a fixed pool claim the rest, so a single large query
+// is served by every idle core and none waits behind another's queue. Expiry
+// is lazy (expired bottles are skipped and unlinked as sweeps encounter them)
+// with a background reaper closing the long tail.
 //
 // Racks are in-memory by default; Config.Durability backs one with the
 // write-ahead log and snapshots of internal/broker/wal, in which case Open
@@ -81,7 +81,9 @@ type Config struct {
 	// Shards is the shard count; it is rounded up to a power of two
 	// (zero: DefaultShards).
 	Shards int
-	// Workers sizes the sweep worker pool (zero: GOMAXPROCS).
+	// Workers sizes the pool that helps sweeps and bounds the goroutines
+	// scanning one sweep: its caller scans shards itself, and up to
+	// Workers-1 idle workers claim shards beside it (zero: GOMAXPROCS).
 	Workers int
 	// ReapInterval is the background reaper period (zero: default; negative:
 	// no background reaper, expiry is purely lazy).
@@ -149,15 +151,19 @@ type Rack struct {
 	// windows holds the sweepers' exclusion windows (window.go).
 	windows *windowTable
 
-	jobs    chan sweepJob
+	// jobs hands a sweep to an idle worker; unbuffered, so a post never
+	// waits for a busy one.
+	jobs    chan *sweepRun
 	closed  chan struct{}
 	closeMu sync.Mutex
 	done    bool
 	wg      sync.WaitGroup
 }
 
-// sweepRun is what the shard jobs of one sweep share. seen is the query's
-// exclusion window, read-only while the jobs run; remaining is the query's
+// sweepRun is what the scanners of one sweep — its caller and the workers
+// helping it — share. They claim shards through next, each index once, and
+// write each shard's result into parts at its index. seen is the query's
+// exclusion window, read-only while they scan; remaining is the query's
 // collection budget — shards reserve slots from it and stop scanning once it
 // is spent, so one sweep never collects more than Limit bottles across the
 // whole rack.
@@ -166,28 +172,51 @@ type sweepRun struct {
 	seen      *SeenWindow
 	now       time.Time
 	remaining atomic.Int64
-	out       chan shardSweep
+	shards    []*shard
+	next      atomic.Int64
+	parts     []shardSweep
 
-	// held, when the window is one the rack keeps, stays busy until unreported
-	// reaches zero: Sweep returns early on cancellation, and the window must
-	// not take the next delta while an abandoned job still reads it.
-	held       *heldWindow
-	unreported atomic.Int64
+	// pending counts the shards not yet reported; the report that takes it
+	// to zero closes done and frees held, the window the rack keeps, if any:
+	// Sweep returns early on cancellation, and the window must not take the
+	// next delta while an abandoned claim still reads it.
+	pending atomic.Int64
+	done    chan struct{}
+	held    *heldWindow
 }
 
-// reported accounts n shard jobs as finished (or never dispatched) and frees
-// the held window after the last one.
-func (run *sweepRun) reported(n int) {
-	if run.held != nil && run.unreported.Add(-int64(n)) == 0 {
-		<-run.held.busy
+// scan claims shards and screens them until none is left to claim or ctx
+// ends, reporting each one it screened.
+func (run *sweepRun) scan(ctx context.Context) {
+	for ctx.Err() == nil {
+		i := run.next.Add(1) - 1
+		if i >= int64(len(run.shards)) {
+			return
+		}
+		run.parts[i] = run.shards[i].sweep(&run.q, run.seen, run.now, &run.remaining)
+		run.reported(1)
 	}
 }
 
-// sweepJob asks a worker to scan one shard for one sweep.
-type sweepJob struct {
-	run *sweepRun
-	sh  *shard
-	idx int
+// reported accounts n shards as screened (or never to be) and, after the
+// last, frees the held window and closes done.
+func (run *sweepRun) reported(n int64) {
+	if run.pending.Add(-n) == 0 {
+		if run.held != nil {
+			<-run.held.busy
+		}
+		close(run.done)
+	}
+}
+
+// cancel stops the run: in-flight claims stop at their next passing bottle,
+// and the shards nobody claimed yet are claimed here and reported unscanned.
+func (run *sweepRun) cancel() {
+	run.remaining.Store(0)
+	n := int64(len(run.shards))
+	if claimed := run.next.Swap(n); claimed < n {
+		run.reported(n - claimed)
+	}
 }
 
 // New builds a rack and starts its worker pool and (unless disabled) reaper.
@@ -214,7 +243,7 @@ func Open(cfg Config) (*Rack, error) {
 		mask:    uint64(cfg.Shards - 1),
 		shards:  make([]*shard, cfg.Shards),
 		windows: newWindowTable(),
-		jobs:    make(chan sweepJob, cfg.Shards),
+		jobs:    make(chan *sweepRun),
 		closed:  make(chan struct{}),
 	}
 	for i := range r.shards {
@@ -252,9 +281,9 @@ func (r *Rack) Close() error {
 		return nil
 	}
 	r.done = true
-	// Workers and in-flight sweeps exit via the closed channel; r.jobs is
-	// deliberately never closed, since a sweep between its isClosed check and
-	// its dispatch select could otherwise panic sending on it.
+	// Workers exit via the closed channel once their claims are screened;
+	// r.jobs is deliberately never closed, since a sweep between its isClosed
+	// check and its post could otherwise panic sending on it.
 	close(r.closed)
 	r.wg.Wait()
 	if r.dur != nil {
@@ -644,14 +673,16 @@ type SweepResult struct {
 }
 
 // Sweep screens every racked bottle against the query's residue sets and
-// returns the ones the candidate could plausibly open. The scan is fanned out
-// across the shard set through the rack's worker pool. Cancellation stops the
-// sweep through its collection budget: the budget is zeroed so in-flight
-// shard scans stop at their next passing bottle, no further shards are
-// dispatched, and the call returns the context's error — bottles already
-// collected are discarded. A sweep mutates no bottle, and the one thing it
-// does mutate, the caller's held exclusion window, takes the same delta twice
-// as a no-op — so a canceled or lost sweep is free to repeat.
+// returns the ones the candidate could plausibly open. The caller scans the
+// shards itself, claiming them one at a time, and up to Workers-1 idle
+// workers of the rack's pool help by claiming from the same sequence; a
+// spare worker is left to a concurrent sweep. Cancellation stops the sweep
+// through its collection budget: the budget is zeroed so in-flight claims
+// stop at their next passing bottle, no further shards are claimed, and the
+// call returns the context's error — bottles already collected are
+// discarded. A sweep mutates no bottle, and the one thing it does mutate,
+// the caller's held exclusion window, takes the same delta twice as a no-op
+// — so a canceled or lost sweep is free to repeat.
 func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SweepResult{}, err
@@ -659,9 +690,13 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	if r.isClosed() {
 		return SweepResult{}, ErrRackClosed
 	}
-	// out is buffered to the shard count so workers never block on it, even
-	// when this sweep aborts early.
-	run := &sweepRun{q: q, now: r.cfg.Now().UTC(), out: make(chan shardSweep, len(r.shards))}
+	run := &sweepRun{
+		q:      q,
+		now:    r.cfg.Now().UTC(),
+		shards: r.shards,
+		parts:  make([]shardSweep, len(r.shards)),
+		done:   make(chan struct{}),
+	}
 	if err := run.q.normalize(); err != nil {
 		return SweepResult{}, err
 	}
@@ -672,7 +707,6 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 			return SweepResult{Resync: err == nil}, err
 		}
 		run.held, run.seen = held, &held.set
-		run.unreported.Store(int64(len(r.shards)))
 	case len(q.Seen) > 0:
 		// An ad-hoc list is a window nobody holds: same membership code.
 		run.q.SeenFull = true
@@ -680,42 +714,29 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 		run.seen.apply(&run.q, r.cfg.RackTag)
 	}
 	run.remaining.Store(int64(run.q.Limit))
-	dispatched := 0
-	for i, sh := range r.shards {
+	run.pending.Store(int64(len(r.shards)))
+post:
+	for range min(r.cfg.Workers-1, len(r.shards)-1) {
 		select {
-		case r.jobs <- sweepJob{run: run, sh: sh, idx: i}:
-			dispatched++
-		case <-ctx.Done():
-			// Zero the budget so already-dispatched shard scans stop at their
-			// next passing bottle; their results land in the buffered out
-			// channel, so abandoning them blocks no worker.
-			run.remaining.Store(0)
-			run.reported(len(r.shards) - dispatched)
-			return SweepResult{}, ctx.Err()
-		case <-r.closed:
-			return SweepResult{}, ErrRackClosed
+		case r.jobs <- run:
+		default:
+			break post
 		}
 	}
-	parts := make([]shardSweep, dispatched)
-	for i := 0; i < dispatched; i++ {
-		select {
-		case p := <-run.out:
-			parts[p.idx] = p
-		case <-ctx.Done():
-			run.remaining.Store(0)
-			return SweepResult{}, ctx.Err()
-		case <-r.closed:
-			// Workers are gone; queued jobs will never be served.
-			return SweepResult{}, ErrRackClosed
-		}
+	run.scan(ctx)
+	select {
+	case <-run.done:
+	case <-ctx.Done():
+		run.cancel()
+		return SweepResult{}, ctx.Err()
 	}
 	// Merge in shard order: results are deterministic for a quiescent rack as
 	// long as the sweep is not truncated. Under truncation, which shards win
-	// the budget race depends on worker scheduling — any Limit-sized subset
-	// of the passing bottles is a valid answer, Truncated tells the sweeper
-	// to come back, and its seen window makes repeat sweeps converge.
+	// the budget race depends on scheduling — any Limit-sized subset of the
+	// passing bottles is a valid answer, Truncated tells the sweeper to come
+	// back, and its seen window makes repeat sweeps converge.
 	var res SweepResult
-	for _, p := range parts {
+	for _, p := range run.parts {
 		res.Scanned += p.scanned
 		res.Rejected += p.rejected
 		res.Truncated = res.Truncated || p.truncated
@@ -735,17 +756,13 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	return res, nil
 }
 
-// worker serves shard-scan jobs until the rack closes.
+// worker helps the sweeps posted to it claim shards until the rack closes.
 func (r *Rack) worker() {
 	defer r.wg.Done()
 	for {
 		select {
-		case job := <-r.jobs:
-			run := job.run
-			out := job.sh.sweep(&run.q, run.seen, run.now, &run.remaining)
-			out.idx = job.idx
-			run.out <- out
-			run.reported(1)
+		case run := <-r.jobs:
+			run.scan(context.Background())
 		case <-r.closed:
 			return
 		}

@@ -109,7 +109,7 @@ func ownerAllows(owner, caller string) bool { return owner == "" || owner == cal
 // shard is one lock domain of the rack: an ID index, insertion-ordered prime
 // groups for sweeps, per-request reply queues, and counters. All fields are
 // guarded by mu; sweeps hold the lock for the duration of one shard scan,
-// which is the batching unit of the worker pool.
+// which is the unit a sweep's scanners claim.
 type shard struct {
 	mu      sync.Mutex
 	bottles map[string]*bottle
@@ -181,7 +181,6 @@ func (s *shard) putLocked(b *bottle) error {
 
 // shardSweep is the per-shard slice of a sweep result.
 type shardSweep struct {
-	idx       int
 	bottles   []SweptBottle
 	scanned   int
 	rejected  int
@@ -189,9 +188,9 @@ type shardSweep struct {
 }
 
 // sweep screens the shard's bottles against the query; seen is the query's
-// exclusion window (nil: none), shared read-only across the sweep's shard
-// jobs, and remaining is the query's whole-rack collection budget shared by
-// every shard job of the sweep. A group whose earliest deadline has passed is
+// exclusion window (nil: none), shared read-only across the sweep's
+// scanners, and remaining is the query's whole-rack collection budget shared
+// by every shard of the sweep. A group whose earliest deadline has passed is
 // compacted first, so the scan meets no expired bottle (lazy expiry).
 //
 // The screen is ordered by cost: the mask column rejects most bottles in one

@@ -2,8 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"net"
 	"testing"
+	"time"
+
+	"sealedbottle/internal/broker"
 )
 
 // Allocation budgets for the steady-state framing paths. Frames ride pooled
@@ -26,10 +31,9 @@ func TestFramingAllocFree(t *testing.T) {
 	}
 	body := bytes.Repeat([]byte{0xcd}, 900)
 
+	w := newMuxWriter(discardConn{}, func() time.Time { return time.Time{} }, func(err error) { t.Fatal(err) })
 	requireZeroAllocs(t, "mux frame write", func() {
-		if err := writeMuxFrame(io.Discard, 7, OpSubmit, body); err != nil {
-			t.Fatal(err)
-		}
+		w.send(newMuxFrame(7, OpSubmit, body), true)
 	})
 
 	requireZeroAllocs(t, "lock-step frame write", func() {
@@ -54,4 +58,54 @@ func TestFramingAllocFree(t *testing.T) {
 		}
 		putMuxBuf(buf)
 	})
+}
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// noDeadlineConn ignores deadlines: net.Pipe arms a timer per deadline set,
+// which a TCP connection does not, and that is not the Mux's to budget.
+type noDeadlineConn struct{ net.Conn }
+
+func (noDeadlineConn) SetReadDeadline(time.Time) error  { return nil }
+func (noDeadlineConn) SetWriteDeadline(time.Time) error { return nil }
+
+// muxRoundTripAllocs is the budget for one Remove round trip over a Mux with
+// a per-call timeout, client and server together. The writers, frames,
+// request buffers and the call's channel and timer are pooled; what is left
+// is the response body the caller owns, the request ID's bytes, the server's
+// string of them and its response.
+const muxRoundTripAllocs = 4
+
+func TestMuxRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; budgets are pinned by the non-race run")
+	}
+	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	defer rack.Close()
+	l := ListenPipe()
+	defer l.Close()
+	srv := NewServer(rack)
+	defer srv.Close()
+	go srv.Serve(l)
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMux(noDeadlineConn{conn}, Options{CallTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx := context.Background()
+	avg := testing.AllocsPerRun(500, func() {
+		if _, err := m.Remove(ctx, "nope"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > muxRoundTripAllocs {
+		t.Errorf("Mux round trip: %v allocs, want ≤ %d", avg, muxRoundTripAllocs)
+	}
 }

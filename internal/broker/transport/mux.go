@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -27,9 +26,11 @@ import (
 // with the magic speak the original lock-step framing (the magic is above
 // MaxFrameSize, so it can never be mistaken for a legacy length prefix).
 //
-// Both ends write frames through a coalescing writer goroutine that flushes
-// only when its queue drains, so under pipelined load many frames ride one
-// syscall — on loopback this, not I/O overlap, is most of the throughput win.
+// Both ends write frames through a combining writer with no goroutine of its
+// own: the goroutine that produced a frame writes it, together with every
+// frame queued meanwhile by senders that found the write lock taken, and
+// flushes once — so under pipelined load many frames ride one syscall, and
+// on loopback this, not I/O overlap, is most of the throughput win.
 
 // MuxMagic is the connection preamble selecting the multiplexed framing
 // ("SBM1"). Its value exceeds MaxFrameSize so a legacy endpoint reading it as
@@ -38,9 +39,6 @@ const MuxMagic uint32 = 0x53424D31
 
 // muxHeaderSize is the sequence + tag prefix counted by a mux frame's length.
 const muxHeaderSize = 9
-
-// muxWriteQueue is the depth of the coalescing writer's frame queue.
-const muxWriteQueue = 256
 
 // muxBufferSize sizes the buffered reader and writer on multiplexed
 // connections. Frames routinely carry ~1 KiB request packages; bufio's 4 KiB
@@ -73,9 +71,10 @@ func appendMuxFrame(buf []byte, seq uint64, tag byte, body []byte) []byte {
 // muxBufs pools encoded-frame and read-side buffers so the steady-state mux
 // path allocates nothing per frame. Ownership is single-holder: whoever Got
 // the buffer either hands it (whole, via the writer queue) to the one
-// goroutine that will Put it, or Puts it itself; a buffer is never Put while
-// any view into it is still live. Buffers that grew past maxPooledMuxBuf are
-// dropped instead of pooled so one jumbo frame does not pin megabytes.
+// write-lock holder that will Put it, or Puts it itself; a buffer is never
+// Put while any view into it is still live. Buffers that grew past
+// maxPooledMuxBuf are dropped instead of pooled so one jumbo frame does not
+// pin megabytes.
 var muxBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledMuxBuf = 256 << 10
@@ -90,8 +89,7 @@ func putMuxBuf(buf *[]byte) {
 
 // newMuxFrame encodes one sequence-tagged frame into a pooled buffer. The
 // caller owns the buffer and must route it to exactly one putMuxBuf — via the
-// coalescing writer (which recycles after writing) or directly on an enqueue
-// failure.
+// combining writer (which recycles after writing) or directly.
 func newMuxFrame(seq uint64, tag byte, body []byte) *[]byte {
 	f := muxBufs.Get().(*[]byte)
 	*f = appendMuxFrame((*f)[:0], seq, tag, body)
@@ -171,92 +169,92 @@ func readMuxFramePooled(r io.Reader) (seq uint64, tag byte, body []byte, buf *[]
 	return binary.BigEndian.Uint64(b[:8]), b[8], b[muxHeaderSize:], buf, nil
 }
 
-// muxWriter is the coalescing frame writer shared by the mux client and the
-// server's mux connections: frames are queued on a channel and a single
-// goroutine writes them through a bufio.Writer, flushing only when the queue
-// is momentarily empty. Queued frames are pooled buffers: the writer recycles
-// each one after copying it into the bufio buffer (or skipping it after a
-// failure), so the frame pool turns over at queue speed. onErr is invoked
-// once on the first write failure; after a failure the writer keeps draining
-// the queue so enqueuers never block on a dead connection.
+// muxWriter is the combining frame writer shared by the mux client and the
+// server's mux connections. It runs no goroutine: a sender queues its pooled
+// frame, and whoever then wins the write lock writes every queued frame and
+// flushes once. A sender that finds the lock taken returns at once, its frame
+// riding the holder's write, so only the holder can be held up by write(2),
+// for at most the write deadline; the holder checks the queue again after
+// unlocking, so no frame is left behind. Each sending goroutine has at most
+// one frame queued, which bounds the queue. The holder recycles every frame
+// it writes (or skips, after a failure); onErr is invoked once, on the first
+// write failure.
 type muxWriter struct {
-	ch     chan *[]byte
-	done   chan struct{} // closed by the owner to stop the writer
-	exited chan struct{} // closed when the writer goroutine returns
+	conn     net.Conn
+	deadline func() time.Time
+	onErr    func(error)
+
+	qmu   sync.Mutex // guards queue
+	queue []*[]byte
+
+	mu     sync.Mutex // the write lock, taken only with TryLock; guards the rest
+	bw     *bufio.Writer
+	batch  []*[]byte // the holder's half of the queue swap
+	failed bool
 }
 
-func newMuxWriter(conn net.Conn, done chan struct{}, deadline func() time.Time, onErr func(error)) *muxWriter {
-	w := &muxWriter{ch: make(chan *[]byte, muxWriteQueue), done: done, exited: make(chan struct{})}
-	go func() {
-		defer close(w.exited)
-		bw := bufio.NewWriterSize(conn, muxBufferSize)
-		failed := false
-		write := func(frame *[]byte) {
-			if !failed {
-				if d := deadline(); !d.IsZero() {
-					conn.SetWriteDeadline(d)
-				}
-				if _, err := bw.Write(*frame); err != nil {
-					failed = true
-					onErr(err)
-				}
-			}
-			putMuxBuf(frame)
-		}
-		for {
-			select {
-			case frame := <-w.ch:
-				// Yield once so callers racing to enqueue get to, then drain
-				// the queue and flush the whole burst as one write. Without
-				// the yield the scheduler tends to run this goroutine the
-				// moment the first frame lands, degenerating to one syscall
-				// per frame under pipelined load on few cores.
-				runtime.Gosched()
-				write(frame)
-				for drained := false; !drained; {
-					select {
-					case f := <-w.ch:
-						write(f)
-					default:
-						drained = true
-					}
-				}
-				if !failed {
-					if err := bw.Flush(); err != nil {
-						failed = true
-						onErr(err)
-					}
-				}
-			case <-done:
-				// Drain what is already queued so responses accepted before
-				// shutdown still go out, then stop.
-				for {
-					select {
-					case f := <-w.ch:
-						write(f)
-					default:
-						if !failed {
-							bw.Flush()
-						}
-						return
-					}
-				}
-			}
-		}
-	}()
-	return w
+func newMuxWriter(conn net.Conn, deadline func() time.Time, onErr func(error)) *muxWriter {
+	return &muxWriter{conn: conn, deadline: deadline, onErr: onErr, bw: bufio.NewWriterSize(conn, muxBufferSize)}
 }
 
-// enqueue hands a pooled frame to the writer; it fails only once the owner
-// has signalled done. On success the writer owns the frame and recycles it;
-// on failure ownership stays with the caller, who must putMuxBuf it.
-func (w *muxWriter) enqueue(frame *[]byte) bool {
-	select {
-	case w.ch <- frame:
-		return true
-	case <-w.done:
-		return false
+// send queues a pooled frame, whose ownership passes to the writer, and then
+// pushes. flush false leaves what is written in the buffer for a later push:
+// the server's read loop answers a pipelined burst that way and flushes
+// before it would block in a read.
+func (w *muxWriter) send(frame *[]byte, flush bool) {
+	w.qmu.Lock()
+	w.queue = append(w.queue, frame)
+	w.qmu.Unlock()
+	w.push(flush)
+}
+
+// push writes the queued frames if it wins the write lock, flushing unless
+// told not to, and repeats while it finds frames queued after it unlocked.
+// If the lock is taken it returns at once: the holder will see the queue.
+func (w *muxWriter) push(flush bool) {
+	for w.mu.TryLock() {
+		w.qmu.Lock()
+		w.batch, w.queue = w.queue, w.batch[:0]
+		w.qmu.Unlock()
+		w.write(flush)
+		w.mu.Unlock()
+		w.qmu.Lock()
+		idle := len(w.queue) == 0
+		w.qmu.Unlock()
+		if idle {
+			return
+		}
 	}
+}
+
+// write copies the batch into the buffer and recycles its frames, then
+// flushes if asked. The caller holds the write lock.
+func (w *muxWriter) write(flush bool) {
+	if !w.failed && (len(w.batch) > 0 || flush && w.bw.Buffered() > 0) {
+		if d := w.deadline(); !d.IsZero() {
+			w.conn.SetWriteDeadline(d)
+		}
+	}
+	for i, f := range w.batch {
+		if !w.failed {
+			if _, err := w.bw.Write(*f); err != nil {
+				w.fail(err)
+			}
+		}
+		putMuxBuf(f)
+		w.batch[i] = nil
+	}
+	if flush && !w.failed && w.bw.Buffered() > 0 {
+		if err := w.bw.Flush(); err != nil {
+			w.fail(err)
+		}
+	}
+}
+
+// fail records the first write failure. The caller holds the write lock.
+func (w *muxWriter) fail(err error) {
+	w.failed = true
+	w.onErr(err)
 }
 
 // muxResult is one demuxed response.
@@ -265,11 +263,11 @@ type muxResult struct {
 	body   []byte
 }
 
-// Mux speaks the multiplexed framing over one connection: a dedicated reader
-// goroutine demuxes responses by sequence number to waiting callers, so any
-// number of calls may be in flight concurrently. All methods are safe for
-// concurrent use; a connection-level failure fails every in-flight and future
-// call.
+// Mux speaks the multiplexed framing over one connection: its one goroutine,
+// the read loop, demuxes responses by sequence number to waiting callers,
+// and callers write their own request frames, so any number of calls may be
+// in flight concurrently. All methods are safe for concurrent use; a
+// connection-level failure fails every in-flight and future call.
 type Mux struct {
 	conn   net.Conn
 	opts   Options
@@ -283,8 +281,8 @@ type Mux struct {
 }
 
 // NewMux sends the mux preamble on an established connection and starts the
-// demuxing reader and coalescing writer. The connection must not have been
-// used for legacy framing.
+// demuxing reader. The connection must not have been used for legacy
+// framing.
 func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 	m := &Mux{
 		conn:    conn,
@@ -309,7 +307,7 @@ func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 		conn.Close()
 		return nil, err
 	}
-	m.writer = newMuxWriter(conn, m.done, m.opts.writeDeadline, func(err error) {
+	m.writer = newMuxWriter(conn, m.opts.writeDeadline, func(err error) {
 		m.fail(err)
 		m.conn.Close()
 	})
@@ -390,10 +388,23 @@ func (m *Mux) Close() error {
 	return m.conn.Close()
 }
 
-// muxResultChans pools response channels across calls; a channel is only
-// returned to the pool by the caller that drained its delivery, so a pooled
-// channel is always empty and unreferenced by the read loop.
-var muxResultChans = sync.Pool{New: func() any { return make(chan muxResult, 1) }}
+// muxCall is what one call waits with: the channel the read loop delivers
+// its response on and the timer of its per-call timeout, kept stopped while
+// pooled (since go 1.23 a stopped or reset timer delivers no stale tick).
+type muxCall struct {
+	ch    chan muxResult
+	timer *time.Timer
+}
+
+// muxCalls pools calls; a call is only returned to the pool by the caller
+// that drained its delivery (or by abandon, which withdrew it before any
+// delivery), after stopping its timer, so a pooled call's channel is always
+// empty and unreferenced by the read loop.
+var muxCalls = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &muxCall{ch: make(chan muxResult, 1), timer: t}
+}}
 
 // call performs one request/response exchange; responses for other in-flight
 // calls may be delivered first.
@@ -428,17 +439,17 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 	if len(body)+muxHeaderSize > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	ch := muxResultChans.Get().(chan muxResult)
+	c := muxCalls.Get().(*muxCall)
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
-		muxResultChans.Put(ch)
+		muxCalls.Put(c)
 		return nil, err
 	}
 	m.seq++
 	seq := m.seq
-	m.pending[seq] = ch
+	m.pending[seq] = c.ch
 	if len(m.pending) == 1 && m.opts.CallTimeout > 0 {
 		// The read loop renews this deadline as responses arrive; arming it on
 		// the idle→busy transition (under mu, so it cannot race the loop's
@@ -447,20 +458,14 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 	}
 	m.mu.Unlock()
 
-	if frame := newMuxFrame(seq, op, body); !m.writer.enqueue(frame) {
-		putMuxBuf(frame)
-		m.mu.Lock()
-		delete(m.pending, seq)
-		err := m.err
-		m.mu.Unlock()
-		return nil, err
-	}
+	// A write failure fails the connection, and wait reports it.
+	m.writer.send(newMuxFrame(seq, op, body), true)
 
-	res, err := m.wait(ctx, seq, ch)
+	res, err := m.wait(ctx, seq, c)
 	if err != nil {
 		return nil, err
 	}
-	muxResultChans.Put(ch)
+	muxCalls.Put(c)
 	if res.status != statusOK {
 		return nil, remoteError(res.status, res.body)
 	}
@@ -468,42 +473,37 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 }
 
 // wait blocks until the call's response is delivered or a bound ends the
-// wait. On error the channel must NOT be pooled by the caller (abandon
-// pooled it, or a dying read loop may still reference it).
-func (m *Mux) wait(ctx context.Context, seq uint64, ch chan muxResult) (muxResult, error) {
+// wait. On error the call must NOT be pooled by the caller (abandon pooled
+// it, or a dying read loop may still reference its channel). Every path
+// stops the timer before the call can reach the pool.
+func (m *Mux) wait(ctx context.Context, seq uint64, c *muxCall) (muxResult, error) {
 	// Fast path: the response may already be buffered (pipelined bursts on a
-	// loaded connection); skip the per-call timer allocation entirely then.
+	// loaded connection); the timer is not armed then.
 	select {
-	case res := <-ch:
+	case res := <-c.ch:
 		return res, nil
 	default:
 	}
 	var timeoutC <-chan time.Time
 	if m.opts.CallTimeout > 0 {
-		timer := time.NewTimer(m.opts.CallTimeout)
-		defer timer.Stop()
-		timeoutC = timer.C
+		c.timer.Reset(m.opts.CallTimeout)
+		timeoutC = c.timer.C
 	}
+	var cause error
 	select {
-	case res := <-ch:
+	case res := <-c.ch:
+		c.timer.Stop()
 		return res, nil
 	case <-ctx.Done():
-		if res, delivered := m.abandon(seq, ch); delivered {
-			return res, nil
-		}
-		return muxResult{}, &AbandonedError{Cause: ctx.Err()}
+		cause = ctx.Err()
 	case <-timeoutC:
-		if res, delivered := m.abandon(seq, ch); delivered {
-			return res, nil
-		}
-		return muxResult{}, &AbandonedError{
-			Cause: fmt.Errorf("%w (per-call timeout %v)", ErrCallTimeout, m.opts.CallTimeout),
-		}
+		cause = fmt.Errorf("%w (per-call timeout %v)", ErrCallTimeout, m.opts.CallTimeout)
 	case <-m.done:
+		c.timer.Stop()
 		// Prefer a delivery that raced the failure; otherwise the channel may
 		// still be referenced by a dying read loop, so it is not pooled.
 		select {
-		case res := <-ch:
+		case res := <-c.ch:
 			return res, nil
 		default:
 			m.mu.Lock()
@@ -513,6 +513,11 @@ func (m *Mux) wait(ctx context.Context, seq uint64, ch chan muxResult) (muxResul
 			return muxResult{}, err
 		}
 	}
+	c.timer.Stop()
+	if res, delivered := m.abandon(seq, c); delivered {
+		return res, nil
+	}
+	return muxResult{}, &AbandonedError{Cause: cause}
 }
 
 // abandon withdraws a call whose caller stopped waiting. If the sequence is
@@ -524,12 +529,13 @@ func (m *Mux) wait(ctx context.Context, seq uint64, ch chan muxResult) (muxResul
 // (delivered=true): the response exists, losing it would only force the
 // caller to wonder whether the operation executed.
 //
-// Pooling discipline: abandon pools the channel only on the abandoned
+// Pooling discipline: abandon pools the call only on the abandoned
 // (delivered=false, sequence-was-ours) path. On the delivered path the
-// caller falls through to its normal completion and pools the channel
-// exactly once there — a second Put here would hand the same channel to two
-// future callers and cross-deliver their responses.
-func (m *Mux) abandon(seq uint64, ch chan muxResult) (muxResult, bool) {
+// caller falls through to its normal completion and pools the call exactly
+// once there — a second Put here would hand the same channel to two future
+// callers and cross-deliver their responses. The caller has stopped the
+// timer.
+func (m *Mux) abandon(seq uint64, c *muxCall) (muxResult, bool) {
 	m.mu.Lock()
 	_, mine := m.pending[seq]
 	if mine {
@@ -542,18 +548,18 @@ func (m *Mux) abandon(seq uint64, ch chan muxResult) (muxResult, bool) {
 	}
 	m.mu.Unlock()
 	if mine {
-		muxResultChans.Put(ch)
+		muxCalls.Put(c)
 		return muxResult{}, false
 	}
 	// The loop claimed the sequence before we could: its buffered send either
 	// landed already or is instants away (or the connection is failing, in
-	// which case done breaks the wait and the channel is left unpooled).
+	// which case done breaks the wait and the call is left unpooled).
 	select {
-	case res := <-ch:
+	case res := <-c.ch:
 		return res, true
 	case <-m.done:
 		select {
-		case res := <-ch:
+		case res := <-c.ch:
 			return res, true
 		default:
 			return muxResult{}, false

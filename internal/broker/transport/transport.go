@@ -30,12 +30,13 @@
 //     the connection keeps serving — surfaced as *AbandonedError so pools
 //     know not to recycle. On a lock-step connection an interrupted exchange
 //     costs the connection.
-//   - The server runs cheap opcodes inline in frame order and dispatches
-//     heavy ones (Sweep, Stats, the batches) to bounded goroutines
-//     (ServerOptions.MaxInflight per connection, with read back-pressure at
-//     the bound).
-//   - Both ends coalesce frame writes through a 64 KiB flush-on-idle
-//     buffer, so a pipelined burst rides a handful of syscalls.
+//   - The server runs cheap opcodes inline in frame order and hands heavy
+//     ones (Sweep, Stats, the batches) to workers the connection keeps (at
+//     most ServerOptions.MaxInflight, with read back-pressure at the bound).
+//   - Nothing is spawned to write: whoever produced a frame writes it, with
+//     the frames queued meanwhile, through a 64 KiB buffer, so a pipelined
+//     burst rides a handful of syscalls; only the caller inside write(2) can
+//     be held past its context, for at most its write deadline.
 //   - Deadlines make dead peers errors instead of hangs: the server's
 //     ReadIdleTimeout/WriteTimeout, and the client's CallTimeout — a round
 //     trip bound on lock-step connections; on multiplexed ones both a
@@ -522,15 +523,14 @@ func (s *Server) serveLockStep(conn net.Conn, br *bufio.Reader, ca *connAuth, fi
 	}
 }
 
-// heavyOp reports whether an opcode is worth a goroutine of its own: sweeps
-// and stats visit every shard (a sweep fans out over the rack's worker pool
-// and can run for milliseconds), and a batch frame can carry thousands of
-// items each needing validation — running any of those inline would stall
-// every pipelined request queued behind them. The point lookups are a few
-// microseconds of locked map work: for those a goroutine handoff costs more
-// than the operation, and executing them inline lets a burst of pipelined
-// frames be served back-to-back so the coalescing writer packs their
-// responses into one syscall.
+// heavyOp reports whether an opcode is worth handing to a worker: sweeps and
+// stats visit every shard (a sweep can run for milliseconds), and a batch
+// frame can carry thousands of items each needing validation — running any
+// of those inline would stall every pipelined request queued behind them.
+// The point lookups are a few microseconds of locked map work: for those a
+// hand-off costs more than the operation, and executing them inline lets a
+// burst of pipelined frames be served back-to-back so their responses leave
+// in one syscall.
 func heavyOp(op byte) bool {
 	switch op {
 	case OpSweep, OpStats, OpSubmitBatch, OpReplyBatch, OpFetchBatch, OpHint, OpHandoff, OpAdmin:
@@ -539,26 +539,29 @@ func heavyOp(op byte) bool {
 	return false
 }
 
+// muxRequest is one request frame read off a multiplexed connection; body
+// aliases the pooled buf.
+type muxRequest struct {
+	seq  uint64
+	op   byte
+	body []byte
+	buf  *[]byte
+}
+
 // serveMux answers multiplexed requests: cheap operations execute inline in
-// frame order, heavy ones are dispatched to goroutines (at most MaxInflight
-// concurrently); all responses funnel through a per-connection coalescing
-// writer. Responses may therefore be out of request order; the echoed
-// sequence number lets the client demux them.
+// frame order, heavy ones on the connection's workers. A worker is spawned
+// only when none is idle, never past MaxInflight (the read loop then waits
+// for one: back-pressure), and kept, grown stack and all, until the
+// connection closes. Inline answers are written unflushed, and the read loop
+// flushes before it would block, so a pipelined burst is answered in one
+// write. Responses may be out of request order; the echoed sequence number
+// lets the client demux them.
 func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, ca *connAuth) {
-	var (
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, s.opts.maxInflight())
-		done = make(chan struct{})
-	)
 	// On a write failure the writer closes the connection so the read loop
 	// below exits rather than leaving the client hanging on a broken stream.
-	writer := newMuxWriter(conn, done, s.writeDeadline, func(error) { conn.Close() })
-	defer func() {
-		wg.Wait() // let in-flight dispatches enqueue their responses
-		close(done)
-		<-writer.exited
-	}()
-	respond := func(seq uint64, respBody []byte, opErr error) {
+	writer := newMuxWriter(conn, s.writeDeadline, func(error) { conn.Close() })
+	serve := func(req muxRequest, flush bool) {
+		respBody, opErr := s.dispatchMeasured(ca, req.op, req.body)
 		tag := statusOK
 		if opErr != nil {
 			tag, respBody = statusOf(opErr), []byte(opErr.Error())
@@ -566,36 +569,56 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, ca *connAuth) {
 		if len(respBody)+muxHeaderSize > MaxFrameSize {
 			tag, respBody = statusOf(ErrFrameTooLarge), []byte(ErrFrameTooLarge.Error())
 		}
-		// newMuxFrame copies respBody into the pooled frame, so the caller's
-		// response scratch is free to reuse the moment respond returns.
-		if f := newMuxFrame(seq, tag, respBody); !writer.enqueue(f) {
-			putMuxBuf(f)
+		// newMuxFrame copies respBody into the pooled frame, and every rack
+		// operation copies what it retains before dispatch returns, so the
+		// request buffer is recycled at once.
+		writer.send(newMuxFrame(req.seq, tag, respBody), flush)
+		putMuxBuf(req.buf)
+	}
+	var (
+		wg      sync.WaitGroup
+		jobs    = make(chan muxRequest) // unbuffered: a send succeeds only into an idle worker
+		workers int
+	)
+	worker := func(req muxRequest) {
+		defer wg.Done()
+		serve(req, true)
+		for req := range jobs {
+			serve(req, true)
 		}
 	}
+	defer func() {
+		close(jobs)
+		wg.Wait() // let in-flight dispatches write their responses
+		writer.push(true)
+	}()
 	for {
+		if br.Buffered() == 0 {
+			writer.push(true)
+		}
 		s.armReadDeadline(conn)
-		// Request bodies ride pooled buffers: every rack operation copies what
-		// it retains before dispatch returns, so the buffer is recycled as soon
-		// as the response is enqueued (respond copies the body into the frame).
 		seq, op, body, buf, err := readMuxFramePooled(br)
 		if err != nil {
 			return
 		}
+		req := muxRequest{seq: seq, op: op, body: body, buf: buf}
 		if !heavyOp(op) {
-			respBody, opErr := s.dispatchMeasured(ca, op, body)
-			respond(seq, respBody, opErr)
-			putMuxBuf(buf)
+			serve(req, false)
 			continue
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(seq uint64, op byte, body []byte, buf *[]byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			respBody, opErr := s.dispatchMeasured(ca, op, body)
-			respond(seq, respBody, opErr)
-			putMuxBuf(buf)
-		}(seq, op, body, buf)
+		select {
+		case jobs <- req:
+			continue
+		default:
+		}
+		if workers < s.opts.maxInflight() {
+			workers++
+			wg.Add(1)
+			go worker(req)
+			continue
+		}
+		writer.push(true)
+		jobs <- req
 	}
 }
 

@@ -237,8 +237,8 @@ type heldWindow struct {
 	// margin would only let more of the lists taken since pile up beside it.)
 	pinned int
 	// busy is a one-slot semaphore over set and pinned: taken before a sweep
-	// applies its delta and released when the last shard job of that sweep has
-	// reported, so a window is never mutated under a scan that is still
+	// applies its delta and released when the last shard of that sweep has
+	// been reported, so a window is never mutated under a scan that is still
 	// reading it — not even the abandoned scan of a canceled sweep.
 	busy chan struct{}
 

@@ -433,22 +433,15 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 		err error
 	}
 	parts := make([]part, len(healthy))
-	var wg sync.WaitGroup
-	var ctxErr error
-	for i, n := range healthy {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			parts[i] = part{err: ctxErr}
-			continue
+	each(len(healthy), func(i int) {
+		if err := ctx.Err(); err != nil {
+			parts[i] = part{err: err}
+			return
 		}
-		wg.Add(1)
-		go func(i int, n *rackNode) {
-			defer wg.Done()
-			res, err := n.b.Sweep(ctx, q)
-			r.note(n, err)
-			parts[i] = part{res: res, err: err}
-		}(i, n)
-	}
-	wg.Wait()
+		res, err := healthy[i].b.Sweep(ctx, q)
+		r.note(healthy[i], err)
+		parts[i] = part{res: res, err: err}
+	})
 	var out broker.SweepResult
 	var firstErr error
 	answered := 0
@@ -515,21 +508,15 @@ func (r *Ring) Stats(ctx context.Context) (broker.Stats, error) {
 	}
 	nodes := r.members()
 	parts := make([]part, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
+	each(len(nodes), func(i int) {
 		if err := ctx.Err(); err != nil {
 			parts[i] = part{err: err}
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int, n *rackNode) {
-			defer wg.Done()
-			st, err := n.b.Stats(ctx)
-			r.note(n, err)
-			parts[i] = part{st: st, err: err}
-		}(i, n)
-	}
-	wg.Wait()
+		st, err := nodes[i].b.Stats(ctx)
+		r.note(nodes[i], err)
+		parts[i] = part{st: st, err: err}
+	})
 	if err := ctx.Err(); err != nil {
 		return broker.Stats{}, err
 	}

@@ -267,30 +267,49 @@ type outcome struct {
 	replies [][]byte
 }
 
+// each runs fn(i) for every i < n concurrently — every index but the last
+// on a goroutine of its own, the last on the caller's — and returns once all
+// have returned.
+func each(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := range n {
+		if i == n-1 {
+			fn(i)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // fanout runs op against every target concurrently and returns the
 // per-target outcomes, noting each against rack health. Targets not yet
 // called when the context ends report its error.
 func (r *Ring) fanout(ctx context.Context, targets []*rackNode, op func(n *rackNode) outcome) []outcome {
 	outs := make([]outcome, len(targets))
-	var wg sync.WaitGroup
-	for i, n := range targets {
+	each(len(targets), func(i int) {
 		if err := ctx.Err(); err != nil {
 			outs[i].err = err
-			continue
+			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i] = op(n)
-			r.note(n, outs[i].err)
-		}()
-	}
-	wg.Wait()
+		outs[i] = op(targets[i])
+		r.note(targets[i], outs[i].err)
+	})
 	return outs
 }
 
 // cell addresses one (batch item, target) pair of a dispatchGroups result.
 type cell struct{ item, target int }
+
+// rackCells is one rack's share of a dispatchGroups batch.
+type rackCells struct {
+	n     *rackNode
+	cells []cell
+}
 
 // dispatchGroups runs a batch against its per-item targets: every rack gets
 // one call carrying all the items it is a target of, racks concurrently. The
@@ -299,11 +318,16 @@ type cell struct{ item, target int }
 // each of its cells — as is the context's error for racks never called.
 func (r *Ring) dispatchGroups(ctx context.Context, targets [][]*rackNode, call func(n *rackNode, cells []cell, outs [][]outcome) error) [][]outcome {
 	outs := make([][]outcome, len(targets))
-	groups := make(map[*rackNode][]cell)
+	var groups []rackCells // in order of first appearance; racks are few
 	for i, ts := range targets {
 		outs[i] = make([]outcome, len(ts))
 		for j, n := range ts {
-			groups[n] = append(groups[n], cell{i, j})
+			k := slices.IndexFunc(groups, func(g rackCells) bool { return g.n == n })
+			if k < 0 {
+				k = len(groups)
+				groups = append(groups, rackCells{n: n})
+			}
+			groups[k].cells = append(groups[k].cells, cell{i, j})
 		}
 	}
 	fail := func(cells []cell, err error) {
@@ -311,23 +335,18 @@ func (r *Ring) dispatchGroups(ctx context.Context, targets [][]*rackNode, call f
 			outs[s.item][s.target] = outcome{err: err}
 		}
 	}
-	var wg sync.WaitGroup
-	for n, cells := range groups {
+	each(len(groups), func(k int) {
+		g := groups[k]
 		if err := ctx.Err(); err != nil {
-			fail(cells, err)
-			continue
+			fail(g.cells, err)
+			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := call(n, cells, outs)
-			r.note(n, err)
-			if err != nil {
-				fail(cells, err)
-			}
-		}()
-	}
-	wg.Wait()
+		err := call(g.n, g.cells, outs)
+		r.note(g.n, err)
+		if err != nil {
+			fail(g.cells, err)
+		}
+	})
 	return outs
 }
 
