@@ -29,8 +29,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Profile the submit/sweep hot path; `RackSweep` also selects
-# BenchmarkRackSweepScreening, the rack scan in the friend-1rack workload's
-# shape, and BenchmarkTransportRoundTrip is one caller's sequential calls in
+# BenchmarkRackSweepScreening, the rack scan at the friend-1rack (racked=5000)
+# and sweep-churn (racked=50000) workloads' sizes, and
+# BenchmarkTransportRoundTrip is one caller's sequential calls in
 # the submit-storm workload's shape. Inspect with `go tool pprof cpu.pprof`
 # (or mem.pprof). bench.test is kept so pprof can resolve symbols.
 profile:

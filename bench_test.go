@@ -480,15 +480,24 @@ func BenchmarkRackSweep(b *testing.B) {
 }
 
 // BenchmarkRackSweepScreening measures the scan in the shape of the
-// benchmark's friend-1rack workload: 16 shards racking 5000 real packages of
-// 8–10 necessary and 3 optional tags, swept by a candidate with 7 distinct
-// residues mod 11 through a held window of 4096 IDs that already holds every
-// racked bottle the candidate passes. Each sweep screens every bottle and
-// returns none, so ns/bottle is the per-bottle cost of the screen.
+// benchmark's workloads: 16 shards racking real packages of 8–10 necessary
+// and 3 optional tags, swept by a candidate with 7 distinct residues mod 11
+// through a held window of 4096 IDs that already holds every racked bottle
+// the candidate passes. Each sweep screens every bottle and returns none, so
+// ns/bottle is the per-bottle cost of the screen. racked=5000 is friend-1rack's
+// rack, 5000 distinct packages; racked=50000 is sweep-churn's, 2000 distinct
+// packages cloned round-robin under fresh IDs, which no longer fits a cache.
 func BenchmarkRackSweepScreening(b *testing.B) {
+	for _, c := range []struct{ racked, distinct int }{{5000, 5000}, {50000, 2000}} {
+		b.Run(fmt.Sprintf("racked=%d", c.racked), func(b *testing.B) {
+			benchSweepScreening(b, c.racked, c.distinct)
+		})
+	}
+}
+
+func benchSweepScreening(b *testing.B, racked, distinct int) {
 	const (
 		shards   = 16
-		racked   = 5000
 		seenCap  = 4096
 		residues = 7
 	)
@@ -507,8 +516,8 @@ func BenchmarkRackSweepScreening(b *testing.B) {
 		}
 		candidate = m.ResidueSet(core.DefaultPrime)
 	}
-	var seen []string
-	for i := 0; i < racked; i++ {
+	templates := make([]*core.RequestPackage, distinct)
+	for i := range templates {
 		// Distinct tags out of a vocabulary of 5000, as the workload draws them.
 		necessary := 8 + i%3
 		spec := core.RequestSpec{MinOptional: 3 - (i/3)%2}
@@ -530,19 +539,31 @@ func BenchmarkRackSweepScreening(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := built.Package.Marshal()
+		templates[i] = built.Package
+	}
+	var seen []string
+	for i := 0; i < racked; i++ {
+		pkg := templates[i%distinct]
+		if i >= distinct {
+			pkg = pkg.Clone()
+			pkg.ID = fmt.Sprintf("%032x", i)
+		}
+		raw, err := pkg.Marshal()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := rack.Submit(context.Background(), raw); err != nil {
 			b.Fatal(err)
 		}
-		if built.Package.PrefilterMatch(candidate) {
-			seen = append(seen, built.Package.ID)
+		if pkg.PrefilterMatch(candidate) {
+			seen = append(seen, pkg.ID)
 		}
 	}
+	if len(seen) > seenCap {
+		b.Fatalf("%d racked bottles pass the candidate, more than the window holds", len(seen))
+	}
 	for i := len(seen); i < seenCap; i++ {
-		seen = append(seen, fmt.Sprintf("%032x", i))
+		seen = append(seen, fmt.Sprintf("unracked-%d", i))
 	}
 	q := broker.SweepQuery{
 		Residues: []core.ResidueSet{candidate},

@@ -356,8 +356,8 @@ type SubmitResult struct {
 // caller's buffer may be a transport frame that is reused after the handler
 // returns, so the bottle copies first and the view aliases the bottle's own
 // copy. Every bottle — submitted, replayed or handed off — is made here, so
-// this is also where its necessary-residue mask is derived; the mask is never
-// logged.
+// this is also where its screen (the residue masks and gate byte) is derived;
+// the screen is never logged or sent.
 func bottleFromRaw(raw []byte, now time.Time) (*bottle, error) {
 	owned := append([]byte(nil), raw...)
 	v, err := core.UnmarshalPackageView(owned)
@@ -367,15 +367,9 @@ func bottleFromRaw(raw []byte, now time.Time) (*bottle, error) {
 	if v.Expired(now) {
 		return nil, core.ErrExpired
 	}
-	return &bottle{
-		id:        v.ID,
-		origin:    v.Origin,
-		prime:     v.Prime,
-		raw:       owned,
-		pkg:       v,
-		expiresAt: v.ExpiresAt,
-		need:      necessaryMask(&v),
-	}, nil
+	b := &bottle{id: v.ID, origin: v.Origin, raw: owned, pkg: v, need: necessaryMask(&v)}
+	b.opt, b.gate = optionalMask(&v)
+	return b, nil
 }
 
 // SubmitBatch racks several marshalled packages at once: bottles are grouped
@@ -627,16 +621,6 @@ func (q *SweepQuery) normalize() error {
 		q.Limit = DefaultSweepLimit
 	}
 	return nil
-}
-
-// residueFor returns the query's presence set for a prime.
-func (q *SweepQuery) residueFor(prime uint32) (core.ResidueSet, bool) {
-	for _, s := range q.Residues {
-		if s.Prime == prime {
-			return s, true
-		}
-	}
-	return core.ResidueSet{}, false
 }
 
 // SweptBottle is one rack entry returned by a sweep.

@@ -3,13 +3,17 @@ package broker
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"sealedbottle/internal/core"
 	"sealedbottle/internal/crypt"
@@ -60,33 +64,60 @@ func synthResidues(rng *rand.Rand, prime uint32, rate float64) core.ResidueSet {
 	return core.NewResidueSet(prime, present)
 }
 
-// TestMaskScreenSound is the mask column's soundness property: whenever the
-// one-word screen rejects a bottle, PrefilterMatch rejects it too, so the
-// screen adds no false dismissal. Primes from 3 to past one word.
+// TestMaskScreenSound is the screen columns' property, with the sweep's
+// predicate over them: whenever the necessary or the optional mask rejects a
+// bottle, PrefilterMatch rejects it too, so the screen adds no false
+// dismissal; and whenever a bottle with the exact bit passes both masks,
+// PrefilterMatch passes it, so skipping it adds no false pass. Primes from 3
+// to past one word; synthPackage repeats remainders and often has γ = 0. Each
+// branch must be met, so the property cannot hold vacuously.
 func TestMaskScreenSound(t *testing.T) {
 	primes := []uint32{3, 5, 11, 31, 61, 67, 97, 131}
 	epoch := newTestClock().Now()
+	var needRejects, optRejects, exactPasses, inexact int
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		prime := primes[rng.Intn(len(primes))]
 		raw := synthPackage(t, rng, prime, "id", "origin", epoch, epoch.Add(time.Hour))
-		v, err := core.UnmarshalPackageView(raw)
+		b, err := bottleFromRaw(raw, epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		need := necessaryMask(&v)
-		if prime >= maskPrimes && need != 0 {
-			t.Errorf("prime %d: mask %#x, want none", prime, need)
+		if prime >= maskPrimes && (b.need != 0 || b.opt != 0 || b.gate&gateExact != 0) {
+			t.Errorf("prime %d: masks %#x/%#x, gate %#x, want none and no exact bit", prime, b.need, b.opt, b.gate)
+			return false
 		}
 		rs := synthResidues(rng, prime, rng.Float64())
-		if need&^(rs.Bits[0]&^deadSlot) != 0 && v.PrefilterMatch(rs) {
-			t.Errorf("seed %d: mask rejects a bottle PrefilterMatch passes", seed)
+		have := rs.Bits[0] &^ deadSlot
+		match := b.pkg.PrefilterMatch(rs)
+		switch {
+		case b.need&^have != 0:
+			needRejects++
+		case bits.OnesCount64(b.opt&^have) > int(b.gate&^gateExact):
+			optRejects++
+		case b.gate&gateExact != 0:
+			exactPasses++
+			if !match {
+				t.Errorf("seed %d: an exact bottle passes both masks and fails PrefilterMatch", seed)
+				return false
+			}
+			return true
+		default:
+			inexact++
+			return true
+		}
+		if match {
+			t.Errorf("seed %d: the masks reject a bottle PrefilterMatch passes", seed)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 3000}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("rejected %d + %d, exact passes %d, left to PrefilterMatch %d", needRejects, optRejects, exactPasses, inexact)
+	if needRejects == 0 || optRejects == 0 || exactPasses == 0 || inexact == 0 {
+		t.Fatalf("a branch was never met: rejected %d + %d, exact passes %d, left to PrefilterMatch %d", needRejects, optRejects, exactPasses, inexact)
 	}
 }
 
@@ -121,7 +152,7 @@ func (m *refRack) submit(r *Rack, raw []byte, now time.Time) {
 	}
 	e := &refEntry{b: b}
 	g := m.groups[m.index[r.shardFor(b.id)]]
-	g[b.prime] = append(g[b.prime], e)
+	g[b.pkg.Prime] = append(g[b.pkg.Prime], e)
 	m.byID[b.id] = e
 }
 
@@ -134,7 +165,7 @@ func (m *refRack) remove(id string) {
 
 func (m *refRack) reap(now time.Time) {
 	for id, e := range m.byID {
-		if e.b.expired(now) {
+		if e.b.pkg.Expired(now) {
 			m.remove(id)
 		}
 	}
@@ -160,7 +191,7 @@ func (m *refRack) sweep(q SweepQuery, seen func(string) bool, now time.Time) ref
 				if e.gone {
 					continue
 				}
-				if e.b.expired(now) {
+				if e.b.pkg.Expired(now) {
 					m.remove(e.b.id)
 					continue
 				}
@@ -387,10 +418,130 @@ func checkSweep(t *testing.T, step, shards, limit int, res SweepResult, want ref
 	}
 }
 
+// TestTruncatedSweepContract states what a truncated sweep promises while
+// other callers submit and remove: which bottles it returns depends on how
+// the shard jobs race for the budget, but every one passes the prefilter for
+// its prime, none comes from the excluded origin or sits in the held window,
+// none repeats within the call, and there are at most Limit of them. Meant
+// for -race -count=10 as well.
+func TestTruncatedSweepContract(t *testing.T) {
+	const shards, writers, perWriter, sweeps = 16, 2, 1500, 300
+	ctx := context.Background()
+	clock := newTestClock()
+	rack := newTestRack(clock, shards)
+	defer rack.Close()
+	rng := rand.New(rand.NewSource(7))
+	primes := []uint32{11, 67}
+	origins := []string{"", "alice", "bob", "carol"}
+	now := clock.Now()
+	// Packages are built up front, so no writer goroutine reaches
+	// synthPackage's t.Fatal.
+	raws := make([][][]byte, writers)
+	for w := range raws {
+		for i := 0; i < perWriter; i++ {
+			id := fmt.Sprintf("w%d-%05d", w, i)
+			raws[w] = append(raws[w], synthPackage(t, rng, primes[rng.Intn(len(primes))], id, origins[rng.Intn(len(origins))], now, now.Add(time.Hour)))
+		}
+	}
+	for _, raw := range raws[0][:perWriter/3] {
+		if _, err := rack.Submit(ctx, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range raws {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; ; i = (i + 1) % perWriter {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := rack.Submit(ctx, raws[w][i]); err != nil && !errors.Is(err, ErrDuplicateBottle) {
+					t.Error(err)
+					return
+				}
+				if _, err := rack.Remove(ctx, fmt.Sprintf("w%d-%05d", w, wrng.Intn(perWriter))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	const handle, seenCap = 3, 64
+	win := NewSeenWindow(seenCap)
+	var acked uint64
+	held := false
+	truncated, returned := 0, 0
+	for s := 0; s < sweeps; s++ {
+		q := SweepQuery{Limit: 1 + rng.Intn(4), Window: handle, SeenCap: seenCap}
+		sets := make(map[uint32]core.ResidueSet)
+		for _, p := range primes {
+			rs := synthResidues(rng, p, 0.5+0.5*rng.Float64())
+			sets[p] = rs
+			q.Residues = append(q.Residues, rs)
+		}
+		if rng.Intn(2) == 0 {
+			q.ExcludeOrigin = origins[1+rng.Intn(len(origins)-1)]
+		}
+		windowed := make(map[string]bool)
+		for _, id := range win.AppendNewest(nil, win.Len()) {
+			windowed[id] = true
+		}
+		res := sweepWindowed(t, rack, q, win, &acked, &held)
+		if len(res.Bottles) > q.Limit {
+			t.Fatalf("sweep %d: %d bottles over limit %d", s, len(res.Bottles), q.Limit)
+		}
+		if res.Truncated {
+			truncated++
+		}
+		returned += len(res.Bottles)
+		got := make(map[string]bool, len(res.Bottles))
+		for _, sb := range res.Bottles {
+			v, err := core.UnmarshalPackageView(sb.Raw)
+			if err != nil {
+				t.Fatalf("sweep %d: %s: %v", s, sb.ID, err)
+			}
+			switch {
+			case got[sb.ID]:
+				t.Fatalf("sweep %d: %s returned twice", s, sb.ID)
+			case !v.PrefilterMatch(sets[v.Prime]):
+				t.Fatalf("sweep %d: %s fails the prefilter", s, sb.ID)
+			case v.Origin != "" && v.Origin == q.ExcludeOrigin:
+				t.Fatalf("sweep %d: %s comes from the excluded origin %q", s, sb.ID, v.Origin)
+			case windowed[sb.ID]:
+				t.Fatalf("sweep %d: %s is in the held window", s, sb.ID)
+			}
+			got[sb.ID] = true
+			if rng.Intn(2) == 0 {
+				win.Add(sb.ID)
+			}
+		}
+	}
+	t.Logf("%d of %d sweeps truncated, %d bottles returned", truncated, sweeps, returned)
+	if truncated == 0 {
+		t.Fatal("no sweep was truncated")
+	}
+}
+
 // TestRemoveFreesMemory loops submit and remove on a rack that is never swept
 // or reaped: the heap must stay within a constant of what is held, and a
-// drained burst must leave no prime group at its high-water capacity.
+// drained burst must leave no prime group at its high-water capacity. A held
+// bottle itself stays within one 256-byte allocation.
 func TestRemoveFreesMemory(t *testing.T) {
+	if size := unsafe.Sizeof(bottle{}); size > 256 {
+		t.Fatalf("a bottle is %d bytes, over its 256-byte allocation", size)
+	}
 	clock := newTestClock()
 	rack := newTestRack(clock, 4)
 	defer rack.Close()

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,25 +20,22 @@ type bottle struct {
 	// persisted record format predates ownership, so recovery cannot prove
 	// who submitted — documented in docs/PROTOCOL.md §1.5.3).
 	owner string
-	prime uint32
 	// raw is the marshalled package exactly as submitted; pkg is the broker's
-	// header view decoded over raw (it aliases raw, which the bottle owns).
-	raw       []byte
-	pkg       core.PackageView
-	expiresAt time.Time
-	// need is the bottle's necessary-residue mask (necessaryMask); slot is its
-	// index in its prime group, kept current by compaction.
-	need uint64
-	slot int
+	// header view decoded over raw (it aliases raw, which the bottle owns),
+	// and the one copy of the bottle's prime and deadline.
+	raw []byte
+	pkg core.PackageView
+	// need, opt and gate are the bottle's entry in its prime group's screen
+	// columns (necessaryMask, optionalMask), derived once by bottleFromRaw;
+	// slot is its index in the group, kept current by compaction. Narrow
+	// slot and gate keep the bottle in a 256-byte allocation.
+	need, opt uint64
+	slot      int32
+	gate      uint8
 }
 
-// expired reports whether the bottle is past its validity window.
-func (b *bottle) expired(now time.Time) bool {
-	return !b.expiresAt.IsZero() && now.After(b.expiresAt)
-}
-
-// maskPrimes bounds the primes that get a necessary-residue mask: below it
-// every residue is a bit of one word. Larger primes store a zero mask, which
+// maskPrimes bounds the primes that get residue masks: below it every residue
+// is a bit of one word. Larger primes store zero masks and no exact bit, which
 // the screen always passes, so their bottles go to PrefilterMatch alone — a
 // submitter's choice of prime never sizes anything the rack keeps.
 const maskPrimes = 64
@@ -66,13 +64,47 @@ func necessaryMask(v *core.PackageView) uint64 {
 	return m
 }
 
+// gateExact is the exact bit of a gate byte. The bits below it hold γ clamped
+// to gateExact-1, which no one-word count of missing residues exceeds, so the
+// clamp never changes a verdict.
+const gateExact = 1 << 7
+
+// optionalMask is the presence bitmap of a package's optional remainders, in
+// the same shape as necessaryMask, and its gate byte: γ, plus gateExact when
+// the optional remainders are pairwise distinct. A candidate lacking k of the
+// mask's bits misses at least k optional positions, so k > γ fails Eqs. 6–7
+// as PrefilterMatch would; with distinct remainders it misses exactly k, so a
+// bottle that passes both masks and has the exact bit passes PrefilterMatch.
+func optionalMask(v *core.PackageView) (uint64, uint8) {
+	if v.Prime >= maskPrimes {
+		return 0, 0
+	}
+	var m uint64
+	n := 0
+	for i := 0; i < v.AttributeCount(); i++ {
+		if v.IsOptional(i) {
+			m |= 1 << v.Remainder(i)
+			n++
+		}
+	}
+	gate := uint8(min(v.MaxUnknown, gateExact-1))
+	if bits.OnesCount64(m) == n {
+		gate |= gateExact
+	}
+	return m, gate
+}
+
 // primeGroup is one prime's bottles on a shard in insertion order, with their
-// necessary-residue masks in a column beside them: the sweep's reject path
-// reads one word per bottle and never the bottle. A removed or expired bottle
-// leaves a dead slot (nil bottle, deadSlot mask) until the group compacts.
+// screen in columns beside them: the necessary mask, the optional mask and
+// the gate byte. The sweep's reject path reads these and never the bottle,
+// which it reads only for a slot that passes both masks. A removed or expired
+// bottle leaves a dead slot (nil bottle, deadSlot necessary mask) until the
+// group compacts.
 type primeGroup struct {
 	bottles []*bottle
 	need    []uint64
+	opt     []uint64
+	gate    []uint8
 	dead    int
 	// expiry is the earliest deadline among the group's bottles (zero: none
 	// expires). A removed bottle can leave it early, which costs one
@@ -86,11 +118,13 @@ type primeGroup struct {
 const deadShare = 4
 
 func (g *primeGroup) add(b *bottle) {
-	b.slot = len(g.bottles)
+	b.slot = int32(len(g.bottles))
 	g.bottles = append(g.bottles, b)
 	g.need = append(g.need, b.need)
-	if !b.expiresAt.IsZero() && (g.expiry.IsZero() || b.expiresAt.Before(g.expiry)) {
-		g.expiry = b.expiresAt
+	g.opt = append(g.opt, b.opt)
+	g.gate = append(g.gate, b.gate)
+	if exp := b.pkg.ExpiresAt; !exp.IsZero() && (g.expiry.IsZero() || exp.Before(g.expiry)) {
+		g.expiry = exp
 	}
 }
 
@@ -166,10 +200,10 @@ func (s *shard) putLocked(b *bottle) error {
 		return ErrDuplicateBottle
 	}
 	s.bottles[b.id] = b
-	g := s.byPrime[b.prime]
+	g := s.byPrime[b.pkg.Prime]
 	if g == nil {
 		g = &primeGroup{}
-		s.byPrime[b.prime] = g
+		s.byPrime[b.pkg.Prime] = g
 	}
 	g.add(b)
 	s.stats.Submitted++
@@ -193,14 +227,19 @@ type shardSweep struct {
 // by every shard of the sweep. A group whose earliest deadline has passed is
 // compacted first, so the scan meets no expired bottle (lazy expiry).
 //
-// The screen is ordered by cost: the mask column rejects most bottles in one
-// word operation without touching them; survivors take PrefilterMatch for
-// the optional/γ count, then the origin and exclusion-window checks. Every
-// live bottle visited counts as scanned, seen or not. Each bottle that passes
-// everything reserves one slot from the budget before it is collected; once
-// the budget is spent the scan stops immediately — without the shared bound
-// every shard would collect up to the full query limit, handing the merge up
-// to shards×Limit bottles of which all but Limit are discarded.
+// The screen is ordered by cost and reads the group's columns first: a slot
+// is rejected when the candidate lacks one of its necessary residues or more
+// than γ of its distinct optional ones, without touching the bottle. Only a
+// survivor is read: one with the exact bit passes the prefilter outright, any
+// other takes PrefilterMatch, and a pass then takes the origin and
+// exclusion-window checks. Every live bottle visited counts as scanned, seen
+// or not, and every one the prefilter fails as rejected; the reject path
+// writes nothing, so both are settled per group from the passes and the
+// group's dead count. Each bottle that passes everything reserves one slot
+// from the budget before it is collected; once the budget is spent the scan
+// stops immediately — without the shared bound every shard would collect up
+// to the full query limit, handing the merge up to shards×Limit bottles of
+// which all but Limit are discarded.
 func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, now time.Time, remaining *atomic.Int64) shardSweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -215,20 +254,20 @@ scan:
 			continue
 		}
 		have := rs.Bits[0] &^ deadSlot
-		for i, need := range g.need {
-			if need&^have != 0 {
-				if need != deadSlot {
-					out.scanned++
-					out.rejected++
-				}
+		// Resliced to one length, so indexing opt and gate needs no bounds
+		// check in the loop.
+		need := g.need
+		opt, gate := g.opt[:len(need)], g.gate[:len(need)]
+		passed := 0
+		for i, n := range need {
+			if n&^have != 0 || bits.OnesCount64(opt[i]&^have) > int(gate[i]&^gateExact) {
 				continue
 			}
-			out.scanned++
 			b := g.bottles[i]
-			if !b.pkg.PrefilterMatch(rs) {
-				out.rejected++
+			if gate[i]&gateExact == 0 && !b.pkg.PrefilterMatch(rs) {
 				continue
 			}
+			passed++
 			if b.origin != "" && b.origin == q.ExcludeOrigin || seen != nil && seen.Has(b.id) {
 				continue
 			}
@@ -236,12 +275,24 @@ scan:
 				// A bottle passed but the sweep's budget is spent: the result
 				// is truncated and nothing more can be collected, so stop
 				// scanning — the next sweep (with this tick's IDs in its seen
-				// window) picks up where the budget ran out.
+				// window) picks up where the budget ran out. The counters
+				// cover the slots visited, this one included.
+				live := i + 1
+				for _, n := range need[:i+1] {
+					if n == deadSlot {
+						live--
+					}
+				}
+				out.scanned += live
+				out.rejected += live - passed
 				out.truncated = true
 				break scan
 			}
 			out.bottles = append(out.bottles, SweptBottle{ID: b.id, Raw: b.raw})
 		}
+		live := len(need) - g.dead
+		out.scanned += live
+		out.rejected += live - passed
 	}
 	s.stats.Sweeps++
 	s.stats.Scanned += uint64(out.scanned)
@@ -261,12 +312,13 @@ func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *prime
 	// Survivors are re-added in place: each lands at or before the slot it
 	// is read from.
 	old := g.bottles
-	g.bottles, g.need, g.dead, g.expiry = old[:0], g.need[:0], 0, time.Time{}
+	g.bottles, g.need, g.opt, g.gate = old[:0], g.need[:0], g.opt[:0], g.gate[:0]
+	g.dead, g.expiry = 0, time.Time{}
 	for _, b := range old {
 		if b == nil {
 			continue
 		}
-		if b.expired(now) {
+		if b.pkg.Expired(now) {
 			s.dropLocked(b)
 			continue
 		}
@@ -280,6 +332,7 @@ func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *prime
 	clear(old[kept:])
 	if kept < cap(g.bottles)/4 {
 		g.bottles, g.need = slices.Clone(g.bottles), slices.Clone(g.need)
+		g.opt, g.gate = slices.Clone(g.opt), slices.Clone(g.gate)
 	}
 	return g
 }
@@ -319,7 +372,7 @@ func (s *shard) pushReplyBatch(posts []ReplyPost, idxs []int, maxQueue int, now 
 // pushReplyBatch. The caller holds mu.
 func (s *shard) pushReplyLocked(id string, raw []byte, maxQueue int, now time.Time) error {
 	b, ok := s.bottles[id]
-	if !ok || b.expired(now) {
+	if !ok || b.pkg.Expired(now) {
 		return ErrUnknownBottle
 	}
 	if len(s.replies[id]) >= maxQueue {
@@ -399,7 +452,7 @@ func (s *shard) peek(id string, now time.Time) (raw []byte, owner string, replie
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, held := s.bottles[id]
-	if !held || b.expired(now) {
+	if !held || b.pkg.Expired(now) {
 		return nil, "", nil, false
 	}
 	raw = append([]byte(nil), b.raw...)
@@ -428,10 +481,10 @@ func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 	if s.logRec != nil {
 		s.logRec(walRecRemove, []byte(id))
 	}
-	g := s.byPrime[b.prime]
+	g := s.byPrime[b.pkg.Prime]
 	g.bottles[b.slot], g.need[b.slot] = nil, deadSlot
 	if g.dead++; g.due(now) {
-		s.compactLocked(b.prime, g, now)
+		s.compactLocked(b.pkg.Prime, g, now)
 	}
 	return true, nil
 }
