@@ -23,6 +23,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzHandoffUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzSweepQueryUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzSweepResultUnmarshal -fuzztime 10s ./internal/broker
+	$(GO) test -run NONE -fuzz FuzzCodecUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzTokenUnmarshal -fuzztime 10s ./internal/auth
 
 bench:

@@ -739,11 +739,10 @@ func BenchmarkCodecRoundTrips(b *testing.B) {
 
 // --- Transport benchmarks -------------------------------------------------
 //
-// These compare the two wire framings on ONE connection: the lock-step client
-// serializes a full round trip per operation, while the multiplexed client
-// keeps many requests in flight and the batch opcodes amortize the round trip
-// across whole groups. They run over TCP loopback so the numbers include real
-// socket behaviour.
+// These drive ONE multiplexed connection: pipelined callers keep many
+// requests in flight, and the batch opcodes amortize the round trip across
+// whole groups. They run over TCP loopback so the numbers include real socket
+// behaviour.
 
 // benchTransportRack serves a fresh rack over TCP loopback.
 func benchTransportRack(b *testing.B) (addr string, cleanup func()) {
@@ -763,13 +762,13 @@ func benchTransportRack(b *testing.B) (addr string, cleanup func()) {
 	}
 }
 
-// benchSubmitThroughput drives b.N pre-marshalled submissions through one
-// courier from many goroutines; with Conns=1 every request rides the same
-// connection, so the framing alone decides how many can be in flight.
-func benchSubmitThroughput(b *testing.B, legacy bool) {
+// BenchmarkTransportSubmitPipelined drives b.N pre-marshalled submissions
+// through one courier from many goroutines; with Conns=1 every request rides
+// the same multiplexed connection.
+func BenchmarkTransportSubmitPipelined(b *testing.B) {
 	addr, cleanup := benchTransportRack(b)
 	defer cleanup()
-	courier, err := client.Dial(client.Config{Addr: addr, Conns: 1, Legacy: legacy})
+	courier, err := client.Dial(client.Config{Addr: addr, Conns: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -789,15 +788,6 @@ func benchSubmitThroughput(b *testing.B, legacy bool) {
 		}
 	})
 }
-
-// BenchmarkTransportSubmitLockstep is the old framing: one round trip at a
-// time per connection.
-func BenchmarkTransportSubmitLockstep(b *testing.B) { benchSubmitThroughput(b, true) }
-
-// BenchmarkTransportSubmitPipelined is the multiplexed framing on the same
-// single connection; the acceptance bar for the refactor is ≥2× the lock-step
-// submit throughput.
-func BenchmarkTransportSubmitPipelined(b *testing.B) { benchSubmitThroughput(b, false) }
 
 // BenchmarkTransportRoundTrip is one caller doing sequential Submit and
 // Remove calls on one multiplexed connection over loopback TCP — the

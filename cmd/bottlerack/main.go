@@ -3,12 +3,11 @@
 // sweeps, and routes replies back to initiators. Run cmd/loadgen against it
 // to measure throughput, or point broker-mode simulator scenarios at it.
 //
-// The server speaks both wire framings — lock-step and multiplexed — detected
-// per connection, so old clients keep working while pipelined couriers sustain
-// many in-flight requests per connection. In a multi-rack cluster give each
-// rack a distinct -tag: issued request IDs then carry a "tag@" prefix that
-// lets the client-side Ring route replies and fetches back to the owning
-// rack even after a client restart. With -data-dir set the rack is
+// The server speaks the multiplexed wire framing, so pipelined couriers
+// sustain many in-flight requests per connection. In a multi-rack cluster
+// give each rack a distinct -tag: issued request IDs then carry a "tag@"
+// prefix that lets the client-side Ring route replies and fetches back to
+// the owning rack even after a client restart. With -data-dir set the rack is
 // durable: every acknowledged mutation is written to a write-ahead log (fsync
 // policy per -fsync), snapshots bound replay time (periodic via
 // -snapshot-every, and one final snapshot on SIGINT/SIGTERM), and a restart
@@ -26,7 +25,7 @@
 // R>1 need every rack started with -replicate; see docs/PROTOCOL.md §2.10.
 //
 // The transport can be secured end to end. -tls-cert/-tls-key serve every
-// connection over TLS (the dual-framing auto-detect runs inside the encrypted
+// connection over TLS (the framing magic is read inside the encrypted
 // stream), and -tls-client-ca additionally demands client certificates from
 // that CA (mutual TLS). -auth-key (a hex key from `sealedbottle keygen`)
 // requires every client to present a capability token minted under it

@@ -8,8 +8,7 @@
 // Everything goes through the public sealedbottle SDK: submitters share a
 // pool of multiplexed connections (many in-flight requests per connection)
 // and sweepers run the SDK's sweep-evaluate-reply loop. -batch amortizes the
-// round trip further with the batched opcodes; -legacy selects the lock-step
-// framing to measure what pipelining buys.
+// round trip further with the batched opcodes.
 //
 // By default everything runs in-process over the in-memory pipe transport, so
 // the full framed protocol is exercised with no network setup:
@@ -67,7 +66,6 @@ type options struct {
 	shards           int
 	conns            int
 	batch            int
-	legacy           bool
 	universe         int
 	validity         time.Duration
 	timeout          time.Duration
@@ -160,7 +158,6 @@ func main() {
 	flag.IntVar(&opts.shards, "shards", 32, "rack shards (in-process mode)")
 	flag.IntVar(&opts.conns, "conns", 4, "courier connection pool size")
 	flag.IntVar(&opts.batch, "batch", 1, "bottles per submit round trip (SubmitBatch when >1)")
-	flag.BoolVar(&opts.legacy, "legacy", false, "use the lock-step framing instead of the multiplexed one")
 	flag.IntVar(&opts.universe, "universe", 48, "size of the interest-attribute vocabulary")
 	flag.DurationVar(&opts.validity, "validity", 5*time.Minute, "request validity window")
 	flag.DurationVar(&opts.timeout, "timeout", 30*time.Second, "per-call timeout")
@@ -548,7 +545,6 @@ func connect(opts options, tlsConf *tls.Config, token []byte) (rv sealedbottle.B
 	cfg := sealedbottle.CourierConfig{
 		Conns:       opts.conns,
 		CallTimeout: opts.timeout,
-		Legacy:      opts.legacy,
 		TLS:         tlsConf,
 		Token:       token,
 	}
@@ -565,7 +561,7 @@ func connect(opts options, tlsConf *tls.Config, token []byte) (rv sealedbottle.B
 	}
 	if opts.addr != "" {
 		courier, err := sealedbottle.Dial(sealedbottle.CourierConfig{
-			Addr: opts.addr, Conns: cfg.Conns, CallTimeout: cfg.CallTimeout, Legacy: cfg.Legacy,
+			Addr: opts.addr, Conns: cfg.Conns, CallTimeout: cfg.CallTimeout,
 			TLS: cfg.TLS, Token: cfg.Token,
 		})
 		if err != nil {

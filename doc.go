@@ -15,7 +15,7 @@
 // The implementation lives under internal/ (core mechanism, crypto
 // substrate, hexagonal-lattice location hashing, bottle-rack rendezvous
 // broker with its write-ahead-log durability substrate in
-// internal/broker/wal and its dual lock-step/multiplexed wire transport,
+// internal/broker/wal and its multiplexed wire transport,
 // the courier client SDK and multi-rack cluster ring in internal/client,
 // MSN simulator, dataset generator, asymmetric baselines, adversary
 // harness, cost model and experiment generators), with runnable entry

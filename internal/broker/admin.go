@@ -119,11 +119,10 @@ func MarshalAdminStatus(st AdminStatus) []byte {
 func UnmarshalAdminStatus(data []byte) (AdminStatus, error) {
 	r := &reader{data: data}
 	var st AdminStatus
-	draining, err := r.byte()
-	if err != nil {
+	var err error
+	if st.Draining, err = r.bool(); err != nil {
 		return st, fmt.Errorf("%w: admin drain flag", ErrMalformedFrame)
 	}
-	st.Draining = draining != 0
 	if st.Held, err = r.uint64(); err != nil {
 		return st, fmt.Errorf("%w: admin held", ErrMalformedFrame)
 	}

@@ -55,13 +55,17 @@ func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
 }
 
 // Smallest encodings of one list entry, used to refuse a count the rest of
-// the frame cannot hold before anything is allocated for it: a residue set
-// (prime + word count), a seen ID (empty string16) and a swept bottle (empty
-// string16 + empty package).
+// the frame cannot hold before anything is allocated for it.
 const (
-	minResidueSetBytes  = 6
-	minSeenIDBytes      = 2
-	minSweptBottleBytes = 6
+	minResidueSetBytes  = 6  // prime + word count
+	minIDBytes          = 2  // empty string16
+	minSweptBottleBytes = 6  // empty ID + empty package
+	minBlobBytes        = 4  // empty sized blob
+	minOutcomeBytes     = 3  // submit or fetch outcome: flag + empty string16
+	minErrorBytes       = 1  // error-list outcome: the success flag alone
+	minReplyPostBytes   = 6  // empty ID + empty reply
+	minShardStatsBytes  = 88 // eleven u64 counters
+	minPrimeBytes       = 4
 )
 
 // UnmarshalSweepQuery decodes a sweep query. The seen IDs are cut from one
@@ -116,7 +120,7 @@ func UnmarshalSweepQuery(data []byte) (SweepQuery, error) {
 	if err != nil {
 		return q, fmt.Errorf("%w: seen count", ErrMalformedFrame)
 	}
-	if seen > MaxSeenCap || int(seen) > r.remaining()/minSeenIDBytes {
+	if seen > MaxSeenCap || int(seen) > r.remaining()/minIDBytes {
 		return q, fmt.Errorf("%w: implausible seen count %d", ErrMalformedFrame, seen)
 	}
 	// The seen list is the frame's tail, so its region is everything left.
@@ -221,7 +225,7 @@ func readRawList(r *reader, out [][]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: blob count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minBlobBytes {
 		return nil, fmt.Errorf("%w: implausible blob count %d", ErrMalformedFrame, n)
 	}
 	out = out[:0]
@@ -272,14 +276,11 @@ func UnmarshalRawListInto(data []byte, out [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Per-item outcome flags of the batch encodings. Since the error-code
-// protocol revision the flag byte doubles as the error's wire code
-// (OutcomeCodeBase+code); the bare outcomeErr value is what legacy peers
-// wrote, and both directions stay compatible because every decoder — old and
-// new — treats any nonzero flag as "error, text follows".
+// Per-item outcome flags of the batch encodings: outcomeOK, or a failed
+// item's wire code offset by OutcomeCodeBase with the error text following.
+// A flag in 0x01–0x0f carries no code and makes the frame malformed.
 const (
-	outcomeOK  byte = 0
-	outcomeErr byte = 1
+	outcomeOK byte = 0
 	// OutcomeCodeBase offsets an ErrCode into the outcome-flag (and response
 	// status) byte space: a coded error is written as OutcomeCodeBase+code.
 	OutcomeCodeBase byte = 0x10
@@ -287,7 +288,7 @@ const (
 
 // appendError appends an outcome flag plus the error text for failed items.
 // The flag carries the error's wire code so the far side can reconstruct the
-// sentinel; legacy decoders see any nonzero flag as a plain text error.
+// sentinel.
 func appendError(buf []byte, err error) []byte {
 	if err == nil {
 		return append(buf, outcomeOK)
@@ -296,30 +297,22 @@ func appendError(buf []byte, err error) []byte {
 	return appendString16(buf, err.Error())
 }
 
-// readError reads the flag written by appendError, reconstructing failed
-// items as the coded sentinel (or a WireError preserving text and code); a
-// legacy flag without a code yields an opaque text error.
-func readError(r *reader) (error, bool, error) {
+// readError reads the flag written by appendError, reconstructing a failed
+// item as the coded sentinel (or a WireError preserving text and code). err
+// reports a truncated item or an uncoded flag.
+func readError(r *reader) (itemErr, err error) {
 	flag, err := r.byte()
-	if err != nil {
-		return nil, false, err
+	if err != nil || flag == outcomeOK {
+		return nil, err
 	}
-	if flag == outcomeOK {
-		return nil, true, nil
+	if flag < OutcomeCodeBase {
+		return nil, fmt.Errorf("uncoded outcome flag %#x", flag)
 	}
 	msg, err := r.string16()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	code := CodeNone
-	if flag >= OutcomeCodeBase {
-		code = ErrCode(flag - OutcomeCodeBase)
-	} else {
-		// Legacy peer: infer the code from the documented sentinel text so
-		// errors.Is keeps working across a rolling upgrade.
-		code = LegacyErrCodeOf(msg)
-	}
-	return DecodeWireError(code, msg), true, nil
+	return DecodeWireError(ErrCode(flag-OutcomeCodeBase), msg), nil
 }
 
 // MarshalSubmitResults encodes the per-item outcomes of a SubmitBatch.
@@ -346,13 +339,13 @@ func UnmarshalSubmitResults(data []byte) ([]SubmitResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: outcome count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minOutcomeBytes {
 		return nil, fmt.Errorf("%w: implausible outcome count %d", ErrMalformedFrame, n)
 	}
 	out := make([]SubmitResult, n)
 	for i := range out {
-		itemErr, ok, err := readError(r)
-		if !ok || err != nil {
+		itemErr, err := readError(r)
+		if err != nil {
 			return nil, fmt.Errorf("%w: outcome flag", ErrMalformedFrame)
 		}
 		if itemErr != nil {
@@ -392,7 +385,7 @@ func UnmarshalReplyBatch(data []byte) ([]ReplyPost, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: post count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minReplyPostBytes {
 		return nil, fmt.Errorf("%w: implausible post count %d", ErrMalformedFrame, n)
 	}
 	out := make([]ReplyPost, n)
@@ -434,13 +427,13 @@ func UnmarshalErrorList(data []byte) ([]error, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: outcome count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minErrorBytes {
 		return nil, fmt.Errorf("%w: implausible outcome count %d", ErrMalformedFrame, n)
 	}
 	out := make([]error, n)
 	for i := range out {
-		itemErr, ok, err := readError(r)
-		if !ok || err != nil {
+		itemErr, err := readError(r)
+		if err != nil {
 			return nil, fmt.Errorf("%w: outcome flag", ErrMalformedFrame)
 		}
 		out[i] = itemErr
@@ -470,7 +463,7 @@ func UnmarshalIDList(data []byte) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: id count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minIDBytes {
 		return nil, fmt.Errorf("%w: implausible id count %d", ErrMalformedFrame, n)
 	}
 	out := make([]string, n)
@@ -511,13 +504,13 @@ func UnmarshalFetchResults(data []byte) ([]FetchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: outcome count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minOutcomeBytes {
 		return nil, fmt.Errorf("%w: implausible outcome count %d", ErrMalformedFrame, n)
 	}
 	out := make([]FetchResult, n)
 	for i := range out {
-		itemErr, ok, err := readError(r)
-		if !ok || err != nil {
+		itemErr, err := readError(r)
+		if err != nil {
 			return nil, fmt.Errorf("%w: outcome flag", ErrMalformedFrame)
 		}
 		if itemErr != nil {
@@ -594,7 +587,8 @@ func AppendStats(buf []byte, st Stats) []byte {
 	return buf
 }
 
-// UnmarshalStats decodes a stats snapshot.
+// UnmarshalStats decodes a stats snapshot. The layout is fixed: a frame that
+// ends before its last counter is malformed.
 func UnmarshalStats(data []byte) (Stats, error) {
 	r := &reader{data: data}
 	var st Stats
@@ -618,7 +612,7 @@ func UnmarshalStats(data []byte) (Stats, error) {
 	if err != nil {
 		return st, fmt.Errorf("%w: per-shard count", ErrMalformedFrame)
 	}
-	if int(per) > r.remaining() {
+	if int(per) > r.remaining()/minShardStatsBytes {
 		return st, fmt.Errorf("%w: implausible per-shard count %d", ErrMalformedFrame, per)
 	}
 	st.PerShard = make([]ShardStats, per)
@@ -631,7 +625,7 @@ func UnmarshalStats(data []byte) (Stats, error) {
 	if err != nil {
 		return st, fmt.Errorf("%w: prime count", ErrMalformedFrame)
 	}
-	if int(primes) > r.remaining() {
+	if int(primes) > r.remaining()/minPrimeBytes {
 		return st, fmt.Errorf("%w: implausible prime count %d", ErrMalformedFrame, primes)
 	}
 	st.Primes = make([]uint32, primes)
@@ -640,22 +634,11 @@ func UnmarshalStats(data []byte) (Stats, error) {
 			return st, fmt.Errorf("%w: prime", ErrMalformedFrame)
 		}
 	}
-	// The durability counters are a revision-2 tail: a revision-1 frame ends
-	// cleanly after the primes, and tolerating that absence (as zeros) keeps
-	// new clients working against old brokers.
-	if r.remaining() == 0 {
-		return st, nil
-	}
 	if st.Recovered, err = r.uint64(); err != nil {
 		return st, fmt.Errorf("%w: recovered", ErrMalformedFrame)
 	}
 	if st.WALBytes, err = r.uint64(); err != nil {
 		return st, fmt.Errorf("%w: wal bytes", ErrMalformedFrame)
-	}
-	// The replication counters are a revision-3 tail, tolerated absent (as
-	// zeros) the same way the revision-2 durability tail is.
-	if r.remaining() == 0 {
-		return st, nil
 	}
 	for _, dst := range []*uint64{
 		&st.Replication.HintsQueued, &st.Replication.HintsStreamed,
@@ -773,9 +756,16 @@ func (r *reader) byte() (byte, error) {
 	return b[0], nil
 }
 
+// errFlagByte refuses a flag byte other than 0 and 1, so a flag has one
+// encoding.
+var errFlagByte = errors.New("flag byte is neither 0 nor 1")
+
 func (r *reader) bool() (bool, error) {
 	b, err := r.byte()
-	return b != 0, err
+	if err == nil && b > 1 {
+		err = errFlagByte
+	}
+	return b == 1, err
 }
 
 func (r *reader) uint16() (uint16, error) {

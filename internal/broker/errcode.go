@@ -3,7 +3,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"sealedbottle/internal/core"
 )
@@ -12,12 +11,11 @@ import (
 // error responses and batch outcome flags, so a client on the far side of a
 // TCP connection can reconstruct the broker's sentinel errors and test them
 // with errors.Is exactly as in-process callers do. The code is transported in
-// the response's status byte (and a batch item's outcome flag) as 0x10+code;
-// legacy peers that predate the codes keep using the bare text-only error
-// status and decode to CodeNone. See docs/PROTOCOL.md §1.3.1.
+// the response's status byte (and a batch item's outcome flag) as 0x10+code.
+// See docs/PROTOCOL.md §1.3.1.
 type ErrCode byte
 
-// Wire error codes. CodeNone marks a legacy text-only error with no code;
+// Wire error codes. CodeNone is the code of no error (ErrCodeOf(nil));
 // CodeInternal covers every error without a dedicated code (rack closed,
 // malformed frame, unknown opcode, durability failures).
 const (
@@ -31,8 +29,7 @@ const (
 	CodeInternal
 	// CodeUnauthorized and CodeOverload joined in the identity-secured
 	// transport revision; they sit after CodeInternal because wire codes are
-	// append-only. Legacy peers decode them as unknown codes (no errors.Is
-	// identity) — they predate every server that can emit them.
+	// append-only.
 	CodeUnauthorized
 	CodeOverload
 	// CodeDraining joined with the admin control plane: a draining rack
@@ -71,10 +68,11 @@ func (c ErrCode) String() string {
 }
 
 // ErrCodeOf classifies an error for the wire: the code whose sentinel the
-// error wraps, or CodeInternal for anything without a dedicated code. Only
-// exact sentinel families are classified — a code must decode back to one
-// sentinel, so errors that merely resemble one stay CodeInternal rather than
-// acquiring a wrong errors.Is identity on the far side.
+// error wraps, the code a decoded *WireError arrived with, or CodeInternal
+// for anything else. Only exact sentinel families are classified — a code
+// must decode back to one sentinel, so errors that merely resemble one stay
+// CodeInternal rather than acquiring a wrong errors.Is identity on the far
+// side.
 func ErrCodeOf(err error) ErrCode {
 	switch {
 	case err == nil:
@@ -97,6 +95,10 @@ func ErrCodeOf(err error) ErrCode {
 		return CodeOverload
 	case errors.Is(err, ErrDraining):
 		return CodeDraining
+	}
+	if we, ok := err.(*WireError); ok {
+		// Re-encoding a decoded outcome writes the byte it arrived with.
+		return we.Code
 	}
 	return CodeInternal
 }
@@ -128,26 +130,11 @@ func (c ErrCode) Sentinel() error {
 	return nil
 }
 
-// LegacyErrCodeOf infers a wire code from a pre-code peer's error text. The
-// sentinel texts have been a documented, stable part of the protocol since
-// before the codes existed (docs/PROTOCOL.md §1.3), so matching them here —
-// at the decode boundary, once — is what keeps errors.Is routing working
-// against a not-yet-upgraded rack during a rolling upgrade. Contains (not
-// equality) mirrors how pre-code clients matched, since servers may wrap the
-// sentinel with context. Texts matching nothing stay CodeNone.
-func LegacyErrCodeOf(msg string) ErrCode {
-	for code := CodeUnknownBottle; code < CodeInternal; code++ {
-		if strings.Contains(msg, code.Sentinel().Error()) {
-			return code
-		}
-	}
-	return CodeNone
-}
-
 // WireError is an error decoded from a coded wire outcome whose text differs
-// from its sentinel's (the server wrapped the sentinel with context). It
-// preserves the remote text verbatim while unwrapping to the sentinel, so
-// errors.Is behaves identically to the in-process error.
+// from its sentinel's (the server wrapped the sentinel with context) or whose
+// code has no sentinel. It preserves the remote text verbatim while
+// unwrapping to the sentinel, so errors.Is behaves identically to the
+// in-process error.
 type WireError struct {
 	// Code is the wire classification.
 	Code ErrCode
@@ -161,13 +148,9 @@ func (e *WireError) Error() string { return e.Msg }
 func (e *WireError) Unwrap() error { return e.Code.Sentinel() }
 
 // DecodeWireError reconstructs an error from its wire code and text: the
-// sentinel itself when the text is exactly the sentinel's, a WireError
-// preserving both otherwise, and an opaque text error for CodeNone (legacy
-// peers that sent no code).
+// sentinel itself when the text is exactly the sentinel's, and a WireError
+// preserving both otherwise.
 func DecodeWireError(code ErrCode, msg string) error {
-	if code == CodeNone {
-		return errors.New(msg)
-	}
 	if s := code.Sentinel(); s != nil && msg == s.Error() {
 		return s
 	}

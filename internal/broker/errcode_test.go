@@ -45,9 +45,10 @@ func TestErrCodeClassification(t *testing.T) {
 	}
 }
 
-// TestDecodeWireError covers the three decode shapes: exact sentinel text
-// returns the sentinel value itself, wrapped text keeps both text and
-// errors.Is identity, and uncoded text stays opaque.
+// TestDecodeWireError covers the decode shapes: exact sentinel text returns
+// the sentinel value itself, wrapped text keeps both text and errors.Is
+// identity, and a code without a sentinel keeps its code and text, which is
+// also the code it is classified as again.
 func TestDecodeWireError(t *testing.T) {
 	if got := DecodeWireError(CodeUnknownBottle, ErrUnknownBottle.Error()); got != ErrUnknownBottle {
 		t.Fatalf("exact text decode = %v, want the sentinel value", got)
@@ -59,51 +60,33 @@ func TestDecodeWireError(t *testing.T) {
 	if wrapped.Error() != "rack r1: broker: unknown bottle id" {
 		t.Fatalf("wrapped decode lost text: %q", wrapped.Error())
 	}
-	opaque := DecodeWireError(CodeNone, "legacy text")
-	if opaque.Error() != "legacy text" {
-		t.Fatalf("legacy decode = %q", opaque.Error())
-	}
-	var we *WireError
-	if errors.As(opaque, &we) {
-		t.Fatal("legacy decode must stay opaque, not a coded WireError")
+	for _, code := range []ErrCode{CodeNone, CodeInternal, ErrCode(200)} {
+		decoded := DecodeWireError(code, "disk full")
+		var we *WireError
+		if !errors.As(decoded, &we) || we.Code != code || decoded.Error() != "disk full" || errors.Unwrap(decoded) != nil {
+			t.Fatalf("code %v decoded as %#v, want a WireError keeping code and text", code, decoded)
+		}
+		if got := ErrCodeOf(decoded); got != code {
+			t.Fatalf("ErrCodeOf(decoded code %v) = %v", code, got)
+		}
 	}
 }
 
-// TestErrorListLegacyFlagFallback hand-crafts a pre-code batch outcome list
-// (flag byte 1, text only) and proves the new decoder still reads it:
-// documented sentinel texts recover their errors.Is identity (rolling
-// upgrades keep routing), unrecognized texts stay opaque.
+// TestErrorListLegacyFlagFallback pins that no fallback is left: a pre-code
+// outcome flag (0x01–0x0f, text only) makes every batch outcome decoder
+// refuse the frame as malformed, documented sentinel text or not.
 func TestErrorListLegacyFlagFallback(t *testing.T) {
-	appendLegacyErr := func(buf []byte, msg string) []byte {
-		buf = append(buf, outcomeErr) // legacy error flag, no code
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(msg)))
-		return append(buf, msg...)
-	}
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, 3)
-	buf = append(buf, outcomeOK)
-	buf = appendLegacyErr(buf, ErrUnknownBottle.Error())
-	buf = appendLegacyErr(buf, "weird legacy failure")
-
-	errs, err := UnmarshalErrorList(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if errs[0] != nil {
-		t.Fatalf("item 0 = %v, want nil", errs[0])
-	}
-	if !errors.Is(errs[1], ErrUnknownBottle) {
-		t.Fatalf("legacy sentinel text = %v, want errors.Is ErrUnknownBottle", errs[1])
-	}
-	if errs[1].Error() != ErrUnknownBottle.Error() {
-		t.Fatalf("legacy sentinel text mangled: %q", errs[1].Error())
-	}
-	if errs[2] == nil || errs[2].Error() != "weird legacy failure" {
-		t.Fatalf("item 2 = %v, want the opaque legacy text", errs[2])
-	}
-	var we *WireError
-	if errors.As(errs[2], &we) {
-		t.Fatal("unrecognized legacy text must stay opaque")
+	for flag := byte(1); flag < OutcomeCodeBase; flag++ {
+		frame := appendString16(append(binary.BigEndian.AppendUint32(nil, 1), flag), ErrUnknownBottle.Error())
+		if _, err := UnmarshalErrorList(frame); !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("error list with flag %#x: err = %v, want ErrMalformedFrame", flag, err)
+		}
+		if _, err := UnmarshalSubmitResults(frame); !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("submit results with flag %#x: err = %v, want ErrMalformedFrame", flag, err)
+		}
+		if _, err := UnmarshalFetchResults(frame); !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("fetch results with flag %#x: err = %v, want ErrMalformedFrame", flag, err)
+		}
 	}
 }
 

@@ -98,6 +98,13 @@ func (s *ReplicationStats) Add(o ReplicationStats) {
 	s.ReplicaDedup += o.ReplicaDedup
 }
 
+// Smallest encodings of a handoff record (type + empty owner + empty
+// payload) and of a peer (two empty string16s).
+const (
+	minHandoffRecordBytes = 7
+	minPeerBytes          = 4
+)
+
 // MarshalHandoffRecords encodes a batch of handoff records.
 func MarshalHandoffRecords(recs []HandoffRecord) []byte {
 	return appendHandoffRecords(nil, recs)
@@ -119,7 +126,7 @@ func readHandoffRecords(r *reader) ([]HandoffRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: record count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minHandoffRecordBytes {
 		return nil, fmt.Errorf("%w: implausible record count %d", ErrMalformedFrame, n)
 	}
 	out := make([]HandoffRecord, n)
@@ -227,22 +234,28 @@ func MarshalPeerList(peers map[string]string) []byte {
 	return buf
 }
 
-// UnmarshalPeerList decodes a peer table.
+// UnmarshalPeerList decodes a peer table. Names must be strictly ascending,
+// as MarshalPeerList writes them, so a table has one encoding.
 func UnmarshalPeerList(data []byte) (map[string]string, error) {
 	r := &reader{data: data}
 	n, err := r.uint32()
 	if err != nil {
 		return nil, fmt.Errorf("%w: peer count", ErrMalformedFrame)
 	}
-	if int(n) > r.remaining() {
+	if int(n) > r.remaining()/minPeerBytes {
 		return nil, fmt.Errorf("%w: implausible peer count %d", ErrMalformedFrame, n)
 	}
 	out := make(map[string]string, n)
+	var prev string
 	for i := uint32(0); i < n; i++ {
 		name, err := r.string16()
 		if err != nil {
 			return nil, fmt.Errorf("%w: peer name", ErrMalformedFrame)
 		}
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("%w: peer names out of order", ErrMalformedFrame)
+		}
+		prev = name
 		addr, err := r.string16()
 		if err != nil {
 			return nil, fmt.Errorf("%w: peer addr", ErrMalformedFrame)

@@ -55,23 +55,12 @@ func (s *Server) handleAdmin(ctx context.Context, body []byte) ([]byte, error) {
 	}), nil
 }
 
-// doAdmin sends one admin command and decodes the rack's status answer.
-func doAdmin(ctx context.Context, c caller, req broker.AdminRequest) (broker.AdminStatus, error) {
-	resp, err := c.call(ctx, OpAdmin, broker.MarshalAdminRequest(req))
+// Admin sends one control-plane command and returns the rack's admin status
+// after it took effect.
+func (m *Mux) Admin(ctx context.Context, req broker.AdminRequest) (broker.AdminStatus, error) {
+	resp, err := m.call(ctx, OpAdmin, broker.MarshalAdminRequest(req))
 	if err != nil {
 		return broker.AdminStatus{}, err
 	}
 	return broker.UnmarshalAdminStatus(resp)
-}
-
-// Admin sends one control-plane command and returns the rack's admin status
-// after it took effect.
-func (c *Client) Admin(ctx context.Context, req broker.AdminRequest) (broker.AdminStatus, error) {
-	return doAdmin(ctx, c, req)
-}
-
-// Admin sends one control-plane command and returns the rack's admin status
-// after it took effect.
-func (m *Mux) Admin(ctx context.Context, req broker.AdminRequest) (broker.AdminStatus, error) {
-	return doAdmin(ctx, m, req)
 }

@@ -5,10 +5,10 @@
 // its framing bytes: the 4-byte magic HelloMagic, a 2-byte big-endian token
 // length, and the token itself. The server verifies the token against its
 // configured key and pins the result to the connection — identity, permitted
-// operations — before sniffing the framing magic, so both the lock-step and
-// the multiplexed framing ride an authenticated stream unchanged. TLS, when
-// configured, wraps the connection before any of this, so the preamble and
-// every frame after it travel encrypted (docs/PROTOCOL.md §1.5.1).
+// operations — before reading the framing magic, so every frame rides an
+// authenticated stream unchanged. TLS, when configured, wraps the connection
+// before any of this, so the preamble and every frame after it travel
+// encrypted (docs/PROTOCOL.md §1.5.1).
 //
 // Authentication failures are answers, not connection faults: a missing,
 // malformed, expired or out-of-scope token pins an ErrUnauthorized answer
@@ -33,9 +33,8 @@ import (
 )
 
 // HelloMagic is the authentication preamble ("SBA1"), sent before the framing
-// bytes. Like MuxMagic its value exceeds MaxFrameSize, so a legacy endpoint
-// reading it as a lock-step length prefix rejects the connection instead of
-// desynchronizing, and it can never collide with the mux magic.
+// bytes. It differs from MuxMagic, so the server tells the two apart from a
+// connection's first four bytes.
 const HelloMagic uint32 = 0x53424131
 
 // writeHello sends the authentication preamble as a single write: the HELLO

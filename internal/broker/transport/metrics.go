@@ -8,7 +8,7 @@ import (
 	"sealedbottle/internal/obs"
 )
 
-// Per-opcode instrumentation for both framings, server and client side.
+// Per-opcode instrumentation, server and client side.
 // Metrics are resolved to per-op series at registration, so the record path
 // is a handful of atomics with no map lookups or allocation — it rides
 // inside the dispatch loop whose alloc budgets the PR 7 gate pins.
@@ -119,8 +119,7 @@ func (m *ServerMetrics) record(op byte, start time.Time, inBytes, outBytes int, 
 	}
 }
 
-// dispatchMeasured is dispatch plus instrumentation; both framings call it so
-// the per-opcode series cover lock-step and multiplexed traffic alike.
+// dispatchMeasured is dispatch plus instrumentation.
 func (s *Server) dispatchMeasured(ca *connAuth, op byte, body []byte) ([]byte, error) {
 	m := s.opts.Metrics
 	if m == nil {
@@ -132,10 +131,10 @@ func (s *Server) dispatchMeasured(ca *connAuth, op byte, body []byte) ([]byte, e
 	return resp, err
 }
 
-// ClientMetrics is the client-side per-opcode instrumentation, shared by the
-// lock-step and multiplexed clients: round-trip latency histograms and error
-// counters. Attach one to Options.Metrics; a courier pool passes one
-// ClientMetrics to every connection so the series aggregate across the pool.
+// ClientMetrics is the client-side per-opcode instrumentation of a Mux:
+// round-trip latency histograms and error counters. Attach one to
+// Options.Metrics; a courier pool passes one ClientMetrics to every
+// connection so the series aggregate across the pool.
 type ClientMetrics struct {
 	latency [opCount]*obs.Histogram
 	errs    [opCount]*obs.Counter

@@ -22,9 +22,8 @@ import (
 // where length counts the sequence, tag and body (so length >= muxHeaderSize)
 // and is bounded by MaxFrameSize. The tag is an opcode on requests and a
 // status byte on responses; the server echoes the request's sequence number on
-// its response, and may answer out of order. Connections that do not open
-// with the magic speak the original lock-step framing (the magic is above
-// MaxFrameSize, so it can never be mistaken for a legacy length prefix).
+// its response, and may answer out of order. The server closes a connection
+// that does not open with the magic.
 //
 // Both ends write frames through a combining writer with no goroutine of its
 // own: the goroutine that produced a frame writes it, together with every
@@ -32,9 +31,7 @@ import (
 // flushes once — so under pipelined load many frames ride one syscall, and
 // on loopback this, not I/O overlap, is most of the throughput win.
 
-// MuxMagic is the connection preamble selecting the multiplexed framing
-// ("SBM1"). Its value exceeds MaxFrameSize so a legacy endpoint reading it as
-// a length prefix rejects the connection instead of desynchronizing.
+// MuxMagic is the preamble every connection opens with ("SBM1").
 const MuxMagic uint32 = 0x53424D31
 
 // muxHeaderSize is the sequence + tag prefix counted by a mux frame's length.
@@ -94,17 +91,6 @@ func newMuxFrame(seq uint64, tag byte, body []byte) *[]byte {
 	f := muxBufs.Get().(*[]byte)
 	*f = appendMuxFrame((*f)[:0], seq, tag, body)
 	return f
-}
-
-// writeMuxFrame writes one sequence-tagged frame as a single Write.
-func writeMuxFrame(w io.Writer, seq uint64, tag byte, body []byte) error {
-	if len(body)+muxHeaderSize > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	f := newMuxFrame(seq, tag, body)
-	_, err := w.Write(*f)
-	putMuxBuf(f)
-	return err
 }
 
 // readMuxFrame reads one sequence-tagged frame into a fresh buffer whose
@@ -280,9 +266,8 @@ type Mux struct {
 	done    chan struct{}
 }
 
-// NewMux sends the mux preamble on an established connection and starts the
-// demuxing reader. The connection must not have been used for legacy
-// framing.
+// NewMux sends the mux preamble on a fresh connection and starts the
+// demuxing reader.
 func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 	m := &Mux{
 		conn:    conn,
@@ -296,7 +281,7 @@ func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 		conn.SetWriteDeadline(d)
 	}
 	// The authentication preamble, when configured, precedes the framing
-	// magic: the server pins the connection's identity before sniffing.
+	// magic: the server pins the connection's identity before reading it.
 	if len(m.opts.Token) > 0 {
 		if err := writeHello(conn, m.opts.Token); err != nil {
 			conn.Close()
@@ -467,7 +452,7 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 	}
 	muxCalls.Put(c)
 	if res.status != statusOK {
-		return nil, remoteError(res.status, res.body)
+		return nil, responseError(res.status, res.body)
 	}
 	return res.body, nil
 }

@@ -124,6 +124,13 @@ func muxScriptServer(t *testing.T, conn net.Conn, script func(requests []recorde
 	script(reqs, conn)
 }
 
+// writeMuxFrame writes one sequence-tagged frame, the way a scripted peer
+// answers.
+func writeMuxFrame(w io.Writer, seq uint64, tag byte, body []byte) error {
+	_, err := w.Write(appendMuxFrame(nil, seq, tag, body))
+	return err
+}
+
 type recordedReq struct {
 	seq  uint64
 	op   byte

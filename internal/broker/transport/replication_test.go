@@ -71,19 +71,9 @@ func (f *fakeReplica) ReplicaStats() broker.ReplicationStats {
 	return f.statsVal
 }
 
-// replicaClient is the replication surface shared by the two client framings.
-type replicaClient interface {
-	Hint(ctx context.Context, dest string, recs []broker.HandoffRecord) (int, error)
-	Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, error)
-	SetPeer(ctx context.Context, name, addr string) (map[string]string, error)
-	RemovePeer(ctx context.Context, name string) (map[string]string, error)
-	Peers(ctx context.Context) (map[string]string, error)
-	Stats(ctx context.Context) (broker.Stats, error)
-}
-
-// exerciseReplication drives the replication opcodes through a client of
-// either framing against a server wrapping the fake handler.
-func exerciseReplication(t *testing.T, c replicaClient, f *fakeReplica) {
+// exerciseReplication drives the replication opcodes through a Mux against a
+// server wrapping the fake handler.
+func exerciseReplication(t *testing.T, c *Mux, f *fakeReplica) {
 	t.Helper()
 	ctx := context.Background()
 	recs := []broker.HandoffRecord{
@@ -144,24 +134,6 @@ func exerciseReplication(t *testing.T, c replicaClient, f *fakeReplica) {
 	f.mu.Unlock()
 }
 
-func TestReplicationOpcodesLockStep(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
-	defer rack.Close()
-	f := newFakeReplica()
-	l := ListenPipe()
-	srv := NewServer(rack, ServerOptions{Replica: f})
-	go srv.Serve(l)
-	defer func() { l.Close(); srv.Close() }()
-
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn)
-	defer c.Close()
-	exerciseReplication(t, c, f)
-}
-
 func TestReplicationOpcodesMux(t *testing.T) {
 	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	defer rack.Close()
@@ -198,7 +170,10 @@ func TestReplicationDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn)
+	c, err := NewMux(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
 
 	ctx := context.Background()

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -42,19 +45,8 @@ func buildRaw(tb testing.TB, seed int64) ([]byte, *core.RequestPackage) {
 	return raw, built.Package
 }
 
-// rackClient is the operation surface shared by the two client framings.
-type rackClient interface {
-	Submit(ctx context.Context, raw []byte) (string, error)
-	Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error)
-	Reply(ctx context.Context, requestID string, raw []byte) error
-	Fetch(ctx context.Context, requestID string) ([][]byte, error)
-	Stats(ctx context.Context) (broker.Stats, error)
-	Remove(ctx context.Context, requestID string) (bool, error)
-}
-
-// exerciseEndToEnd drives the full operation set through a client of either
-// framing.
-func exerciseEndToEnd(t *testing.T, c rackClient) {
+// exerciseEndToEnd drives the full operation set through a Mux.
+func exerciseEndToEnd(t *testing.T, c *Mux) {
 	t.Helper()
 	raw, pkg := buildRaw(t, 1)
 	id, err := c.Submit(context.Background(), raw)
@@ -120,44 +112,8 @@ func exerciseEndToEnd(t *testing.T, c rackClient) {
 	}
 }
 
-func TestEndToEndOverPipe(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
-	defer rack.Close()
-	l := ListenPipe()
-	srv := NewServer(rack)
-	go srv.Serve(l)
-	defer func() { l.Close(); srv.Close() }()
-
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(conn)
-	defer c.Close()
-	exerciseEndToEnd(t, c)
-}
-
-func TestEndToEndOverTCP(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
-	defer rack.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	srv := NewServer(rack)
-	go srv.Serve(l)
-	defer func() { l.Close(); srv.Close() }()
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseEndToEnd(t, c)
-}
-
 // TestConcurrentClients exercises many clients over the pipe listener at
-// once; its value is under -race.
+// once, one connection each; its value is under -race.
 func TestConcurrentClients(t *testing.T) {
 	rack := broker.New(broker.Config{Shards: 8, Workers: 4, ReapInterval: -1})
 	defer rack.Close()
@@ -182,7 +138,11 @@ func TestConcurrentClients(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			c := NewClient(conn)
+			c, err := NewMux(conn)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			defer c.Close()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 25; i++ {
@@ -219,19 +179,75 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFrameLimits pins the frame-size bound on both sides of a connection:
+// the read side refuses a length past MaxFrameSize before allocating for it,
+// and the send side refuses a body no frame can carry before writing it,
+// leaving the connection serving.
 func TestFrameLimits(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go func() {
-		// Oversized frame announcement: 4-byte length beyond MaxFrameSize.
-		server.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	}()
-	if _, _, err := readFrame(client); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, _, err := readMuxFramePooled(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := writeFrame(client, 1, make([]byte, MaxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized write err = %v, want ErrFrameTooLarge", err)
+	m, cleanup := newMuxPair(t)
+	defer cleanup()
+	if _, err := m.call(context.Background(), OpSubmit, make([]byte, MaxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized send err = %v, want ErrFrameTooLarge", err)
+	}
+	if _, err := m.Stats(context.Background()); err != nil {
+		t.Fatalf("call after a refused send: %v", err)
+	}
+}
+
+// TestServerRefusesLockStep pins what a revision-5 lock-step peer sees: a
+// Submit frame in that framing ([u32 length][u8 opcode][body]), sent bare,
+// after a HELLO, or inside TLS, gets no response byte and then EOF, and
+// nothing reaches the rack.
+func TestServerRefusesLockStep(t *testing.T) {
+	raw, _ := buildRaw(t, 1)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(raw)))
+	frame = append(append(frame, OpSubmit), raw...)
+	var hello bytes.Buffer
+	if err := writeHello(&hello, []byte("token")); err != nil {
+		t.Fatal(err)
+	}
+	srvTLS, cliTLS := tlsPair(t, false)
+	for _, tc := range []struct {
+		name     string
+		srv      ServerOptions
+		cli      Options
+		preamble []byte
+	}{
+		{"bare", ServerOptions{}, Options{}, nil},
+		{"after hello", ServerOptions{}, Options{}, hello.Bytes()},
+		{"over tls", srvTLS, cliTLS, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+			defer rack.Close()
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Skipf("cannot listen on loopback: %v", err)
+			}
+			srv := NewServer(rack, tc.srv)
+			go srv.Serve(l)
+			defer func() { l.Close(); srv.Close() }()
+
+			conn, err := dialNetConn(l.Addr().String(), tc.cli)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Write(append(append([]byte(nil), tc.preamble...), frame...)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(conn)
+			if err != nil || len(got) != 0 {
+				t.Fatalf("server answered %d bytes, then %v; want none, then EOF", len(got), err)
+			}
+			if st, err := rack.Stats(context.Background()); err != nil || st.Totals.Submitted != 0 {
+				t.Fatalf("rack Submitted = %d (%v), want 0", st.Totals.Submitted, err)
+			}
+		})
 	}
 }
 

@@ -13,12 +13,12 @@
 // The pieces:
 //
 //   - Courier (Dial) is the connection layer: a pool of lazily-dialed
-//     multiplexed transport connections (Config.Conns; the legacy lock-step
-//     framing on request) with transparent redial. Its retry rule is the
-//     part worth knowing: a RemoteError means the server executed and
-//     answered, and is returned as-is, never retried; a canceled or timed-out
-//     call (transport.AbandonedError) left the connection healthy and is
-//     likewise never retried; a transport-level failure recycles the
+//     multiplexed transport connections (Config.Conns) with transparent
+//     redial. Its retry rule is the part worth knowing: a RemoteError means
+//     the server executed and answered, and is returned as-is, never retried;
+//     a canceled or timed-out call (transport.AbandonedError) left the
+//     connection healthy and is likewise never retried; a transport-level
+//     failure recycles the
 //     connection and retries once on a fresh one, but only for the truly
 //     idempotent operations (Sweep, Stats) — a Submit or Reply whose frame
 //     may have reached the server is not replayed, because doing so could
@@ -92,10 +92,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// WriteTimeout bounds one frame write (zero: CallTimeout governs).
 	WriteTimeout time.Duration
-	// Legacy selects the lock-step framing for compatibility with old
-	// servers; it serializes one request per connection, and a canceled call
-	// costs the connection (the framing has no way to abandon one exchange).
-	Legacy bool
 	// TLS, when set, wraps every dialed connection (including Dialer-provided
 	// ones) in a TLS client stream; a zero ServerName verifies against the
 	// Addr host.
@@ -114,13 +110,13 @@ type Config struct {
 // slot is one pooled connection, dialed lazily and discarded on failure.
 type slot struct {
 	mu sync.Mutex
-	c  broker.Backend
+	c  *transport.Mux
 }
 
-// Courier is the unified broker client: a pool of lazily-dialed transport
-// connections (multiplexed by default) with transparent redial. Methods are
-// safe for concurrent use; concurrent calls pipeline onto the pooled
-// connections. Remote (per-operation) errors are returned as-is and never
+// Courier is the unified broker client: a pool of lazily-dialed multiplexed
+// transport connections with transparent redial. Methods are safe for
+// concurrent use; concurrent calls pipeline onto the pooled connections.
+// Remote (per-operation) errors are returned as-is and never
 // recycle a connection; abandoned calls (context ended, per-call timeout)
 // leave the connection serving; transport-level failures discard the
 // connection and retry once on a fresh one when the operation is idempotent.
@@ -169,8 +165,8 @@ func (c *Courier) Close() error {
 	return nil
 }
 
-// dialConn opens one transport connection per the config.
-func (c *Courier) dialConn() (broker.Backend, error) {
+// dialConn opens one multiplexed transport connection per the config.
+func (c *Courier) dialConn() (*transport.Mux, error) {
 	var nc net.Conn
 	var err error
 	if c.cfg.Dialer != nil {
@@ -190,16 +186,12 @@ func (c *Courier) dialConn() (broker.Backend, error) {
 		}
 		nc = tls.Client(nc, tc)
 	}
-	opts := transport.Options{CallTimeout: c.cfg.CallTimeout, WriteTimeout: c.cfg.WriteTimeout, Token: c.cfg.Token, Metrics: c.cfg.Metrics}
-	if c.cfg.Legacy {
-		return transport.NewClient(nc, opts), nil
-	}
-	return transport.NewMux(nc, opts)
+	return transport.NewMux(nc, transport.Options{CallTimeout: c.cfg.CallTimeout, WriteTimeout: c.cfg.WriteTimeout, Token: c.cfg.Token, Metrics: c.cfg.Metrics})
 }
 
 // acquire returns the slot's connection, dialing if it has none. The closed
 // check under the slot lock orders against Close's sweep of the same lock.
-func (s *slot) acquire(c *Courier) (broker.Backend, error) {
+func (s *slot) acquire(c *Courier) (*transport.Mux, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.closed.Load() {
@@ -219,7 +211,7 @@ func (s *slot) acquire(c *Courier) (broker.Backend, error) {
 // recycle discards a connection observed failing. Another call may have
 // recycled and redialed the slot already; only the observed connection is
 // cleared.
-func (s *slot) recycle(old broker.Backend) {
+func (s *slot) recycle(old *transport.Mux) {
 	s.mu.Lock()
 	if s.c == old {
 		s.c = nil
@@ -239,7 +231,7 @@ func (s *slot) recycle(old broker.Backend) {
 // may have executed — retrying it could double-apply it or turn a success
 // into a duplicate error. Dial failures always permit one more attempt:
 // nothing was sent.
-func do[T any](ctx context.Context, c *Courier, idempotent bool, fn func(broker.Backend) (T, error)) (T, error) {
+func do[T any](ctx context.Context, c *Courier, idempotent bool, fn func(*transport.Mux) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -268,14 +260,12 @@ func do[T any](ctx context.Context, c *Courier, idempotent bool, fn func(broker.
 		}
 		var ab *transport.AbandonedError
 		if errors.As(err, &ab) {
-			// The caller's bound fired on a multiplexed connection, which
-			// promises the connection survived (the abandoned sequence is
-			// discarded on arrival): no recycle, no replay.
+			// The caller's bound fired and the connection survived (the
+			// abandoned sequence is discarded on arrival): no recycle, no
+			// replay.
 			return zero, err
 		}
-		// Anything else — including a context cancellation that interrupted a
-		// lock-step exchange (no sequence numbers, so the connection is left
-		// mid-response) — poisons the connection and it must not be pooled.
+		// Anything else poisons the connection and it must not be pooled.
 		s.recycle(cn)
 		if ctx.Err() != nil {
 			// The caller stopped waiting; never replay on a fresh connection.
@@ -291,17 +281,17 @@ func do[T any](ctx context.Context, c *Courier, idempotent bool, fn func(broker.
 
 // Submit racks a marshalled request package and returns its request ID.
 func (c *Courier) Submit(ctx context.Context, raw []byte) (string, error) {
-	return do(ctx, c, false, func(cn broker.Backend) (string, error) { return cn.Submit(ctx, raw) })
+	return do(ctx, c, false, func(cn *transport.Mux) (string, error) { return cn.Submit(ctx, raw) })
 }
 
 // Sweep screens the rack with the query's residue sets.
 func (c *Courier) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (broker.SweepResult, error) { return cn.Sweep(ctx, q) })
+	return do(ctx, c, true, func(cn *transport.Mux) (broker.SweepResult, error) { return cn.Sweep(ctx, q) })
 }
 
 // Reply posts a marshalled reply for the given request.
 func (c *Courier) Reply(ctx context.Context, requestID string, raw []byte) error {
-	_, err := do(ctx, c, false, func(cn broker.Backend) (struct{}, error) {
+	_, err := do(ctx, c, false, func(cn *transport.Mux) (struct{}, error) {
 		return struct{}{}, cn.Reply(ctx, requestID, raw)
 	})
 	return err
@@ -314,12 +304,12 @@ func (c *Courier) Reply(ctx context.Context, requestID string, raw []byte) error
 // ([], nil) that silently swallows them. The transport error keeps the
 // possible loss visible to the caller.
 func (c *Courier) Fetch(ctx context.Context, requestID string) ([][]byte, error) {
-	return do(ctx, c, false, func(cn broker.Backend) ([][]byte, error) { return cn.Fetch(ctx, requestID) })
+	return do(ctx, c, false, func(cn *transport.Mux) ([][]byte, error) { return cn.Fetch(ctx, requestID) })
 }
 
 // Stats snapshots the rack's counters.
 func (c *Courier) Stats(ctx context.Context) (broker.Stats, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (broker.Stats, error) { return cn.Stats(ctx) })
+	return do(ctx, c, true, func(cn *transport.Mux) (broker.Stats, error) { return cn.Stats(ctx) })
 }
 
 // Remove takes a bottle off the rack; it reports whether the bottle was
@@ -331,24 +321,24 @@ func (c *Courier) Stats(ctx context.Context) (broker.Stats, error) {
 // themselves and treat held=false as "gone, possibly by my earlier attempt"
 // (see docs/PROTOCOL.md §2 on Remove idempotency).
 func (c *Courier) Remove(ctx context.Context, requestID string) (bool, error) {
-	return do(ctx, c, false, func(cn broker.Backend) (bool, error) { return cn.Remove(ctx, requestID) })
+	return do(ctx, c, false, func(cn *transport.Mux) (bool, error) { return cn.Remove(ctx, requestID) })
 }
 
 // SubmitBatch racks several packages in one round trip, one outcome per item.
 func (c *Courier) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
-	return do(ctx, c, false, func(cn broker.Backend) ([]broker.SubmitResult, error) { return cn.SubmitBatch(ctx, raws) })
+	return do(ctx, c, false, func(cn *transport.Mux) ([]broker.SubmitResult, error) { return cn.SubmitBatch(ctx, raws) })
 }
 
 // ReplyBatch posts several replies in one round trip, one outcome per item.
 func (c *Courier) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
-	return do(ctx, c, false, func(cn broker.Backend) ([]error, error) { return cn.ReplyBatch(ctx, posts) })
+	return do(ctx, c, false, func(cn *transport.Mux) ([]error, error) { return cn.ReplyBatch(ctx, posts) })
 }
 
 // FetchBatch drains several reply queues in one round trip, one outcome per
 // item. Like Fetch it drains destructively and is therefore never
 // auto-retried after a transport failure.
 func (c *Courier) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResult, error) {
-	return do(ctx, c, false, func(cn broker.Backend) ([]broker.FetchResult, error) { return cn.FetchBatch(ctx, ids) })
+	return do(ctx, c, false, func(cn *transport.Mux) ([]broker.FetchResult, error) { return cn.FetchBatch(ctx, ids) })
 }
 
 // FetchMany drains replies for several request IDs through any Backend in one

@@ -2,94 +2,41 @@ package client
 
 import (
 	"context"
-	"errors"
 
 	"sealedbottle/internal/broker"
+	"sealedbottle/internal/broker/transport"
 )
-
-// ErrNotReplicated indicates a replication operation against an endpoint that
-// does not speak the replication opcodes (a legacy lock-step connection).
-var ErrNotReplicated = errors.New("client: endpoint does not support replication operations")
-
-// replicaConn is the replication surface of a pooled transport connection;
-// both framings' clients satisfy it.
-type replicaConn interface {
-	Hint(ctx context.Context, dest string, recs []broker.HandoffRecord) (int, error)
-	Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, error)
-	SetPeer(ctx context.Context, name, addr string) (map[string]string, error)
-	RemovePeer(ctx context.Context, name string) (map[string]string, error)
-	Peers(ctx context.Context) (map[string]string, error)
-}
 
 // The courier implements the hint-queueing surface the ring fans hints
 // through.
 var _ broker.Hinter = (*Courier)(nil)
 
-// asReplica narrows a pooled connection to the replication surface.
-func asReplica(cn broker.Backend) (replicaConn, error) {
-	rc, ok := cn.(replicaConn)
-	if !ok {
-		return nil, ErrNotReplicated
-	}
-	return rc, nil
-}
-
 // Hint asks the rack to queue handoff records for an unreachable peer; it
 // returns how many were accepted. Hints deduplicate server-side, so the call
 // is idempotent and retried like a read.
 func (c *Courier) Hint(ctx context.Context, dest string, recs []broker.HandoffRecord) (int, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (int, error) {
-		rc, err := asReplica(cn)
-		if err != nil {
-			return 0, err
-		}
-		return rc.Hint(ctx, dest, recs)
-	})
+	return do(ctx, c, true, func(cn *transport.Mux) (int, error) { return cn.Hint(ctx, dest, recs) })
 }
 
 // Handoff delivers handoff records to the rack; records apply idempotently,
 // so the call is retried like a read.
 func (c *Courier) Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (int, error) {
-		rc, err := asReplica(cn)
-		if err != nil {
-			return 0, err
-		}
-		return rc.Handoff(ctx, recs)
-	})
+	return do(ctx, c, true, func(cn *transport.Mux) (int, error) { return cn.Handoff(ctx, recs) })
 }
 
 // SetPeer adds or updates a member in the rack's peer table, returning the
 // resulting table.
 func (c *Courier) SetPeer(ctx context.Context, name, addr string) (map[string]string, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (map[string]string, error) {
-		rc, err := asReplica(cn)
-		if err != nil {
-			return nil, err
-		}
-		return rc.SetPeer(ctx, name, addr)
-	})
+	return do(ctx, c, true, func(cn *transport.Mux) (map[string]string, error) { return cn.SetPeer(ctx, name, addr) })
 }
 
 // RemovePeer drops a member from the rack's peer table, returning the
 // resulting table.
 func (c *Courier) RemovePeer(ctx context.Context, name string) (map[string]string, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (map[string]string, error) {
-		rc, err := asReplica(cn)
-		if err != nil {
-			return nil, err
-		}
-		return rc.RemovePeer(ctx, name)
-	})
+	return do(ctx, c, true, func(cn *transport.Mux) (map[string]string, error) { return cn.RemovePeer(ctx, name) })
 }
 
 // Peers snapshots the rack's peer table.
 func (c *Courier) Peers(ctx context.Context) (map[string]string, error) {
-	return do(ctx, c, true, func(cn broker.Backend) (map[string]string, error) {
-		rc, err := asReplica(cn)
-		if err != nil {
-			return nil, err
-		}
-		return rc.Peers(ctx)
-	})
+	return do(ctx, c, true, func(cn *transport.Mux) (map[string]string, error) { return cn.Peers(ctx) })
 }

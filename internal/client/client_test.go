@@ -144,18 +144,6 @@ func TestCourierMultiplexed(t *testing.T) {
 	exerciseCourier(t, c)
 }
 
-func TestCourierLegacyFraming(t *testing.T) {
-	cfg, _, cleanup := testServer(t)
-	defer cleanup()
-	cfg.Legacy = true
-	c, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exerciseCourier(t, c)
-}
-
 // TestCourierReconnects proves the pool redials after the server drops an
 // idle connection.
 func TestCourierReconnects(t *testing.T) {
@@ -231,8 +219,11 @@ func TestCourierRemoveNotRetriedAfterTransportFailure(t *testing.T) {
 		go func() {
 			defer up.Close()
 			defer down.Close()
-			// Forward exactly one lock-step frame client→server.
-			var lenBuf [4]byte
+			// Forward the mux magic and exactly one frame client→server.
+			var magic, lenBuf [4]byte
+			if _, err := io.ReadFull(down, magic[:]); err != nil {
+				return
+			}
 			if _, err := io.ReadFull(down, lenBuf[:]); err != nil {
 				return
 			}
@@ -240,10 +231,7 @@ func TestCourierRemoveNotRetriedAfterTransportFailure(t *testing.T) {
 			if _, err := io.ReadFull(down, body); err != nil {
 				return
 			}
-			if _, err := up.Write(lenBuf[:]); err != nil {
-				return
-			}
-			if _, err := up.Write(body); err != nil {
+			if _, err := up.Write(append(append(magic[:], lenBuf[:]...), body...)); err != nil {
 				return
 			}
 			// Wait for the server's response — proof the Remove was applied —
@@ -252,7 +240,7 @@ func TestCourierRemoveNotRetriedAfterTransportFailure(t *testing.T) {
 		}()
 		return client, nil
 	}
-	c, err := Dial(Config{Dialer: evilDial, Legacy: true})
+	c, err := Dial(Config{Dialer: evilDial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ type RingConfig struct {
 	// address and owns (closes) them.
 	Addrs []string
 	// Courier is the template for per-address couriers (Conns, timeouts,
-	// Legacy); its Addr and Dialer fields are ignored.
+	// TLS, token); its Addr and Dialer fields are ignored.
 	Courier Config
 	// Backends supplies pre-built backends instead of Addrs — in-process
 	// racks, pipe-dialed couriers, nested rings. The ring does not close

@@ -239,12 +239,11 @@ func (r *Ring) sendHints(ctx context.Context, h hintSet) {
 
 // refusesHints reports whether a Hint answer says the rack cannot relay hints
 // at all: a rack serving without replication (or predating it) answers the
-// opcode with an uncoded remote error, and a lock-step connection cannot
-// carry it. Sheds, auth refusals, faults and abandoned calls are not
-// refusals.
+// opcode with an uncoded remote error. Sheds, auth refusals, faults and
+// abandoned calls are not refusals.
 func refusesHints(err error) bool {
 	var re *transport.RemoteError
-	return errors.Is(err, ErrNotReplicated) || errors.As(err, &re) && re.Code.Sentinel() == nil
+	return errors.As(err, &re) && re.Code.Sentinel() == nil
 }
 
 // repair queues read-repair for the targets found missing a bottle the

@@ -46,7 +46,7 @@ const (
 )
 
 // HandoffTarget is a dialed peer the streamer delivers hints to.
-// *transport.Mux and *transport.Client both satisfy it.
+// *transport.Mux satisfies it.
 type HandoffTarget interface {
 	Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, error)
 	Close() error

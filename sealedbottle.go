@@ -108,7 +108,7 @@ func OpenRack(cfg RackConfig) (*Rack, error) { return broker.Open(cfg) }
 // discipline (see docs/PROTOCOL.md §2.1.2).
 type Courier = client.Courier
 
-// CourierConfig tunes a Courier (endpoint, pool size, timeouts, framing).
+// CourierConfig tunes a Courier (endpoint, pool size, timeouts, TLS, token).
 type CourierConfig = client.Config
 
 // Dial builds a courier. Connections are dialed lazily, so Dial succeeds
@@ -158,8 +158,8 @@ func FetchMany(ctx context.Context, b Backend, ids []string) []FetchResult {
 	return client.FetchMany(ctx, b, ids)
 }
 
-// Server serves a rack's operations over accepted connections, speaking both
-// wire framings (lock-step and multiplexed), auto-detected per connection.
+// Server serves a rack's operations over accepted connections, speaking the
+// multiplexed wire framing.
 type Server = transport.Server
 
 // ServerOptions tunes a Server (idle and write deadlines, inflight bound).
@@ -258,9 +258,6 @@ var (
 	ErrRackClosed = broker.ErrRackClosed
 	// ErrNoHealthyRacks indicates that every rack of a ring is ejected.
 	ErrNoHealthyRacks = client.ErrNoHealthyRacks
-	// ErrNotReplicated indicates a replication operation against an endpoint
-	// that does not speak the replication opcodes.
-	ErrNotReplicated = client.ErrNotReplicated
 	// ErrCallTimeout indicates a wire call that exceeded its per-call
 	// timeout (inside an AbandonedError, connection unaffected) or a
 	// connection that made no progress at all (connection failed).
