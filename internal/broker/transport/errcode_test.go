@@ -19,6 +19,10 @@ import (
 // This is what lets the ring (and any caller) test transported errors
 // structurally instead of matching strings.
 func TestErrCodeRoundTripOverWire(t *testing.T) {
+	t.Run("mux", exerciseErrCodeRoundTrip)
+}
+
+func exerciseErrCodeRoundTrip(t *testing.T) {
 	c, cleanup := newMuxPair(t)
 	defer cleanup()
 
