@@ -19,6 +19,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzReplyUnmarshal -fuzztime 10s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzNormalize -fuzztime 10s ./internal/attr
 	$(GO) test -run NONE -fuzz FuzzMuxFrame -fuzztime 10s ./internal/broker/transport
+	$(GO) test -run NONE -fuzz FuzzHello -fuzztime 10s ./internal/broker/transport
 	$(GO) test -run NONE -fuzz FuzzWALReplay -fuzztime 10s ./internal/broker/wal
 	$(GO) test -run NONE -fuzz FuzzHandoffUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzSweepQueryUnmarshal -fuzztime 10s ./internal/broker

@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -290,4 +294,64 @@ func TestMutualTLS(t *testing.T) {
 	if err == nil {
 		t.Fatal("certificate-less client served through mTLS, want handshake failure")
 	}
+}
+
+// FuzzHello hardens the server's HELLO preamble reader (everything after the
+// magic): arbitrary bytes must never panic, a truncated preamble is refused,
+// and an accepted one consumes exactly its declared token, re-encodes to
+// itself through writeHello, and pins either the token's verified identity
+// or a typed ErrUnauthorized denial, never both.
+func FuzzHello(f *testing.F) {
+	key := testAuthKey(f)
+	otherKey, err := auth.ParseKey("0202020202020202020202020202020202020202020202020202020202020202")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rack := broker.New(broker.Config{Shards: 1, Workers: 1, ReapInterval: -1})
+	srv := NewServer(rack, ServerOptions{AuthKey: key})
+	f.Cleanup(func() { srv.Close(); rack.Close() })
+	for _, tok := range [][]byte{
+		nil,
+		mintToken(f, key, "alice", auth.OpsClient),
+		mintToken(f, otherKey, "mallory", auth.OpsAll),
+		[]byte("not a token"),
+	} {
+		var hello bytes.Buffer
+		if err := writeHello(&hello, tok); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(hello.Bytes()[4:])
+	}
+	f.Add([]byte{0xff, 0xff, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		ca := &connAuth{ctx: srv.ctx}
+		complete := len(data) >= 2 && len(data) >= 2+int(binary.BigEndian.Uint16(data))
+		if !srv.readHello(br, ca) {
+			if complete {
+				t.Fatalf("refused a complete preamble of %d bytes", len(data))
+			}
+			return
+		}
+		if !complete {
+			t.Fatalf("accepted a truncated preamble of %d bytes", len(data))
+		}
+		n := 2 + int(binary.BigEndian.Uint16(data))
+		if rest, _ := io.ReadAll(br); len(rest) != len(data)-n {
+			t.Fatalf("consumed %d bytes, want the %d-byte preamble", len(data)-len(rest), n)
+		}
+		var hello bytes.Buffer
+		if err := writeHello(&hello, data[2:n]); err != nil || !bytes.Equal(hello.Bytes()[4:], data[:n]) {
+			t.Fatalf("accepted preamble does not re-encode to itself (%v)", err)
+		}
+		tok, verr := auth.Verify(key, data[2:n], time.Now())
+		switch {
+		case ca.err != nil && (ca.identity != "" || !errors.Is(ca.err, broker.ErrUnauthorized)):
+			t.Fatalf("denial %v with identity %q, want a bare ErrUnauthorized", ca.err, ca.identity)
+		case ca.err != nil && verr == nil:
+			t.Fatalf("denied a token that verifies: %v", ca.err)
+		case ca.err == nil && (verr != nil || tok.Identity != ca.identity || tok.Ops != ca.ops):
+			t.Fatalf("pinned identity %q ops %v for a token that verifies as %+v (%v)", ca.identity, ca.ops, tok, verr)
+		}
+	})
 }

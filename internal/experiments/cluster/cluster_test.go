@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +24,48 @@ func threeRacks(t *testing.T) *Harness {
 	}
 	t.Cleanup(func() { h.Close() })
 	return h
+}
+
+// tcpRacks serves the same topology on loopback TCP, racks the harness does
+// not own, each replica-wrapped with its peers named by address, and fronts
+// them through DialHarness the way loadgen -addrs fronts bottlerack
+// processes.
+func tcpRacks(t *testing.T) *Harness {
+	t.Helper()
+	listeners := make([]net.Listener, 3)
+	peers := make(map[string]string, len(listeners))
+	addrs := make([]string, len(listeners))
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("cannot listen on loopback: %v", err)
+		}
+		t.Cleanup(func() { l.Close() })
+		listeners[i], addrs[i] = l, l.Addr().String()
+		peers[addrs[i]] = addrs[i]
+	}
+	for i, l := range listeners {
+		rack := sealedbottle.NewRack(sealedbottle.RackConfig{RackTag: fmt.Sprintf("r%d", i)})
+		node := sealedbottle.WrapReplica(rack, sealedbottle.ReplicaConfig{Self: addrs[i], Peers: peers})
+		srv := sealedbottle.NewServer(rack, sealedbottle.ServerOptions{Replica: node})
+		go srv.Serve(l)
+		t.Cleanup(func() { srv.Close(); node.Close() })
+	}
+	h, err := DialHarness(addrs, 2, sealedbottle.CourierConfig{Conns: 2})
+	if err != nil {
+		t.Fatalf("DialHarness: %v", err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// transports are the two ways a harness reaches its racks.
+var transports = []struct {
+	name    string
+	harness func(*testing.T) *Harness
+}{
+	{"pipe", threeRacks},
+	{"tcp", tcpRacks},
 }
 
 // smallScenario keeps -race runs quick while exercising every phase.
@@ -46,9 +90,9 @@ func mustPreset(t *testing.T, name string) Preset {
 	return p
 }
 
-func runScenario(t *testing.T, name string, cfg ScenarioConfig) *Report {
+func runScenario(t *testing.T, harness func(*testing.T) *Harness, name string, cfg ScenarioConfig) *Report {
 	t.Helper()
-	h := threeRacks(t)
+	h := harness(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	rep, err := Run(ctx, h, mustPreset(t, name), cfg)
@@ -74,7 +118,7 @@ func runScenario(t *testing.T, name string, cfg ScenarioConfig) *Report {
 }
 
 func TestScenarioBurst(t *testing.T) {
-	rep := runScenario(t, "burst", smallScenario(11))
+	rep := runScenario(t, threeRacks, "burst", smallScenario(11))
 	if rep.Ticks.Evaluated < rep.ExpectedEvaluations {
 		t.Errorf("evaluated %d < expected %d", rep.Ticks.Evaluated, rep.ExpectedEvaluations)
 	}
@@ -83,7 +127,7 @@ func TestScenarioBurst(t *testing.T) {
 func TestScenarioChurnWithRackKill(t *testing.T) {
 	cfg := smallScenario(12)
 	cfg.SeverRack = 2
-	rep := runScenario(t, "churn", cfg)
+	rep := runScenario(t, threeRacks, "churn", cfg)
 	if rep.SeveredRack != "rack-1" {
 		t.Errorf("severed %q, want rack-1", rep.SeveredRack)
 	}
@@ -92,33 +136,70 @@ func TestScenarioChurnWithRackKill(t *testing.T) {
 	}
 }
 
+// TestScenarioAdversarial serves the adversary models against the live
+// ring, over pipes and over TCP alike.
 func TestScenarioAdversarial(t *testing.T) {
-	rep := runScenario(t, "adversarial", smallScenario(13))
-	if rep.ForgedPosts == 0 {
-		t.Fatalf("cheater posted no forged replies — the attack never ran")
-	}
-	if rep.RejectedForgeries != rep.ForgedPosts {
-		t.Errorf("rejected %d forgeries, want all %d posted", rep.RejectedForgeries, rep.ForgedPosts)
-	}
-	if rep.DictionaryAttempts == 0 {
-		t.Errorf("dictionary attacker never ran")
-	}
-	if rep.DictionaryRecoveries != 0 {
-		t.Errorf("dictionary attacker verified %d recoveries against opaque requests", rep.DictionaryRecoveries)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			rep := runScenario(t, tr.harness, "adversarial", smallScenario(13))
+			if rep.ForgedPosts == 0 {
+				t.Fatalf("cheater posted no forged replies — the attack never ran")
+			}
+			if rep.RejectedForgeries != rep.ForgedPosts {
+				t.Errorf("rejected %d forgeries, want all %d posted", rep.RejectedForgeries, rep.ForgedPosts)
+			}
+			if rep.DictionaryAttempts == 0 {
+				t.Errorf("dictionary attacker never ran")
+			}
+			if rep.DictionaryRecoveries != 0 {
+				t.Errorf("dictionary attacker verified %d recoveries against opaque requests", rep.DictionaryRecoveries)
+			}
+		})
 	}
 }
 
 // TestScenarioLossyDuplicates is the TickStats.Duplicates regression: on the
 // lossy preset sweepers bypass the ring's replica merge and fan out over
 // every rack directly, so replica copies reach the Sweeper and only its own
-// per-tick collapsing keeps evaluation exactly-once.
+// per-tick collapsing keeps evaluation exactly-once. It runs over pipes and
+// over TCP, with submits batched: a lost call resends its whole batch.
 func TestScenarioLossyDuplicates(t *testing.T) {
-	rep := runScenario(t, "lossy", smallScenario(14))
-	if rep.Ticks.Duplicates == 0 {
-		t.Errorf("direct replica sweeps produced no duplicates for the Sweeper to collapse")
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := smallScenario(14)
+			cfg.Batch = 4
+			rep := runScenario(t, tr.harness, "lossy", cfg)
+			if rep.Ticks.Duplicates == 0 {
+				t.Errorf("direct replica sweeps produced no duplicates for the Sweeper to collapse")
+			}
+			if rep.SubmitRetries == 0 {
+				t.Errorf("lossy links produced no submit retries")
+			}
+			if rep.SubmitLatency.Samples == 0 || rep.SweepLatency.Samples == 0 {
+				t.Errorf("submit/sweep latency samples %d/%d, want both recorded", rep.SubmitLatency.Samples, rep.SweepLatency.Samples)
+			}
+		})
 	}
-	if rep.SubmitRetries == 0 {
-		t.Errorf("lossy links produced no submit retries")
+}
+
+// TestDialHarnessDoesNotOwnRacks pins the dialed harness's one difference:
+// it reaches its racks (the ring, direct backends, second rings) but refuses
+// to sever them.
+func TestDialHarnessDoesNotOwnRacks(t *testing.T) {
+	h := tcpRacks(t)
+	if n := len(h.RackBackends()); n != 3 {
+		t.Fatalf("RackBackends = %d couriers, want 3", n)
+	}
+	ring, closeRing, err := h.DialRing(nil)
+	if err != nil {
+		t.Fatalf("DialRing: %v", err)
+	}
+	defer closeRing()
+	if _, err := ring.Stats(context.Background()); err != nil {
+		t.Fatalf("Stats through a second ring: %v", err)
+	}
+	if _, err := h.Sever(0); err == nil {
+		t.Fatalf("Sever killed a rack the harness does not own")
 	}
 }
 
@@ -142,6 +223,9 @@ func TestScenarioImposter(t *testing.T) {
 	defer h.Close()
 	cfg := smallScenario(17)
 	cfg.Bottles = 24 // quota-throttled submits: keep the run quick under -race
+	// Batched submits under the quota: a rack that sheds a batch fails only
+	// its items, and the submitter resends those alone.
+	cfg.Batch = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	rep, err := Run(ctx, h, mustPreset(t, "imposter"), cfg)
@@ -178,7 +262,7 @@ func TestImposterRequiresSecuredTopology(t *testing.T) {
 }
 
 func TestScenarioZipf(t *testing.T) {
-	rep := runScenario(t, "zipf", smallScenario(15))
+	rep := runScenario(t, threeRacks, "zipf", smallScenario(15))
 	if rep.Ticks.Rejected == 0 {
 		t.Errorf("heavy skew scenario never exercised the prefilter's reject path")
 	}
@@ -300,5 +384,74 @@ func TestSeverRequiresReplication(t *testing.T) {
 	cfg.SeverRack = 1
 	if _, err := Run(context.Background(), h, mustPreset(t, "burst"), cfg); err == nil {
 		t.Fatalf("Run accepted a rack kill on an unreplicated ring")
+	}
+}
+
+// TestCheckerCountsInAnyOrder pins the checker's running counts against a
+// recount over every (sweeper, bottle) pair: sweepers registered before or
+// after the submits, an evaluation observed before its submit is tracked,
+// a bottle tracked twice, and a bottle no registered prefilter admits.
+func TestCheckerCountsInAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tags := func(names ...string) []attr.Attribute {
+		out := make([]attr.Attribute, len(names))
+		for i, n := range names {
+			out[i] = attr.MustNew(attr.HeaderTag, n)
+		}
+		return out
+	}
+	pkg := func(names ...string) *core.RequestPackage {
+		init, err := core.NewInitiator(core.FuzzyMatch(1, tags(names...)...), core.InitiatorConfig{Origin: "o", Rand: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return init.Request()
+	}
+	residues := func(names ...string) core.ResidueSet {
+		m, err := core.NewMatcher(attr.NewProfile(tags(names...)...), core.MatcherConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.ResidueSet(core.DefaultPrime)
+	}
+	recount := func(c *Checker) (expected, pending int) {
+		for _, s := range c.sweepers {
+			for id, b := range c.bottles {
+				if expects(s, b) {
+					expected++
+					if s.observed[id] == 0 {
+						pending++
+					}
+				}
+			}
+		}
+		return expected, pending
+	}
+	a, b, stray := pkg("alpha", "beta"), pkg("gamma", "delta"), pkg("x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10", "x11", "x12")
+	c := NewChecker()
+	c.RegisterSweeper("s2", residues("gamma", "delta"))
+	c.ObserveEvaluation("s2", "r1@"+b.ID, "")
+	c.TrackSubmit("sub", "r0@"+a.ID, a)
+	c.TrackSubmit("sub", b.ID, b)
+	c.TrackSubmit("sub", "r0@"+b.ID, b)
+	c.TrackSubmit("sub", stray.ID, stray)
+	c.RegisterSweeper("s1", residues("alpha", "beta"))
+	if !expects(c.sweepers["s2"], c.bottles[b.ID]) || !expects(c.sweepers["s1"], c.bottles[a.ID]) {
+		t.Fatal("the sweepers' prefilters do not admit their own bottles: the case checks nothing")
+	}
+	expected, pending := recount(c)
+	if c.ExpectedEvaluations() != expected || c.AllObserved() != (pending == 0) {
+		t.Fatalf("running counts: expected %d, all observed %v; recount: expected %d, pending %d",
+			c.ExpectedEvaluations(), c.AllObserved(), expected, pending)
+	}
+	for id := range c.bottles {
+		for name, s := range c.sweepers {
+			if expects(s, c.bottles[id]) && s.observed[id] == 0 {
+				c.ObserveEvaluation(name, id, "")
+			}
+		}
+	}
+	if !c.AllObserved() {
+		t.Fatal("every promised evaluation observed, yet AllObserved is false")
 	}
 }

@@ -36,24 +36,23 @@ type Topology struct {
 	QuotaBurst int
 }
 
-// rackHandle is one rack of the harness: the rack behind its own pipe
-// listener and framed server, plus the courier the ring (and the degraded
-// direct-sweep path) reaches it through — exactly the shape the TCP cluster
-// smoke runs with real bottlerack processes.
+// rackHandle is one rack of the harness: how it is dialed, the courier the
+// ring (and the degraded direct-sweep path) reaches it through, and, for a
+// rack the harness started, what stops it.
 type rackHandle struct {
-	name      string
-	listener  *sealedbottle.PipeListener
-	server    *sealedbottle.Server
-	courier   *sealedbottle.Courier
-	closeRack func() error
-	severed   bool
+	name    string
+	dial    sealedbottle.CourierConfig
+	courier *sealedbottle.Courier
+	stop    func() // closes listener, server and rack; nil when not owned
+	severed bool
 }
 
-// Harness is an N-rack replicated ring running in-process: every rack behind
-// its own pipe transport and framed server, replica-wrapped when R>1 (hint
-// queues and handoff streaming over the same pipes), fronted by a client-side
-// Ring. It exists so experiment scenarios and tests drive the real wire
-// protocol and replication machinery, not an in-memory shortcut.
+// Harness is an N-rack ring fronted by one client-side Ring over per-rack
+// couriers. NewHarness starts the racks in-process, each behind its own pipe
+// transport and framed server, replica-wrapped when R>1 (hint queues and
+// handoff streaming over the same pipes); DialHarness reaches racks already
+// serving on TCP. Either way scenarios drive the real wire protocol and
+// replication machinery, not an in-memory shortcut.
 type Harness struct {
 	topo    Topology
 	racks   []*rackHandle
@@ -95,7 +94,6 @@ func NewHarness(topo Topology) (*Harness, error) {
 		listeners[name] = sealedbottle.ListenPipe()
 		peers[name] = name
 	}
-	var backends []sealedbottle.RingBackend
 	for i := 0; i < topo.Racks; i++ {
 		name := rackName(i)
 		rcfg := sealedbottle.RackConfig{Shards: topo.Shards}
@@ -132,31 +130,81 @@ func NewHarness(topo Topology) (*Harness, error) {
 		l := listeners[name]
 		srv := sealedbottle.NewServer(rack, srvOpts)
 		go srv.Serve(l)
-		courier, err := sealedbottle.Dial(sealedbottle.CourierConfig{
+		stop := func() { l.Close(); srv.Close(); closeRack() }
+		err := h.addRack(name, sealedbottle.CourierConfig{
 			Conns:       2,
 			CallTimeout: topo.CallTimeout,
 			Token:       h.Token("clients", sealedbottle.AuthOpsAll),
 			Dialer:      func() (net.Conn, error) { return l.Dial() },
-		})
+		}, stop)
 		if err != nil {
+			stop()
 			h.Close()
 			return nil, err
 		}
-		h.racks = append(h.racks, &rackHandle{
-			name: name, listener: l, server: srv, courier: courier, closeRack: closeRack,
-		})
-		backends = append(backends, sealedbottle.RingBackend{Name: name, Backend: courier})
+	}
+	if err := h.startRing(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// DialHarness fronts racks that are already serving at addrs, which the
+// harness does not own: it dials one courier per address from cfg (TLS,
+// token, pool size, call timeout; Addr and Dialer are set per rack) and rings
+// them at the given replication factor. Each rack is named by its address,
+// as a ring built from addresses names it. Sever refuses these racks, and
+// Close leaves them running.
+func DialHarness(addrs []string, replication int, cfg sealedbottle.CourierConfig) (*Harness, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("cluster: no rack addresses")
+	}
+	h := &Harness{topo: Topology{
+		Racks:       len(addrs),
+		Replication: max(replication, 1),
+		CallTimeout: cfg.CallTimeout,
+	}}
+	for _, addr := range addrs {
+		dial := cfg
+		dial.Addr, dial.Dialer = addr, nil
+		if err := h.addRack(addr, dial, nil); err != nil {
+			h.Close()
+			return nil, err
+		}
+	}
+	if err := h.startRing(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// addRack dials the ring's courier to one rack and records the rack.
+func (h *Harness) addRack(name string, dial sealedbottle.CourierConfig, stop func()) error {
+	courier, err := sealedbottle.Dial(dial)
+	if err != nil {
+		return err
+	}
+	h.racks = append(h.racks, &rackHandle{name: name, dial: dial, courier: courier, stop: stop})
+	return nil
+}
+
+// startRing fronts the racks with the client-side ring, tearing the harness
+// down if that fails.
+func (h *Harness) startRing() error {
+	backends := make([]sealedbottle.RingBackend, len(h.racks))
+	for i, r := range h.racks {
+		backends[i] = sealedbottle.RingBackend{Name: r.name, Backend: r.courier}
 	}
 	ring, err := sealedbottle.NewRing(sealedbottle.RingConfig{
 		Backends:    backends,
-		Replication: topo.Replication,
+		Replication: h.topo.Replication,
 	})
 	if err != nil {
 		h.Close()
-		return nil, err
+		return err
 	}
 	h.ring = ring
-	return h, nil
+	return nil
 }
 
 func rackName(i int) string { return fmt.Sprintf("rack-%d", i) }
@@ -199,13 +247,9 @@ func (h *Harness) DialRing(token []byte) (*sealedbottle.Ring, func(), error) {
 		}
 	}
 	for _, r := range h.racks {
-		l := r.listener
-		courier, err := sealedbottle.Dial(sealedbottle.CourierConfig{
-			Conns:       1,
-			CallTimeout: h.topo.CallTimeout,
-			Token:       token,
-			Dialer:      func() (net.Conn, error) { return l.Dial() },
-		})
+		cfg := r.dial
+		cfg.Conns, cfg.Token = 1, token
+		courier, err := sealedbottle.Dial(cfg)
 		if err != nil {
 			closeAll()
 			return nil, nil, err
@@ -252,17 +296,17 @@ func (h *Harness) RackBackends() []sealedbottle.Backend {
 // away mid-flight and nothing is flushed. In-flight and future calls to it
 // fail, the ring's health tracking ejects it, and (at R>1) surviving replicas
 // keep its bottles sweepable while peers queue hints for it. It returns the
-// rack's name for logging.
-func (h *Harness) Sever(i int) string {
+// rack's name for logging, or an error for a rack the harness does not own.
+func (h *Harness) Sever(i int) (string, error) {
 	r := h.racks[i]
-	if r.severed {
-		return r.name
+	if r.stop == nil {
+		return "", fmt.Errorf("cluster: rack %s is not the harness's to sever", r.name)
 	}
-	r.severed = true
-	r.listener.Close()
-	r.server.Close()
-	r.closeRack()
-	return r.name
+	if !r.severed {
+		r.severed = true
+		r.stop()
+	}
+	return r.name, nil
 }
 
 // Stats snapshots the ring's aggregated counters (severed racks excluded by
@@ -271,7 +315,8 @@ func (h *Harness) Stats(ctx context.Context) (sealedbottle.Stats, error) {
 	return h.ring.Stats(ctx)
 }
 
-// Close tears the cluster down: ring, couriers, servers, listeners, racks.
+// Close tears the cluster down: ring, couriers, and the servers, listeners
+// and racks the harness started.
 func (h *Harness) Close() error {
 	if h.ring != nil {
 		h.ring.Close()
@@ -279,10 +324,8 @@ func (h *Harness) Close() error {
 	for i := len(h.racks) - 1; i >= 0; i-- {
 		r := h.racks[i]
 		r.courier.Close()
-		if !r.severed {
-			r.listener.Close()
-			r.server.Close()
-			r.closeRack()
+		if r.stop != nil && !r.severed {
+			r.stop()
 		}
 	}
 	return nil

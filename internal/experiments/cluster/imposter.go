@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sealedbottle"
-	"sealedbottle/internal/attr"
 	"sealedbottle/internal/core"
 	"sealedbottle/internal/dataset"
 )
@@ -149,31 +148,14 @@ func imposterPhase(ctx context.Context, h *Harness, checker *Checker, rep *Repor
 }
 
 // buildFloodBottle builds one valid request package in the same shape the
-// legit submitters use (1 necessary + 4 optional pool tags, β=2), so flood
-// bottles exercise the same sweep path once accepted.
+// legit submitters use, from a random pool user's tags, so flood bottles
+// exercise the same sweep path once accepted.
 func buildFloodBottle(rng *rand.Rand, pool []dataset.User, cfg ScenarioConfig) (*core.Initiator, []byte, error) {
-	u := pool[rng.Intn(len(pool))]
-	perm := rng.Perm(len(u.Tags))[:5]
-	attrs := make([]attr.Attribute, len(perm))
-	for i, j := range perm {
-		attrs[i] = attr.MustNew(attr.HeaderTag, u.Tags[j])
-	}
-	init, err := core.NewInitiator(core.RequestSpec{
-		Necessary:   attrs[:1],
-		Optional:    attrs[1:],
-		MinOptional: 2,
-	}, core.InitiatorConfig{
+	sub, raw, err := newSubmission(rng, pool[rng.Intn(len(pool))].Tags, core.InitiatorConfig{
 		Origin:      "mallory",
 		Validity:    cfg.Validity,
 		ReplyWindow: cfg.Validity,
 		Rand:        rng,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := init.Request().Marshal()
-	if err != nil {
-		return nil, nil, err
-	}
-	return init, raw, nil
+	return sub.init, raw, err
 }

@@ -44,6 +44,10 @@ type Checker struct {
 	acked    map[string]map[string]int
 	fetched  map[string]map[string]int
 	extra    []string
+	// expected counts the (sweeper, bottle) pairs the prefilter promises and
+	// pending those of them not yet evaluated, kept as submits, sweepers and
+	// evaluations arrive so the drain loop's completion test is O(1).
+	expected, pending int
 }
 
 // trackedBottle is one acknowledged submit.
@@ -75,7 +79,24 @@ func NewChecker() *Checker {
 func (c *Checker) TrackSubmit(client, id string, pkg *core.RequestPackage) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bottles[sealedbottle.UntagID(id)] = &trackedBottle{submitter: client, pkg: pkg}
+	uid := sealedbottle.UntagID(id)
+	b := &trackedBottle{submitter: client, pkg: pkg}
+	if _, tracked := c.bottles[uid]; !tracked {
+		for _, s := range c.sweepers {
+			c.promise(s, uid, b)
+		}
+	}
+	c.bottles[uid] = b
+}
+
+// promise counts sweeper s's expected evaluation of bottle b, if any.
+func (c *Checker) promise(s *sweeperState, id string, b *trackedBottle) {
+	if expects(s, b) {
+		c.expected++
+		if s.observed[id] == 0 {
+			c.pending++
+		}
+	}
 }
 
 // RegisterSweeper records a matcher's residue set; every acknowledged bottle
@@ -83,7 +104,11 @@ func (c *Checker) TrackSubmit(client, id string, pkg *core.RequestPackage) {
 func (c *Checker) RegisterSweeper(client string, residues core.ResidueSet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepers[client] = &sweeperState{residues: residues, observed: make(map[string]int)}
+	s := &sweeperState{residues: residues, observed: make(map[string]int)}
+	c.sweepers[client] = s
+	for id, b := range c.bottles {
+		c.promise(s, id, b)
+	}
 }
 
 // ObserveEvaluation records one OnResult callback: sweeper client evaluated
@@ -103,7 +128,11 @@ func (c *Checker) ObserveEvaluation(client, bottleID, dropped string) {
 		c.extra = append(c.extra, fmt.Sprintf("sweeper %q was handed bottle %s twice (participant dropped the duplicate)", client, bottleID))
 		return
 	}
-	s.observed[sealedbottle.UntagID(bottleID)]++
+	id := sealedbottle.UntagID(bottleID)
+	s.observed[id]++
+	if b, ok := c.bottles[id]; ok && s.observed[id] == 1 && expects(s, b) {
+		c.pending--
+	}
 }
 
 // ReplyAttempt records a reply post leaving a client for a request, before
@@ -173,14 +202,7 @@ func expects(s *sweeperState, b *trackedBottle) bool {
 func (c *Checker) AllObserved() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.sweepers {
-		for id, b := range c.bottles {
-			if expects(s, b) && s.observed[id] == 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return c.pending == 0
 }
 
 // ExpectedEvaluations counts the (sweeper, bottle) pairs the prefilter
@@ -188,15 +210,7 @@ func (c *Checker) AllObserved() bool {
 func (c *Checker) ExpectedEvaluations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, s := range c.sweepers {
-		for _, b := range c.bottles {
-			if expects(s, b) {
-				n++
-			}
-		}
-	}
-	return n
+	return c.expected
 }
 
 // Violations derives every invariant violation from the recorded history.

@@ -30,9 +30,10 @@ var (
 // (connectivity, loss, rng) is mutex-guarded so churn controllers and client
 // goroutines may race on it.
 type link struct {
-	backend  sealedbottle.Backend
-	checker  *Checker
-	replyLat *latencies // reply-post round trips (nil: not recorded)
+	backend sealedbottle.Backend
+	checker *Checker
+	// Round trips of submit, sweep and reply-post calls (nil: not recorded).
+	submitLat, sweepLat, replyLat *latencies
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -83,21 +84,30 @@ func (l *link) Submit(ctx context.Context, raw []byte) (string, error) {
 	if err := l.gate(); err != nil {
 		return "", err
 	}
-	return l.backend.Submit(ctx, raw)
+	t0 := time.Now()
+	id, err := l.backend.Submit(ctx, raw)
+	l.submitLat.record(time.Since(t0))
+	return id, err
 }
 
 func (l *link) SubmitBatch(ctx context.Context, raws [][]byte) ([]sealedbottle.SubmitResult, error) {
 	if err := l.gate(); err != nil {
 		return nil, err
 	}
-	return l.backend.SubmitBatch(ctx, raws)
+	t0 := time.Now()
+	results, err := l.backend.SubmitBatch(ctx, raws)
+	l.submitLat.record(time.Since(t0))
+	return results, err
 }
 
 func (l *link) Sweep(ctx context.Context, q sealedbottle.SweepQuery) (sealedbottle.SweepResult, error) {
 	if err := l.gate(); err != nil {
 		return sealedbottle.SweepResult{}, err
 	}
-	return l.backend.Sweep(ctx, q)
+	t0 := time.Now()
+	res, err := l.backend.Sweep(ctx, q)
+	l.sweepLat.record(time.Since(t0))
+	return res, err
 }
 
 func (l *link) Reply(ctx context.Context, requestID string, raw []byte) error {
@@ -161,14 +171,6 @@ func (l *link) Stats(ctx context.Context) (sealedbottle.Stats, error) {
 
 // Close is a no-op: links share the scenario's backend.
 func (l *link) Close() error { return nil }
-
-// CheckedBackend wraps a backend with a fault-free link so every reply
-// crossing it is reported to the invariant checker — this is what promotes
-// the in-process scenario checker into cmd/loadgen's TCP soak runs
-// (-verify-invariants): same accounting, real sockets.
-func CheckedBackend(b sealedbottle.Backend, c *Checker) sealedbottle.Backend {
-	return newLink(b, c, 0, 0)
-}
 
 // directSweep degrades a client from the ring's replica-merged sweep to
 // sweeping every rack directly and concatenating the results — what a client

@@ -10,9 +10,11 @@
 // replica-merged sweeps collapse duplicates, and the adversary models stay
 // defeated on the live wire protocol.
 //
-// The scenario catalog is shared with cmd/loadgen (-scenario) and the CI
-// scenario smoke, so the same shapes run in-process under -race here and
-// over TCP against real bottlerack processes there. See docs/EXPERIMENTS.md.
+// Run is the one scenario runner. It takes a Harness on either transport:
+// NewHarness starts racks in-process over pipes, DialHarness fronts racks
+// serving on TCP. cmd/loadgen is flags over Run, so the CI smokes replay the
+// same scenarios, checker included, against real bottlerack processes. See
+// docs/EXPERIMENTS.md.
 package cluster
 
 import (
@@ -23,9 +25,8 @@ import (
 )
 
 // Preset is one named scenario shape: how arrivals are paced, how client
-// connectivity behaves, and which adversary models are served. The same
-// presets parameterize the in-process runner (Run), cmd/loadgen -scenario,
-// and the CI scenario smoke matrix.
+// connectivity behaves, and which adversary models are served. Run takes
+// one; the zero Preset is a steady open loop.
 type Preset struct {
 	// Name is the -scenario flag value.
 	Name string
@@ -67,8 +68,7 @@ type Preset struct {
 	// a flood from one identity races the per-identity admission quota. The
 	// checker then asserts zero cross-identity fetches, typed ErrUnauthorized
 	// on every probe, quota-bounded flood damage, and that shedding never
-	// ejected a healthy rack. Over TCP, cmd/loadgen replays the preset as a
-	// plain workload shape (identity attacks need the harness's key access).
+	// ejected a healthy rack.
 	Imposter bool
 
 	// ZipfExponent and TagVocabulary shape the synthetic population's

@@ -50,6 +50,10 @@ type ScenarioConfig struct {
 	// replicated topology — at R=1 the dead rack's bottles are simply gone
 	// and the exactly-once invariant cannot hold.
 	SeverRack int
+	// Batch is how many bottles a submitter sends per round trip: above one
+	// it uses SubmitBatch and retries only the items the cluster refused
+	// (zero: 1, one Submit per bottle).
+	Batch int
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
@@ -73,6 +77,9 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
+	}
+	if c.Batch <= 0 {
+		c.Batch = 1
 	}
 	return c
 }
@@ -130,9 +137,12 @@ type Report struct {
 	FloodAccepted  int
 	FloodShed      int
 
-	// ReplyLatency condenses the round-trip time of every reply post the
-	// sweepers pushed through their access links (p50/p95/p99 per scenario).
-	ReplyLatency LatencySummary
+	// ReplyLatency, SubmitLatency and SweepLatency condense the round-trip
+	// times of every reply post, submit call and sweep call the clients
+	// pushed through their access links (p50/p95/p99 per scenario).
+	ReplyLatency  LatencySummary
+	SubmitLatency LatencySummary
+	SweepLatency  LatencySummary
 
 	// Elapsed is the wall-clock run time; ClusterStats snapshots the ring's
 	// aggregated counters after the run.
@@ -170,8 +180,8 @@ type submission struct {
 // backs off on, never a failure — until nothing is shed or the deadline
 // passes. A shed round can still be a partial drain (the ring hands back
 // whatever the non-shed replicas yielded), so replies accumulate across
-// rounds, collapsing the byte-identical copies replication produces. Both the
-// scenario suite's fetch phases and loadgen's -verify-replies drain use it.
+// rounds, collapsing the byte-identical copies replication produces. Run's
+// fetch phases, the submitters' and the imposter's, drain through it.
 func DrainFetch(ctx context.Context, b sealedbottle.Backend, ids []string, deadline time.Time) []sealedbottle.FetchResult {
 	results := make([]sealedbottle.FetchResult, len(ids))
 	seen := make([]map[string]struct{}, len(ids))
@@ -210,6 +220,46 @@ func DrainFetch(ctx context.Context, b sealedbottle.Backend, ids []string, deadl
 			merge(retry[j], fr)
 		}
 	}
+}
+
+// submitRound races raws in through l, one Submit for a single bottle and
+// one SubmitBatch for several, and returns an outcome per bottle; a failed
+// call fails every item.
+func submitRound(ctx context.Context, l *link, raws [][]byte) []sealedbottle.SubmitResult {
+	if len(raws) == 1 {
+		id, err := l.Submit(ctx, raws[0])
+		return []sealedbottle.SubmitResult{{ID: id, Err: err}}
+	}
+	results, err := l.SubmitBatch(ctx, raws)
+	if err != nil || len(results) != len(raws) {
+		if err == nil {
+			err = fmt.Errorf("cluster: %d submit results for %d bottles", len(results), len(raws))
+		}
+		results = make([]sealedbottle.SubmitResult, len(raws))
+		for i := range results {
+			results[i].Err = err
+		}
+	}
+	return results
+}
+
+// newSubmission builds one request in the shape every scenario bottle has:
+// five of tags drawn by rng, one necessary and four optional with β=2.
+func newSubmission(rng *rand.Rand, tags []string, icfg core.InitiatorConfig) (submission, []byte, error) {
+	attrs := make([]attr.Attribute, 0, 5)
+	for _, j := range rng.Perm(len(tags))[:5] {
+		attrs = append(attrs, attr.MustNew(attr.HeaderTag, tags[j]))
+	}
+	spec := core.RequestSpec{Necessary: attrs[:1], Optional: attrs[1:], MinOptional: 2}
+	init, err := core.NewInitiator(spec, icfg)
+	if err != nil {
+		return submission{}, nil, fmt.Errorf("build initiator: %w", err)
+	}
+	raw, err := init.Request().Marshal()
+	if err != nil {
+		return submission{}, nil, fmt.Errorf("marshal request: %w", err)
+	}
+	return submission{init: init, spec: spec}, raw, nil
 }
 
 // Run drives one scenario against the harness: a Zipf-skewed population is
@@ -279,7 +329,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		statsMu      sync.Mutex
 		drainStarted atomic.Bool
 	)
-	replyLat := &latencies{}
+	replyLat, submitLat, sweepLat := &latencies{}, &latencies{}, &latencies{}
 	sweeperProfiles := make(map[string]*attr.Profile, cfg.Sweepers)
 	sweepers := make([]*sweeperRun, cfg.Sweepers)
 	for k := 0; k < cfg.Sweepers; k++ {
@@ -301,7 +351,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 			backend = &directSweep{Backend: ring, harness: h}
 		}
 		l := newLink(backend, checker, preset.LossRate, cfg.Seed+int64(200+k))
-		l.replyLat = replyLat
+		l.replyLat, l.sweepLat = replyLat, sweepLat
 		sid := id
 		sw, err := sealedbottle.NewSweeper(l, sealedbottle.SweeperConfig{
 			Participant: part,
@@ -317,6 +367,12 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		sweepers[k] = &sweeperRun{id: id, link: l, sweeper: sw}
 	}
 
+	// halt stops one set of background actors: it closes their stop channel
+	// and waits for them to return.
+	halt := func(stop chan struct{}, wg *sync.WaitGroup) {
+		close(stop)
+		wg.Wait()
+	}
 	stopSweep := make(chan struct{})
 	var sweepWG sync.WaitGroup
 	for _, s := range sweepers {
@@ -353,6 +409,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 	subLinks := make([]*link, cfg.Submitters)
 	for w := range subLinks {
 		subLinks[w] = newLink(ring, checker, preset.LossRate, cfg.Seed+int64(300+w))
+		subLinks[w].submitLat = submitLat
 	}
 
 	// --- Churn controller ------------------------------------------------
@@ -362,21 +419,17 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 	churnStop := make(chan struct{})
 	var churnWG sync.WaitGroup
 	if preset.Churn {
-		churned := append(append([]*link(nil), subLinks...), func() []*link {
-			ls := make([]*link, len(sweepers))
-			for i, s := range sweepers {
-				ls[i] = s.link
-			}
-			return ls
-		}()...)
+		churned := append([]*link(nil), subLinks...)
+		for _, s := range sweepers {
+			churned = append(churned, s.link)
+		}
 		timeline, err := msn.ChurnTimeline(msn.ChurnModel{
 			Clients: len(churned),
 			Ticks:   180,
 			Seed:    cfg.Seed + 1,
 		})
 		if err != nil {
-			close(stopSweep)
-			sweepWG.Wait()
+			halt(stopSweep, &sweepWG)
 			return nil, fmt.Errorf("cluster: churn timeline: %w", err)
 		}
 		churnWG.Add(1)
@@ -406,7 +459,11 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 	maybeSever := func() {
 		if cfg.SeverRack > 0 && int(ackedCount.Load()) >= cfg.Bottles/2 {
 			severOnce.Do(func() {
-				rep.SeveredRack = h.Sever(cfg.SeverRack - 1)
+				name, err := h.Sever(cfg.SeverRack - 1)
+				if err != nil {
+					checker.Violationf("%v", err)
+				}
+				rep.SeveredRack = name
 			})
 		}
 	}
@@ -422,8 +479,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		}
 		attacker, err := adversary.NewDictionaryAttacker(adversary.NewDictionary(dictAttrs...), 512)
 		if err != nil {
-			close(stopSweep)
-			sweepWG.Wait()
+			halt(stopSweep, &sweepWG)
 			return nil, fmt.Errorf("cluster: dictionary attacker: %w", err)
 		}
 		advMatcher, err := core.NewMatcher(attr.NewProfile(dictAttrs...), core.MatcherConfig{
@@ -431,8 +487,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 			MaxCandidateVectors: 512,
 		})
 		if err != nil {
-			close(stopSweep)
-			sweepWG.Wait()
+			halt(stopSweep, &sweepWG)
 			return nil, fmt.Errorf("cluster: adversary matcher: %w", err)
 		}
 		advResidues := advMatcher.ResidueSet(core.DefaultPrime)
@@ -528,78 +583,80 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 			clientID := fmt.Sprintf("submitter-%d", w)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(400+w)))
 			l := subLinks[w]
+			built := 0
+			build := func() (submission, []byte, error) {
+				var tags []string
+				switch {
+				case built == 0:
+					// The first bottle each submitter races in is built from
+					// a sweeper's own pool user, so every run has ground-truth
+					// matches regardless of how the random draws land.
+					tags = pool[w%cfg.Sweepers].Tags
+				case preset.Adversarial && w == 0 && len(popularHead) >= 5:
+					// The flood decoy submitter: bottles built from the
+					// popularity head, fully covered by the attacker's
+					// dictionary and hitting nearly every prefilter.
+					tags = popularHead
+				default:
+					tags = pool[rng.Intn(len(pool))].Tags
+				}
+				built++
+				return newSubmission(rng, tags, core.InitiatorConfig{
+					Protocol:    proto,
+					Origin:      clientID,
+					Validity:    cfg.Validity,
+					ReplyWindow: cfg.Validity,
+					Rand:        rng,
+				})
+			}
 			acked := 0
 			for acked < quotas[w] {
-				for b := 0; b < max(preset.BurstSize, 1) && acked < quotas[w]; b++ {
-					var tags []string
-					if acked == 0 && b == 0 {
-						// The first bottle each submitter races in is built
-						// from a sweeper's own pool user, so every run has
-						// ground-truth matches regardless of how the random
-						// draws land.
-						u := pool[w%cfg.Sweepers]
-						perm := rng.Perm(len(u.Tags))[:5]
-						for _, j := range perm {
-							tags = append(tags, u.Tags[j])
-						}
-					} else if preset.Adversarial && w == 0 && len(popularHead) >= 5 {
-						// The flood decoy submitter: bottles built from the
-						// popularity head, fully covered by the attacker's
-						// dictionary and hitting nearly every prefilter.
-						perm := rng.Perm(len(popularHead))[:5]
-						for _, j := range perm {
-							tags = append(tags, popularHead[j])
-						}
-					} else {
-						u := pool[rng.Intn(len(pool))]
-						perm := rng.Perm(len(u.Tags))[:5]
-						for _, j := range perm {
-							tags = append(tags, u.Tags[j])
+				for b := 0; b < max(preset.BurstSize, 1) && acked < quotas[w]; {
+					n := min(cfg.Batch, quotas[w]-acked)
+					b += n
+					subs := make([]submission, n)
+					raws := make([][]byte, n)
+					for i := range subs {
+						var err error
+						if subs[i], raws[i], err = build(); err != nil {
+							subErrs[w] = err
+							return
 						}
 					}
-					attrs := make([]attr.Attribute, len(tags))
-					for i, t := range tags {
-						attrs[i] = attr.MustNew(attr.HeaderTag, t)
-					}
-					spec := core.RequestSpec{
-						Necessary:   attrs[:1],
-						Optional:    attrs[1:],
-						MinOptional: 2,
-					}
-					init, err := core.NewInitiator(spec, core.InitiatorConfig{
-						Protocol:    proto,
-						Origin:      clientID,
-						Validity:    cfg.Validity,
-						ReplyWindow: cfg.Validity,
-						Rand:        rng,
-					})
-					if err != nil {
-						subErrs[w] = fmt.Errorf("build initiator: %w", err)
-						return
-					}
-					raw, err := init.Request().Marshal()
-					if err != nil {
-						subErrs[w] = fmt.Errorf("marshal request: %w", err)
-						return
-					}
-					for {
+					// Retry only what the cluster did not acknowledge, until
+					// the whole round is held.
+					for len(raws) > 0 {
 						if ctx.Err() != nil {
 							subErrs[w] = ctx.Err()
 							return
 						}
-						id, err := l.Submit(ctx, raw)
-						if err == nil {
-							checker.TrackSubmit(clientID, id, init.Request())
-							submissions[w] = append(submissions[w], submission{init: init, spec: spec, id: id})
+						results := submitRound(ctx, l, raws)
+						keptSubs, keptRaws := subs[:0], raws[:0]
+						for i, res := range results {
+							if errors.Is(res.Err, sealedbottle.ErrDuplicateBottle) {
+								// An earlier attempt landed and its answer
+								// was lost: the bottle is held under its ID.
+								res = sealedbottle.SubmitResult{ID: subs[i].init.Request().ID}
+							}
+							if res.Err != nil {
+								keptSubs, keptRaws = append(keptSubs, subs[i]), append(keptRaws, raws[i])
+								continue
+							}
+							sub := subs[i]
+							sub.id = res.ID
+							checker.TrackSubmit(clientID, sub.id, sub.init.Request())
+							submissions[w] = append(submissions[w], sub)
 							acked++
 							ackedCount.Add(1)
 							maybeSever()
-							break
 						}
-						statsMu.Lock()
-						rep.SubmitRetries++
-						statsMu.Unlock()
-						time.Sleep(time.Millisecond)
+						subs, raws = keptSubs, keptRaws
+						if len(raws) > 0 {
+							statsMu.Lock()
+							rep.SubmitRetries++
+							statsMu.Unlock()
+							time.Sleep(time.Millisecond)
+						}
 					}
 				}
 				if preset.BurstGap > 0 {
@@ -611,12 +668,9 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 	subWG.Wait()
 	for _, err := range subErrs {
 		if err != nil {
-			close(advStop)
-			close(churnStop)
-			close(stopSweep)
-			advWG.Wait()
-			churnWG.Wait()
-			sweepWG.Wait()
+			halt(advStop, &advWG)
+			halt(churnStop, &churnWG)
+			halt(stopSweep, &sweepWG)
 			return nil, fmt.Errorf("cluster: submit phase: %w", err)
 		}
 	}
@@ -642,12 +696,9 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		var err error
 		malloryRing, malloryClose, floodIDs, err = imposterPhase(ctx, h, checker, rep, pool, cfg, legitIDs)
 		if err != nil {
-			close(advStop)
-			close(churnStop)
-			close(stopSweep)
-			advWG.Wait()
-			churnWG.Wait()
-			sweepWG.Wait()
+			halt(advStop, &advWG)
+			halt(churnStop, &churnWG)
+			halt(stopSweep, &sweepWG)
 			return nil, fmt.Errorf("cluster: imposter phase: %w", err)
 		}
 		defer malloryClose()
@@ -657,10 +708,8 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 	// Adversaries and churn stop, injected faults clear, and the sweepers
 	// keep ticking until every promised evaluation happened and every queued
 	// reply post flushed.
-	close(advStop)
-	advWG.Wait()
-	close(churnStop)
-	churnWG.Wait()
+	halt(advStop, &advWG)
+	halt(churnStop, &churnWG)
 	for _, s := range sweepers {
 		s.link.clearFaults()
 	}
@@ -686,8 +735,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 			}
 		}
 	}
-	close(stopSweep)
-	sweepWG.Wait()
+	halt(stopSweep, &sweepWG)
 
 	// --- Fetch phase -------------------------------------------------------
 	// Every submitter drains its requests and runs each reply through its
@@ -757,6 +805,8 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 
 	rep.ExpectedEvaluations = checker.ExpectedEvaluations()
 	rep.ReplyLatency = replyLat.summary()
+	rep.SubmitLatency = submitLat.summary()
+	rep.SweepLatency = sweepLat.summary()
 	if stats, err := h.Stats(ctx); err == nil {
 		rep.ClusterStats = stats
 	}

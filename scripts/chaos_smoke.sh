@@ -4,8 +4,9 @@
 # Phase 1 (scenario matrix): for each workload preset shared with the
 # experiment suite (internal/experiments/cluster, docs/EXPERIMENTS.md), start
 # three fresh replicated bottlerack processes and drive them over TCP with
-# `loadgen -scenario <name> -verify-counts -verify-replies`: every bottle
-# racked, counters exact at R=2, every acknowledged reply drained back.
+# `loadgen -scenario <name> -verify-counts`: every bottle racked, counters
+# exact at R=2, and loadgen's invariant checker clean (every acknowledged
+# reply drained back among its invariants).
 #
 # Phase 2 (invariant checker): `benchtables -cluster all` replays the same
 # presets in-process against a 3-rack R=2 ring with the end-to-end invariant
@@ -16,8 +17,9 @@
 # under the churn scenario (clients connect and disconnect on an msn mobility
 # timeline), one rack SIGKILLed mid-load and restarted; asserts:
 #
-#   1. loadgen finishes clean: every bottle racked and — via -verify-replies —
-#      every acknowledged reply (matched friending) drained back. R=2 keeps
+#   1. loadgen finishes clean: every bottle racked and — via its invariant
+#      checker — every acknowledged reply (matched friending) drained back,
+#      every promised evaluation made exactly once. R=2 keeps
 #      the cluster fully serving through the crash.
 #   2. The restarted rack converges via hinted handoff: the survivors stream
 #      their queued hints to it and its handoff-applied counter goes nonzero.
@@ -33,7 +35,7 @@
 # rack put into drain mode with `sealedbottle admin drain`. The drained rack
 # answers new submits with the typed ErrDraining — which the ring reroutes to
 # the surviving replica, queueing a hint — while its sweeps, replies and
-# replica stream keep serving. Asserts loadgen finishes with -verify-replies
+# replica stream keep serving. Asserts loadgen finishes with its checker
 # clean (zero acknowledged replies lost across the drain) and that the rack
 # reports draining over its admin status.
 #
@@ -106,7 +108,7 @@ for scenario in $SCENARIOS; do
   if ! "$BIN/loadgen" -addrs "$ADDRS" \
       -bottles "$MATRIX_BOTTLES" -batch 16 -submitters 4 -sweepers 2 \
       -replication 2 -scenario "$scenario" \
-      -verify-counts -verify-replies >"$OUT/loadgen-$scenario.out" 2>&1; then
+      -verify-counts >"$OUT/loadgen-$scenario.out" 2>&1; then
     echo "chaos: scenario $scenario failed" >&2
     cat "$OUT/loadgen-$scenario.out" >&2
     exit 1
@@ -136,7 +138,7 @@ start_cluster
 
 "$BIN/loadgen" -addrs "$ADDRS" \
   -bottles "$BOTTLES" -batch 32 -submitters 4 -sweepers 2 \
-  -replication 2 -scenario churn -verify-replies >"$OUT/loadgen.out" 2>&1 &
+  -replication 2 -scenario churn >"$OUT/loadgen.out" 2>&1 &
 LG=$!
 
 sleep 2
@@ -208,7 +210,7 @@ echo "chaos: secured cluster up (mTLS + tokens + per-identity admission)"
 
 "$BIN/loadgen" -addrs "$ADDRS" \
   -bottles "$BOTTLES" -batch 32 -submitters 4 -sweepers 2 \
-  -replication 2 -verify-replies \
+  -replication 2 \
   -tls-ca "$PKI/ca.pem" -tls-cert "$PKI/client.pem" -tls-key "$PKI/client-key.pem" \
   -token "@$OUT/loadgen.tok" >"$OUT/loadgen-tls.out" 2>&1 &
 LG=$!
@@ -244,7 +246,7 @@ start_cluster
 
 "$BIN/loadgen" -addrs "$ADDRS" \
   -bottles "$BOTTLES" -batch 32 -submitters 4 -sweepers 2 \
-  -replication 2 -verify-replies >"$OUT/loadgen-drain.out" 2>&1 &
+  -replication 2 >"$OUT/loadgen-drain.out" 2>&1 &
 LG=$!
 
 sleep 2
