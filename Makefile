@@ -26,6 +26,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzSweepResultUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzCodecUnmarshal -fuzztime 10s ./internal/broker
 	$(GO) test -run NONE -fuzz FuzzTokenUnmarshal -fuzztime 10s ./internal/auth
+	$(GO) test -run NONE -fuzz FuzzFieldOps -fuzztime 10s ./internal/field
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

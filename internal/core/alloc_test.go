@@ -6,17 +6,20 @@ import (
 	"sealedbottle/internal/attr"
 )
 
-// buildRequestAllocBudget caps the heap objects of one initiator-side
-// BuildRequest on a six-attribute, γ = 2 spec. What it pays for is the
-// cryptography (field elements, big.Int scratch, the hint matrix, sealing);
-// attributes carry their canonical form, so no text is normalized per build.
-const buildRequestAllocBudget = 130
+// Allocation budgets for one initiator-side BuildRequest and one candidate's
+// TryUnseal, each the measured count plus 20 %. Field elements are values, so
+// what remains is the hint matrix and its right-hand side (one allocation
+// each), the sealed message, the package, and — on the candidate side — the
+// enumerated assignments and their candidate vectors.
+const (
+	buildRequestAllocBudget        = 42 // measured 35
+	candidateProcessingAllocBudget = 42 // measured 35
+)
 
-func TestBuildRequestAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; budgets are pinned by the non-race run")
-	}
-	spec := RequestSpec{
+// allocSpec is the six-attribute, γ = 2 request of the root package's
+// BenchmarkRequestGeneration and BenchmarkCandidateProcessing.
+func allocSpec() RequestSpec {
+	return RequestSpec{
 		Necessary: []attr.Attribute{
 			attr.MustNew("sex", "male"),
 			attr.MustNew("university", "columbia"),
@@ -29,12 +32,54 @@ func TestBuildRequestAllocBudget(t *testing.T) {
 		},
 		MinOptional: 2,
 	}
+}
+
+func TestBuildRequestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; budgets are pinned by the non-race run")
+	}
+	spec := allocSpec()
 	avg := testing.AllocsPerRun(200, func() {
 		if _, err := BuildRequest(spec, BuildOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("BuildRequest: %v allocs/op", avg)
 	if avg > buildRequestAllocBudget {
 		t.Errorf("BuildRequest: %v allocs/op, budget %d", avg, buildRequestAllocBudget)
+	}
+}
+
+func TestCandidateProcessingAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; budgets are pinned by the non-race run")
+	}
+	built, err := BuildRequest(allocSpec(), BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMatcher(attr.NewProfile(
+		attr.MustNew("sex", "male"),
+		attr.MustNew("university", "columbia"),
+		attr.MustNew("interest", "basketball"),
+		attr.MustNew("interest", "chess"),
+		attr.MustNew("interest", "cooking"),
+		attr.MustNew("interest", "hiking"),
+	), MatcherConfig{AllowCollisionSkip: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		res, _, err := m.TryUnseal(built.Package)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Matched {
+			t.Fatal("the candidate did not match")
+		}
+	})
+	t.Logf("TryUnseal: %v allocs/op", avg)
+	if avg > candidateProcessingAllocBudget {
+		t.Errorf("TryUnseal: %v allocs/op, budget %d", avg, candidateProcessingAllocBudget)
 	}
 }

@@ -190,21 +190,15 @@ func buildHint(rng io.Reader, vector crypt.ProfileVector, optionalMask []bool, g
 			optHashes = append(optHashes, field.FromBytes(vector[i][:]))
 		}
 	}
-	beta := len(optHashes) - gamma
-	identity, err := field.Identity(gamma)
+	c, err := field.NewMatrix(gamma, len(optHashes))
 	if err != nil {
-		return nil, fmt.Errorf("core: building hint identity block: %w", err)
+		return nil, fmt.Errorf("core: building constraint matrix: %w", err)
 	}
-	c := identity
-	if beta > 0 {
-		r, err := field.RandomMatrix(rng, gamma, beta)
-		if err != nil {
-			return nil, fmt.Errorf("core: building hint random block: %w", err)
-		}
-		c, err = identity.HStack(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: assembling constraint matrix: %w", err)
-		}
+	for i := 0; i < gamma; i++ {
+		c.Set(i, i, field.One())
+	}
+	if err := c.FillRandomNonZero(rng, gamma); err != nil {
+		return nil, fmt.Errorf("core: building hint random block: %w", err)
 	}
 	b, err := c.MulVector(optHashes)
 	if err != nil {

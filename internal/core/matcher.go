@@ -165,9 +165,10 @@ func (m *Matcher) CandidateVectors(pkg *RequestPackage) ([]CandidateVector, *Dia
 	diag.VectorsEnumerated = len(assignments)
 
 	optionalRank := optionalRanks(pkg.Optional)
+	var aug field.Matrix // the [sub | rhs] buffer every assignment reuses
 	out := make([]CandidateVector, 0, len(assignments))
 	for _, asg := range assignments {
-		cv, solved, ok := m.recover(pkg, asg, optionalRank)
+		cv, solved, ok := m.recover(pkg, asg, optionalRank, &aug)
 		diag.HintSystemsSolved += solved
 		if !ok {
 			continue
@@ -342,22 +343,22 @@ func optionalRanks(optional []bool) []int {
 
 // recover turns an assignment into a full candidate vector, solving the hint
 // system C·h = B for unknown optional positions (Eqs. 12-13). It reports the
-// number of linear systems solved and whether the recovery succeeded.
-func (m *Matcher) recover(pkg *RequestPackage, asg assignment, optionalRank []int) (CandidateVector, int, bool) {
+// number of linear systems solved and whether the recovery succeeded. aug is
+// the caller's scratch for the augmented system: it grows once to γ×(γ+1)
+// and is reused by every later assignment of the same request.
+func (m *Matcher) recover(pkg *RequestPackage, asg assignment, optionalRank []int, aug *field.Matrix) (CandidateVector, int, bool) {
 	cv := CandidateVector{
 		Digests:    make(crypt.ProfileVector, len(asg)),
 		OwnIndices: make([]int, len(asg)),
 	}
-	unknownPositions := make([]int, 0, pkg.MaxUnknown)
 	for pos, idx := range asg {
 		cv.OwnIndices[pos] = idx
 		if idx >= 0 {
 			cv.Digests[pos] = m.vector[idx]
 			continue
 		}
-		unknownPositions = append(unknownPositions, pos)
+		cv.Unknowns++
 	}
-	cv.Unknowns = len(unknownPositions)
 	if cv.Unknowns == 0 {
 		return cv, 0, true
 	}
@@ -365,45 +366,57 @@ func (m *Matcher) recover(pkg *RequestPackage, asg assignment, optionalRank []in
 	if hint == nil {
 		return cv, 0, false
 	}
-	gamma := hint.Gamma()
-	// Move the known optional values to the right-hand side:
+	gamma, u := hint.Gamma(), cv.Unknowns
+	if aug.Rows() == 0 {
+		// First system of this request: size the buffer for the widest one.
+		if err := aug.Reshape(gamma, gamma+1); err != nil {
+			return cv, 0, false
+		}
+	}
+	if err := aug.Reshape(gamma, u+1); err != nil {
+		return cv, 0, false
+	}
+	// Build [sub | rhs]: the unknown columns of C, then
 	// rhs_i = B_i − Σ_{j known} C[i][j]·h_j.
-	rhs := hint.B.Clone()
+	for i := 0; i < gamma; i++ {
+		aug.Set(i, u, hint.B[i])
+	}
+	j := 0
 	for pos, idx := range asg {
 		rank := optionalRank[pos]
-		if rank < 0 || idx < 0 {
+		if rank < 0 {
+			continue
+		}
+		if idx < 0 {
+			for i := 0; i < gamma; i++ {
+				aug.Set(i, j, hint.C.At(i, rank))
+			}
+			j++
 			continue
 		}
 		h := field.FromBytes(m.vector[idx][:])
 		for i := 0; i < gamma; i++ {
-			rhs[i] = rhs[i].Sub(hint.C.At(i, rank).Mul(h))
+			aug.Set(i, u, aug.At(i, u).Sub(hint.C.At(i, rank).Mul(h)))
 		}
 	}
-	// Collect the unknown columns into a γ×u system.
-	sub, err := field.NewMatrix(gamma, len(unknownPositions))
-	if err != nil {
-		return cv, 0, false
-	}
-	for j, pos := range unknownPositions {
-		rank := optionalRank[pos]
-		for i := 0; i < gamma; i++ {
-			sub.Set(i, j, hint.C.At(i, rank))
-		}
-	}
-	solution, err := field.Solve(sub, rhs)
-	if err != nil {
+	if err := field.SolveAugmented(aug); err != nil {
 		// Inconsistent or degenerate: this assignment cannot be the true
 		// request vector.
 		return cv, 1, false
 	}
-	for j, pos := range unknownPositions {
-		d, err := crypt.DigestFromBig(solution[j].Big())
-		if err != nil {
+	j = 0
+	for pos, idx := range asg {
+		if idx >= 0 {
+			continue
+		}
+		d, ok := aug.At(j, u).Bytes32()
+		if !ok {
 			// The solved value does not fit in 256 bits, so it cannot be a
 			// SHA-256 hash; reject the assignment.
 			return cv, 1, false
 		}
 		cv.Digests[pos] = d
+		j++
 	}
 	return cv, 1, true
 }

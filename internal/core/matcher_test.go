@@ -9,6 +9,7 @@ import (
 
 	"sealedbottle/internal/attr"
 	"sealedbottle/internal/crypt"
+	"sealedbottle/internal/field"
 )
 
 func TestNewMatcherValidation(t *testing.T) {
@@ -372,8 +373,9 @@ func TestDiagnosticsConsistencyProperty(t *testing.T) {
 	}
 }
 
-// A crafted digest that would decode outside the 256-bit range must be
-// rejected by recover (regression guard for the DigestFromBig bound).
+// A hint whose solution does not fit in 256 bits cannot hide a SHA-256
+// digest, so recover must discard that assignment: the guard is Bytes32's
+// top-limb check on the solved value. The success path is pinned first.
 func TestCandidateVectorsRejectNonDigestSolutions(t *testing.T) {
 	spec := RequestSpec{
 		Necessary:   tags("n1"),
@@ -382,15 +384,14 @@ func TestCandidateVectorsRejectNonDigestSolutions(t *testing.T) {
 	}
 	built := mustBuild(t, spec, BuildOptions{})
 	// A user owning n1 and o1 recovers o2 via the hint; the recovered value
-	// equals the true hash, which always fits. This test simply pins the
-	// success path and exercises the unknown-recovery branch.
+	// equals the true hash, which always fits.
 	m := mustMatcher(t, profileOf("n1", "o1"), MatcherConfig{})
 	vectors, diag, err := m.CandidateVectors(built.Package)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diag.HintSystemsSolved == 0 {
-		t.Error("expected hint solving")
+		t.Fatal("expected hint solving")
 	}
 	foundTrue := false
 	for _, cv := range vectors {
@@ -414,5 +415,71 @@ func TestCandidateVectorsRejectNonDigestSolutions(t *testing.T) {
 	if !foundTrue {
 		t.Fatal("true key not recovered")
 	}
-	_ = crypt.Digest{} // keep crypt imported for clarity of the test's intent
+
+	// Rewrite B so that the unknown solves to a chosen value X. With γ = 1,
+	// B = C[0][known]·h_known + C[0][unknown]·X.
+	own := m.Vector()
+	known, unknown := -1, -1
+	for pos, opt := range built.Package.Optional {
+		if !opt {
+			continue
+		}
+		if own.Contains(built.Vector[pos]) {
+			known = pos
+		} else {
+			unknown = pos
+		}
+	}
+	if known < 0 || unknown < 0 {
+		t.Fatalf("layout positions not found: known %d, unknown %d", known, unknown)
+	}
+	ranks := optionalRanks(built.Package.Optional)
+	hint := built.Package.Hint
+	solveTo := func(x []byte) []CandidateVector {
+		t.Helper()
+		xe, err := field.ElementFromCanonicalBytes(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hk := field.FromBytes(built.Vector[known][:])
+		hint.B[0] = hint.C.At(0, ranks[known]).Mul(hk).Add(hint.C.At(0, ranks[unknown]).Mul(xe))
+		vectors, diag, err := m.CandidateVectors(built.Package)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diag.HintSystemsSolved == 0 {
+			t.Fatal("expected hint solving")
+		}
+		return vectors
+	}
+	recovered := func(vectors []CandidateVector) []crypt.Digest {
+		var out []crypt.Digest
+		for _, cv := range vectors {
+			if cv.OwnIndices[unknown] == -1 {
+				out = append(out, cv.Digests[unknown])
+			}
+		}
+		return out
+	}
+
+	// X = 2^256 − 1 is the largest digest: the assignment is kept.
+	largest := make([]byte, field.ElementSize)
+	for i := 1; i < len(largest); i++ {
+		largest[i] = 0xff
+	}
+	got := recovered(solveTo(largest))
+	var allOnes crypt.Digest
+	for i := range allOnes {
+		allOnes[i] = 0xff
+	}
+	if len(got) != 1 || !got[0].Equal(allOnes) {
+		t.Fatalf("X = 2^256 − 1: recovered %v, want the all-ones digest", got)
+	}
+
+	// X = 2^256 + 5 solves just as well but is no digest: discarded.
+	over := make([]byte, field.ElementSize)
+	over[0], over[len(over)-1] = 1, 5
+	if got := recovered(solveTo(over)); len(got) != 0 {
+		t.Fatalf("X = 2^256 + 5: recovered %v, want the assignment discarded", got)
+	}
 }

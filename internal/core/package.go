@@ -236,11 +236,11 @@ func (p *RequestPackage) Marshal() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(p.Hint.C.Cols()))
 		for i := 0; i < p.Hint.C.Rows(); i++ {
 			for j := 0; j < p.Hint.C.Cols(); j++ {
-				buf = append(buf, p.Hint.C.At(i, j).Bytes()...)
+				buf = p.Hint.C.At(i, j).AppendBytes(buf)
 			}
 		}
 		for _, e := range p.Hint.B {
-			buf = append(buf, e.Bytes()...)
+			buf = e.AppendBytes(buf)
 		}
 	} else {
 		buf = append(buf, 0)

@@ -62,7 +62,7 @@ func (d Digest) Mod(p uint32) uint32 {
 	return uint32(rem)
 }
 
-// Big returns the digest as a big integer, for use with the hint-matrix field
+// Big returns the digest as a big integer, for the baselines' modular
 // arithmetic.
 func (d Digest) Big() *big.Int {
 	return new(big.Int).SetBytes(d[:])
@@ -84,18 +84,6 @@ func (d Digest) IsZero() bool {
 func (d Digest) String() string {
 	h := hex.EncodeToString(d[:])
 	return h[:8] + "…" + h[len(h)-8:]
-}
-
-// DigestFromBig converts a non-negative big integer (< 2^256) back into a
-// digest. Values produced by solving the hint system are converted back this
-// way before being re-hashed into candidate profile keys.
-func DigestFromBig(x *big.Int) (Digest, error) {
-	var d Digest
-	if x.Sign() < 0 || x.BitLen() > DigestSize*8 {
-		return d, fmt.Errorf("crypt: value does not fit in a %d-byte digest", DigestSize)
-	}
-	x.FillBytes(d[:])
-	return d, nil
 }
 
 // DigestFromBytes copies a 32-byte slice into a Digest.

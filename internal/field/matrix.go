@@ -90,36 +90,22 @@ func NewMatrix(rows, cols int) (*Matrix, error) {
 	return &Matrix{rows: rows, cols: cols, data: make([]Element, rows*cols)}, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) (*Matrix, error) {
-	m, err := NewMatrix(n, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		m.Set(i, i, One())
-	}
-	return m, nil
-}
-
-// RandomMatrix returns a rows×cols matrix whose entries are uniformly random
-// non-zero field elements, as required for the R block of the constraint
-// matrix C = [I, R].
-func RandomMatrix(r io.Reader, rows, cols int) (*Matrix, error) {
-	m, err := NewMatrix(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			e, err := RandomNonZero(r)
+// FillRandomNonZero sets columns [c0, cols) of every row, row by row, to
+// uniformly random non-zero elements drawn as RandomNonZero draws them, as
+// required for the R block of the constraint matrix C = [I, R]. The whole
+// fill shares one read buffer.
+func (m *Matrix) FillRandomNonZero(r io.Reader, c0 int) error {
+	var buf [ElementSize]byte
+	for i := 0; i < m.rows; i++ {
+		for j := c0; j < m.cols; j++ {
+			e, err := randomNonZeroInto(r, buf[:])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.Set(i, j, e)
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // Rows returns the number of rows.
@@ -141,6 +127,21 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
+// Reshape makes m a zero rows×cols matrix, reusing its storage when it has
+// room, so one buffer can serve a run of systems of varying width.
+func (m *Matrix) Reshape(rows, cols int) error {
+	if rows <= 0 || cols <= 0 {
+		return fmt.Errorf("field: invalid matrix shape %dx%d", rows, cols)
+	}
+	n := rows * cols
+	if cap(m.data) < n {
+		m.data = make([]Element, n)
+	}
+	m.rows, m.cols, m.data = rows, cols, m.data[:n]
+	clear(m.data)
+	return nil
+}
+
 // Equal reports element-wise equality of two matrices.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.rows != o.rows || m.cols != o.cols {
@@ -152,27 +153,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 		}
 	}
 	return true
-}
-
-// HStack returns [m | o], the horizontal concatenation of two matrices with
-// the same number of rows. It is used to build C = [I, R] and M = [C, B].
-func (m *Matrix) HStack(o *Matrix) (*Matrix, error) {
-	if m.rows != o.rows {
-		return nil, fmt.Errorf("field: hstack row mismatch %d vs %d", m.rows, o.rows)
-	}
-	out, err := NewMatrix(m.rows, m.cols+o.cols)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(i, j, m.At(i, j))
-		}
-		for j := 0; j < o.cols; j++ {
-			out.Set(i, m.cols+j, o.At(i, j))
-		}
-	}
-	return out, nil
 }
 
 // Submatrix returns the block [r0, r1) × [c0, c1).
@@ -262,77 +242,84 @@ var (
 // It returns ErrUnderdetermined when the solution is not unique and
 // ErrInconsistentSystem when no solution exists. A may be rectangular
 // (more equations than unknowns is fine as long as they are consistent).
+// It copies [A | b] into one augmented matrix and reduces that with
+// SolveAugmented.
 func Solve(a *Matrix, b Vector) (Vector, error) {
 	if a.rows != len(b) {
 		return nil, fmt.Errorf("field: %d equations but %d right-hand sides", a.rows, len(b))
 	}
-	rows, cols := a.rows, a.cols
-	// Build the augmented matrix and run row reduction.
-	aug := a.Clone()
-	rhs := b.Clone()
+	aug := &Matrix{rows: a.rows, cols: a.cols + 1, data: make([]Element, a.rows*(a.cols+1))}
+	for i := 0; i < a.rows; i++ {
+		copy(aug.data[i*aug.cols:], a.data[i*a.cols:(i+1)*a.cols])
+		aug.Set(i, a.cols, b[i])
+	}
+	if err := SolveAugmented(aug); err != nil {
+		return nil, err
+	}
+	x := make(Vector, a.cols)
+	for j := range x {
+		x[j] = aug.At(j, a.cols)
+	}
+	return x, nil
+}
 
-	pivotCols := make([]int, 0, cols)
+// SolveAugmented solves A·x = b for aug = [A | b] by Gauss–Jordan elimination
+// in place, with one inversion per pivot and no allocation. On success
+// x_j = aug.At(j, aug.Cols()-1) for every unknown j < aug.Cols()-1. Its errors
+// are Solve's.
+func SolveAugmented(aug *Matrix) error {
+	rows, n := aug.rows, aug.cols-1
 	row := 0
-	for col := 0; col < cols && row < rows; col++ {
+	for col := 0; col < n && row < rows; col++ {
 		// Find a pivot in this column at or below `row`.
-		pivot := -1
-		for r := row; r < rows; r++ {
-			if !aug.At(r, col).IsZero() {
-				pivot = r
-				break
-			}
+		pivot := row
+		for pivot < rows && aug.At(pivot, col).IsZero() {
+			pivot++
 		}
-		if pivot < 0 {
+		if pivot == rows {
 			continue
 		}
-		// Swap the pivot row into place.
+		pr := aug.data[row*aug.cols : (row+1)*aug.cols]
 		if pivot != row {
-			for j := 0; j < cols; j++ {
-				tmp := aug.At(row, j)
-				aug.Set(row, j, aug.At(pivot, j))
-				aug.Set(pivot, j, tmp)
+			swapWith := aug.data[pivot*aug.cols : (pivot+1)*aug.cols]
+			for j := col; j <= n; j++ {
+				pr[j], swapWith[j] = swapWith[j], pr[j]
 			}
-			rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
 		}
 		// Normalize the pivot row.
-		inv, err := aug.At(row, col).Inv()
+		inv, err := pr[col].Inv()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for j := col; j < cols; j++ {
-			aug.Set(row, j, aug.At(row, j).Mul(inv))
+		for j := col; j <= n; j++ {
+			pr[j] = pr[j].Mul(inv)
 		}
-		rhs[row] = rhs[row].Mul(inv)
 		// Eliminate the column from every other row.
 		for r := 0; r < rows; r++ {
 			if r == row {
 				continue
 			}
-			factor := aug.At(r, col)
+			rr := aug.data[r*aug.cols : (r+1)*aug.cols]
+			factor := rr[col]
 			if factor.IsZero() {
 				continue
 			}
-			for j := col; j < cols; j++ {
-				aug.Set(r, j, aug.At(r, j).Sub(factor.Mul(aug.At(row, j))))
+			for j := col; j <= n; j++ {
+				rr[j] = rr[j].Sub(factor.Mul(pr[j]))
 			}
-			rhs[r] = rhs[r].Sub(factor.Mul(rhs[row]))
 		}
-		pivotCols = append(pivotCols, col)
 		row++
 	}
 	// Any remaining non-zero right-hand side with an all-zero row means the
 	// system is inconsistent.
 	for r := row; r < rows; r++ {
-		if !rhs[r].IsZero() {
-			return nil, ErrInconsistentSystem
+		if !aug.At(r, n).IsZero() {
+			return ErrInconsistentSystem
 		}
 	}
-	if len(pivotCols) < cols {
-		return nil, ErrUnderdetermined
+	// With a pivot in every column, column j's pivot sits in row j.
+	if row < n {
+		return ErrUnderdetermined
 	}
-	x := make(Vector, cols)
-	for i, col := range pivotCols {
-		x[col] = rhs[i]
-	}
-	return x, nil
+	return nil
 }

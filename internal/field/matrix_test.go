@@ -76,10 +76,7 @@ func TestVectorFromBytes(t *testing.T) {
 }
 
 func TestIdentityAndMultiply(t *testing.T) {
-	id, err := Identity(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustMatrix(t, 3, 3, 1, 0, 0, 0, 1, 0, 0, 0, 1)
 	m := mustMatrix(t, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 10)
 	prod, err := id.MulMatrix(m)
 	if err != nil {
@@ -105,31 +102,17 @@ func TestIdentityAndMultiply(t *testing.T) {
 	}
 }
 
-func TestHStackAndSubmatrix(t *testing.T) {
-	id, _ := Identity(2)
-	r := mustMatrix(t, 2, 3, 1, 2, 3, 4, 5, 6)
-	c, err := id.HStack(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Rows() != 2 || c.Cols() != 5 {
-		t.Fatalf("HStack shape %dx%d", c.Rows(), c.Cols())
-	}
-	if !c.At(0, 0).Equal(One()) || !c.At(1, 4).Equal(FromUint64(6)) {
-		t.Error("HStack content wrong")
-	}
+func TestSubmatrix(t *testing.T) {
+	c := mustMatrix(t, 2, 5, 1, 0, 1, 2, 3, 0, 1, 4, 5, 6)
 	sub, err := c.Submatrix(0, 2, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.Equal(r) {
+	if !sub.Equal(mustMatrix(t, 2, 3, 1, 2, 3, 4, 5, 6)) {
 		t.Error("Submatrix did not recover R block")
 	}
 	if _, err := c.Submatrix(0, 3, 0, 1); err == nil {
 		t.Error("out-of-bounds submatrix should fail")
-	}
-	if _, err := id.HStack(mustMatrix(t, 3, 1, 1, 2, 3)); err == nil {
-		t.Error("row mismatch hstack should fail")
 	}
 }
 
@@ -198,8 +181,11 @@ func TestSolveDimensionMismatch(t *testing.T) {
 }
 
 func TestRandomMatrixNonZero(t *testing.T) {
-	m, err := RandomMatrix(rand.Reader, 3, 4)
+	m, err := NewMatrix(3, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FillRandomNonZero(rand.Reader, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < m.Rows(); i++ {
@@ -211,9 +197,11 @@ func TestRandomMatrixNonZero(t *testing.T) {
 	}
 }
 
-// Property: for random invertible-looking systems built as A·x = b with known
-// x, Solve recovers exactly x. This is the exact shape of the hint-matrix
-// recovery in the paper: [I, R]·h = B with h the optional attribute hashes.
+// Property: for random systems built as C·x = b with known x, the in-place
+// solve recovers exactly x. This is the exact shape of the hint-matrix
+// recovery in the paper: C = [I, R], b = B, x the optional attribute hashes;
+// the β trailing entries are known, so the γ leading ones are solved from
+// [I_γ | rhs] with rhs = B − R·x_known, as Matcher.recover builds it.
 func TestSolveRecoversKnownSolutionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := mrand.New(mrand.NewSource(seed))
@@ -222,27 +210,15 @@ func TestSolveRecoversKnownSolutionProperty(t *testing.T) {
 		n := gamma + beta
 
 		// Build C = [I, R] with random non-zero R entries.
-		id, err := Identity(gamma)
+		c, err := NewMatrix(gamma, n)
 		if err != nil {
 			return false
 		}
-		var c *Matrix
-		if beta > 0 {
-			r, err := NewMatrix(gamma, beta)
-			if err != nil {
-				return false
+		for i := 0; i < gamma; i++ {
+			c.Set(i, i, One())
+			for j := gamma; j < n; j++ {
+				c.Set(i, j, FromUint64(uint64(1+rng.Intn(1<<30))))
 			}
-			for i := 0; i < gamma; i++ {
-				for j := 0; j < beta; j++ {
-					r.Set(i, j, FromUint64(uint64(1+rng.Intn(1<<30))))
-				}
-			}
-			c, err = id.HStack(r)
-			if err != nil {
-				return false
-			}
-		} else {
-			c = id
 		}
 
 		// Random "hash" vector x of length n.
@@ -255,25 +231,25 @@ func TestSolveRecoversKnownSolutionProperty(t *testing.T) {
 			return false
 		}
 
-		// Knowing the beta trailing entries, the gamma leading unknowns are
-		// determined; emulate that by moving known terms to the RHS and
-		// solving the gamma×gamma identity system.
-		rhs := b.Clone()
+		var aug Matrix
+		if err := aug.Reshape(gamma, gamma+1); err != nil {
+			return false
+		}
 		for i := 0; i < gamma; i++ {
-			for j := 0; j < beta; j++ {
-				rhs[i] = rhs[i].Sub(c.At(i, gamma+j).Mul(x[gamma+j]))
+			rhs := b[i]
+			for j := gamma; j < n; j++ {
+				rhs = rhs.Sub(c.At(i, j).Mul(x[j]))
 			}
+			for j := 0; j < gamma; j++ {
+				aug.Set(i, j, c.At(i, j))
+			}
+			aug.Set(i, gamma, rhs)
 		}
-		sub, err := c.Submatrix(0, gamma, 0, gamma)
-		if err != nil {
-			return false
-		}
-		sol, err := Solve(sub, rhs)
-		if err != nil {
+		if err := SolveAugmented(&aug); err != nil {
 			return false
 		}
 		for i := 0; i < gamma; i++ {
-			if !sol[i].Equal(x[i]) {
+			if !aug.At(i, gamma).Equal(x[i]) {
 				return false
 			}
 		}
@@ -281,5 +257,33 @@ func TestSolveRecoversKnownSolutionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestReshapeReusesStorage(t *testing.T) {
+	var m Matrix
+	if err := m.Reshape(3, 4); err != nil {
+		t.Fatal(err)
+	}
+	m.Set(2, 3, One())
+	if n := testing.AllocsPerRun(10, func() {
+		if err := m.Reshape(3, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reshape within capacity: %v allocs, want 0", n)
+	}
+	if m.Rows() != 3 || m.Cols() != 2 {
+		t.Fatalf("shape %dx%d, want 3x2", m.Rows(), m.Cols())
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 2; j++ {
+			if !m.At(i, j).IsZero() {
+				t.Fatalf("entry (%d,%d) survived the reshape", i, j)
+			}
+		}
+	}
+	if err := m.Reshape(0, 1); err == nil {
+		t.Error("an empty shape should fail")
 	}
 }
