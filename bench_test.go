@@ -18,8 +18,10 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sealedbottle/internal/attr"
+	"sealedbottle/internal/auth"
 	"sealedbottle/internal/baseline/dotproduct"
 	"sealedbottle/internal/baseline/fc10"
 	"sealedbottle/internal/baseline/findu"
@@ -745,7 +747,7 @@ func BenchmarkCodecRoundTrips(b *testing.B) {
 // behaviour.
 
 // benchTransportRack serves a fresh rack over TCP loopback.
-func benchTransportRack(b *testing.B) (addr string, cleanup func()) {
+func benchTransportRack(b *testing.B, opts ...transport.ServerOptions) (addr string, cleanup func()) {
 	b.Helper()
 	rack := broker.New(broker.Config{Shards: 32, ReapInterval: -1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -753,7 +755,7 @@ func benchTransportRack(b *testing.B) (addr string, cleanup func()) {
 		rack.Close()
 		b.Skipf("cannot listen on loopback: %v", err)
 	}
-	srv := transport.NewServer(rack)
+	srv := transport.NewServer(rack, opts...)
 	go srv.Serve(l)
 	return l.Addr().String(), func() {
 		l.Close()
@@ -796,7 +798,39 @@ func BenchmarkTransportSubmitPipelined(b *testing.B) {
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	addr, cleanup := benchTransportRack(b)
 	defer cleanup()
-	courier, err := client.Dial(client.Config{Addr: addr, Conns: 1})
+	benchRoundTrips(b, client.Config{Addr: addr, Conns: 1})
+}
+
+// BenchmarkTransportRoundTripTLS is BenchmarkTransportRoundTrip inside TLS,
+// as friend-1rack's connections are: the record layer on top of the same
+// calls, and the read deadlines that cut a read short go through it.
+func BenchmarkTransportRoundTripTLS(b *testing.B) {
+	now := time.Now()
+	ca, err := auth.NewCA("bench-ca", now)
+	if err != nil {
+		b.Fatal(err)
+	}
+	certPEM, keyPEM, err := ca.Issue("rack", []string{"127.0.0.1"}, now)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srvTLS, err := auth.ServerTLS(certPEM, keyPEM, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cliTLS, err := auth.ClientTLS(ca.CertPEM, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, cleanup := benchTransportRack(b, transport.ServerOptions{TLS: srvTLS})
+	defer cleanup()
+	benchRoundTrips(b, client.Config{Addr: addr, Conns: 1, TLS: cliTLS})
+}
+
+// benchRoundTrips runs b.N sequential Submit + Remove pairs through one
+// courier dialed with cfg.
+func benchRoundTrips(b *testing.B, cfg client.Config) {
+	courier, err := client.Dial(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,11 +11,12 @@ import (
 )
 
 // Allocation budgets for the steady-state framing paths. Frames ride pooled
-// buffers, so a warmed write is alloc-free; the server-side
-// pooled read is alloc-free too. The client read path (readMuxFrame) is
+// buffers, so a warmed write is alloc-free; the server-side pooled read is
+// alloc-free too. The client's resumable decoder (frameReader) is
 // deliberately NOT pinned at zero: it allocates one buffer per response by
-// design, because body ownership passes to the caller whose zero-copy decodes
-// alias it indefinitely.
+// design, because body ownership passes to the caller whose zero-copy
+// decodes alias it indefinitely. Its length prefix lives on the Mux, so that
+// buffer is all it allocates.
 
 func requireZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
@@ -66,9 +67,8 @@ func (noDeadlineConn) SetWriteDeadline(time.Time) error { return nil }
 // a per-call timeout, client and server together. The writers, frames,
 // request buffers and the call's channel and timer are pooled, and the
 // request ID's bytes stay on the caller's stack; what is left is the
-// response body the caller owns, the server's string of the ID and its
-// response.
-const muxRoundTripAllocs = 3
+// response body the caller owns and the server's one-byte response.
+const muxRoundTripAllocs = 2
 
 func TestMuxRoundTripAllocs(t *testing.T) {
 	if raceEnabled {

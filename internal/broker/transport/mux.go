@@ -30,6 +30,14 @@ import (
 // frame queued meanwhile by senders that found the write lock taken, and
 // flushes once — so under pipelined load many frames ride one syscall, and
 // on loopback this, not I/O overlap, is most of the throughput win.
+//
+// The client reads with no goroutine either: a waiting caller takes the
+// connection's one read turn, reads frames, hands other callers' responses
+// to their channels and returns with its own, passing the turn on. A
+// response thus costs one wake-up, of the goroutine that needs it, and the
+// dead-peer deadline is kept by whoever holds the turn. Only while a
+// response is due to a caller that gave up does a short-lived goroutine
+// hold the turn when no caller does (see drain).
 
 // MuxMagic is the preamble every connection opens with ("SBM1").
 const MuxMagic uint32 = 0x53424D31
@@ -91,29 +99,6 @@ func newMuxFrame(seq uint64, tag byte, body []byte) *[]byte {
 	f := muxBufs.Get().(*[]byte)
 	*f = appendMuxFrame((*f)[:0], seq, tag, body)
 	return f
-}
-
-// readMuxFrame reads one sequence-tagged frame into a fresh buffer whose
-// ownership passes to the caller — the client read loop uses it because
-// response bodies outlive the loop iteration (callers' zero-copy decodes
-// alias them indefinitely).
-func readMuxFrame(r io.Reader) (seq uint64, tag byte, body []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	size := binary.BigEndian.Uint32(lenBuf[:])
-	if size < muxHeaderSize {
-		return 0, 0, nil, ErrShortFrame
-	}
-	if size > MaxFrameSize {
-		return 0, 0, nil, ErrFrameTooLarge
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, err
-	}
-	return binary.BigEndian.Uint64(buf[:8]), buf[8], buf[muxHeaderSize:], nil
 }
 
 // readMuxFramePooled reads one sequence-tagged frame into a pooled buffer.
@@ -249,32 +234,113 @@ type muxResult struct {
 	body   []byte
 }
 
-// Mux speaks the multiplexed framing over one connection: its one goroutine,
-// the read loop, demuxes responses by sequence number to waiting callers,
-// and callers write their own request frames, so any number of calls may be
-// in flight concurrently. All methods are safe for concurrent use; a
-// connection-level failure fails every in-flight and future call.
-type Mux struct {
-	conn   net.Conn
-	opts   Options
-	writer *muxWriter
-
-	mu      sync.Mutex // guards the fields below
-	seq     uint64
-	pending map[uint64]chan muxResult
-	err     error // terminal connection error, once set
-	done    chan struct{}
+// frameReader decodes response frames resumably: the length prefix and the
+// frame read so far live here, not on a reader's stack, so a read cut off
+// by a deadline at any byte is picked up intact by whoever reads next. Each
+// frame gets a fresh buffer whose ownership passes to the caller it
+// answers, because callers' zero-copy decodes alias response bodies
+// indefinitely.
+type frameReader struct {
+	br    *bufio.Reader
+	size  [4]byte // the length prefix
+	sizeN int     // length-prefix bytes read
+	frame []byte  // the frame after its length prefix, once that is known
+	n     int     // frame bytes read
 }
 
-// NewMux sends the mux preamble on a fresh connection and starts the
-// demuxing reader.
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, muxBufferSize)}
+}
+
+// next continues the frame in progress and returns it once it is whole
+// (ok). With block false it takes only what the buffer already holds,
+// never reading the connection, and returns !ok when that runs out. A
+// failed read leaves the partial frame in place, so after a deadline the
+// next call resumes it.
+func (fr *frameReader) next(block bool) (seq uint64, status byte, body []byte, ok bool, err error) {
+	for fr.sizeN < len(fr.size) {
+		n, err := fr.read(fr.size[fr.sizeN:], block)
+		fr.sizeN += n
+		if err != nil || n == 0 && !block {
+			return 0, 0, nil, false, err
+		}
+	}
+	if fr.frame == nil {
+		size := binary.BigEndian.Uint32(fr.size[:])
+		if size < muxHeaderSize {
+			return 0, 0, nil, false, ErrShortFrame
+		}
+		if size > MaxFrameSize {
+			return 0, 0, nil, false, ErrFrameTooLarge
+		}
+		fr.frame = make([]byte, size)
+	}
+	for fr.n < len(fr.frame) {
+		n, err := fr.read(fr.frame[fr.n:], block)
+		fr.n += n
+		if err != nil || n == 0 && !block {
+			return 0, 0, nil, false, err
+		}
+	}
+	f := fr.frame
+	fr.sizeN, fr.frame, fr.n = 0, nil, 0
+	return binary.BigEndian.Uint64(f[:8]), f[8], f[muxHeaderSize:], true, nil
+}
+
+// read reads into p; unless block, only from what is already buffered.
+func (fr *frameReader) read(p []byte, block bool) (int, error) {
+	if !block {
+		n := fr.br.Buffered()
+		if n == 0 {
+			return 0, nil
+		}
+		p = p[:min(len(p), n)]
+	}
+	return fr.br.Read(p)
+}
+
+// Mux speaks the multiplexed framing over one connection and runs no
+// goroutine but a drain's: callers write their own request frames and,
+// holding the read turn, read the responses (see hold), so the goroutine
+// the netpoller wakes is the one that needs the bytes. Any number of calls
+// may be in flight concurrently. All methods are safe for concurrent use; a
+// connection-level failure fails every in-flight and future call.
+type Mux struct {
+	conn      net.Conn
+	opts      Options
+	writer    *muxWriter
+	interrupt func() // sets a past read deadline, cutting the holder's read short
+
+	// turn holds the read turn while nobody reads: a waiting caller takes
+	// it to become the holder and puts it back when it leaves.
+	turn chan struct{}
+	fr   *frameReader // touched only by whoever holds the turn
+
+	mu        sync.Mutex // guards the fields below
+	seq       uint64
+	pending   map[uint64]chan muxResult
+	abandoned map[uint64]struct{} // calls given up on whose responses are still due
+	lastFrame time.Time           // the last frame's arrival, or the idle-to-busy turn
+	err       error               // terminal connection error, once set
+	done      chan struct{}
+}
+
+// aLongTimeAgo is a read deadline that has always passed.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// NewMux sends the mux preamble on a fresh connection.
 func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 	m := &Mux{
-		conn:    conn,
-		opts:    firstOption(opts),
-		pending: make(map[uint64]chan muxResult),
-		done:    make(chan struct{}),
+		conn:      conn,
+		opts:      firstOption(opts),
+		interrupt: func() { conn.SetReadDeadline(aLongTimeAgo) },
+		turn:      make(chan struct{}, 1),
+		fr:        newFrameReader(conn),
+		pending:   make(map[uint64]chan muxResult),
+		abandoned: make(map[uint64]struct{}),
+		done:      make(chan struct{}),
 	}
+	m.turn <- struct{}{}
 	var magic [4]byte
 	binary.BigEndian.PutUint32(magic[:], MuxMagic)
 	if d := m.opts.writeDeadline(); !d.IsZero() {
@@ -292,11 +358,7 @@ func NewMux(conn net.Conn, opts ...Options) (*Mux, error) {
 		conn.Close()
 		return nil, err
 	}
-	m.writer = newMuxWriter(conn, m.opts.writeDeadline, func(err error) {
-		m.fail(err)
-		m.conn.Close()
-	})
-	go m.readLoop()
+	m.writer = newMuxWriter(conn, m.opts.writeDeadline, func(err error) { m.failConn(err) })
 	return m, nil
 }
 
@@ -310,60 +372,25 @@ func DialMux(addr string, opts ...Options) (*Mux, error) {
 	return NewMux(conn, opts...)
 }
 
-// readLoop demuxes response frames to their waiting callers until the
-// connection fails or the client closes. CallTimeout is enforced here as a
-// progress deadline: while calls are pending the connection must deliver a
-// response frame within CallTimeout or the whole connection fails with
-// ErrCallTimeout — the dead-peer detector. (Individual slow calls are bounded
-// separately by the per-call timer in wait(), which abandons just that call;
-// this connection-level deadline is what catches a peer sending nothing at
-// all.)
-func (m *Mux) readLoop() {
-	br := bufio.NewReaderSize(m.conn, muxBufferSize)
-	for {
-		seq, status, body, err := readMuxFrame(br)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				// No response frame at all within the progress window: the
-				// peer is dead to us, so the whole connection fails. (A single
-				// slow call would have been abandoned individually instead.)
-				err = fmt.Errorf("transport: no response within progress deadline %v: %w",
-					m.opts.CallTimeout, ErrCallTimeout)
-			}
-			m.fail(err)
-			m.conn.Close()
-			return
-		}
-		m.mu.Lock()
-		ch, ok := m.pending[seq]
-		delete(m.pending, seq)
-		// The deadline update happens under mu so it cannot interleave with a
-		// concurrent call arming the idle→busy deadline: whichever of the two
-		// observes the map last also sets the deadline last.
-		if m.opts.CallTimeout > 0 {
-			if len(m.pending) > 0 {
-				m.conn.SetReadDeadline(time.Now().Add(m.opts.CallTimeout))
-			} else {
-				m.conn.SetReadDeadline(time.Time{})
-			}
-		}
-		m.mu.Unlock()
-		if ok {
-			// Buffered: a send never blocks the demux loop.
-			ch <- muxResult{status: status, body: body}
-		}
-	}
-}
-
-// fail records the terminal error and releases every in-flight caller.
-func (m *Mux) fail(err error) {
+// fail records the terminal error, releases every in-flight caller and
+// returns the terminal error (an earlier failure's, if there was one).
+func (m *Mux) fail(err error) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.err == nil {
 		m.err = err
 		close(m.done)
 	}
 	m.pending = make(map[uint64]chan muxResult)
-	m.mu.Unlock()
+	m.abandoned = make(map[uint64]struct{})
+	return m.err
+}
+
+// failConn fails the connection and closes it, which ends a holder's read.
+func (m *Mux) failConn(err error) error {
+	err = m.fail(err)
+	m.conn.Close()
+	return err
 }
 
 // Close tears the connection down, failing in-flight calls with
@@ -373,18 +400,21 @@ func (m *Mux) Close() error {
 	return m.conn.Close()
 }
 
-// muxCall is what one call waits with: the channel the read loop delivers
-// its response on and the timer of its per-call timeout, kept stopped while
-// pooled (since go 1.23 a stopped or reset timer delivers no stale tick).
+// muxCall is what one call waits with: the channel a holder delivers its
+// response on, the timer of its per-call timeout while it waits for the
+// turn, kept stopped while pooled (since go 1.23 a stopped or reset timer
+// delivers no stale tick), and its sequence number and deadline.
 type muxCall struct {
-	ch    chan muxResult
-	timer *time.Timer
+	ch       chan muxResult
+	timer    *time.Timer
+	seq      uint64
+	deadline time.Time // the per-call deadline; zero without CallTimeout
 }
 
 // muxCalls pools calls; a call is only returned to the pool by the caller
 // that drained its delivery (or by abandon, which withdrew it before any
 // delivery), after stopping its timer, so a pooled call's channel is always
-// empty and unreferenced by the read loop.
+// empty and no longer pending.
 var muxCalls = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
@@ -425,6 +455,11 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 		return nil, ErrFrameTooLarge
 	}
 	c := muxCalls.Get().(*muxCall)
+	var now, deadline time.Time
+	if m.opts.CallTimeout > 0 {
+		now = time.Now()
+		deadline = now.Add(m.opts.CallTimeout)
+	}
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
@@ -433,20 +468,19 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 		return nil, err
 	}
 	m.seq++
-	seq := m.seq
-	m.pending[seq] = c.ch
-	if len(m.pending) == 1 && m.opts.CallTimeout > 0 {
-		// The read loop renews this deadline as responses arrive; arming it on
-		// the idle→busy transition (under mu, so it cannot race the loop's
-		// idle clear) is what turns a dead peer into an error.
-		m.conn.SetReadDeadline(time.Now().Add(m.opts.CallTimeout))
+	c.seq, c.deadline = m.seq, deadline
+	if len(m.pending) == 0 {
+		// Idle to busy: from now on some frame must arrive within
+		// CallTimeout.
+		m.lastFrame = now
 	}
+	m.pending[c.seq] = c.ch
 	m.mu.Unlock()
 
 	// A write failure fails the connection, and wait reports it.
-	m.writer.send(newMuxFrame(seq, op, body), true)
+	m.writer.send(newMuxFrame(c.seq, op, body), true)
 
-	res, err := m.wait(ctx, seq, c)
+	res, err := m.wait(ctx, c)
 	if err != nil {
 		return nil, err
 	}
@@ -457,21 +491,24 @@ func (m *Mux) roundTrip(ctx context.Context, op byte, body []byte) ([]byte, erro
 	return res.body, nil
 }
 
-// wait blocks until the call's response is delivered or a bound ends the
-// wait. On error the call must NOT be pooled by the caller (abandon pooled
-// it, or a dying read loop may still reference its channel). Every path
-// stops the timer before the call can reach the pool.
-func (m *Mux) wait(ctx context.Context, seq uint64, c *muxCall) (muxResult, error) {
-	// Fast path: the response may already be buffered (pipelined bursts on a
-	// loaded connection); the timer is not armed then.
+// wait blocks until the call's response is delivered or the caller takes
+// the read turn and reads it itself, or until a bound ends the wait. On
+// error the call must NOT be pooled by the caller (abandon pooled it, or
+// the connection failed). Every path stops the timer before the call can
+// reach the pool.
+func (m *Mux) wait(ctx context.Context, c *muxCall) (muxResult, error) {
+	// Fast path: the response is already delivered, or nobody is reading —
+	// a lone caller's usual case. The timer is not armed then.
 	select {
 	case res := <-c.ch:
 		return res, nil
+	case <-m.turn:
+		return m.hold(ctx, c)
 	default:
 	}
 	var timeoutC <-chan time.Time
-	if m.opts.CallTimeout > 0 {
-		c.timer.Reset(m.opts.CallTimeout)
+	if !c.deadline.IsZero() {
+		c.timer.Reset(time.Until(c.deadline))
 		timeoutC = c.timer.C
 	}
 	var cause error
@@ -479,75 +516,250 @@ func (m *Mux) wait(ctx context.Context, seq uint64, c *muxCall) (muxResult, erro
 	case res := <-c.ch:
 		c.timer.Stop()
 		return res, nil
+	case <-m.turn:
+		c.timer.Stop()
+		return m.hold(ctx, c)
 	case <-ctx.Done():
 		cause = ctx.Err()
 	case <-timeoutC:
-		cause = fmt.Errorf("%w (per-call timeout %v)", ErrCallTimeout, m.opts.CallTimeout)
+		// Checked first, as a holder does: a waiter behind a drain is how a
+		// silent peer is caught while the drain reads.
+		if err := m.checkProgress(time.Now()); err != nil {
+			return muxResult{}, err
+		}
+		cause = m.perCallTimeout()
 	case <-m.done:
 		c.timer.Stop()
-		// Prefer a delivery that raced the failure; otherwise the channel may
-		// still be referenced by a dying read loop, so it is not pooled.
+		// Prefer a delivery that raced the failure; otherwise the call is
+		// left to the garbage collector rather than pooled.
 		select {
 		case res := <-c.ch:
 			return res, nil
 		default:
 			m.mu.Lock()
-			delete(m.pending, seq)
 			err := m.err
 			m.mu.Unlock()
 			return muxResult{}, err
 		}
 	}
 	c.timer.Stop()
-	if res, delivered := m.abandon(seq, c); delivered {
-		return res, nil
-	}
-	return muxResult{}, &AbandonedError{Cause: cause}
+	return m.abandon(c, cause)
 }
 
-// abandon withdraws a call whose caller stopped waiting. If the sequence is
-// still pending it is forgotten — the read loop will find no waiter when (if
-// ever) its response arrives and discard it, leaving the connection usable —
-// and the progress deadline is re-derived for the remaining pending set. If
-// the read loop already claimed the sequence, its delivery is imminent on the
-// buffered channel, so it is collected and returned as a normal completion
-// (delivered=true): the response exists, losing it would only force the
-// caller to wonder whether the operation executed.
+// hold reads frames while the caller holds the read turn: other callers'
+// responses go to their channels, and the caller's own ends the hold. Each
+// read is bounded by the connection's read deadline, set before it to the
+// earlier of the call's deadline and the progress deadline, and the
+// caller's context cuts it short by setting a past one. A read that times
+// out is classified in this order:
 //
-// Pooling discipline: abandon pools the call only on the abandoned
-// (delivered=false, sequence-was-ours) path. On the delivered path the
-// caller falls through to its normal completion and pools the call exactly
-// once there — a second Put here would hand the same channel to two future
-// callers and cross-deliver their responses. The caller has stopped the
-// timer.
-func (m *Mux) abandon(seq uint64, c *muxCall) (muxResult, bool) {
-	m.mu.Lock()
-	_, mine := m.pending[seq]
-	if mine {
-		delete(m.pending, seq)
-		if m.opts.CallTimeout > 0 && len(m.pending) == 0 && m.err == nil {
-			// Last pending call abandoned: clear the progress deadline so the
-			// now-idle connection is not failed for silence nobody minds.
-			m.conn.SetReadDeadline(time.Time{})
+//  1. the context ended: the call is abandoned;
+//  2. no frame arrived for a whole CallTimeout while calls were pending:
+//     the connection fails with ErrCallTimeout, the dead-peer signal;
+//  3. the call's own deadline passed: the call alone is abandoned;
+//  4. anything else — a stale interrupt from an earlier holder's context —
+//     re-arms and reads on.
+//
+// However the hold ends, leave hands on what is buffered and passes the
+// turn.
+func (m *Mux) hold(ctx context.Context, c *muxCall) (muxResult, error) {
+	defer m.leave()
+	// The previous holder may have delivered this call's response just
+	// before it left.
+	select {
+	case res := <-c.ch:
+		return res, nil
+	default:
+	}
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, m.interrupt)()
+	}
+	for {
+		m.mu.Lock()
+		deadline := earlier(c.deadline, m.progressDeadline())
+		m.mu.Unlock()
+		m.conn.SetReadDeadline(deadline)
+		// Arming may have overwritten the interrupt of a context that ended
+		// just before; the interrupt follows the end, so this sees it.
+		if err := ctx.Err(); err != nil {
+			return m.abandon(c, err)
 		}
+		seq, status, body, _, err := m.fr.next(true)
+		for err == nil {
+			if seq == c.seq {
+				m.mu.Lock()
+				m.arrived()
+				delete(m.pending, seq)
+				m.mu.Unlock()
+				return muxResult{status: status, body: body}, nil
+			}
+			m.deliver(seq, status, body)
+			seq, status, body, _, err = m.fr.next(true)
+		}
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			return muxResult{}, m.failConn(err)
+		}
+		if err := ctx.Err(); err != nil {
+			return m.abandon(c, err)
+		}
+		now := time.Now()
+		if err := m.checkProgress(now); err != nil {
+			return muxResult{}, err
+		}
+		if !c.deadline.IsZero() && !now.Before(c.deadline) {
+			return m.abandon(c, m.perCallTimeout())
+		}
+	}
+}
+
+// leave ends a hold: it hands on every frame the buffer already holds,
+// without reading the connection, and passes the turn on.
+func (m *Mux) leave() {
+	for {
+		seq, status, body, ok, err := m.fr.next(false)
+		if err != nil {
+			m.failConn(err)
+		}
+		if !ok {
+			break
+		}
+		m.deliver(seq, status, body)
+	}
+	if m.passTurn() {
+		go m.drain()
+	}
+}
+
+// passTurn puts the read turn back, where a waiting caller takes it — unless
+// a response is still due to a caller that gave up. Then it keeps the turn
+// for a drain, clearing the read deadline, and reports true: a response
+// nobody reads would leave the peer blocked writing it, and on an unbuffered
+// connection such as net.Pipe the peer then reads no more requests, so the
+// next caller would block writing its own. The caller holds the turn.
+func (m *Mux) passTurn() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err != nil || len(m.abandoned) == 0 {
+		m.turn <- struct{}{} // the caller's token: never blocks
+		return false
+	}
+	m.conn.SetReadDeadline(time.Time{})
+	return true
+}
+
+// drain holds the read turn while responses are due to callers that gave
+// up, handing on every frame it reads. It waits for no response of its own
+// and reads with no deadline: the calls waiting meanwhile catch a silent
+// peer with their own timers, and a stale interrupt only costs a loop.
+func (m *Mux) drain() {
+	for {
+		seq, status, body, _, err := m.fr.next(true)
+		if err == nil {
+			m.deliver(seq, status, body)
+		} else if !errors.Is(err, os.ErrDeadlineExceeded) {
+			m.failConn(err)
+		}
+		if !m.passTurn() {
+			return
+		}
+	}
+}
+
+// deliver hands a frame to the caller waiting on its sequence number; a
+// frame nobody waits for (an abandoned call's) is dropped. It sends under
+// mu, so an abandoning caller finds its call either still pending or
+// answered.
+func (m *Mux) deliver(seq uint64, status byte, body []byte) {
+	m.mu.Lock()
+	m.arrived()
+	if ch, ok := m.pending[seq]; ok {
+		delete(m.pending, seq)
+		ch <- muxResult{status: status, body: body} // buffered and empty: never blocks
+	} else {
+		delete(m.abandoned, seq)
+	}
+	m.mu.Unlock()
+}
+
+// arrived records a frame's arrival as progress. The caller holds mu.
+func (m *Mux) arrived() {
+	if m.opts.CallTimeout > 0 {
+		m.lastFrame = time.Now()
+	}
+}
+
+// progressDeadline is when the connection counts as dead if no frame has
+// arrived: one CallTimeout after the last frame, or after the connection
+// went from idle to busy, while calls are pending; zero otherwise. The
+// caller holds mu.
+func (m *Mux) progressDeadline() time.Time {
+	if m.opts.CallTimeout <= 0 || len(m.pending) == 0 {
+		return time.Time{}
+	}
+	return m.lastFrame.Add(m.opts.CallTimeout)
+}
+
+// checkProgress runs when a read timed out at now, and fails the
+// connection with ErrCallTimeout if the progress deadline has passed.
+func (m *Mux) checkProgress(now time.Time) error {
+	m.mu.Lock()
+	by := m.progressDeadline()
+	m.mu.Unlock()
+	if by.IsZero() || now.Before(by) {
+		return nil
+	}
+	return m.failConn(fmt.Errorf("transport: no response within progress deadline %v: %w",
+		m.opts.CallTimeout, ErrCallTimeout))
+}
+
+// perCallTimeout is the cause of a call abandoned at its own deadline.
+func (m *Mux) perCallTimeout() error {
+	return fmt.Errorf("%w (per-call timeout %v)", ErrCallTimeout, m.opts.CallTimeout)
+}
+
+// earlier returns the earlier of two deadlines, zero meaning none.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// abandon withdraws a call whose caller stopped waiting for cause. If the
+// sequence is still pending it is forgotten — whoever reads its response,
+// if one ever arrives, finds no waiter and drops it, leaving the connection
+// usable — and the call is pooled; if nobody holds the read turn, a drain
+// takes it to read that response. Otherwise a holder already delivered
+// the response (deliveries happen under mu), and it is returned as a normal
+// completion: the response exists, losing it would only force the caller to
+// wonder whether the operation executed. The caller then pools the call
+// exactly once on that path; a second Put here would hand the same channel
+// to two future callers and cross-deliver their responses. If neither, the
+// connection failed, and the call is left unpooled. The caller has stopped
+// the timer.
+func (m *Mux) abandon(c *muxCall, cause error) (muxResult, error) {
+	m.mu.Lock()
+	_, mine := m.pending[c.seq]
+	if mine {
+		delete(m.pending, c.seq)
+		m.abandoned[c.seq] = struct{}{}
 	}
 	m.mu.Unlock()
 	if mine {
 		muxCalls.Put(c)
-		return muxResult{}, false
+		select {
+		case <-m.turn:
+			if m.passTurn() {
+				go m.drain()
+			}
+		default: // a holder or a drain reads on, and leaves through passTurn
+		}
+		return muxResult{}, &AbandonedError{Cause: cause}
 	}
-	// The loop claimed the sequence before we could: its buffered send either
-	// landed already or is instants away (or the connection is failing, in
-	// which case done breaks the wait and the call is left unpooled).
 	select {
 	case res := <-c.ch:
-		return res, true
-	case <-m.done:
-		select {
-		case res := <-c.ch:
-			return res, true
-		default:
-			return muxResult{}, false
-		}
+		return res, nil
+	default:
+		return muxResult{}, &AbandonedError{Cause: cause}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -114,7 +115,7 @@ func muxScriptServer(t *testing.T, conn net.Conn, script func(requests []recorde
 	}
 	reqs := make([]recordedReq, 0, nrequests)
 	for len(reqs) < nrequests {
-		seq, op, body, err := readMuxFrame(conn)
+		seq, op, body, err := readPeerFrame(conn)
 		if err != nil {
 			t.Errorf("reading request: %v", err)
 			return
@@ -122,6 +123,14 @@ func muxScriptServer(t *testing.T, conn net.Conn, script func(requests []recorde
 		reqs = append(reqs, recordedReq{seq: seq, op: op, body: append([]byte(nil), body...)})
 	}
 	script(reqs, conn)
+}
+
+// readPeerFrame reads one sequence-tagged frame, the way a scripted peer
+// reads requests; the pooled buffer is left to the garbage collector, so
+// body stays valid.
+func readPeerFrame(r io.Reader) (seq uint64, tag byte, body []byte, err error) {
+	seq, tag, body, _, err = readMuxFramePooled(r)
+	return seq, tag, body, err
 }
 
 // writeMuxFrame writes one sequence-tagged frame, the way a scripted peer
@@ -182,31 +191,6 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
-}
-
-// TestMuxCallTimeout proves a dead peer fails in-flight calls with
-// ErrCallTimeout instead of hanging them forever.
-func TestMuxCallTimeout(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer srv.Close()
-	go func() {
-		// Swallow the magic and the request, then go silent.
-		var magic [4]byte
-		io.ReadFull(srv, magic[:])
-		readMuxFrame(srv)
-	}()
-	m, err := NewMux(cli, Options{CallTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.Stats(context.Background()); !errors.Is(err, ErrCallTimeout) {
-		t.Fatalf("call against silent peer = %v, want ErrCallTimeout", err)
-	}
-	// The connection is failed; further calls error immediately.
-	if _, err := m.Stats(context.Background()); err == nil {
-		t.Fatal("call on failed connection succeeded")
-	}
 }
 
 // TestMuxRemoteError proves per-operation server errors surface as
@@ -317,30 +301,113 @@ func TestServerReadIdleTimeout(t *testing.T) {
 	}
 }
 
-// FuzzMuxFrame hardens the mux frame header/reader: arbitrary bytes must
-// never panic, and any frame that parses must round-trip through the writer.
+// deadlineReader serves data with a read deadline expiring at each offset
+// in cuts: one read there fails with os.ErrDeadlineExceeded, and no read
+// crosses a cut. It counts the reads it is asked for.
+type deadlineReader struct {
+	data  []byte
+	off   int
+	cuts  []int // ascending offsets
+	reads int
+}
+
+func (r *deadlineReader) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.cuts) > 0 && r.cuts[0] <= r.off {
+		r.cuts = r.cuts[1:]
+		return 0, os.ErrDeadlineExceeded
+	}
+	if r.off == len(r.data) {
+		return 0, io.EOF
+	}
+	end := len(r.data)
+	if len(r.cuts) > 0 {
+		end = r.cuts[0]
+	}
+	n := copy(p, r.data[r.off:end])
+	r.off += n
+	return n, nil
+}
+
+// FuzzMuxFrame hardens the resumable decoder a Mux reads responses with.
+// Arbitrary bytes must never panic. Cut by read deadlines at fuzz-chosen
+// offsets (gaps are the distances between cuts), the stream must decode to
+// exactly the frames, and stop at exactly the framing error, that
+// readMuxFramePooled finds in one uninterrupted pass, and the frames must
+// re-encode to the bytes they came from. Before each blocking read the
+// decoder takes what is buffered without blocking, which must never reach
+// the connection.
 func FuzzMuxFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, OpSubmit})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
-	seed := appendMuxFrame(nil, 42, OpSweep, []byte("body"))
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		seq, tag, body, err := readMuxFrame(bytes.NewReader(data))
-		if err != nil {
-			return
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 0, 0, 0}, []byte{1})
+	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 1, OpSubmit}, []byte{0, 2, 3})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, []byte{2})
+	two := appendMuxFrame(appendMuxFrame(nil, 42, OpSweep, []byte("body")), 43, statusOK, nil)
+	f.Add(two, []byte{3, 4, 5, 1, 0, 7})
+	type frame struct {
+		seq  uint64
+		tag  byte
+		body []byte
+	}
+	f.Fuzz(func(t *testing.T, data, gaps []byte) {
+		var want []frame
+		var wantErr error
+		whole := bytes.NewReader(data)
+		for wantErr == nil {
+			seq, tag, body, _, err := readMuxFramePooled(whole)
+			if err == nil {
+				want = append(want, frame{seq, tag, append([]byte(nil), body...)})
+			}
+			wantErr = err
 		}
-		var buf bytes.Buffer
-		if err := writeMuxFrame(&buf, seq, tag, body); err != nil {
-			t.Fatalf("re-marshal of parsed frame failed: %v", err)
+
+		r := &deadlineReader{data: data}
+		off := 0
+		for _, g := range gaps {
+			if off += int(g); off > len(data) {
+				break
+			}
+			r.cuts = append(r.cuts, off)
 		}
-		seq2, tag2, body2, err := readMuxFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
+		fr := newFrameReader(r)
+		var got []frame
+		var gotErr error
+		for gotErr == nil {
+			reads := r.reads
+			seq, tag, body, ok, err := fr.next(false)
+			if r.reads != reads {
+				t.Fatal("a non-blocking read reached the connection")
+			}
+			if !ok && err == nil {
+				seq, tag, body, ok, err = fr.next(true)
+			}
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				continue
+			}
+			if ok {
+				got = append(got, frame{seq, tag, body})
+			}
+			gotErr = err
 		}
-		if seq2 != seq || tag2 != tag || !bytes.Equal(body2, body) {
-			t.Fatalf("round trip mismatch: (%d,%d,%x) != (%d,%d,%x)", seq2, tag2, body2, seq, tag, body)
+
+		if len(got) != len(want) {
+			t.Fatalf("cut stream decoded %d frames, one pass %d", len(got), len(want))
+		}
+		var enc []byte
+		for i := range got {
+			if got[i].seq != want[i].seq || got[i].tag != want[i].tag || !bytes.Equal(got[i].body, want[i].body) {
+				t.Fatalf("frame %d: cut stream (%d,%d,%x), one pass (%d,%d,%x)", i,
+					got[i].seq, got[i].tag, got[i].body, want[i].seq, want[i].tag, want[i].body)
+			}
+			enc = appendMuxFrame(enc, got[i].seq, got[i].tag, got[i].body)
+		}
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatal("decoded frames do not re-encode to the bytes they came from")
+		}
+		for _, framing := range []error{ErrShortFrame, ErrFrameTooLarge} {
+			if errors.Is(gotErr, framing) != errors.Is(wantErr, framing) {
+				t.Fatalf("cut stream stopped with %v, one pass with %v", gotErr, wantErr)
+			}
 		}
 	})
 }

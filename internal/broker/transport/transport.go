@@ -31,6 +31,14 @@
 //     the frames queued meanwhile, through a 64 KiB buffer, so a pipelined
 //     burst rides a handful of syscalls; only the caller inside write(2) can
 //     be held past its context, for at most its write deadline.
+//   - Nothing is spawned to read on the client either: a waiting caller
+//     takes the connection's read turn, reads frames, hands other callers'
+//     responses to them and returns with its own. Its context cuts even its
+//     read(2) short, and the next caller resumes the frame it was reading.
+//     A response due to a call given up on is still read — by a short-lived
+//     goroutine that holds the turn whenever no caller does — so the peer
+//     is never left blocked writing it. A peer that closes an idle connection is seen by the next
+//     call.
 //   - Deadlines make dead peers errors instead of hangs: the server's
 //     ReadIdleTimeout/WriteTimeout, and the client's CallTimeout — both a
 //     per-call bound (abandons one call) and a progress bound (no response
