@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench profile tables \
+.PHONY: all build test race fuzz-smoke bench profile profile-core tables \
 	cluster-up cluster-down
 
 all: build test
@@ -39,6 +39,14 @@ bench:
 # (or mem.pprof). bench.test is kept so pprof can resolve symbols.
 profile:
 	$(GO) test -run '^$$' -bench 'BrokerSubmitDurable|RackSweep|TransportSubmitPipelined|TransportRoundTrip' -benchtime 2s \
+		-cpuprofile cpu.pprof -memprofile mem.pprof -o bench.test .
+	@echo wrote cpu.pprof, mem.pprof, bench.test
+
+# Profile the core's per-user costs (the paper's Tables IV-VI): building a
+# request, processing it as a candidate and as a non-candidate, and one
+# Protocol 1 round trip. Inspect as for `make profile`.
+profile-core:
+	$(GO) test -run '^$$' -bench 'RequestGeneration|CandidateProcessing|NonCandidateProcessing|SealedBottleEndToEnd' -benchtime 2s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o bench.test .
 	@echo wrote cpu.pprof, mem.pprof, bench.test
 

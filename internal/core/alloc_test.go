@@ -7,13 +7,16 @@ import (
 )
 
 // Allocation budgets for one initiator-side BuildRequest and one candidate's
-// TryUnseal, each the measured count plus 20 %. Field elements are values, so
-// what remains is the hint matrix and its right-hand side (one allocation
-// each), the sealed message, the package, and — on the candidate side — the
-// enumerated assignments and their candidate vectors.
+// TryUnseal, each the measured count plus 20 %. Field elements are values,
+// the confirmation tag and the hash inputs live on the stack, and the
+// enumeration's buffers in the matcher's frame, so what remains is mostly
+// what the calls return: the package with its hint, remainders and sealed
+// message (whose seal allocates two cipher objects), the request's secrets
+// and, on the candidate side, the diagnostics, each recovered candidate
+// vector and the opened plaintext.
 const (
-	buildRequestAllocBudget        = 42 // measured 35
-	candidateProcessingAllocBudget = 42 // measured 35
+	buildRequestAllocBudget        = 28 // measured 23
+	candidateProcessingAllocBudget = 17 // measured 14
 )
 
 // allocSpec is the six-attribute, γ = 2 request of the root package's

@@ -138,7 +138,7 @@ func BuildRequest(spec RequestSpec, opts BuildOptions) (*BuiltRequest, error) {
 		Mode:       opts.Mode,
 		Prime:      prime,
 		Remainders: remainders,
-		Optional:   append([]bool(nil), l.optional...),
+		Optional:   l.optional,
 		MaxUnknown: spec.Gamma(),
 		Hint:       hint,
 		Sealed:     sealed,
@@ -182,29 +182,41 @@ func NewHintMatrix(rng io.Reader, vector crypt.ProfileVector, optionalMask []boo
 }
 
 // buildHint constructs C = [I_γ, R] with random non-zero R and B = C × h_opt,
-// where h_opt are the optional attribute hashes in layout order.
+// where h_opt are the optional attribute hashes in layout order. The hint,
+// its matrix, the matrix's elements and B are its only allocations besides
+// the random draws' read buffer.
 func buildHint(rng io.Reader, vector crypt.ProfileVector, optionalMask []bool, gamma int) (*HintMatrix, error) {
-	optHashes := make(field.Vector, 0, len(optionalMask))
-	for i, opt := range optionalMask {
-		if opt {
-			optHashes = append(optHashes, field.FromBytes(vector[i][:]))
+	optional := 0
+	for _, o := range optionalMask {
+		if o {
+			optional++
 		}
 	}
-	c, err := field.NewMatrix(gamma, len(optHashes))
+	hint, err := new(hintAlloc).init(gamma, optional)
 	if err != nil {
 		return nil, fmt.Errorf("core: building constraint matrix: %w", err)
 	}
+	c := hint.C
 	for i := 0; i < gamma; i++ {
 		c.Set(i, i, field.One())
 	}
 	if err := c.FillRandomNonZero(rng, gamma); err != nil {
 		return nil, fmt.Errorf("core: building hint random block: %w", err)
 	}
-	b, err := c.MulVector(optHashes)
-	if err != nil {
-		return nil, fmt.Errorf("core: computing hint right-hand side: %w", err)
+	// B accumulates column by column, so each optional hash is lifted into
+	// the field once.
+	j := 0
+	for pos, opt := range optionalMask {
+		if !opt {
+			continue
+		}
+		h := field.FromBytes(vector[pos][:])
+		for i := range hint.B {
+			hint.B[i] = hint.B[i].Add(c.At(i, j).Mul(h))
+		}
+		j++
 	}
-	return &HintMatrix{C: c, B: b}, nil
+	return hint, nil
 }
 
 // payload layout: 32-byte session key x followed by the optional note.
@@ -229,6 +241,11 @@ func decodePayload(plaintext []byte) (crypt.Key, []byte, error) {
 	if err != nil {
 		return crypt.Key{}, nil, err
 	}
-	note := append([]byte(nil), plaintext[payloadKeyOffset:]...)
+	// The note aliases plaintext, which every caller owns: it is the fresh
+	// output of an open.
+	var note []byte
+	if len(plaintext) > payloadKeyOffset {
+		note = plaintext[payloadKeyOffset:]
+	}
 	return key, note, nil
 }

@@ -80,6 +80,9 @@ func FuzzRequestPackageUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted package fails to re-marshal: %v", err)
 		}
+		if size, err := pkg.WireSize(); err != nil || size != len(first) {
+			t.Fatalf("WireSize = %d, %v; Marshal wrote %d bytes", size, err, len(first))
+		}
 		again, err := UnmarshalPackage(first)
 		if err != nil {
 			t.Fatalf("canonical encoding fails to decode: %v", err)
@@ -136,6 +139,9 @@ func FuzzReplyUnmarshal(f *testing.F) {
 			return
 		}
 		first := reply.Marshal()
+		if reply.WireSize() != len(first) {
+			t.Fatalf("WireSize = %d; Marshal wrote %d bytes", reply.WireSize(), len(first))
+		}
 		again, err := UnmarshalReply(first)
 		if err != nil {
 			t.Fatalf("canonical encoding fails to decode: %v", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sealedbottle/internal/attr"
 	"sealedbottle/internal/crypt"
@@ -37,7 +38,11 @@ type Matcher struct {
 	profile    *attr.Profile
 	dynamicKey []byte
 	vector     crypt.ProfileVector
-	cfg        MatcherConfig
+	// defaultRemainders is vector reduced mod DefaultPrime, the prime of
+	// nearly every request. It is set with vector and only read afterwards,
+	// so concurrent requests share it; other primes are reduced per request.
+	defaultRemainders []uint32
+	cfg               MatcherConfig
 }
 
 // ErrTooManyCandidates indicates the enumeration cap was hit; the request is
@@ -56,7 +61,25 @@ func NewMatcher(profile *attr.Profile, cfg MatcherConfig) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Matcher{profile: profile.Clone(), vector: vector, cfg: cfg}, nil
+	m := &Matcher{profile: profile.Clone(), cfg: cfg}
+	m.setVector(vector)
+	return m, nil
+}
+
+// setVector installs the matcher's profile vector and its remainders mod
+// DefaultPrime.
+func (m *Matcher) setVector(vector crypt.ProfileVector) {
+	m.vector = vector
+	m.defaultRemainders = vector.Remainders(DefaultPrime)
+}
+
+// remainders returns the matcher's remainder vector mod prime. The
+// DefaultPrime one is shared and must not be written.
+func (m *Matcher) remainders(prime uint32) []uint32 {
+	if prime == DefaultPrime {
+		return m.defaultRemainders
+	}
+	return m.vector.Remainders(prime)
 }
 
 // SetDynamicKey rebinds the matcher's profile vector to a dynamic (location)
@@ -67,7 +90,7 @@ func (m *Matcher) SetDynamicKey(key []byte) error {
 		return err
 	}
 	m.dynamicKey = append([]byte(nil), key...)
-	m.vector = vector
+	m.setVector(vector)
 	return nil
 }
 
@@ -97,7 +120,11 @@ type FastCheckResult struct {
 // hashes share the remainder, then applies Eqs. 6-7. Most non-matching users
 // are dismissed here after m_k modulo operations and a few comparisons.
 func (m *Matcher) FastCheck(pkg *RequestPackage) FastCheckResult {
-	own := m.vector.Remainders(pkg.Prime)
+	return fastCheck(pkg, m.remainders(pkg.Prime))
+}
+
+// fastCheck is FastCheck against the matcher's remainder vector own.
+func fastCheck(pkg *RequestPackage, own []uint32) FastCheckResult {
 	res := FastCheckResult{SubsetSizes: make([]int, len(pkg.Remainders))}
 	for i, want := range pkg.Remainders {
 		n := 0
@@ -154,21 +181,23 @@ func (m *Matcher) CandidateVectors(pkg *RequestPackage) ([]CandidateVector, *Dia
 	if err := pkg.validate(); err != nil {
 		return nil, nil, err
 	}
-	diag := &Diagnostics{FastCheck: m.FastCheck(pkg)}
+	own := m.remainders(pkg.Prime)
+	diag := &Diagnostics{FastCheck: fastCheck(pkg, own)}
 	if !diag.FastCheck.Candidate {
 		return nil, diag, nil
 	}
-	assignments, err := m.enumerate(pkg)
+	var flatBuf [64]int // holds the assignments of most requests
+	flat, err := m.enumerate(flatBuf[:0], pkg, own, diag.FastCheck.SubsetSizes)
 	if err != nil {
 		return nil, diag, err
 	}
-	diag.VectorsEnumerated = len(assignments)
+	positions := len(pkg.Remainders)
+	diag.VectorsEnumerated = len(flat) / positions
 
-	optionalRank := optionalRanks(pkg.Optional)
 	var aug field.Matrix // the [sub | rhs] buffer every assignment reuses
-	out := make([]CandidateVector, 0, len(assignments))
-	for _, asg := range assignments {
-		cv, solved, ok := m.recover(pkg, asg, optionalRank, &aug)
+	var out []CandidateVector
+	for a := 0; a < len(flat); a += positions {
+		cv, solved, ok := m.recover(pkg, flat[a:a+positions], &aug)
 		diag.HintSystemsSolved += solved
 		if !ok {
 			continue
@@ -265,128 +294,146 @@ func (m *Matcher) CandidateSessionKeys(pkg *RequestPackage) ([]crypt.Key, *Diagn
 	return out, diag, nil
 }
 
-// assignment maps request positions to the user's own vector indices, with -1
-// marking unknown positions.
-type assignment []int
-
 // enumerate performs the depth-first search over order-consistent assignments
-// (Eq. 8): chosen own-vector indices must be strictly increasing across
-// request positions, necessary positions must be assigned, and at most γ
-// optional positions may remain unknown.
-func (m *Matcher) enumerate(pkg *RequestPackage) ([]assignment, error) {
-	own := m.vector.Remainders(pkg.Prime)
-	positions := len(pkg.Remainders)
-	// Precompute the candidate subsets H_k(r_t^i) as sorted own indices.
-	subsets := make([][]int, positions)
-	for i, want := range pkg.Remainders {
-		for idx, r := range own {
-			if r == want {
-				subsets[i] = append(subsets[i], idx)
-			}
-		}
+// (Eq. 8) and appends every assignment to flat, one request position after
+// another, back to back. An assignment maps request positions to the user's
+// own vector indices, with -1 marking unknown positions: chosen own-vector
+// indices must be strictly increasing across request positions, necessary
+// positions must be assigned, and at most γ optional positions may remain
+// unknown. own is the user's remainder vector mod the request's prime and
+// sizes the fast check's subset sizes.
+func (m *Matcher) enumerate(flat []int, pkg *RequestPackage, own []uint32, sizes []int) ([]int, error) {
+	var curBuf [16]int // cur's room for requests of up to 16 attributes
+	e := enumeration{
+		pkg:     pkg,
+		own:     own,
+		sizes:   sizes,
+		skipAll: m.cfg.AllowCollisionSkip,
+		max:     m.cfg.MaxCandidateVectors,
+		cur:     slices.Grow(curBuf[:0], len(pkg.Remainders))[:len(pkg.Remainders)],
 	}
-
-	var out []assignment
-	cur := make(assignment, positions)
-	var dfs func(pos, lastIdx, unknowns int) error
-	dfs = func(pos, lastIdx, unknowns int) error {
-		if len(out) >= m.cfg.MaxCandidateVectors {
-			return ErrTooManyCandidates
-		}
-		if pos == positions {
-			out = append(out, append(assignment(nil), cur...))
-			return nil
-		}
-		optional := pkg.Optional[pos]
-		// Option 1: assign one of the user's own hashes, keeping order.
-		for _, idx := range subsets[pos] {
-			if idx <= lastIdx {
-				continue
-			}
-			cur[pos] = idx
-			if err := dfs(pos+1, idx, unknowns); err != nil {
-				return err
-			}
-		}
-		// Option 2: leave the position unknown (optional positions only).
-		canSkip := optional && unknowns < pkg.MaxUnknown &&
-			(len(subsets[pos]) == 0 || m.cfg.AllowCollisionSkip)
-		if canSkip {
-			cur[pos] = -1
-			if err := dfs(pos+1, lastIdx, unknowns+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := dfs(0, -1, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.dfs(flat, 0, -1, 0)
 }
 
-// optionalRanks maps each layout position to its rank among optional
-// positions (the column index of the hint matrix), or -1 for necessary ones.
-func optionalRanks(optional []bool) []int {
-	ranks := make([]int, len(optional))
-	rank := 0
-	for i, opt := range optional {
-		if opt {
-			ranks[i] = rank
-			rank++
-		} else {
-			ranks[i] = -1
+// enumeration is the state of enumerate's search.
+type enumeration struct {
+	pkg *RequestPackage
+	// own is the user's remainder vector; the candidate subset H_k(r_t^i)
+	// of a position is the own indices whose remainder equals the
+	// position's, in increasing order.
+	own     []uint32
+	sizes   []int
+	skipAll bool // MatcherConfig.AllowCollisionSkip
+	max     int  // MatcherConfig.MaxCandidateVectors
+	// cur is the assignment being built.
+	cur []int
+}
+
+// dfs extends the assignment from position pos on and appends every
+// complete one to flat.
+func (e *enumeration) dfs(flat []int, pos, lastIdx, unknowns int) ([]int, error) {
+	if len(flat) >= e.max*len(e.cur) {
+		return flat, ErrTooManyCandidates
+	}
+	if pos == len(e.cur) {
+		return append(flat, e.cur...), nil
+	}
+	// Option 1: assign one of the user's own hashes, keeping order.
+	want := e.pkg.Remainders[pos]
+	for idx := lastIdx + 1; idx < len(e.own); idx++ {
+		if e.own[idx] != want {
+			continue
+		}
+		e.cur[pos] = idx
+		var err error
+		if flat, err = e.dfs(flat, pos+1, idx, unknowns); err != nil {
+			return flat, err
 		}
 	}
-	return ranks
+	// Option 2: leave the position unknown (optional positions only).
+	canSkip := e.pkg.Optional[pos] && unknowns < e.pkg.MaxUnknown &&
+		(e.sizes[pos] == 0 || e.skipAll)
+	if canSkip {
+		e.cur[pos] = -1
+		return e.dfs(flat, pos+1, lastIdx, unknowns+1)
+	}
+	return flat, nil
 }
 
 // recover turns an assignment into a full candidate vector, solving the hint
 // system C·h = B for unknown optional positions (Eqs. 12-13). It reports the
-// number of linear systems solved and whether the recovery succeeded. aug is
-// the caller's scratch for the augmented system: it grows once to γ×(γ+1)
-// and is reused by every later assignment of the same request.
-func (m *Matcher) recover(pkg *RequestPackage, asg assignment, optionalRank []int, aug *field.Matrix) (CandidateVector, int, bool) {
+// number of linear systems solved and whether the recovery succeeded; only a
+// successful one allocates the vector. aug is the caller's scratch for the
+// augmented system: it grows once to γ×(γ+1) and is reused by every later
+// assignment of the same request.
+func (m *Matcher) recover(pkg *RequestPackage, asg []int, aug *field.Matrix) (CandidateVector, int, bool) {
+	u := 0
+	for _, idx := range asg {
+		if idx < 0 {
+			u++
+		}
+	}
+	solved := 0
+	if u > 0 {
+		if pkg.Hint == nil {
+			return CandidateVector{}, 0, false
+		}
+		solved = 1
+		if !m.solveUnknowns(pkg.Hint, pkg.Optional, asg, u, aug) {
+			return CandidateVector{}, solved, false
+		}
+	}
 	cv := CandidateVector{
 		Digests:    make(crypt.ProfileVector, len(asg)),
 		OwnIndices: make([]int, len(asg)),
+		Unknowns:   u,
 	}
+	j := 0
 	for pos, idx := range asg {
 		cv.OwnIndices[pos] = idx
 		if idx >= 0 {
 			cv.Digests[pos] = m.vector[idx]
 			continue
 		}
-		cv.Unknowns++
+		d, ok := aug.At(j, u).Bytes32()
+		if !ok {
+			// The solved value does not fit in 256 bits, so it cannot be a
+			// SHA-256 hash; reject the assignment.
+			return CandidateVector{}, solved, false
+		}
+		cv.Digests[pos] = d
+		j++
 	}
-	if cv.Unknowns == 0 {
-		return cv, 0, true
-	}
-	hint := pkg.Hint
-	if hint == nil {
-		return cv, 0, false
-	}
-	gamma, u := hint.Gamma(), cv.Unknowns
+	return cv, solved, true
+}
+
+// solveUnknowns solves the hint system for the u unknown positions of asg,
+// leaving unknown j's value in aug's column u, row j. It reports false when
+// the system is inconsistent or degenerate: the assignment then cannot be the
+// true request vector.
+func (m *Matcher) solveUnknowns(hint *HintMatrix, optional []bool, asg []int, u int, aug *field.Matrix) bool {
+	gamma := hint.Gamma()
 	if aug.Rows() == 0 {
 		// First system of this request: size the buffer for the widest one.
 		if err := aug.Reshape(gamma, gamma+1); err != nil {
-			return cv, 0, false
+			return false
 		}
 	}
 	if err := aug.Reshape(gamma, u+1); err != nil {
-		return cv, 0, false
+		return false
 	}
 	// Build [sub | rhs]: the unknown columns of C, then
-	// rhs_i = B_i − Σ_{j known} C[i][j]·h_j.
+	// rhs_i = B_i − Σ_{j known} C[i][j]·h_j. An optional position's rank
+	// among the optional positions is its column of C.
 	for i := 0; i < gamma; i++ {
 		aug.Set(i, u, hint.B[i])
 	}
-	j := 0
+	j, rank := 0, -1
 	for pos, idx := range asg {
-		rank := optionalRank[pos]
-		if rank < 0 {
+		if !optional[pos] {
 			continue
 		}
+		rank++
 		if idx < 0 {
 			for i := 0; i < gamma; i++ {
 				aug.Set(i, j, hint.C.At(i, rank))
@@ -399,24 +446,5 @@ func (m *Matcher) recover(pkg *RequestPackage, asg assignment, optionalRank []in
 			aug.Set(i, u, aug.At(i, u).Sub(hint.C.At(i, rank).Mul(h)))
 		}
 	}
-	if err := field.SolveAugmented(aug); err != nil {
-		// Inconsistent or degenerate: this assignment cannot be the true
-		// request vector.
-		return cv, 1, false
-	}
-	j = 0
-	for pos, idx := range asg {
-		if idx >= 0 {
-			continue
-		}
-		d, ok := aug.At(j, u).Bytes32()
-		if !ok {
-			// The solved value does not fit in 256 bits, so it cannot be a
-			// SHA-256 hash; reject the assignment.
-			return cv, 1, false
-		}
-		cv.Digests[pos] = d
-		j++
-	}
-	return cv, 1, true
+	return field.SolveAugmented(aug) == nil
 }

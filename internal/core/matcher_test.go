@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -256,16 +257,6 @@ func TestEnumerationCapTriggers(t *testing.T) {
 	}
 }
 
-func TestOptionalRanks(t *testing.T) {
-	ranks := optionalRanks([]bool{false, true, true, false, true})
-	want := []int{-1, 0, 1, -1, 2}
-	for i := range want {
-		if ranks[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", ranks, want)
-		}
-	}
-}
-
 // Property (completeness): every user whose profile satisfies the request
 // spec recovers the profile key; Property (soundness): users who do not meet
 // the threshold never do. Attribute values are drawn from disjoint pools per
@@ -433,7 +424,16 @@ func TestCandidateVectorsRejectNonDigestSolutions(t *testing.T) {
 	if known < 0 || unknown < 0 {
 		t.Fatalf("layout positions not found: known %d, unknown %d", known, unknown)
 	}
-	ranks := optionalRanks(built.Package.Optional)
+	// A position's column of C is its rank among the optional positions.
+	rank := func(pos int) int {
+		r := 0
+		for _, opt := range built.Package.Optional[:pos] {
+			if opt {
+				r++
+			}
+		}
+		return r
+	}
 	hint := built.Package.Hint
 	solveTo := func(x []byte) []CandidateVector {
 		t.Helper()
@@ -442,7 +442,7 @@ func TestCandidateVectorsRejectNonDigestSolutions(t *testing.T) {
 			t.Fatal(err)
 		}
 		hk := field.FromBytes(built.Vector[known][:])
-		hint.B[0] = hint.C.At(0, ranks[known]).Mul(hk).Add(hint.C.At(0, ranks[unknown]).Mul(xe))
+		hint.B[0] = hint.C.At(0, rank(known)).Mul(hk).Add(hint.C.At(0, rank(unknown)).Mul(xe))
 		vectors, diag, err := m.CandidateVectors(built.Package)
 		if err != nil {
 			t.Fatal(err)
@@ -482,4 +482,42 @@ func TestCandidateVectorsRejectNonDigestSolutions(t *testing.T) {
 	if got := recovered(solveTo(over)); len(got) != 0 {
 		t.Fatalf("X = 2^256 + 5: recovered %v, want the assignment discarded", got)
 	}
+}
+
+// A Matcher answers concurrent requests: the remainder vector mod
+// DefaultPrime that they share is written only by NewMatcher and
+// SetDynamicKey, so under -race this finds any per-request write to it.
+func TestMatcherConcurrentRequests(t *testing.T) {
+	m := mustMatcher(t, attr.NewProfile(
+		attr.MustNew("sex", "male"),
+		attr.MustNew("university", "columbia"),
+		attr.MustNew("interest", "basketball"),
+		attr.MustNew("interest", "chess"),
+		attr.MustNew("interest", "cooking"),
+	), MatcherConfig{AllowCollisionSkip: true})
+	spec := allocSpec()
+	atDefault := mustBuild(t, spec, BuildOptions{})
+	spec.Prime = 13
+	atOther := mustBuild(t, spec, BuildOptions{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				for _, built := range []*BuiltRequest{atDefault, atOther} {
+					if !m.FastCheck(built.Package).Candidate {
+						t.Error("fast check dismissed a matching user")
+						return
+					}
+					res, _, err := m.TryUnseal(built.Package)
+					if err != nil || !res.Matched || !res.ProfileKey.Equal(built.Key) {
+						t.Errorf("TryUnseal: %+v, %v", res, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"sealedbottle/internal/field"
@@ -66,12 +67,37 @@ func (h *HintMatrix) OptionalCount() int {
 	return h.C.Cols()
 }
 
-// Clone returns a deep copy.
-func (h *HintMatrix) Clone() *HintMatrix {
-	if h == nil {
-		return nil
+// hintAlloc holds a hint and its constraint matrix, so that both take one
+// allocation.
+type hintAlloc struct {
+	hint HintMatrix
+	c    field.Matrix
+}
+
+// init makes a.hint a zero hint with a rows×cols constraint matrix (a.c) and
+// a right-hand side of rows elements, and returns it.
+func (a *hintAlloc) init(rows, cols int) (*HintMatrix, error) {
+	if err := a.c.Reshape(rows, cols); err != nil {
+		return nil, err
 	}
-	return &HintMatrix{C: h.C.Clone(), B: h.B.Clone()}
+	a.hint = HintMatrix{C: &a.c, B: make(field.Vector, rows)}
+	return &a.hint, nil
+}
+
+// cloneInto makes a.hint a deep copy of h and returns it.
+func (h *HintMatrix) cloneInto(a *hintAlloc) *HintMatrix {
+	rows, cols := h.C.Rows(), h.C.Cols()
+	// Reshape fails only for the empty shape of a zero Matrix, which a.c
+	// already has.
+	if a.c.Reshape(rows, cols) == nil {
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				a.c.Set(i, j, h.C.At(i, j))
+			}
+		}
+	}
+	a.hint = HintMatrix{C: &a.c, B: h.B.Clone()}
+	return &a.hint
 }
 
 // RequestPackage is what the initiator broadcasts (Fig. 1): the sealed secret
@@ -188,14 +214,25 @@ func (p *RequestPackage) validate() error {
 	return nil
 }
 
+// packageAlloc holds a package and its hint, so that the three structs take
+// one allocation.
+type packageAlloc struct {
+	pkg  RequestPackage
+	hint hintAlloc
+}
+
 // Clone returns a deep copy of the package.
 func (p *RequestPackage) Clone() *RequestPackage {
-	out := *p
-	out.Remainders = append([]uint32(nil), p.Remainders...)
-	out.Optional = append([]bool(nil), p.Optional...)
-	out.Sealed = append([]byte(nil), p.Sealed...)
-	out.Hint = p.Hint.Clone()
-	return &out
+	a := new(packageAlloc)
+	out := &a.pkg
+	*out = *p
+	out.Remainders = slices.Clone(p.Remainders)
+	out.Optional = slices.Clone(p.Optional)
+	out.Sealed = slices.Clone(p.Sealed)
+	if p.Hint != nil {
+		out.Hint = p.Hint.cloneInto(&a.hint)
+	}
+	return out
 }
 
 // Wire format constants.
@@ -210,7 +247,7 @@ func (p *RequestPackage) Marshal() ([]byte, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	var buf []byte
+	buf := make([]byte, 0, p.wireSize())
 	buf = append(buf, packageMagic...)
 	buf = append(buf, packageVersion, byte(p.Mode))
 	buf = binary.BigEndian.AppendUint32(buf, p.Prime)
@@ -230,7 +267,7 @@ func (p *RequestPackage) Marshal() ([]byte, error) {
 		}
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(p.MaxUnknown))
-	if p.Hint != nil && p.Hint.Gamma() > 0 {
+	if p.hasHint() {
 		buf = append(buf, 1)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(p.Hint.C.Rows()))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(p.Hint.C.Cols()))
@@ -250,13 +287,28 @@ func (p *RequestPackage) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
+// hasHint reports whether the encoding carries a hint matrix.
+func (p *RequestPackage) hasHint() bool { return p.Hint != nil && p.Hint.Gamma() > 0 }
+
+// wireSize is the length of Marshal's output, field by field in its order.
+func (p *RequestPackage) wireSize() int {
+	n := len(packageMagic) + 2 + 4 // magic, version and mode, prime
+	n += 2 + len(p.ID) + 2 + len(p.Origin)
+	n += 8 + 8                                     // created, expires
+	n += 2 + 4*len(p.Remainders) + len(p.Optional) // count, remainders, mask
+	n += 2 + 1                                     // γ, hint flag
+	if p.hasHint() {
+		n += 2 + 2 + field.ElementSize*(p.Hint.C.Rows()*p.Hint.C.Cols()+len(p.Hint.B))
+	}
+	return n + 4 + len(p.Sealed)
+}
+
 // WireSize returns the size in bytes of the marshalled package.
 func (p *RequestPackage) WireSize() (int, error) {
-	b, err := p.Marshal()
-	if err != nil {
+	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	return len(b), nil
+	return p.wireSize(), nil
 }
 
 // UnmarshalPackage decodes a package from its wire form.
@@ -274,7 +326,9 @@ func UnmarshalPackage(data []byte) (*RequestPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated mode", ErrMalformedPackage)
 	}
-	p := &RequestPackage{Mode: SealMode(modeByte)}
+	a := new(packageAlloc)
+	p := &a.pkg
+	p.Mode = SealMode(modeByte)
 	if p.Prime, err = r.uint32(); err != nil {
 		return nil, fmt.Errorf("%w: truncated prime", ErrMalformedPackage)
 	}
@@ -333,7 +387,7 @@ func UnmarshalPackage(data []byte) (*RequestPackage, error) {
 		if rows == 0 || cols == 0 || int(rows) > int(count) || int(cols) > int(count) {
 			return nil, fmt.Errorf("%w: implausible hint shape %dx%d", ErrMalformedPackage, rows, cols)
 		}
-		c, err := field.NewMatrix(int(rows), int(cols))
+		hint, err := a.hint.init(int(rows), int(cols))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMalformedPackage, err)
 		}
@@ -347,11 +401,10 @@ func UnmarshalPackage(data []byte) (*RequestPackage, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%w: %v", ErrMalformedPackage, err)
 				}
-				c.Set(i, j, e)
+				hint.C.Set(i, j, e)
 			}
 		}
-		b := make(field.Vector, rows)
-		for i := range b {
+		for i := range hint.B {
 			raw, err := r.bytes(field.ElementSize)
 			if err != nil {
 				return nil, fmt.Errorf("%w: truncated hint rhs", ErrMalformedPackage)
@@ -360,9 +413,9 @@ func UnmarshalPackage(data []byte) (*RequestPackage, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrMalformedPackage, err)
 			}
-			b[i] = e
+			hint.B[i] = e
 		}
-		p.Hint = &HintMatrix{C: c, B: b}
+		p.Hint = hint
 	}
 	sealedLen, err := r.uint32()
 	if err != nil {

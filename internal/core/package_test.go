@@ -152,6 +152,64 @@ func TestPackageCloneIsDeep(t *testing.T) {
 	}
 }
 
+// The clone's hint shares one allocation with the package; its matrix and
+// right-hand side must still be copies.
+func TestPackageCloneHintIsDeep(t *testing.T) {
+	pkg := builtPackage(t, SealModeVerifiable)
+	c := pkg.Clone()
+	if !c.Hint.C.Equal(pkg.Hint.C) || !c.Hint.B.Equal(pkg.Hint.B) {
+		t.Fatal("cloned hint differs from the original")
+	}
+	c.Hint.C.Set(0, 0, c.Hint.C.At(0, 0).Add(oneElement()))
+	c.Hint.B[0] = c.Hint.B[0].Add(oneElement())
+	if pkg.Hint.C.Equal(c.Hint.C) || pkg.Hint.B.Equal(c.Hint.B) {
+		t.Error("Clone shares the hint with the original")
+	}
+	if noHint := builtPackageNoHint(t).Clone(); noHint.Hint != nil {
+		t.Error("a package without a hint cloned into one with a hint")
+	}
+}
+
+func builtPackageNoHint(t *testing.T) *RequestPackage {
+	t.Helper()
+	return mustBuild(t, PerfectMatch(tags("male", "columbia")...), BuildOptions{}).Package
+}
+
+// Marshal allocates exactly WireSize bytes, so a WireSize short of the
+// encoding would reallocate and one over it would waste: hold them equal on
+// the fuzz seed corpus, the allocation-budget request and the decoded form of
+// each.
+func TestWireSizeEqualsMarshalLength(t *testing.T) {
+	built, err := BuildRequest(allocSpec(), BuildOptions{Origin: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*RequestPackage{built.Package, builtPackageNoHint(t)}
+	for _, raw := range fuzzSeedPackages(t) {
+		pkg, err := UnmarshalPackage(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	for i, pkg := range pkgs {
+		raw, err := pkg.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := pkg.WireSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size != len(raw) || cap(raw) != len(raw) {
+			t.Errorf("package %d: WireSize %d, Marshal length %d capacity %d", i, size, len(raw), cap(raw))
+		}
+	}
+	if _, err := (&RequestPackage{}).WireSize(); err == nil {
+		t.Error("WireSize of an invalid package should fail as Marshal does")
+	}
+}
+
 func TestPackageWireSizeMatchesPaperScale(t *testing.T) {
 	// The paper reports ~190 B average for a 6-attribute 60%-similarity
 	// request and ≤ 1 KB worst case for 20 attributes. Our encoding carries

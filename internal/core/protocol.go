@@ -106,7 +106,7 @@ type Reply struct {
 
 // Marshal encodes the reply for transport.
 func (r *Reply) Marshal() []byte {
-	var buf []byte
+	buf := make([]byte, 0, r.WireSize())
 	buf = append(buf, "SBRP"...)
 	buf = appendString(buf, r.RequestID)
 	buf = appendString(buf, r.From)
@@ -160,8 +160,15 @@ func UnmarshalReply(data []byte) (*Reply, error) {
 	return r, nil
 }
 
-// WireSize returns the encoded size of the reply in bytes.
-func (r *Reply) WireSize() int { return len(r.Marshal()) }
+// WireSize returns the encoded size of the reply in bytes: the length of
+// Marshal's output, field by field in its order.
+func (r *Reply) WireSize() int {
+	n := 4 + 2 + len(r.RequestID) + 2 + len(r.From) + 8 + 2 // magic, IDs, sent, count
+	for _, a := range r.Acks {
+		n += 4 + len(a)
+	}
+	return n
+}
 
 // DefaultReplyWindow is how long after creating a request the initiator
 // accepts replies; slower repliers are presumed to be running a dictionary

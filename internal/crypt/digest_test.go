@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"math/big"
 	"testing"
@@ -78,6 +79,49 @@ func TestDigestModMatchesBigProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// byteLoopMod is the byte-at-a-time Horner reduction Digest.Mod replaced.
+func byteLoopMod(d Digest, p uint32) uint32 {
+	var rem uint64
+	for _, b := range d {
+		rem = (rem<<8 | uint64(b)) % uint64(p)
+	}
+	return uint32(rem)
+}
+
+// TestDigestModMatchesReferences holds the word-wise Digest.Mod against the
+// byte loop and math/big over random digests, every prime below 1000 and the
+// extremes of the digest range.
+func TestDigestModMatchesReferences(t *testing.T) {
+	digests := []Digest{{}, HashAttribute("interest:basketball")}
+	var ones Digest
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	digests = append(digests, ones)
+	for i := 0; i < 64; i++ {
+		var d Digest
+		if _, err := rand.Read(d[:]); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, d)
+	}
+	for p := uint32(2); p < 1000; p++ {
+		if !big.NewInt(int64(p)).ProbablyPrime(0) {
+			continue
+		}
+		bp := big.NewInt(int64(p))
+		for _, d := range digests {
+			got := d.Mod(p)
+			if want := byteLoopMod(d, p); got != want {
+				t.Fatalf("%x mod %d = %d, byte loop %d", d[:], p, got, want)
+			}
+			if want := new(big.Int).Mod(d.Big(), bp).Uint64(); uint64(got) != want {
+				t.Fatalf("%x mod %d = %d, math/big %d", d[:], p, got, want)
+			}
+		}
 	}
 }
 

@@ -19,33 +19,17 @@ var ErrEmptyProfile = errors.New("crypt: profile has no attributes")
 
 // VectorFromProfile hashes every attribute of the (already sorted) profile.
 func VectorFromProfile(p *attr.Profile) (ProfileVector, error) {
-	if p.Len() == 0 {
-		return nil, ErrEmptyProfile
-	}
-	canon := p.Canonicals()
-	v := make(ProfileVector, len(canon))
-	for i, c := range canon {
-		v[i] = HashAttribute(c)
-	}
-	return v, nil
+	return VectorFromProfileBound(p, nil)
 }
 
 // VectorFromProfileBound hashes every attribute bound to the dynamic key
 // (Section III-D3). Passing a nil or empty dynamic key degrades to plain
 // attribute hashing.
 func VectorFromProfileBound(p *attr.Profile, dynamicKey []byte) (ProfileVector, error) {
-	if len(dynamicKey) == 0 {
-		return VectorFromProfile(p)
-	}
 	if p.Len() == 0 {
 		return nil, ErrEmptyProfile
 	}
-	canon := p.Canonicals()
-	v := make(ProfileVector, len(canon))
-	for i, c := range canon {
-		v[i] = HashAttributeBound(c, dynamicKey)
-	}
-	return v, nil
+	return vectorOf(p.Canonicals(), dynamicKey), nil
 }
 
 // VectorFromCanonicals hashes a pre-normalized, pre-sorted list of canonical
@@ -54,11 +38,26 @@ func VectorFromCanonicals(canonicals []string) (ProfileVector, error) {
 	if len(canonicals) == 0 {
 		return nil, ErrEmptyProfile
 	}
+	return vectorOf(canonicals, nil), nil
+}
+
+// vectorOf hashes each canonical form as HashAttribute does, or as
+// HashAttributeBound does when dynamicKey is non-empty. Every attribute's
+// hash input is built in one buffer, on the stack unless an attribute is
+// long.
+func vectorOf(canonicals []string, dynamicKey []byte) ProfileVector {
 	v := make(ProfileVector, len(canonicals))
+	var stack [128]byte
+	buf := stack[:0]
 	for i, c := range canonicals {
-		v[i] = HashAttribute(c)
+		buf = append(buf[:0], c...)
+		if len(dynamicKey) > 0 {
+			buf = append(buf, 0x00) // HashAttributeBound's domain separator
+			buf = append(buf, dynamicKey...)
+		}
+		v[i] = sha256.Sum256(buf)
 	}
-	return v, nil
+	return v
 }
 
 // Len returns the number of attribute hashes m_k.

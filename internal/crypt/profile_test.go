@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,5 +189,38 @@ func TestKeyCollisionFreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The vector builders hash through one reused buffer; each element must still
+// be exactly HashAttribute or HashAttributeBound of its attribute, also for an
+// attribute too long for the buffer's stack space.
+func TestVectorMatchesPerAttributeHashes(t *testing.T) {
+	p := attr.NewProfile(
+		attr.MustNew("interest", "chess"),
+		attr.MustNew("interest", strings.Repeat("long value ", 20)),
+		attr.MustNew("sex", "female"),
+	)
+	canon := p.Canonicals()
+	key := []byte("dynamic-location-key")
+	plain, err := VectorFromProfile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := VectorFromProfileBound(p, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCanon, err := VectorFromCanonicals(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range canon {
+		if want := HashAttribute(c); plain[i] != want || fromCanon[i] != want {
+			t.Errorf("position %d: plain %v / %v, want %v", i, plain[i], fromCanon[i], want)
+		}
+		if want := HashAttributeBound(c, key); bound[i] != want {
+			t.Errorf("position %d: bound %v, want %v", i, bound[i], want)
+		}
 	}
 }

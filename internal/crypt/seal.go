@@ -51,20 +51,46 @@ func newCTR(key Key, nonce []byte) (cipher.Stream, error) {
 	return cipher.NewCTR(block, nonce), nil
 }
 
-func confirmationTag(key Key, nonce, ciphertext []byte) []byte {
-	// Derive a distinct MAC key from the sealing key so the same profile key
-	// can serve both encryption and confirmation without interference.
-	mk := sha256.Sum256(append([]byte("sealedbottle/confirmation-key/v1"), key[:]...))
-	mac := hmac.New(sha256.New, mk[:])
-	mac.Write(nonce)
-	mac.Write(ciphertext)
-	return mac.Sum(nil)
+// confirmationKeyLabel is prefixed to the sealing key to derive the MAC key,
+// so the same profile key can serve both encryption and confirmation without
+// interference.
+const confirmationKeyLabel = "sealedbottle/confirmation-key/v1"
+
+// confirmationTag writes HMAC-SHA-256(mk, nonce || ciphertext) into tag,
+// where mk = SHA-256(confirmationKeyLabel || key). The HMAC of RFC 2104 is
+// written out: mk is shorter than a SHA-256 block, so the padded key is mk
+// followed by zeros, XORed with 0x36 for the inner hash and 0x5c for the
+// outer one. Every buffer is the caller's or on the stack, and one SHA-256
+// state serves both hashes.
+func confirmationTag(tag *[TagSize]byte, key Key, nonce, ciphertext []byte) {
+	var in [len(confirmationKeyLabel) + KeySize]byte
+	copy(in[:], confirmationKeyLabel)
+	copy(in[len(confirmationKeyLabel):], key[:])
+	mk := sha256.Sum256(in[:])
+	var pad [sha256.BlockSize]byte
+	copy(pad[:], mk[:])
+	for i := range pad {
+		pad[i] ^= 0x36
+	}
+	h := sha256.New()
+	h.Write(pad[:])
+	h.Write(nonce)
+	h.Write(ciphertext)
+	h.Sum(tag[:0])
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	h.Reset()
+	h.Write(pad[:])
+	h.Write(tag[:])
+	h.Sum(tag[:0])
 }
 
 // SealVerifiable encrypts plaintext under key with confirmation information
 // attached (Protocol 1 style). Output layout: nonce || ciphertext || tag.
 func SealVerifiable(rng io.Reader, key Key, plaintext []byte) ([]byte, error) {
-	nonce := make([]byte, NonceSize)
+	out := make([]byte, NonceSize+len(plaintext)+TagSize)
+	nonce, ciphertext := out[:NonceSize], out[NonceSize:NonceSize+len(plaintext)]
 	if _, err := io.ReadFull(rng, nonce); err != nil {
 		return nil, fmt.Errorf("crypt: generating nonce: %w", err)
 	}
@@ -72,11 +98,8 @@ func SealVerifiable(rng io.Reader, key Key, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, NonceSize+len(plaintext)+TagSize)
-	copy(out, nonce)
-	stream.XORKeyStream(out[NonceSize:NonceSize+len(plaintext)], plaintext)
-	tag := confirmationTag(key, nonce, out[NonceSize:NonceSize+len(plaintext)])
-	copy(out[NonceSize+len(plaintext):], tag)
+	stream.XORKeyStream(ciphertext, plaintext)
+	confirmationTag((*[TagSize]byte)(out[NonceSize+len(plaintext):]), key, nonce, ciphertext)
 	return out, nil
 }
 
@@ -88,9 +111,9 @@ func OpenVerifiable(key Key, sealed []byte) ([]byte, error) {
 	}
 	nonce := sealed[:NonceSize]
 	ciphertext := sealed[NonceSize : len(sealed)-TagSize]
-	tag := sealed[len(sealed)-TagSize:]
-	want := confirmationTag(key, nonce, ciphertext)
-	if !hmac.Equal(tag, want) {
+	var want [TagSize]byte
+	confirmationTag(&want, key, nonce, ciphertext)
+	if !hmac.Equal(sealed[len(sealed)-TagSize:], want[:]) {
 		return nil, ErrDecryptFailed
 	}
 	stream, err := newCTR(key, nonce)
@@ -105,7 +128,8 @@ func OpenVerifiable(key Key, sealed []byte) ([]byte, error) {
 // SealOpaque encrypts plaintext under key with no confirmation information
 // (Protocol 2/3 style). Output layout: nonce || ciphertext.
 func SealOpaque(rng io.Reader, key Key, plaintext []byte) ([]byte, error) {
-	nonce := make([]byte, NonceSize)
+	out := make([]byte, NonceSize+len(plaintext))
+	nonce := out[:NonceSize]
 	if _, err := io.ReadFull(rng, nonce); err != nil {
 		return nil, fmt.Errorf("crypt: generating nonce: %w", err)
 	}
@@ -113,8 +137,6 @@ func SealOpaque(rng io.Reader, key Key, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, NonceSize+len(plaintext))
-	copy(out, nonce)
 	stream.XORKeyStream(out[NonceSize:], plaintext)
 	return out, nil
 }
@@ -126,8 +148,7 @@ func OpenOpaque(key Key, sealed []byte) ([]byte, error) {
 	if len(sealed) < OpaqueOverhead {
 		return nil, fmt.Errorf("crypt: sealed message too short (%d bytes)", len(sealed))
 	}
-	nonce := sealed[:NonceSize]
-	stream, err := newCTR(key, nonce)
+	stream, err := newCTR(key, sealed[:NonceSize])
 	if err != nil {
 		return nil, err
 	}

@@ -110,6 +110,8 @@ func TableIV(cfg Config) Table {
 		op    string
 	}{
 		{"SHA-256", costmodel.OpHash},
+		// Digest.Mod: four 128-by-64-bit remainder steps (math/bits.Rem64)
+		// over the digest's big-endian words, not one step per byte.
 		{"Mod p", costmodel.OpMod},
 		{"AES Enc", costmodel.OpAESEnc},
 		{"AES Dec", costmodel.OpAESDec},
