@@ -484,9 +484,9 @@ func BenchmarkRackSweep(b *testing.B) {
 // BenchmarkRackSweepScreening measures the scan in the shape of the
 // benchmark's workloads: 16 shards racking real packages of 8–10 necessary
 // and 3 optional tags, swept by a candidate with 7 distinct residues mod 11
-// through a held window of 4096 IDs that already holds every racked bottle
-// the candidate passes. Each sweep screens every bottle and returns none, so
-// ns/bottle is the per-bottle cost of the screen. racked=5000 is friend-1rack's
+// whose cursor already stands past every racked bottle. Each sweep screens
+// every bottle and returns none, so ns/bottle is the per-bottle cost of the
+// screen. racked=5000 is friend-1rack's
 // rack, 5000 distinct packages; racked=50000 is sweep-churn's, 2000 distinct
 // packages cloned round-robin under fresh IDs, which no longer fits a cache.
 func BenchmarkRackSweepScreening(b *testing.B) {
@@ -500,7 +500,6 @@ func BenchmarkRackSweepScreening(b *testing.B) {
 func benchSweepScreening(b *testing.B, racked, distinct int) {
 	const (
 		shards   = 16
-		seenCap  = 4096
 		residues = 7
 	)
 	rng := mrand.New(mrand.NewSource(1))
@@ -543,7 +542,7 @@ func benchSweepScreening(b *testing.B, racked, distinct int) {
 		}
 		templates[i] = built.Package
 	}
-	var seen []string
+	passing := 0
 	for i := 0; i < racked; i++ {
 		pkg := templates[i%distinct]
 		if i >= distinct {
@@ -558,24 +557,17 @@ func benchSweepScreening(b *testing.B, racked, distinct int) {
 			b.Fatal(err)
 		}
 		if pkg.PrefilterMatch(candidate) {
-			seen = append(seen, pkg.ID)
+			passing++
 		}
 	}
-	if len(seen) > seenCap {
-		b.Fatalf("%d racked bottles pass the candidate, more than the window holds", len(seen))
+	q := broker.SweepQuery{Residues: []core.ResidueSet{candidate}, Limit: racked}
+	res, err := rack.Sweep(context.Background(), q)
+	if err != nil || len(res.Bottles) != passing || res.Scanned != racked {
+		b.Fatalf("warm-up sweep: %d bottles of %d passing, %d of %d scanned, %v", len(res.Bottles), passing, res.Scanned, racked, err)
 	}
-	for i := len(seen); i < seenCap; i++ {
-		seen = append(seen, fmt.Sprintf("unracked-%d", i))
-	}
-	q := broker.SweepQuery{
-		Residues: []core.ResidueSet{candidate},
-		Window:   1, SeenCap: seenCap, SeenFull: true, Seen: seen,
-	}
-	if res, err := rack.Sweep(context.Background(), q); err != nil || res.Resync || len(res.Bottles) != 0 || res.Scanned != racked {
-		b.Fatalf("warm-up sweep: %d bottles of %d scanned, resync %v, %v", len(res.Bottles), res.Scanned, res.Resync, err)
-	}
-	// From here on every sweep is an empty delta against the held window.
-	q.SeenFull, q.SeenBase, q.Seen = false, seenCap, nil
+	// From here on every sweep carries the cursor past every racked bottle:
+	// the whole rack is screened and nothing is returned.
+	q.Cursors = res.Cursors
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

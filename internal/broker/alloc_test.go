@@ -30,6 +30,7 @@ func TestCodecRoundTripAllocFree(t *testing.T) {
 		},
 		Scanned:  41,
 		Rejected: 7,
+		Cursors:  []SweepCursor{{Epoch: 9, After: 41}},
 	}
 	var buf []byte
 	var view SweepResultView
@@ -38,8 +39,8 @@ func TestCodecRoundTripAllocFree(t *testing.T) {
 		if err := UnmarshalSweepResultView(buf, &view); err != nil {
 			t.Fatal(err)
 		}
-		if len(view.Bottles) != len(res.Bottles) {
-			t.Fatalf("round trip lost bottles: %d != %d", len(view.Bottles), len(res.Bottles))
+		if len(view.Bottles) != len(res.Bottles) || len(view.Cursors) != 1 || view.Cursors[0] != res.Cursors[0] {
+			t.Fatalf("round trip lost bottles or the cursor: %d != %d, %+v", len(view.Bottles), len(res.Bottles), view.Cursors)
 		}
 	})
 

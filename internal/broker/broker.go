@@ -28,7 +28,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +57,9 @@ var (
 	ErrDuplicateBottle = errors.New("broker: duplicate bottle id")
 	// ErrUnknownBottle indicates a reply or fetch for an ID not on the rack.
 	ErrUnknownBottle = errors.New("broker: unknown bottle id")
-	// ErrBadQuery indicates a sweep query with no valid residue sets.
-	ErrBadQuery = errors.New("broker: sweep query has no valid residue sets")
+	// ErrBadQuery indicates a sweep query with no valid residue sets, or a
+	// sweep frame this protocol revision cannot decode.
+	ErrBadQuery = errors.New("broker: bad sweep query")
 	// ErrUnauthorized indicates the caller's identity does not permit the
 	// operation: a missing or invalid capability token, an op outside the
 	// token's scope, or an attempt to Fetch/Remove/Reply against another
@@ -148,8 +151,12 @@ type Rack struct {
 	dur       *durability
 	recovered uint64
 
-	// windows holds the sweepers' exclusion windows (window.go).
-	windows *windowTable
+	// epoch names this opening of the rack in sweep cursors, and seq is its
+	// last arrival stamp (cursor.go); cursorResets counts the queries that
+	// carried a cursor of another epoch.
+	epoch        uint64
+	seq          atomic.Uint64
+	cursorResets atomic.Uint64
 
 	// jobs hands a sweep to an idle worker; unbuffered, so a post never
 	// waits for a busy one.
@@ -163,26 +170,23 @@ type Rack struct {
 // sweepRun is what the scanners of one sweep — its caller and the workers
 // helping it — share. They claim shards through next, each index once, and
 // write each shard's result into parts at its index. seen is the query's
-// exclusion window, read-only while they scan; remaining is the query's
-// collection budget — shards reserve slots from it and stop scanning once it
-// is spent, so one sweep never collects more than Limit bottles across the
-// whole rack.
+// one-off exclusion list, read-only while they scan; the scanners collect
+// the bottles stamped in (after, high].
 type sweepRun struct {
-	q         SweepQuery
-	seen      *SeenWindow
-	now       time.Time
-	remaining atomic.Int64
-	shards    []*shard
-	next      atomic.Int64
-	parts     []shardSweep
+	q           SweepQuery
+	seen        *SeenWindow
+	after, high uint64
+	now         time.Time
+	shards      []*shard
+	next        atomic.Int64
+	parts       []shardSweep
+	// cursor backs the result's one cursor.
+	cursor [1]SweepCursor
 
 	// pending counts the shards not yet reported; the report that takes it
-	// to zero closes done and frees held, the window the rack keeps, if any:
-	// Sweep returns early on cancellation, and the window must not take the
-	// next delta while an abandoned claim still reads it.
+	// to zero closes done.
 	pending atomic.Int64
 	done    chan struct{}
-	held    *heldWindow
 }
 
 // scan claims shards and screens them until none is left to claim or ctx
@@ -193,26 +197,22 @@ func (run *sweepRun) scan(ctx context.Context) {
 		if i >= int64(len(run.shards)) {
 			return
 		}
-		run.parts[i] = run.shards[i].sweep(&run.q, run.seen, run.now, &run.remaining)
+		run.parts[i] = run.shards[i].sweep(&run.q, run.seen, run.after, run.high, run.now)
 		run.reported(1)
 	}
 }
 
 // reported accounts n shards as screened (or never to be) and, after the
-// last, frees the held window and closes done.
+// last, closes done.
 func (run *sweepRun) reported(n int64) {
 	if run.pending.Add(-n) == 0 {
-		if run.held != nil {
-			<-run.held.busy
-		}
 		close(run.done)
 	}
 }
 
-// cancel stops the run: in-flight claims stop at their next passing bottle,
-// and the shards nobody claimed yet are claimed here and reported unscanned.
+// cancel stops the run: the shards nobody claimed yet are claimed here and
+// reported unscanned, and in-flight claims finish into parts nobody reads.
 func (run *sweepRun) cancel() {
-	run.remaining.Store(0)
 	n := int64(len(run.shards))
 	if claimed := run.next.Swap(n); claimed < n {
 		run.reported(n - claimed)
@@ -239,15 +239,15 @@ func Open(cfg Config) (*Rack, error) {
 		return nil, err
 	}
 	r := &Rack{
-		cfg:     cfg,
-		mask:    uint64(cfg.Shards - 1),
-		shards:  make([]*shard, cfg.Shards),
-		windows: newWindowTable(),
-		jobs:    make(chan *sweepRun),
-		closed:  make(chan struct{}),
+		cfg:    cfg,
+		mask:   uint64(cfg.Shards - 1),
+		shards: make([]*shard, cfg.Shards),
+		epoch:  rand.Uint64() | 1,
+		jobs:   make(chan *sweepRun),
+		closed: make(chan struct{}),
 	}
 	for i := range r.shards {
-		r.shards[i] = newShard()
+		r.shards[i] = newShard(&r.seq)
 	}
 	if cfg.Durability != nil {
 		if err := r.openDurability(*cfg.Durability); err != nil {
@@ -327,12 +327,13 @@ func (r *Rack) Submit(ctx context.Context, raw []byte) (string, error) {
 	if r.isClosed() {
 		return "", ErrRackClosed
 	}
-	b, err := bottleFromRaw(raw, r.cfg.Now().UTC())
+	now := r.cfg.Now().UTC()
+	b, err := bottleFromRaw(raw, now)
 	if err != nil {
 		return "", err
 	}
 	b.owner = IdentityFromContext(ctx)
-	if err := r.shardFor(b.id).put(b); err != nil {
+	if err := r.shardFor(b.id).put(b, now); err != nil {
 		return "", err
 	}
 	if err := r.commitDur(); err != nil {
@@ -357,12 +358,16 @@ type SubmitResult struct {
 // returns, so the bottle copies first and the view aliases the bottle's own
 // copy. Every bottle — submitted, replayed or handed off — is made here, so
 // this is also where its screen (the residue masks and gate byte) is derived;
-// the screen is never logged or sent.
+// the screen is never logged or sent — and where a request ID longer than
+// maxRequestIDLen is refused, so that replay and handoff drop one too.
 func bottleFromRaw(raw []byte, now time.Time) (*bottle, error) {
 	owned := append([]byte(nil), raw...)
 	v, err := core.UnmarshalPackageView(owned)
 	if err != nil {
 		return nil, err
+	}
+	if len(v.ID) > maxRequestIDLen {
+		return nil, fmt.Errorf("%w: request id of %d bytes, over %d", core.ErrMalformedPackage, len(v.ID), maxRequestIDLen)
 	}
 	if v.Expired(now) {
 		return nil, core.ErrExpired
@@ -420,7 +425,7 @@ func (r *Rack) SubmitBatch(ctx context.Context, raws [][]byte) ([]SubmitResult, 
 		for j, it := range items {
 			bs[j] = it.b
 		}
-		for j, err := range sh.putBatch(bs) {
+		for j, err := range sh.putBatch(bs, now) {
 			if err != nil {
 				results[items[j].idx] = SubmitResult{Err: err}
 			}
@@ -560,9 +565,13 @@ func (r *Rack) FetchBatch(ctx context.Context, ids []string) ([]FetchResult, err
 	return results, ctxErr
 }
 
+// maxRequestIDLen bounds a racked request ID: room for a 32-hex-character ID
+// behind a MaxTagLen rack tag, several times over.
+const maxRequestIDLen = 128
+
 // SweepQuery describes one candidate's sweep: its residue presence sets (one
-// per prime it is willing to screen against), a result cap, and optional
-// exclusions.
+// per prime it is willing to screen against), a result cap, optional
+// exclusions and the sweeper's cursors.
 type SweepQuery struct {
 	// Residues holds one presence set per prime; bottles with a prime not
 	// covered here are skipped (not rejected — the candidate simply cannot
@@ -573,26 +582,13 @@ type SweepQuery struct {
 	// ExcludeOrigin skips bottles submitted by this origin (a candidate never
 	// wants its own requests back).
 	ExcludeOrigin string
-	// Seen lists request IDs the candidate has already evaluated; they are
-	// skipped server-side so the limit is spent on fresh bottles. With Window
-	// zero it is the whole exclusion list of this one query and the rack keeps
-	// nothing. With a window named it is either that window's whole content
-	// (SeenFull) or only the IDs added to it since the query before.
+	// Seen lists request IDs to skip server-side, for this one query; the
+	// rack keeps nothing of it.
 	Seen []string
-	// Window, when nonzero, names an exclusion window the rack holds for the
-	// caller's identity between sweeps (soft state: see SweepResult.Resync).
-	// Sweepers draw it at random once.
-	Window uint64
-	// SeenBase is how many IDs had ever been added to the window before
-	// those in Seen; the rack applies a delta only to a window standing
-	// exactly there, so a lost or repeated query can never skew it.
-	SeenBase uint64
-	// SeenFull marks Seen as the window's whole content, replacing whatever
-	// the rack holds under Window.
-	SeenFull bool
-	// SeenCap is the window's bound (zero or beyond MaxSeenCap: MaxSeenCap);
-	// the rack evicts oldest-first at the same length the sweeper does.
-	SeenCap int
+	// Cursors are the sweeper's positions on the racks it has swept, as
+	// earlier results handed them out: the rack returns only bottles stamped
+	// after its own cursor (Member "") and screens from zero without one.
+	Cursors []SweepCursor
 }
 
 // normalize validates the query and fills defaults. Residue sets are
@@ -629,44 +625,40 @@ type SweptBottle struct {
 	ID string
 	// Raw is the marshalled request package, exactly as submitted.
 	Raw []byte
+	// Seq is the bottle's arrival stamp on the rack that returned it: a
+	// fan-out that passes on only part of a rack's page moves that rack's
+	// cursor to the last it passed on.
+	Seq uint64
 }
 
 // SweepResult is the outcome of one sweep query.
 type SweepResult struct {
-	// Bottles holds the prefilter-passing packages, in shard order.
+	// Bottles holds the prefilter-passing packages stamped after the query's
+	// cursor, in shard order.
 	Bottles []SweptBottle
 	// Scanned is how many live bottles were screened: every one the scan
-	// visited, including those the exclusion window or ExcludeOrigin then
+	// visited, including those the cursor, Seen or ExcludeOrigin then
 	// skipped.
 	Scanned int
 	// Rejected is how many of them the residue prefilter dismissed.
 	Rejected int
-	// Truncated is true when more bottles passed than Limit allowed.
+	// Truncated is true when more bottles passed than Limit allowed; the
+	// ones returned are those stamped first.
 	Truncated bool
-	// Resync is true when the rack did not hold the query's Window at
-	// SeenBase (never seen, evicted, restarted, a missed delta): nothing was
-	// scanned, and the caller must repeat the query with SeenFull set.
-	Resync bool
-	// Partial is set by a backend that fans a sweep out to several racks (a
-	// ring) when a rack it asked gave no answer — shed, timed out, down. That
-	// rack has missed the query's delta, so the caller's next query should
-	// carry the whole window rather than wait for the rack to ask for it:
-	// a rack that sheds load may not admit the two queries a resync takes.
-	// Never on the wire.
-	Partial bool
+	// Cursors are the cursors to send next, one for each rack that answered;
+	// a rack that did not answer keeps its old one.
+	Cursors []SweepCursor
 }
 
 // Sweep screens every racked bottle against the query's residue sets and
-// returns the ones the candidate could plausibly open. The caller scans the
-// shards itself, claiming them one at a time, and up to Workers-1 idle
-// workers of the rack's pool help by claiming from the same sequence; a
-// spare worker is left to a concurrent sweep. Cancellation stops the sweep
-// through its collection budget: the budget is zeroed so in-flight claims
-// stop at their next passing bottle, no further shards are claimed, and the
-// call returns the context's error — bottles already collected are
-// discarded. A sweep mutates no bottle, and the one thing it does mutate,
-// the caller's held exclusion window, takes the same delta twice as a no-op
-// — so a canceled or lost sweep is free to repeat.
+// returns the ones the candidate could plausibly open that arrived after the
+// query's cursor, with the cursor to send next. The caller scans the shards
+// itself, claiming them one at a time, and up to Workers-1 idle workers of
+// the rack's pool help by claiming from the same sequence; a spare worker is
+// left to a concurrent sweep. Cancellation stops further claims and returns
+// the context's error; bottles already collected are discarded. A sweep
+// mutates nothing a later sweep reads, so a canceled or lost sweep is free to
+// repeat.
 func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SweepResult{}, err
@@ -684,20 +676,18 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	if err := run.q.normalize(); err != nil {
 		return SweepResult{}, err
 	}
-	switch {
-	case q.Window != 0:
-		held, err := r.windows.hold(ctx, r.closed, &run.q, r.cfg.RackTag, run.now)
-		if held == nil {
-			return SweepResult{Resync: err == nil}, err
+	if len(q.Seen) > 0 {
+		run.seen = NewSeenWindow(len(q.Seen))
+		for _, id := range q.Seen {
+			run.seen.Add(untagOwn(r.cfg.RackTag, id))
 		}
-		run.held, run.seen = held, &held.set
-	case len(q.Seen) > 0:
-		// An ad-hoc list is a window nobody holds: same membership code.
-		run.q.SeenFull = true
-		run.seen = new(SeenWindow)
-		run.seen.apply(&run.q, r.cfg.RackTag)
 	}
-	run.remaining.Store(int64(run.q.Limit))
+	// The high-water mark is read before the first shard lock: every bottle
+	// stamped up to it is racked by the time its shard is scanned, and one
+	// stamped later is left to the next sweep, so the cursor never passes a
+	// bottle this sweep did not see.
+	run.high = r.seq.Load()
+	run.after = r.sweepFrom(q.Cursors, run.high)
 	run.pending.Store(int64(len(r.shards)))
 post:
 	for range min(r.cfg.Workers-1, len(r.shards)-1) {
@@ -714,30 +704,54 @@ post:
 		run.cancel()
 		return SweepResult{}, ctx.Err()
 	}
-	// Merge in shard order: results are deterministic for a quiescent rack as
-	// long as the sweep is not truncated. Under truncation, which shards win
-	// the budget race depends on scheduling — any Limit-sized subset of the
-	// passing bottles is a valid answer, Truncated tells the sweeper to come
-	// back, and its seen window makes repeat sweeps converge.
+	return r.merge(run), nil
+}
+
+// merge assembles a sweep's result from its shards' parts, in shard order —
+// deterministic for a quiescent rack. Past the limit it keeps the Limit
+// lowest sequences collected, which are the Limit lowest that passed: each
+// group collects its own lowest. The cursor is then the highest sequence
+// returned, and without truncation the sweep's high-water mark.
+func (r *Rack) merge(run *sweepRun) SweepResult {
 	var res SweepResult
+	n := 0
 	for _, p := range run.parts {
 		res.Scanned += p.scanned
 		res.Rejected += p.rejected
 		res.Truncated = res.Truncated || p.truncated
-		for _, b := range p.bottles {
-			if len(res.Bottles) >= run.q.Limit {
-				res.Truncated = true
-				break
+		n += len(p.found)
+	}
+	last := run.high
+	if res.Truncated = res.Truncated || n > run.q.Limit; res.Truncated {
+		seqs := make([]uint64, 0, n)
+		for _, p := range run.parts {
+			for _, f := range p.found {
+				seqs = append(seqs, f.seq)
 			}
-			res.Bottles = append(res.Bottles, b)
+		}
+		slices.Sort(seqs)
+		last = seqs[min(n, run.q.Limit)-1]
+	}
+	res.Bottles = make([]SweptBottle, 0, min(n, run.q.Limit))
+	for i, p := range run.parts {
+		kept := 0
+		for _, f := range p.found {
+			if f.seq <= last {
+				res.Bottles = append(res.Bottles, SweptBottle{ID: r.tagID(f.b.id), Raw: f.b.raw, Seq: f.seq})
+				kept++
+			}
+		}
+		if dropped := len(p.found) - kept; dropped > 0 {
+			// The shard counted what it collected as returned.
+			sh := r.shards[i]
+			sh.mu.Lock()
+			sh.stats.Returned -= uint64(dropped)
+			sh.mu.Unlock()
 		}
 	}
-	if r.cfg.RackTag != "" {
-		for i := range res.Bottles {
-			res.Bottles[i].ID = r.tagID(res.Bottles[i].ID)
-		}
-	}
-	return res, nil
+	run.cursor[0] = SweepCursor{Epoch: r.epoch, After: last}
+	res.Cursors = run.cursor[:]
+	return res
 }
 
 // worker helps the sweeps posted to it claim shards until the rack closes.
@@ -819,7 +833,6 @@ func (r *Rack) Reap() int {
 	for _, sh := range r.shards {
 		n += sh.reap(now)
 	}
-	r.windows.reap(now)
 	return n
 }
 
@@ -896,9 +909,10 @@ type Stats struct {
 	// by a replica-enabled server, plus the ring's client-side read-repair
 	// and dedup counters in ring-aggregated stats. Zero on a bare rack.
 	Replication ReplicationStats
-	// Windows counts the sweep exclusion windows this rack holds. It is read
-	// in process (the rack's /metrics); the Stats opcode does not carry it.
-	Windows WindowStats
+	// CursorResets counts the sweeps whose cursor was of another epoch (a
+	// restart, another rack) and that were screened from zero. It is read in
+	// process (the rack's /metrics); the Stats opcode does not carry it.
+	CursorResets uint64
 }
 
 // PrefilterRejectRate is the fraction of screened bottles the residue
@@ -950,7 +964,7 @@ func (r *Rack) Stats(ctx context.Context) (Stats, error) {
 	}
 	st.Primes = core.MergePrimes(primes...)
 	st.Recovered = r.recovered
-	st.Windows = r.windows.snapshot()
+	st.CursorResets = r.cursorResets.Load()
 	if r.dur != nil {
 		st.WALBytes = uint64(r.dur.log.SizeBytes())
 	}

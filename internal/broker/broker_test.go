@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,6 +188,46 @@ func TestSubmitRejectsGarbageDuplicatesAndExpired(t *testing.T) {
 	}
 }
 
+// TestSubmitRequestIDCap pins the request-ID bound at the one place bottles
+// are made: an ID of maxRequestIDLen bytes is racked, one byte more is
+// refused by Submit and SubmitBatch as a malformed package, and WAL replay
+// drops such a record as it drops an unreadable one.
+func TestSubmitRequestIDCap(t *testing.T) {
+	clock := newTestClock()
+	rack := newTestRack(clock, 2)
+	defer rack.Close()
+	ctx := context.Background()
+	template, _ := buildRawPackage(t, rand.New(rand.NewSource(3)), clock, "a", interests("x"), nil, 0)
+	withID := func(n int) []byte {
+		pkg, err := core.UnmarshalPackage(template)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg.ID = strings.Repeat(fmt.Sprint(n%10), n)
+		raw, err := pkg.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if _, err := rack.Submit(ctx, withID(maxRequestIDLen)); err != nil {
+		t.Fatalf("an ID at the cap: %v", err)
+	}
+	if _, err := rack.Submit(ctx, withID(maxRequestIDLen+1)); !errors.Is(err, core.ErrMalformedPackage) {
+		t.Fatalf("an ID one byte over the cap: %v, want ErrMalformedPackage", err)
+	}
+	res, err := rack.SubmitBatch(ctx, [][]byte{withID(maxRequestIDLen - 1), withID(maxRequestIDLen + 1)})
+	if err != nil || res[0].Err != nil || !errors.Is(res[1].Err, core.ErrMalformedPackage) {
+		t.Fatalf("batch at and over the cap: %+v, %v", res, err)
+	}
+	if err := rack.replayRecord(walRecSubmit, withID(maxRequestIDLen+1)); err != nil {
+		t.Fatalf("replaying an over-long ID: %v", err)
+	}
+	if st := statsOf(rack); st.Held != 2 {
+		t.Fatalf("held %d bottles, want the 2 at or under the cap", st.Held)
+	}
+}
+
 func TestLazyExpiryAndReap(t *testing.T) {
 	clock := newTestClock()
 	rack := newTestRack(clock, 2)
@@ -267,11 +308,9 @@ func TestSweepLimitSeenAndDeterministicOrder(t *testing.T) {
 	if len(first.Bottles) != 10 || !first.Truncated {
 		t.Fatalf("limited sweep: %d bottles truncated=%v, want 10/true", len(first.Bottles), first.Truncated)
 	}
-	// A truncated sweep returns exactly Limit distinct bottles (the shared
-	// budget stops shards collecting more) but which Limit-sized subset wins
-	// depends on worker scheduling, so only untruncated sweeps promise
-	// deterministic results: identical full-coverage queries on a quiescent
-	// rack must return identical order.
+	// A truncated sweep returns exactly Limit distinct bottles, the Limit
+	// stamped first; identical full-coverage queries on a quiescent rack must
+	// return identical order.
 	distinct := make(map[string]struct{}, len(first.Bottles))
 	for _, b := range first.Bottles {
 		distinct[b.ID] = struct{}{}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"sealedbottle/internal/core"
 )
@@ -24,8 +25,17 @@ import (
 // ErrMalformedFrame indicates a broker wire encoding that cannot be decoded.
 var ErrMalformedFrame = errors.New("broker: malformed frame")
 
-// MarshalSweepQuery encodes a sweep query.
-func MarshalSweepQuery(q SweepQuery) []byte { return AppendSweepQuery(nil, q) }
+// MarshalSweepQuery encodes a sweep query into one allocation.
+func MarshalSweepQuery(q SweepQuery) []byte {
+	n := 2 + 4 + 2 + len(q.ExcludeOrigin) + cursorsSize(q.Cursors) + 4
+	for _, s := range q.Residues {
+		n += minResidueSetBytes + 8*len(s.Bits)
+	}
+	for _, id := range q.Seen {
+		n += 2 + len(id)
+	}
+	return AppendSweepQuery(make([]byte, 0, n), q)
+}
 
 // AppendSweepQuery appends the encoding of a sweep query to buf.
 func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
@@ -39,14 +49,10 @@ func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
 	}
 	// A non-positive limit means "use the server default"; clamping here keeps
 	// the wire semantics identical to the in-process rack (a raw uint32 cast
-	// would turn -1 into an effectively unlimited 4294967295). The window
-	// bound is clamped the same way.
+	// would turn -1 into an effectively unlimited 4294967295).
 	buf = binary.BigEndian.AppendUint32(buf, uint32(max(0, q.Limit)))
 	buf = appendString16(buf, q.ExcludeOrigin)
-	buf = binary.BigEndian.AppendUint64(buf, q.Window)
-	buf = binary.BigEndian.AppendUint64(buf, q.SeenBase)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(max(0, q.SeenCap)))
-	buf = appendBool(buf, q.SeenFull)
+	buf = appendCursors(buf, q.Cursors)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(q.Seen)))
 	for _, id := range q.Seen {
 		buf = appendString16(buf, id)
@@ -54,40 +60,97 @@ func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
 	return buf
 }
 
+// cursorsSize is the encoded size of a cursor list.
+func cursorsSize(cursors []SweepCursor) int {
+	n := 2
+	for _, c := range cursors {
+		n += minCursorBytes + len(c.Member)
+	}
+	return n
+}
+
+// appendCursors appends a count-prefixed list of sweep cursors.
+func appendCursors(buf []byte, cursors []SweepCursor) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(cursors)))
+	for _, c := range cursors {
+		buf = appendString16(buf, c.Member)
+		buf = binary.BigEndian.AppendUint64(buf, c.Epoch)
+		buf = binary.BigEndian.AppendUint64(buf, c.After)
+	}
+	return buf
+}
+
+// readCursors reads a list written by appendCursors into out (reusing its
+// backing array when capacity allows). A rack's own cursor has no member
+// name, so reading one allocates nothing but the list. An epoch is never
+// zero.
+func readCursors(r *reader, out []SweepCursor) ([]SweepCursor, error) {
+	n, err := r.uint16()
+	if err != nil || int(n) > r.remaining()/minCursorBytes {
+		return nil, errors.New("cursor count")
+	}
+	if n == 0 {
+		return out[:0], nil
+	}
+	out = slices.Grow(out[:0], int(n))
+	for range int(n) {
+		var c SweepCursor
+		if c.Member, err = r.string16(); err != nil {
+			return nil, errors.New("cursor member")
+		}
+		if c.Epoch, err = r.uint64(); err != nil || c.Epoch == 0 {
+			return nil, errors.New("cursor epoch")
+		}
+		if c.After, err = r.uint64(); err != nil {
+			return nil, errors.New("cursor position")
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
 // Smallest encodings of one list entry, used to refuse a count the rest of
 // the frame cannot hold before anything is allocated for it.
 const (
 	minResidueSetBytes  = 6  // prime + word count
 	minIDBytes          = 2  // empty string16
-	minSweptBottleBytes = 6  // empty ID + empty package
+	minSweptBottleBytes = 14 // empty ID + sequence + empty package
 	minBlobBytes        = 4  // empty sized blob
 	minOutcomeBytes     = 3  // submit or fetch outcome: flag + empty string16
 	minErrorBytes       = 1  // error-list outcome: the success flag alone
 	minReplyPostBytes   = 6  // empty ID + empty reply
 	minShardStatsBytes  = 88 // eleven u64 counters
 	minPrimeBytes       = 4
+	minCursorBytes      = 18 // empty member + epoch + position
 )
 
-// UnmarshalSweepQuery decodes a sweep query. The seen IDs are cut from one
-// copy of the frame's seen region, not copied out one by one: a rack that
-// keeps them in an exclusion window then holds one allocation per query —
-// all of it for as long as it keeps any, which the window accounts for
-// (heldWindow.pinned).
+// UnmarshalSweepQuery decodes a sweep query. A frame it cannot decode — a
+// revision-6 window query among them — is refused with an error that is both
+// ErrBadQuery, which is what the rack answers, and ErrMalformedFrame.
 func UnmarshalSweepQuery(data []byte) (SweepQuery, error) {
+	q, what := unmarshalSweepQuery(data)
+	if what != "" {
+		return SweepQuery{}, fmt.Errorf("%w (%w: %s)", ErrBadQuery, ErrMalformedFrame, what)
+	}
+	return q, nil
+}
+
+// unmarshalSweepQuery decodes a sweep query or names the field it failed on.
+func unmarshalSweepQuery(data []byte) (SweepQuery, string) {
 	r := &reader{data: data}
 	var q SweepQuery
 	n, err := r.uint16()
 	if err != nil || int(n) > r.remaining()/minResidueSetBytes {
-		return q, fmt.Errorf("%w: residue count", ErrMalformedFrame)
+		return q, "residue count"
 	}
 	q.Residues = make([]core.ResidueSet, n)
 	for i := range q.Residues {
 		if q.Residues[i].Prime, err = r.uint32(); err != nil {
-			return q, fmt.Errorf("%w: residue prime", ErrMalformedFrame)
+			return q, "residue prime"
 		}
 		words, err := r.uint16()
 		if err != nil || int(words) > r.remaining()/8 {
-			return q, fmt.Errorf("%w: residue words", ErrMalformedFrame)
+			return q, "residue words"
 		}
 		q.Residues[i].Bits = make([]uint64, words)
 		for j := range q.Residues[i].Bits {
@@ -96,68 +159,55 @@ func UnmarshalSweepQuery(data []byte) (SweepQuery, error) {
 	}
 	limit, err := r.uint32()
 	if err != nil {
-		return q, fmt.Errorf("%w: limit", ErrMalformedFrame)
+		return q, "limit"
 	}
 	q.Limit = int(limit)
 	if q.ExcludeOrigin, err = r.string16(); err != nil {
-		return q, fmt.Errorf("%w: exclude origin", ErrMalformedFrame)
+		return q, "exclude origin"
 	}
-	if q.Window, err = r.uint64(); err != nil {
-		return q, fmt.Errorf("%w: window", ErrMalformedFrame)
-	}
-	if q.SeenBase, err = r.uint64(); err != nil {
-		return q, fmt.Errorf("%w: seen base", ErrMalformedFrame)
-	}
-	seenCap, err := r.uint32()
-	if err != nil {
-		return q, fmt.Errorf("%w: seen cap", ErrMalformedFrame)
-	}
-	q.SeenCap = int(seenCap)
-	if q.SeenFull, err = r.bool(); err != nil {
-		return q, fmt.Errorf("%w: seen flags", ErrMalformedFrame)
+	if q.Cursors, err = readCursors(r, nil); err != nil {
+		return q, err.Error()
 	}
 	seen, err := r.uint32()
-	if err != nil {
-		return q, fmt.Errorf("%w: seen count", ErrMalformedFrame)
+	if err != nil || int(seen) > r.remaining()/minIDBytes {
+		return q, "seen count"
 	}
-	if seen > MaxSeenCap || int(seen) > r.remaining()/minIDBytes {
-		return q, fmt.Errorf("%w: implausible seen count %d", ErrMalformedFrame, seen)
-	}
-	// The seen list is the frame's tail, so its region is everything left.
-	var region string
-	base := r.off
 	if seen > 0 {
-		region, q.Seen = string(data[base:]), make([]string, seen)
+		q.Seen = make([]string, seen)
 	}
 	for i := range q.Seen {
-		id, err := r.bytes16()
-		if err != nil {
-			return q, fmt.Errorf("%w: seen id", ErrMalformedFrame)
+		if q.Seen[i], err = r.string16(); err != nil {
+			return q, "seen id"
 		}
-		end := r.off - base
-		q.Seen[i] = region[end-len(id) : end]
 	}
 	if r.remaining() != 0 {
-		return q, fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
+		return q, "trailing bytes"
 	}
-	return q, nil
+	return q, ""
 }
 
-// MarshalSweepResult encodes a sweep result.
-func MarshalSweepResult(res SweepResult) []byte { return AppendSweepResult(nil, res) }
+// MarshalSweepResult encodes a sweep result into one allocation.
+func MarshalSweepResult(res SweepResult) []byte {
+	n := 4 + 8 + 8 + 1 + cursorsSize(res.Cursors)
+	for _, b := range res.Bottles {
+		n += minSweptBottleBytes + len(b.ID) + len(b.Raw)
+	}
+	return AppendSweepResult(make([]byte, 0, n), res)
+}
 
 // AppendSweepResult appends the encoding of a sweep result to buf.
 func AppendSweepResult(buf []byte, res SweepResult) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(res.Bottles)))
 	for _, b := range res.Bottles {
 		buf = appendString16(buf, b.ID)
+		buf = binary.BigEndian.AppendUint64(buf, b.Seq)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Raw)))
 		buf = append(buf, b.Raw...)
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(res.Scanned))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(res.Rejected))
 	buf = appendBool(buf, res.Truncated)
-	return appendBool(buf, res.Resync)
+	return appendCursors(buf, res.Cursors)
 }
 
 // UnmarshalSweepResult decodes a sweep result. Bottle Raw payloads alias
@@ -178,6 +228,9 @@ func UnmarshalSweepResult(data []byte) (SweepResult, error) {
 		if res.Bottles[i].ID, err = r.string16(); err != nil {
 			return res, fmt.Errorf("%w: bottle id", ErrMalformedFrame)
 		}
+		if res.Bottles[i].Seq, err = r.uint64(); err != nil {
+			return res, fmt.Errorf("%w: bottle sequence", ErrMalformedFrame)
+		}
 		size, err := r.uint32()
 		if err != nil {
 			return res, fmt.Errorf("%w: bottle size", ErrMalformedFrame)
@@ -197,8 +250,8 @@ func UnmarshalSweepResult(data []byte) (SweepResult, error) {
 	if res.Truncated, err = r.bool(); err != nil {
 		return res, fmt.Errorf("%w: truncated flag", ErrMalformedFrame)
 	}
-	if res.Resync, err = r.bool(); err != nil {
-		return res, fmt.Errorf("%w: resync flag", ErrMalformedFrame)
+	if res.Cursors, err = readCursors(r, nil); err != nil {
+		return res, fmt.Errorf("%w: %w", ErrMalformedFrame, err)
 	}
 	res.Scanned, res.Rejected = int(scanned), int(rejected)
 	if r.remaining() != 0 {
@@ -810,13 +863,15 @@ func (r *reader) bytes16() ([]byte, error) {
 	return r.bytes(int(n))
 }
 
-// SweptBottleView is one sweep-result entry decoded without allocating; both
-// fields alias the source frame and share its lifetime.
+// SweptBottleView is one sweep-result entry decoded without allocating; ID
+// and Raw alias the source frame and share its lifetime.
 type SweptBottleView struct {
 	// ID is the request ID bytes.
 	ID []byte
 	// Raw is the marshalled request package.
 	Raw []byte
+	// Seq mirrors SweptBottle.Seq.
+	Seq uint64
 }
 
 // SweepResultView is the allocation-free decode of a sweep result. Reusing
@@ -825,11 +880,12 @@ type SweptBottleView struct {
 type SweepResultView struct {
 	// Bottles holds the prefilter-passing packages, aliasing the frame.
 	Bottles []SweptBottleView
-	// Scanned, Rejected, Truncated and Resync mirror SweepResult.
+	// Scanned, Rejected, Truncated and Cursors mirror SweepResult; Cursors
+	// reuses its backing array like Bottles.
 	Scanned   int
 	Rejected  int
 	Truncated bool
-	Resync    bool
+	Cursors   []SweepCursor
 }
 
 // UnmarshalSweepResultView decodes a sweep result into v, reusing v.Bottles'
@@ -851,6 +907,9 @@ func UnmarshalSweepResultView(data []byte, v *SweepResultView) error {
 		if b.ID, err = r.bytes16(); err != nil {
 			return fmt.Errorf("%w: bottle id", ErrMalformedFrame)
 		}
+		if b.Seq, err = r.uint64(); err != nil {
+			return fmt.Errorf("%w: bottle sequence", ErrMalformedFrame)
+		}
 		size, err := r.uint32()
 		if err != nil {
 			return fmt.Errorf("%w: bottle size", ErrMalformedFrame)
@@ -871,8 +930,8 @@ func UnmarshalSweepResultView(data []byte, v *SweepResultView) error {
 	if v.Truncated, err = r.bool(); err != nil {
 		return fmt.Errorf("%w: truncated flag", ErrMalformedFrame)
 	}
-	if v.Resync, err = r.bool(); err != nil {
-		return fmt.Errorf("%w: resync flag", ErrMalformedFrame)
+	if v.Cursors, err = readCursors(r, v.Cursors); err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformedFrame, err)
 	}
 	v.Scanned, v.Rejected = int(scanned), int(rejected)
 	if r.remaining() != 0 {

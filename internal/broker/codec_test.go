@@ -3,10 +3,12 @@ package broker
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sealedbottle/internal/core"
@@ -21,12 +23,9 @@ func TestSweepQueryRoundTrip(t *testing.T) {
 		Limit:         42,
 		ExcludeOrigin: "alice",
 		Seen:          []string{"id-1", "", "id-2"},
-		Window:        0xfeedface00c0ffee,
-		SeenBase:      1 << 40,
-		SeenCap:       4096,
 	}
-	for _, full := range []bool{false, true} {
-		q.SeenFull = full
+	for _, cursors := range [][]SweepCursor{nil, {{Epoch: 0xfeedface00c0ffee, After: 1 << 40}, {Member: "rack-1/inner", Epoch: 1}}} {
+		q.Cursors = cursors
 		got, err := UnmarshalSweepQuery(MarshalSweepQuery(q))
 		if err != nil {
 			t.Fatal(err)
@@ -59,9 +58,9 @@ func TestCodecRefusesAmplifyingCounts(t *testing.T) {
 		{"sweep query seen IDs", func(b []byte) error { _, err := UnmarshalSweepQuery(b); return err },
 			query, len(query) - 4, minIDBytes, fixed(0, 0)},
 		{"sweep result bottles", func(b []byte) error { _, err := UnmarshalSweepResult(b); return err },
-			MarshalSweepResult(SweepResult{}), 0, minSweptBottleBytes, fixed(0, 0, 0, 0, 0, 0)},
+			MarshalSweepResult(SweepResult{}), 0, minSweptBottleBytes, fixed(make([]byte, minSweptBottleBytes)...)},
 		{"sweep result view bottles", func(b []byte) error { return UnmarshalSweepResultView(b, new(SweepResultView)) },
-			MarshalSweepResult(SweepResult{}), 0, minSweptBottleBytes, fixed(0, 0, 0, 0, 0, 0)},
+			MarshalSweepResult(SweepResult{}), 0, minSweptBottleBytes, fixed(make([]byte, minSweptBottleBytes)...)},
 		{"raw list", func(b []byte) error { _, err := UnmarshalRawList(b); return err },
 			MarshalRawList(nil), 0, minBlobBytes, fixed(0, 0, 0, 0)},
 		{"submit results", func(b []byte) error { _, err := UnmarshalSubmitResults(b); return err },
@@ -114,13 +113,14 @@ func TestCodecRefusesAmplifyingCounts(t *testing.T) {
 			t.Errorf("%s: refusing a 1 MiB lying frame allocated %d bytes (err %v)", c.name, n, err)
 		}
 	}
-	// The seen list has a cap of its own, and a query's residue-set and word
-	// counts are bounded the same way as the lists above.
-	overCap := append(binary.BigEndian.AppendUint32(append([]byte(nil), query[:len(query)-4]...), MaxSeenCap+1), make([]byte, 2*(MaxSeenCap+1))...)
+	// A query's residue-set, word and cursor counts are bounded the same way
+	// as the lists above.
+	cursorsAt := len(query) - 4 - 2
+	manyCursors := append(binary.BigEndian.AppendUint16(append([]byte(nil), query[:cursorsAt]...), 0xffff), make([]byte, 18*100+4)...)
 	for name, frame := range map[string][]byte{
-		"seen count past MaxSeenCap": overCap,
-		"65535 residue sets":         {0xff, 0xff, 0, 0, 0, 11, 0, 1},
-		"65535 words":                {0, 1, 0, 0, 0, 11, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
+		"65535 residue sets": {0xff, 0xff, 0, 0, 0, 11, 0, 1},
+		"65535 words":        {0, 1, 0, 0, 0, 11, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
+		"65535 cursors":      manyCursors,
 	} {
 		if _, err := UnmarshalSweepQuery(frame); !errors.Is(err, ErrMalformedFrame) {
 			t.Errorf("query with %s: err = %v, want ErrMalformedFrame", name, err)
@@ -137,8 +137,28 @@ func allocated(decode func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// sweepFuzzSeeds are revision-5 sweep frames: an ad-hoc list, a full and a
-// delta window query, a scan answer and a resync answer.
+// rev6WindowQuery is a revision-6 sweep query as a sweeper of that revision
+// sent it: window 0x9e3779b97f4a7c15 at base 4096, cap 4096, one ID of delta.
+const rev6WindowQuery = "00010000000b000100000000000000890000004000009e3779b97f4a7c15" +
+	"000000000000100000001000000000000100203031323334353637383961626364656630313233343536373839616263646566"
+
+// TestSweepQueryRefusesRevision6 pins the upgrade rule of revision 7: a
+// revision-6 window query is refused as a bad query — what the rack answers
+// on the wire — and decodes to nothing.
+func TestSweepQueryRefusesRevision6(t *testing.T) {
+	frame, err := hex.DecodeString(rev6WindowQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := UnmarshalSweepQuery(frame)
+	if !errors.Is(err, ErrBadQuery) || ErrCodeOf(err) != CodeBadQuery || !reflect.DeepEqual(q, SweepQuery{}) {
+		t.Fatalf("revision-6 query: %+v, %v (code %v), want a bad-query refusal and nothing else", q, err, ErrCodeOf(err))
+	}
+}
+
+// sweepFuzzSeeds are revision-7 sweep frames — an ad-hoc list, a sweeper's
+// query with its cursor, a ring member's with nested cursors, a scan answer
+// and one with a cursor — and the refused revision-6 window query.
 func sweepFuzzSeeds() (queries, results [][]byte) {
 	q := SweepQuery{
 		Residues:      []core.ResidueSet{core.NewResidueSet(11, []uint32{0, 3, 7})},
@@ -147,18 +167,20 @@ func sweepFuzzSeeds() (queries, results [][]byte) {
 		Seen:          []string{"r1@0123456789abcdef", "fedcba9876543210"},
 	}
 	queries = append(queries, MarshalSweepQuery(q))
-	q.Window, q.SeenCap, q.SeenBase, q.SeenFull = 7, 4096, 100, true
+	q.Seen, q.Cursors = nil, []SweepCursor{{Epoch: 0x9e3779b97f4a7c15, After: 4096}}
 	queries = append(queries, MarshalSweepQuery(q))
-	q.SeenFull = false
-	queries = append(queries, MarshalSweepQuery(q), nil)
+	q.Cursors = append(q.Cursors, SweepCursor{Member: "rack-1", Epoch: 7, After: 1}, SweepCursor{Member: "rack-2/inner", Epoch: 9})
+	rev6, _ := hex.DecodeString(rev6WindowQuery)
+	queries = append(queries, MarshalSweepQuery(q), nil, rev6)
 	results = append(results,
 		MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1, 2, 3}}, {ID: "b"}}, Scanned: 9, Rejected: 7, Truncated: true}),
-		MarshalSweepResult(SweepResult{Resync: true}), nil)
+		MarshalSweepResult(SweepResult{Cursors: []SweepCursor{{Epoch: 5, After: 300}}}), nil,
+		MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "r1@c"}}, Scanned: 1, Cursors: []SweepCursor{{Member: "r1", Epoch: 5, After: 3}, {Member: "r2", Epoch: 6}}}))
 	return queries, results
 }
 
-// FuzzSweepQueryUnmarshal: the decoder never panics, never returns more seen
-// IDs than MaxSeenCap, and accepts its own re-encoding of whatever it took.
+// FuzzSweepQueryUnmarshal: the decoder never panics, refuses a frame only as
+// a bad query, and accepts its own re-encoding of whatever it took.
 func FuzzSweepQueryUnmarshal(f *testing.F) {
 	queries, _ := sweepFuzzSeeds()
 	for _, seed := range queries {
@@ -167,10 +189,10 @@ func FuzzSweepQueryUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := UnmarshalSweepQuery(data)
 		if err != nil {
+			if !errors.Is(err, ErrBadQuery) || !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("refused with %v", err)
+			}
 			return
-		}
-		if len(q.Seen) > MaxSeenCap {
-			t.Fatalf("decoded %d seen IDs", len(q.Seen))
 		}
 		again, err := UnmarshalSweepQuery(MarshalSweepQuery(q))
 		if err != nil || !reflect.DeepEqual(q, again) {
@@ -195,7 +217,7 @@ func FuzzSweepResultUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(view.Bottles) != len(res.Bottles) || view.Resync != res.Resync || view.Truncated != res.Truncated {
+		if len(view.Bottles) != len(res.Bottles) || !slices.Equal(view.Cursors, res.Cursors) || view.Truncated != res.Truncated {
 			t.Fatalf("view %+v differs from %+v", view, res)
 		}
 		if _, err := UnmarshalSweepResult(MarshalSweepResult(res)); err != nil {
@@ -242,6 +264,14 @@ var codecRoundTrips = []struct {
 		func(b []byte) ([]byte, error) { v, err := UnmarshalAdminRequest(b); return MarshalAdminRequest(v), err }},
 	{"admin status", MarshalAdminStatus(AdminStatus{Draining: true, Held: 3, QuotaRate: 1}),
 		func(b []byte) ([]byte, error) { v, err := UnmarshalAdminStatus(b); return MarshalAdminStatus(v), err }},
+	{"sweep query", MarshalSweepQuery(SweepQuery{
+		Residues: []core.ResidueSet{core.NewResidueSet(11, []uint32{1})}, Limit: 8,
+		Cursors: []SweepCursor{{Epoch: 3, After: 40}, {Member: "r2/x", Epoch: 1, After: 2}}, Seen: []string{"a"},
+	}), func(b []byte) ([]byte, error) { v, err := UnmarshalSweepQuery(b); return MarshalSweepQuery(v), err }},
+	{"sweep result", MarshalSweepResult(SweepResult{
+		Bottles: []SweptBottle{{ID: "a", Raw: []byte{1}}}, Scanned: 4, Rejected: 3,
+		Cursors: []SweepCursor{{Member: "r1", Epoch: 3, After: 40}},
+	}), func(b []byte) ([]byte, error) { v, err := UnmarshalSweepResult(b); return MarshalSweepResult(v), err }},
 }
 
 // FuzzCodecUnmarshal feeds the decoders that have no fuzz target of their
@@ -301,16 +331,17 @@ func TestSweepResultRoundTrip(t *testing.T) {
 		Scanned:   100,
 		Rejected:  90,
 		Truncated: true,
+		Cursors:   []SweepCursor{{Epoch: 3, After: 77}, {Member: "r2", Epoch: 1 << 63, After: 1}},
 	}
 	got, err := UnmarshalSweepResult(MarshalSweepResult(res))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scanned != 100 || got.Rejected != 90 || !got.Truncated || got.Resync || len(got.Bottles) != 2 {
+	if got.Scanned != 100 || got.Rejected != 90 || !got.Truncated || len(got.Bottles) != 2 || !slices.Equal(got.Cursors, res.Cursors) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if got, err := UnmarshalSweepResult(MarshalSweepResult(SweepResult{Resync: true})); err != nil || !got.Resync || got.Truncated {
-		t.Fatalf("resync answer round trip: %+v, %v", got, err)
+	if got, err := UnmarshalSweepResult(MarshalSweepResult(SweepResult{})); err != nil || got.Cursors != nil || got.Truncated {
+		t.Fatalf("empty answer round trip: %+v, %v", got, err)
 	}
 	if got.Bottles[0].ID != "a" || !bytes.Equal(got.Bottles[0].Raw, []byte{1, 2, 3}) {
 		t.Fatalf("bottle mismatch: %+v", got.Bottles[0])
@@ -375,8 +406,9 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	q := MarshalSweepQuery(SweepQuery{
 		Residues: []core.ResidueSet{core.NewResidueSet(11, []uint32{5})},
 		Seen:     []string{"x"},
+		Cursors:  []SweepCursor{{Member: "m", Epoch: 1, After: 2}},
 	})
-	res := MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1}}}, Scanned: 1})
+	res := MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1}}}, Scanned: 1, Cursors: []SweepCursor{{Epoch: 1}}})
 	st := MarshalStats(Stats{Shards: 1, PerShard: []ShardStats{{}}, Primes: []uint32{11}})
 	post := MarshalReplyPost("id", []byte{1})
 	list := MarshalRawList([][]byte{{1, 2}})

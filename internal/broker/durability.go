@@ -142,7 +142,7 @@ func (r *Rack) replayRecord(typ byte, payload []byte) error {
 		if err != nil {
 			return nil // expired in the meantime, or unreadable: not recoverable state
 		}
-		_ = r.shardFor(b.id).put(b)
+		_ = r.shardFor(b.id).put(b, now)
 	case walRecReply:
 		id, raw, err := UnmarshalReplyPost(payload)
 		if err != nil {
@@ -291,7 +291,7 @@ func (r *Rack) installSnapshot(blob []byte) error {
 			continue // expired while down (or unreadable): not recovered
 		}
 		sh := r.shardFor(b.id)
-		if err := sh.put(b); err != nil {
+		if err := sh.put(b, now); err != nil {
 			continue
 		}
 		sh.installReplies(b.id, replies)

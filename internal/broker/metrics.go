@@ -7,8 +7,8 @@ import "sealedbottle/internal/obs"
 // registry counters would mean double bookkeeping on the hot path — so the
 // ops server registers a scrape-time collector that snapshots Stats once and
 // emits through here. Counter semantics hold because every Stats field is
-// monotonic over a rack's lifetime (Held, WALBytes and the window counts, the
-// exceptions, are gauges).
+// monotonic over a rack's lifetime (Held and WALBytes, the exceptions, are
+// gauges).
 //
 // sealedbottle_submitted_total is contractual: the CI cluster smoke
 // cross-checks its sum across racks against loadgen's verified count.
@@ -28,12 +28,7 @@ func CollectStats(e *obs.Emitter, st Stats) {
 	e.Counter("sealedbottle_replies_dropped_total", "Replies dropped against the per-bottle queue bound.", t.RepliesDropped)
 	e.Counter("sealedbottle_recovered_total", "Bottles recovered from the WAL at startup.", st.Recovered)
 	e.Gauge("sealedbottle_wal_bytes", "Live WAL size in bytes.", float64(st.WALBytes))
-	w := st.Windows
-	e.Gauge("sealedbottle_sweep_windows", "Sweep exclusion windows held for sweepers.", float64(w.Held))
-	e.Gauge("sealedbottle_sweep_window_ids", "Request IDs held across all sweep exclusion windows.", float64(w.IDs))
-	e.Gauge("sealedbottle_sweep_window_bytes", "Bytes the sweep exclusion windows are charged against the rack's budget for them.", float64(w.Bytes))
-	e.Counter("sealedbottle_sweep_resyncs_total", "Delta sweeps answered without a scan because the window was not held at the query's base.", w.Resyncs)
-	e.Counter("sealedbottle_sweep_windows_evicted_total", "Sweep exclusion windows dropped for budget or idleness.", w.Evicted)
+	e.Counter("sealedbottle_sweep_cursor_resets_total", "Sweeps whose cursor was of another rack epoch, screened from zero.", st.CursorResets)
 	r := st.Replication
 	e.Counter("sealedbottle_hints_queued_total", "Handoff records queued for unreachable peers.", r.HintsQueued)
 	e.Counter("sealedbottle_hints_streamed_total", "Queued handoff records streamed to their peer.", r.HintsStreamed)

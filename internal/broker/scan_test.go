@@ -121,9 +121,11 @@ func TestMaskScreenSound(t *testing.T) {
 	}
 }
 
-// refEntry is one bottle of the reference rack.
+// refEntry is one bottle of the reference rack, with the arrival sequence
+// the rack stamped it with.
 type refEntry struct {
 	b    *bottle
+	seq  uint64
 	gone bool
 }
 
@@ -150,10 +152,19 @@ func (m *refRack) submit(r *Rack, raw []byte, now time.Time) {
 	if err != nil {
 		return
 	}
-	e := &refEntry{b: b}
+	e := &refEntry{b: b, seq: seqOf(r, b.id)}
 	g := m.groups[m.index[r.shardFor(b.id)]]
 	g[b.pkg.Prime] = append(g[b.pkg.Prime], e)
 	m.byID[b.id] = e
+}
+
+// seqOf reads the arrival sequence a rack stamped a held bottle with.
+func seqOf(r *Rack, id string) uint64 {
+	sh := r.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b := sh.bottles[id]
+	return sh.byPrime[b.pkg.Prime].seq[b.slot]
 }
 
 func (m *refRack) remove(id string) {
@@ -173,20 +184,25 @@ func (m *refRack) reap(now time.Time) {
 
 // refSweep is the reference's answer to one query.
 type refSweep struct {
-	bottles []*bottle
+	bottles []*refEntry
 	// scanned and rejected count every live bottle visited and those of them
-	// PrefilterMatch fails; at[k] holds both as they stood when the k-th
-	// passing bottle was met, which is where a sweep truncated at k stops.
+	// PrefilterMatch fails.
 	scanned, rejected int
-	at                [][2]int
+	truncated         bool
+	cursor            uint64
 }
 
-// sweep is the old loop: expired bottles dropped as the group is walked, then
-// origin, window and PrefilterMatch. The counters follow today's definition.
-func (m *refRack) sweep(q SweepQuery, seen func(string) bool, now time.Time) refSweep {
-	var out refSweep
+// sweep is the old loop — expired bottles dropped as the group is walked,
+// then PrefilterMatch, origin and seen list — with the cursor: a passing
+// bottle is returned when stamped in (after, high], a group stops at the
+// first such bottle past the limit, and past the limit the Limit lowest
+// sequences are kept, the highest of them the cursor. The counters follow
+// today's definition.
+func (m *refRack) sweep(q SweepQuery, seen func(string) bool, after, high uint64, now time.Time) refSweep {
+	out := refSweep{cursor: high}
 	for _, groups := range m.groups {
 		for _, rs := range q.Residues {
+			taken := 0
 			for _, e := range groups[rs.Prime] {
 				if e.gone {
 					continue
@@ -196,35 +212,45 @@ func (m *refRack) sweep(q SweepQuery, seen func(string) bool, now time.Time) ref
 					continue
 				}
 				out.scanned++
-				match := e.b.pkg.PrefilterMatch(rs)
-				if !match {
+				if !e.b.pkg.PrefilterMatch(rs) {
 					out.rejected++
-				}
-				if e.b.origin != "" && e.b.origin == q.ExcludeOrigin {
 					continue
 				}
-				if seen(e.b.id) {
+				if e.b.origin != "" && e.b.origin == q.ExcludeOrigin || seen(e.b.id) || e.seq <= after || e.seq > high {
 					continue
 				}
-				if !match {
-					continue
+				if taken == q.Limit {
+					out.truncated = true
+					break
 				}
-				out.bottles = append(out.bottles, e.b)
-				out.at = append(out.at, [2]int{out.scanned, out.rejected})
+				taken++
+				out.bottles = append(out.bottles, e)
 			}
 		}
 	}
+	if len(out.bottles) > q.Limit {
+		out.truncated = true
+	}
+	if !out.truncated {
+		return out
+	}
+	var seqs []uint64
+	for _, e := range out.bottles {
+		seqs = append(seqs, e.seq)
+	}
+	slices.Sort(seqs)
+	out.cursor = seqs[min(q.Limit, len(seqs))-1]
+	out.bottles = slices.DeleteFunc(out.bottles, func(e *refEntry) bool { return e.seq > out.cursor })
 	return out
 }
 
 // TestSweepMatchesReference runs seeded histories of submits, batches,
-// removals, clock advances, reaps and sweeps — with held windows, ad-hoc
-// seen lists, excluded origins and truncating limits, over a prime with a
-// mask column and one without — against a rack and the reference. Untruncated
-// sweeps must return the reference's bottles in its order with its exact
-// counters; truncated ones only bottles it passes, counting only what was
-// visited (exactly so on one shard, where the visit order is fixed).
-// Meant for -race -count=10 as well.
+// removals, clock advances, reaps and sweeps — with a sweeper's cursor, stale
+// cursors, ad-hoc seen lists, excluded origins and truncating limits, over a
+// prime with a mask column and one without — against a rack and the
+// reference. Every sweep must return the reference's bottles in its order
+// with its exact counters and cursor, truncated or not, on one shard or
+// several. Meant for -race -count=10 as well.
 func TestSweepMatchesReference(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -252,11 +278,9 @@ func checkSweepHistory(t *testing.T, shards int, seed int64) {
 		validity := time.Duration(1+rng.Intn(120)) * time.Minute
 		return synthPackage(t, rng, primes[rng.Intn(len(primes))], id, origins[rng.Intn(len(origins))], now, now.Add(validity))
 	}
-	// The held window as a sweeper keeps it (client.Sweeper's protocol).
-	const handle, seenCap = 5, 24
-	win := NewSeenWindow(seenCap)
-	var acked uint64
-	held := false
+	// The sweeper's cursor, as the last sweep that carried it left it.
+	var cursors []SweepCursor
+	var stale uint64
 
 	for step := 0; step < 400; step++ {
 		now := clock.Now()
@@ -305,7 +329,8 @@ func checkSweepHistory(t *testing.T, shards int, seed int64) {
 				q.ExcludeOrigin = origins[1+rng.Intn(len(origins)-1)]
 			}
 			seen := func(string) bool { return false }
-			switch rng.Intn(3) {
+			high, after, carried := rack.seq.Load(), uint64(0), false
+			switch rng.Intn(4) {
 			case 1:
 				for k := rng.Intn(30); k > 0 && len(ids) > 0; k-- {
 					q.Seen = append(q.Seen, ids[rng.Intn(len(ids))])
@@ -313,117 +338,60 @@ func checkSweepHistory(t *testing.T, shards int, seed int64) {
 				list := slices.Clone(q.Seen)
 				seen = func(id string) bool { return slices.Contains(list, id) }
 			case 2:
-				for k := rng.Intn(8); k > 0 && len(ids) > 0; k-- {
-					win.Add(ids[rng.Intn(len(ids))])
+				q.Cursors, carried = cursors, true
+				if len(cursors) > 0 {
+					after = cursors[0].After
 				}
-				q.Window, q.SeenCap = handle, seenCap
-				seen = win.Has
+			case 3:
+				// Another epoch, or this one's but ahead of the rack: from zero.
+				q.Cursors = []SweepCursor{{Epoch: rack.epoch ^ 2, After: high / 2}}
+				if rng.Intn(2) == 0 {
+					q.Cursors[0] = SweepCursor{Epoch: rack.epoch, After: high + 1}
+				}
+				stale++
 			}
-			res := sweepWindowed(t, rack, q, win, &acked, &held)
-			if err := q.normalize(); err != nil {
-				t.Fatal(err)
-			}
-			want := ref.sweep(q, seen, now)
-			checkSweep(t, step, shards, q.Limit, res, want)
-		}
-	}
-}
-
-// sweepWindowed sends a query, carrying a held window's delta the way the
-// client's sweeper does and resending it whole when the rack asks.
-func sweepWindowed(t *testing.T, rack *Rack, q SweepQuery, win *SeenWindow, acked *uint64, held *bool) SweepResult {
-	t.Helper()
-	if q.Window != 0 {
-		total := win.Total()
-		unacked := total - *acked
-		q.SeenFull = !*held || unacked >= uint64(win.Len())
-		for {
-			if q.SeenFull {
-				q.Seen = win.AppendNewest(nil, win.Len())
-			} else {
-				q.Seen = win.AppendNewest(nil, int(unacked))
-			}
-			q.SeenBase = total - uint64(len(q.Seen))
-			res, err := rack.Sweep(context.Background(), q)
+			res, err := rack.Sweep(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Resync {
-				*acked, *held = total, true
-				return res
+			if carried {
+				cursors = slices.Clone(res.Cursors)
 			}
-			if q.SeenFull {
-				t.Fatal("the rack asked to resync a whole window")
+			if err := q.normalize(); err != nil {
+				t.Fatal(err)
 			}
-			q.SeenFull = true
+			checkSweep(t, step, res, ref.sweep(q, seen, after, high, now), rack.epoch)
 		}
 	}
-	res, err := rack.Sweep(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	if got := rack.cursorResets.Load(); got != stale {
+		t.Fatalf("%d cursor resets counted, %d stale cursors sent", got, stale)
 	}
-	return res
 }
 
-func checkSweep(t *testing.T, step, shards, limit int, res SweepResult, want refSweep) {
+func checkSweep(t *testing.T, step int, res SweepResult, want refSweep, epoch uint64) {
 	t.Helper()
-	passing := make(map[string]*bottle, len(want.bottles))
-	for _, b := range want.bottles {
-		passing[b.id] = b
+	if res.Truncated != want.truncated || len(res.Bottles) != len(want.bottles) {
+		t.Fatalf("step %d: %d bottles (truncated %v), want %d (truncated %v)", step, len(res.Bottles), res.Truncated, len(want.bottles), want.truncated)
 	}
-	got := make(map[string]bool, len(res.Bottles))
-	for _, sb := range res.Bottles {
-		b, ok := passing[sb.ID]
-		if !ok || got[sb.ID] {
-			t.Fatalf("step %d: swept %s, which the reference does not pass (or twice)", step, sb.ID)
+	for i, e := range want.bottles {
+		if res.Bottles[i].ID != e.b.id || !bytes.Equal(res.Bottles[i].Raw, e.b.raw) || res.Bottles[i].Seq != e.seq {
+			t.Fatalf("step %d: bottle %d is %s, want %s", step, i, res.Bottles[i].ID, e.b.id)
 		}
-		if !bytes.Equal(sb.Raw, b.raw) {
-			t.Fatalf("step %d: swept %s with other bytes than submitted", step, sb.ID)
-		}
-		got[sb.ID] = true
 	}
-	if len(want.bottles) <= limit {
-		if res.Truncated || len(res.Bottles) != len(want.bottles) {
-			t.Fatalf("step %d: %d bottles (truncated %v), want all %d", step, len(res.Bottles), res.Truncated, len(want.bottles))
-		}
-		for i, b := range want.bottles {
-			if res.Bottles[i].ID != b.id {
-				t.Fatalf("step %d: bottle %d is %s, want %s", step, i, res.Bottles[i].ID, b.id)
-			}
-		}
-		if res.Scanned != want.scanned || res.Rejected != want.rejected {
-			t.Fatalf("step %d: scanned/rejected %d/%d, want %d/%d", step, res.Scanned, res.Rejected, want.scanned, want.rejected)
-		}
-		return
+	if res.Scanned != want.scanned || res.Rejected != want.rejected {
+		t.Fatalf("step %d: scanned/rejected %d/%d, want %d/%d", step, res.Scanned, res.Rejected, want.scanned, want.rejected)
 	}
-	if !res.Truncated || len(res.Bottles) != limit {
-		t.Fatalf("step %d: %d bottles (truncated %v) of %d passing, want limit %d", step, len(res.Bottles), res.Truncated, len(want.bottles), limit)
-	}
-	if shards == 1 {
-		// One shard job: it stops at the first passing bottle past the limit.
-		for i, sb := range res.Bottles {
-			if sb.ID != want.bottles[i].id {
-				t.Fatalf("step %d: truncated bottle %d is %s, want %s", step, i, sb.ID, want.bottles[i].id)
-			}
-		}
-		if at := want.at[limit]; res.Scanned != at[0] || res.Rejected != at[1] {
-			t.Fatalf("step %d: truncated scanned/rejected %d/%d, want %d/%d", step, res.Scanned, res.Rejected, at[0], at[1])
-		}
-		return
-	}
-	// Which shards won the budget is scheduling's choice; each visited bottle
-	// was rejected, skipped, returned or the one that found the budget spent.
-	if res.Scanned > want.scanned || res.Rejected > want.rejected || res.Scanned < res.Rejected+len(res.Bottles) {
-		t.Fatalf("step %d: truncated scanned/rejected %d/%d with %d bottles, reference %d/%d", step, res.Scanned, res.Rejected, len(res.Bottles), want.scanned, want.rejected)
+	if c := (SweepCursor{Epoch: epoch, After: want.cursor}); len(res.Cursors) != 1 || res.Cursors[0] != c {
+		t.Fatalf("step %d: cursors %+v, want %+v", step, res.Cursors, c)
 	}
 }
 
 // TestTruncatedSweepContract states what a truncated sweep promises while
-// other callers submit and remove: which bottles it returns depends on how
-// the shard jobs race for the budget, but every one passes the prefilter for
-// its prime, none comes from the excluded origin or sits in the held window,
-// none repeats within the call, and there are at most Limit of them. Meant
-// for -race -count=10 as well.
+// other callers submit and remove: every bottle it returns passes the
+// prefilter for its prime, none comes from the excluded origin or was
+// stamped at or before the cursor sent, none repeats within the call, there
+// are at most Limit of them, and the cursor it answers with is of the rack's
+// epoch and never behind the one sent. Meant for -race -count=10 as well.
 func TestTruncatedSweepContract(t *testing.T) {
 	const shards, writers, perWriter, sweeps = 16, 2, 1500, 300
 	ctx := context.Background()
@@ -478,13 +446,10 @@ func TestTruncatedSweepContract(t *testing.T) {
 		wg.Wait()
 	}()
 
-	const handle, seenCap = 3, 64
-	win := NewSeenWindow(seenCap)
-	var acked uint64
-	held := false
+	var cursors []SweepCursor
 	truncated, returned := 0, 0
 	for s := 0; s < sweeps; s++ {
-		q := SweepQuery{Limit: 1 + rng.Intn(4), Window: handle, SeenCap: seenCap}
+		q := SweepQuery{Limit: 1 + rng.Intn(4), Cursors: cursors}
 		sets := make(map[uint32]core.ResidueSet)
 		for _, p := range primes {
 			rs := synthResidues(rng, p, 0.5+0.5*rng.Float64())
@@ -494,14 +459,21 @@ func TestTruncatedSweepContract(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			q.ExcludeOrigin = origins[1+rng.Intn(len(origins)-1)]
 		}
-		windowed := make(map[string]bool)
-		for _, id := range win.AppendNewest(nil, win.Len()) {
-			windowed[id] = true
+		var after uint64
+		if len(cursors) > 0 {
+			after = cursors[0].After
 		}
-		res := sweepWindowed(t, rack, q, win, &acked, &held)
+		res, err := rack.Sweep(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Bottles) > q.Limit {
 			t.Fatalf("sweep %d: %d bottles over limit %d", s, len(res.Bottles), q.Limit)
 		}
+		if len(res.Cursors) != 1 || res.Cursors[0].Epoch != rack.epoch || res.Cursors[0].After < after {
+			t.Fatalf("sweep %d: cursors %+v after %d", s, res.Cursors, after)
+		}
+		cursors = slices.Clone(res.Cursors)
 		if res.Truncated {
 			truncated++
 		}
@@ -519,13 +491,18 @@ func TestTruncatedSweepContract(t *testing.T) {
 				t.Fatalf("sweep %d: %s fails the prefilter", s, sb.ID)
 			case v.Origin != "" && v.Origin == q.ExcludeOrigin:
 				t.Fatalf("sweep %d: %s comes from the excluded origin %q", s, sb.ID, v.Origin)
-			case windowed[sb.ID]:
-				t.Fatalf("sweep %d: %s is in the held window", s, sb.ID)
+			}
+			// The bottle still held under this ID, if it is the one returned
+			// and not a later submission, carries its stamp.
+			sh := rack.shardFor(sb.ID)
+			sh.mu.Lock()
+			b := sh.bottles[sb.ID]
+			early := b != nil && &b.raw[0] == &sb.Raw[0] && sh.byPrime[b.pkg.Prime].seq[b.slot] <= after
+			sh.mu.Unlock()
+			if early {
+				t.Fatalf("sweep %d: %s was stamped at or before the cursor %d", s, sb.ID, after)
 			}
 			got[sb.ID] = true
-			if rng.Intn(2) == 0 {
-				win.Add(sb.ID)
-			}
 		}
 	}
 	t.Logf("%d of %d sweeps truncated, %d bottles returned", truncated, sweeps, returned)

@@ -99,12 +99,15 @@ func optionalMask(v *core.PackageView) (uint64, uint8) {
 // the gate byte. The sweep's reject path reads these and never the bottle,
 // which it reads only for a slot that passes both masks. A removed or expired
 // bottle leaves a dead slot (nil bottle, deadSlot necessary mask) until the
-// group compacts.
+// group compacts. seq holds each bottle's arrival stamp; slots are appended
+// under the shard lock that stamps them and compaction keeps their order, so
+// the column only ever rises.
 type primeGroup struct {
 	bottles []*bottle
 	need    []uint64
 	opt     []uint64
 	gate    []uint8
+	seq     []uint64
 	dead    int
 	// expiry is the earliest deadline among the group's bottles (zero: none
 	// expires). A removed bottle can leave it early, which costs one
@@ -117,12 +120,13 @@ type primeGroup struct {
 // however often the group is swept, and a dead slot costs the scan one word.
 const deadShare = 4
 
-func (g *primeGroup) add(b *bottle) {
+func (g *primeGroup) add(b *bottle, seq uint64) {
 	b.slot = int32(len(g.bottles))
 	g.bottles = append(g.bottles, b)
 	g.need = append(g.need, b.need)
 	g.opt = append(g.opt, b.opt)
 	g.gate = append(g.gate, b.gate)
+	g.seq = append(g.seq, seq)
 	if exp := b.pkg.ExpiresAt; !exp.IsZero() && (g.expiry.IsZero() || exp.Before(g.expiry)) {
 		g.expiry = exp
 	}
@@ -132,6 +136,20 @@ func (g *primeGroup) add(b *bottle) {
 // expired bottle.
 func (g *primeGroup) due(now time.Time) bool {
 	return g.dead*deadShare > len(g.bottles) || (!g.expiry.IsZero() && now.After(g.expiry))
+}
+
+// stamp draws the next arrival stamp from last: the clock's nanoseconds, or
+// one past the previous stamp when the clock has not moved past it. Stamps
+// rise on every rack, and racks stamp copies of one bottle at about the same
+// time, so a fan-out can merge several racks' pages in stamp order.
+func stamp(last *atomic.Uint64, now int64) uint64 {
+	for {
+		prev := last.Load()
+		next := max(prev+1, uint64(max(now, 0)))
+		if last.CompareAndSwap(prev, next) {
+			return next
+		}
+	}
 }
 
 // ownerAllows reports whether caller may drain or remove an owned bottle:
@@ -150,6 +168,8 @@ type shard struct {
 	byPrime map[uint32]*primeGroup
 	replies map[string][][]byte
 	stats   ShardStats
+	// seq is the rack's last arrival stamp, shared by every shard.
+	seq *atomic.Uint64
 
 	// logRec, when set, appends one write-ahead-log record for a mutation.
 	// It is invoked inside the critical section that applies the mutation,
@@ -165,36 +185,39 @@ type shard struct {
 	encBuf []byte
 }
 
-func newShard() *shard {
+func newShard(seq *atomic.Uint64) *shard {
 	return &shard{
+		seq:     seq,
 		bottles: make(map[string]*bottle),
 		byPrime: make(map[uint32]*primeGroup),
 		replies: make(map[string][][]byte),
 	}
 }
 
-// put racks a bottle, rejecting duplicate IDs.
-func (s *shard) put(b *bottle) error {
+// put racks a bottle, rejecting duplicate IDs; now is the rack's clock.
+func (s *shard) put(b *bottle, now time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putLocked(b)
+	return s.putLocked(b, now.UnixNano())
 }
 
 // putBatch racks several bottles under one lock acquisition, returning one
 // outcome per bottle in order.
-func (s *shard) putBatch(bs []*bottle) []error {
+func (s *shard) putBatch(bs []*bottle, now time.Time) []error {
 	errs := make([]error, len(bs))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, b := range bs {
-		errs[i] = s.putLocked(b)
+		errs[i] = s.putLocked(b, now.UnixNano())
 	}
 	return errs
 }
 
-// putLocked is the insertion path shared by put and putBatch. The caller
-// holds mu.
-func (s *shard) putLocked(b *bottle) error {
+// putLocked is the insertion path shared by put and putBatch, and so by
+// Submit, WAL replay and handoff ingest. It stamps the bottle's arrival
+// under mu: a sweep that reads the last stamp at or past this one takes this
+// lock after it, and so finds the bottle. The caller holds mu.
+func (s *shard) putLocked(b *bottle, now int64) error {
 	if _, dup := s.bottles[b.id]; dup {
 		s.stats.Duplicates++
 		return ErrDuplicateBottle
@@ -205,7 +228,7 @@ func (s *shard) putLocked(b *bottle) error {
 		g = &primeGroup{}
 		s.byPrime[b.pkg.Prime] = g
 	}
-	g.add(b)
+	g.add(b, stamp(s.seq, now))
 	s.stats.Submitted++
 	if s.logRec != nil {
 		s.logRec(walRecSubmit, b.raw)
@@ -215,36 +238,40 @@ func (s *shard) putLocked(b *bottle) error {
 
 // shardSweep is the per-shard slice of a sweep result.
 type shardSweep struct {
-	bottles   []SweptBottle
+	found     []found
 	scanned   int
 	rejected  int
 	truncated bool
 }
 
-// sweep screens the shard's bottles against the query; seen is the query's
-// exclusion window (nil: none), shared read-only across the sweep's
-// scanners, and remaining is the query's whole-rack collection budget shared
-// by every shard of the sweep. A group whose earliest deadline has passed is
-// compacted first, so the scan meets no expired bottle (lazy expiry).
+// found is one bottle a shard collected for a sweep, with its arrival
+// sequence.
+type found struct {
+	b   *bottle
+	seq uint64
+}
+
+// sweep screens the shard's bottles against the query and collects those
+// that pass, were stamped in (after, high] and are not excluded; seen is the
+// query's one-off exclusion list (nil: none), shared read-only across the
+// sweep's scanners. A group whose earliest deadline has passed is compacted
+// first, so the scan meets no expired bottle (lazy expiry).
 //
 // The screen is ordered by cost and reads the group's columns first: a slot
 // is rejected when the candidate lacks one of its necessary residues or more
 // than γ of its distinct optional ones, without touching the bottle. Only a
 // survivor is read: one with the exact bit passes the prefilter outright, any
-// other takes PrefilterMatch, and a pass then takes the origin and
-// exclusion-window checks. Every live bottle visited counts as scanned, seen
-// or not, and every one the prefilter fails as rejected; the reject path
-// writes nothing, so both are settled per group from the passes and the
-// group's dead count. Each bottle that passes everything reserves one slot
-// from the budget before it is collected; once the budget is spent the scan
-// stops immediately — without the shared bound every shard would collect up
-// to the full query limit, handing the merge up to shards×Limit bottles of
-// which all but Limit are discarded.
-func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, now time.Time, remaining *atomic.Int64) shardSweep {
+// other takes PrefilterMatch, and a pass then takes the cursor check, from
+// the sequence column, and the origin and exclusion checks. Every live bottle visited counts as scanned, whatever
+// its sequence, and every one the prefilter fails as rejected; the reject
+// path writes nothing, so both are settled per group from the passes and the
+// group's dead count. A group's sequences rise, so its first Limit bottles
+// collected are its Limit lowest: at a further one the group stops, the
+// sweep is truncated, and the merge keeps the Limit lowest of all groups.
+func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, after, high uint64, now time.Time) shardSweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out shardSweep
-scan:
 	for _, rs := range q.Residues {
 		g := s.byPrime[rs.Prime]
 		if g != nil && g.due(now) {
@@ -254,50 +281,54 @@ scan:
 			continue
 		}
 		have := rs.Bits[0] &^ deadSlot
-		// Resliced to one length, so indexing opt and gate needs no bounds
+		// Resliced to one length, so indexing the columns needs no bounds
 		// check in the loop.
 		need := g.need
-		opt, gate := g.opt[:len(need)], g.gate[:len(need)]
-		passed := 0
+		opt, gate, seq := g.opt[:len(need)], g.gate[:len(need)], g.seq[:len(need)]
+		passed, taken := 0, 0
 		for i, n := range need {
 			if n&^have != 0 || bits.OnesCount64(opt[i]&^have) > int(gate[i]&^gateExact) {
 				continue
 			}
-			b := g.bottles[i]
-			if gate[i]&gateExact == 0 && !b.pkg.PrefilterMatch(rs) {
+			if gate[i]&gateExact == 0 && !g.bottles[i].pkg.PrefilterMatch(rs) {
 				continue
 			}
 			passed++
+			// The cursor first: it reads a column, the exclusions the bottle.
+			if seq[i] <= after || seq[i] > high {
+				continue
+			}
+			b := g.bottles[i]
 			if b.origin != "" && b.origin == q.ExcludeOrigin || seen != nil && seen.Has(b.id) {
 				continue
 			}
-			if remaining.Add(-1) < 0 {
-				// A bottle passed but the sweep's budget is spent: the result
-				// is truncated and nothing more can be collected, so stop
-				// scanning — the next sweep (with this tick's IDs in its seen
-				// window) picks up where the budget ran out. The counters
-				// cover the slots visited, this one included.
-				live := i + 1
-				for _, n := range need[:i+1] {
-					if n == deadSlot {
-						live--
-					}
-				}
-				out.scanned += live
-				out.rejected += live - passed
+			if taken == q.Limit {
+				// The group's Limit lowest are collected; the counters cover
+				// the slots visited, this one included.
+				need = need[:i+1]
 				out.truncated = true
-				break scan
+				break
 			}
-			out.bottles = append(out.bottles, SweptBottle{ID: b.id, Raw: b.raw})
+			taken++
+			out.found = append(out.found, found{b: b, seq: seq[i]})
 		}
-		live := len(need) - g.dead
+		live := len(need)
+		if len(need) == len(g.need) {
+			live -= g.dead
+		} else {
+			for _, n := range need {
+				if n == deadSlot {
+					live--
+				}
+			}
+		}
 		out.scanned += live
 		out.rejected += live - passed
 	}
 	s.stats.Sweeps++
 	s.stats.Scanned += uint64(out.scanned)
 	s.stats.Rejected += uint64(out.rejected)
-	s.stats.Returned += uint64(len(out.bottles))
+	s.stats.Returned += uint64(len(out.found))
 	return out
 }
 
@@ -311,10 +342,10 @@ scan:
 func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *primeGroup {
 	// Survivors are re-added in place: each lands at or before the slot it
 	// is read from.
-	old := g.bottles
-	g.bottles, g.need, g.opt, g.gate = old[:0], g.need[:0], g.opt[:0], g.gate[:0]
+	old, seq := g.bottles, g.seq
+	g.bottles, g.need, g.opt, g.gate, g.seq = old[:0], g.need[:0], g.opt[:0], g.gate[:0], seq[:0]
 	g.dead, g.expiry = 0, time.Time{}
-	for _, b := range old {
+	for i, b := range old {
 		if b == nil {
 			continue
 		}
@@ -322,7 +353,7 @@ func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *prime
 			s.dropLocked(b)
 			continue
 		}
-		g.add(b)
+		g.add(b, seq[i])
 	}
 	kept := len(g.bottles)
 	if kept == 0 {
@@ -332,7 +363,7 @@ func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *prime
 	clear(old[kept:])
 	if kept < cap(g.bottles)/4 {
 		g.bottles, g.need = slices.Clone(g.bottles), slices.Clone(g.need)
-		g.opt, g.gate = slices.Clone(g.opt), slices.Clone(g.gate)
+		g.opt, g.gate, g.seq = slices.Clone(g.opt), slices.Clone(g.gate), slices.Clone(g.seq)
 	}
 	return g
 }

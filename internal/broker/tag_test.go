@@ -129,9 +129,9 @@ func TestRackTagLifecycle(t *testing.T) {
 	}
 }
 
-// TestSweepCollectionBounded proves the shared sweep budget: a truncated
-// sweep collects (and counts as Returned) exactly Limit bottles across the
-// whole rack, not up to Limit per shard as before.
+// TestSweepCollectionBounded proves the truncated merge: however many each
+// shard collected, a truncated sweep returns (and counts as Returned)
+// exactly Limit bottles across the whole rack.
 func TestSweepCollectionBounded(t *testing.T) {
 	clock := newTestClock()
 	rack := newTestRack(clock, 8)

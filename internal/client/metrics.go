@@ -71,7 +71,6 @@ type SweeperMetrics struct {
 	replies     *obs.Counter
 	replyErrors *obs.Counter
 	duplicates  *obs.Counter
-	resyncs     *obs.Counter
 }
 
 // NewSweeperMetrics registers the sweeper series on reg.
@@ -90,9 +89,7 @@ func NewSweeperMetrics(reg *obs.Registry) *SweeperMetrics {
 		replyErrors: reg.Counter("sealedbottle_sweeper_reply_errors_total",
 			"Reply posts that failed (transport failures retry next tick)."),
 		duplicates: reg.Counter("sealedbottle_sweeper_duplicates_total",
-			"Swept bottles dropped as replica copies within one tick."),
-		resyncs: reg.Counter("sealedbottle_sweeper_resyncs_total",
-			"Sweeps repeated with the whole seen window because a rack no longer held it."),
+			"Swept bottles dropped as copies of a bottle already handled."),
 	}
 }
 
@@ -105,5 +102,4 @@ func (m *SweeperMetrics) record(start time.Time, st TickStats) {
 	m.replies.Add(uint64(st.Replies))
 	m.replyErrors.Add(uint64(st.ReplyErrors))
 	m.duplicates.Add(uint64(st.Duplicates))
-	m.resyncs.Add(uint64(st.Resyncs))
 }

@@ -1,10 +1,12 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,8 +108,8 @@ type rackNode struct {
 //     extended past ejected members to the next live ones. The hash is
 //     deterministic, so independent rings agree on placement. Batch submits
 //     send one SubmitBatch per rack.
-//   - Sweeps fan out to every healthy rack concurrently and merge in rack
-//     order under the query limit.
+//   - Sweeps fan out to every healthy rack concurrently, each with the
+//     sweeper's cursor for it, and merge under the query limit.
 //   - Reply, Fetch and Remove go, concurrently, to the holder a bounded
 //     ID→rack table learned from submits and sweeps, the rack the ID's tag
 //     prefix names (broker.Config.RackTag — it survives a client restart),
@@ -406,19 +408,19 @@ func (r *Ring) tagNode(tag string) *rackNode {
 }
 
 // Sweep fans the query out to every healthy rack concurrently and merges the
-// results in rack order under the query limit. Racks that fault are skipped
-// (and noted against their health); the sweep only fails when no rack
-// answered or the context ended. Cancellation stops further rack dispatches,
-// cancels the in-flight ones, and returns the context error together with
-// the partial merge of whatever racks answered in time (bottles from those
-// racks are real and already learned into the routing table — callers may
-// use or discard them). Each returned bottle teaches the routing table which
-// rack holds it, which is what lets the subsequent replies route without
-// fan-out. The result asks for a resync when any rack did: a member that
-// missed sweeps (ejected, restarted) no longer holds the sweeper's window at
-// the query's base. It is marked partial when a rack that was asked did not
-// answer, so that the sweeper's next query brings that rack's window up to
-// date by itself.
+// results under the query limit. Each rack gets the query with its own
+// cursors (broker.MemberCursors) and answers with its next one, which the
+// merge names after the rack; a rack that does not answer adds none, so the
+// sweeper keeps its old cursor there. A page the limit cuts is taken in
+// arrival order and its rack's cursor set to the last bottle taken, so the
+// rest comes next time. Racks that fault are skipped (and noted against their
+// health); the sweep only fails when no rack answered or the context ended.
+// Cancellation stops further rack dispatches, cancels the in-flight ones, and
+// returns the context error together with the partial merge of whatever racks
+// answered in time (bottles from those racks are real and already learned
+// into the routing table — callers may use or discard them). Each returned
+// bottle teaches the routing table which rack holds it, which is what lets
+// the subsequent replies route without fan-out.
 func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
 	healthy := r.healthy()
 	if len(healthy) == 0 {
@@ -429,20 +431,33 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 		limit = broker.DefaultSweepLimit
 	}
 	type part struct {
-		res broker.SweepResult
-		err error
+		cursors []broker.SweepCursor
+		res     broker.SweepResult
+		err     error
+		// taken counts the page's bottles merged or skipped as copies;
+		// stopped marks a page the limit cut.
+		taken   int
+		stopped bool
 	}
 	parts := make([]part, len(healthy))
+	// One backing holds every member's cursors: each cursor is one member's.
+	cursors := make([]broker.SweepCursor, 0, len(q.Cursors))
+	for i, n := range healthy {
+		from := len(cursors)
+		cursors = broker.MemberCursors(cursors, q.Cursors, n.name)
+		parts[i].cursors = cursors[from:len(cursors):len(cursors)]
+	}
 	each(len(healthy), func(i int) {
 		if err := ctx.Err(); err != nil {
-			parts[i] = part{err: err}
+			parts[i].err = err
 			return
 		}
-		res, err := healthy[i].b.Sweep(ctx, q)
-		r.note(healthy[i], err)
-		parts[i] = part{res: res, err: err}
+		mq := q
+		mq.Cursors = parts[i].cursors
+		parts[i].res, parts[i].err = healthy[i].b.Sweep(ctx, mq)
+		r.note(healthy[i], parts[i].err)
 	})
-	var out broker.SweepResult
+	out := broker.SweepResult{Cursors: make([]broker.SweepCursor, 0, len(healthy))}
 	var firstErr error
 	answered := 0
 	// Replicated racks can return the same bottle from several members (the
@@ -455,7 +470,7 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 		clear(merged)
 		sweepMergeSets.Put(merged)
 	}()
-	for i, p := range parts {
+	for _, p := range parts {
 		if p.err != nil {
 			if firstErr == nil {
 				firstErr = p.err
@@ -466,23 +481,54 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 		out.Scanned += p.res.Scanned
 		out.Rejected += p.res.Rejected
 		out.Truncated = out.Truncated || p.res.Truncated
-		// One rack without the sweeper's window makes the whole sweep a
-		// resync: the sweeper keeps one base for all racks, and its full
-		// resend brings every rack back to it.
-		out.Resync = out.Resync || p.res.Resync
-		for _, b := range p.res.Bottles {
-			if _, dup := merged[broker.UntagID(b.ID)]; dup {
-				r.replicaDedup.Add(1)
-				continue
+		slices.SortFunc(p.res.Bottles, func(a, b broker.SweptBottle) int { return cmp.Compare(a.Seq, b.Seq) })
+	}
+	// The pages are merged in stamp order, each page's bottles in arrival
+	// order: a page the limit cuts is then a prefix that ends at a cursor,
+	// and since racks stamp by the clock, every page is cut at about the
+	// same moment — a bottle two racks hold is taken from one and skipped as
+	// a copy on the other in the same sweep, not handed over again later by
+	// a rack left behind.
+	for {
+		next := -1
+		for i := range parts {
+			p := &parts[i]
+			if p.err == nil && !p.stopped && p.taken < len(p.res.Bottles) &&
+				(next < 0 || p.res.Bottles[p.taken].Seq < parts[next].res.Bottles[parts[next].taken].Seq) {
+				next = i
 			}
-			merged[broker.UntagID(b.ID)] = struct{}{}
-			r.learn(healthy[i], b.ID)
-			if len(out.Bottles) >= limit {
-				out.Truncated = true
-				continue
-			}
-			out.Bottles = append(out.Bottles, b)
 		}
+		if next < 0 {
+			break
+		}
+		p := &parts[next]
+		b := p.res.Bottles[p.taken]
+		if _, dup := merged[broker.UntagID(b.ID)]; dup {
+			r.replicaDedup.Add(1)
+		} else if len(out.Bottles) < limit {
+			merged[broker.UntagID(b.ID)] = struct{}{}
+			r.learn(healthy[next], b.ID)
+			out.Bottles = append(out.Bottles, b)
+		} else {
+			out.Truncated, p.stopped = true, true
+			continue
+		}
+		p.taken++
+	}
+	for i, p := range parts {
+		answer := p.res.Cursors
+		switch {
+		case p.err != nil:
+			continue
+		case p.taken == len(p.res.Bottles):
+		case p.taken > 0 && len(answer) == 1 && answer[0].Member == "":
+			answer = []broker.SweepCursor{{Epoch: answer[0].Epoch, After: p.res.Bottles[p.taken-1].Seq}}
+		default:
+			// Nothing taken, or a nested ring's page, whose sequences are
+			// several racks': the member keeps its cursor.
+			answer = nil
+		}
+		out.Cursors = broker.AppendMemberAnswer(out.Cursors, answer, healthy[i].name)
 	}
 	if err := ctx.Err(); err != nil {
 		return out, err
@@ -490,7 +536,6 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 	if answered == 0 {
 		return broker.SweepResult{}, firstErr
 	}
-	out.Partial = answered < len(parts)
 	return out, nil
 }
 
@@ -540,6 +585,7 @@ func (r *Ring) Stats(ctx context.Context) (broker.Stats, error) {
 		primes = append(primes, p.st.Primes...)
 		out.Recovered += p.st.Recovered
 		out.WALBytes += p.st.WALBytes
+		out.CursorResets += p.st.CursorResets
 		out.Replication.Add(p.st.Replication)
 	}
 	if answered == 0 {

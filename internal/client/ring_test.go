@@ -28,8 +28,9 @@ type unstableBackend struct {
 	rack  *broker.Rack
 	dead  atomic.Bool
 	calls atomic.Int32
-	// shed is how many of a sweeper's next sweeps (those that name a window)
-	// are refused as over quota: the rack is up, it just does not serve them.
+	// shed is how many of a sweeper's next sweeps (those that carry a
+	// cursor) are refused as over quota: the rack is up, it just does not
+	// serve them.
 	shed atomic.Int32
 }
 
@@ -50,7 +51,7 @@ func (u *unstableBackend) Sweep(ctx context.Context, q broker.SweepQuery) (broke
 	if u.down() {
 		return broker.SweepResult{}, errRackDown
 	}
-	if q.Window != 0 && u.shed.Load() > 0 {
+	if len(q.Cursors) > 0 && u.shed.Load() > 0 {
 		u.shed.Add(-1)
 		return broker.SweepResult{}, broker.ErrOverload
 	}
@@ -292,6 +293,48 @@ func TestRingSweepLimit(t *testing.T) {
 	}
 	if len(distinct) != 10 {
 		t.Fatalf("cluster sweep returned %d distinct bottles, want 10", len(distinct))
+	}
+	// Following the cursors, the cut pages come back from where they were
+	// cut: every bottle in the sweeps the limit needs, once at R=1; at R=2 a
+	// copy met on either side of a cut may come twice (the sweeper's window
+	// drops it), but no more.
+	for _, rf := range []int{1, 2} {
+		ring, _, _ := testCluster(t, 3, rf)
+		for i := 0; i < 30; i++ {
+			raw, _ := buildRaw(t, int64(3100+i))
+			if _, err := ring.Submit(context.Background(), raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := broker.SweepQuery{Residues: chessResidues(t), Limit: 7}
+		seen := map[string]int{}
+		for sweeps := 1; ; sweeps++ {
+			if sweeps > rf*(30/7+1) {
+				t.Fatalf("R=%d: %d sweeps and still truncated", rf, sweeps)
+			}
+			res, err := ring.Sweep(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range res.Bottles {
+				seen[broker.UntagID(b.ID)]++
+			}
+			q.Cursors = broker.MergeCursors(q.Cursors, res.Cursors)
+			if !res.Truncated {
+				break
+			}
+		}
+		again := 0
+		for id, n := range seen {
+			if n > rf {
+				t.Fatalf("R=%d: bottle %s returned %d times", rf, id, n)
+			}
+			again += n - 1
+		}
+		t.Logf("R=%d: %d bottles returned twice", rf, again)
+		if len(seen) != 30 {
+			t.Fatalf("R=%d: %d of 30 bottles returned", rf, len(seen))
+		}
 	}
 }
 

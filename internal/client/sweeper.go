@@ -2,10 +2,7 @@ package client
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"sealedbottle/internal/broker"
@@ -13,10 +10,12 @@ import (
 	"sealedbottle/internal/core"
 )
 
-// DefaultSeenCap bounds the window of evaluated IDs a sweeper has the racks
-// exclude; without a bound a long-lived sweeper would cost every rack memory
-// linear in its lifetime. IDs that fall out of the window may be swept again;
-// the participant's own duplicate suppression drops them.
+// DefaultSeenCap bounds the window of swept IDs a sweeper keeps to drop the
+// copies of a bottle that a second rack hands over — a replica racked on the
+// far side of a sweep or of a limit cut, a handoff or repair copy that
+// arrives later. The racks keep nothing: a rack's cursor already returns each
+// of its bottles once. A copy that arrives after its ID left the window is
+// evaluated again, and the participant's own duplicate suppression drops it.
 const DefaultSeenCap = 4096
 
 // SweeperConfig configures a Sweeper.
@@ -26,10 +25,13 @@ type SweeperConfig struct {
 	// Primes lists the remainder primes to screen against
 	// (nil: core.DefaultPrime only).
 	Primes []uint32
-	// Limit caps bottles per sweep (zero: the broker's default).
+	// Limit caps the fresh bottles per sweep (zero: the broker's default).
+	// A query after one whose answer carried copies of bottles already
+	// handled asks for as many more, at most Limit more: the racks cannot
+	// know what another rack handed over, and their copies must not eat
+	// the limit.
 	Limit int
-	// SeenCap bounds the seen-ID window (zero: DefaultSeenCap; at most
-	// broker.MaxSeenCap).
+	// SeenCap bounds the seen-ID window (zero: DefaultSeenCap).
 	SeenCap int
 	// ExcludeOrigin skips bottles submitted by this origin server-side.
 	ExcludeOrigin string
@@ -61,26 +63,23 @@ type TickStats struct {
 	// queued and retried on the next Tick, so a hiccup shows up here without
 	// losing the reply; a definitive broker answer drops it for good.
 	ReplyErrors int
-	// Duplicates is the number of swept bottles dropped as replica copies of
-	// a bottle already handled this tick (same untagged ID, different rack).
+	// Duplicates is the number of swept bottles dropped as copies of a
+	// bottle already handled (same untagged ID, in the seen window).
 	Duplicates int
 	// Scanned and Rejected echo the broker's screening counters for the sweep.
 	Scanned, Rejected int
 	// Truncated reports that more bottles passed the prefilter than Limit
 	// allowed; another tick will pick them up.
 	Truncated bool
-	// Resyncs is 1 when a rack no longer held the sweeper's window and the
-	// sweep was repeated with the whole window attached (0 otherwise).
-	Resyncs int
 }
 
 // Sweeper drives the candidate side of the rendezvous protocol: each Tick
 // sweeps the rack with the participant's residue sets, evaluates every
 // returned bottle with the full Matcher machinery, posts the resulting
-// replies batched, and remembers evaluated IDs so the next sweep spends its
-// limit on fresh bottles. The racks hold a copy of that window under the
-// sweeper's handle, so a query carries only the IDs added since the last
-// sweep that succeeded. It is the single implementation of the loop that
+// replies batched, and moves its cursors so the next sweep returns only
+// bottles that arrived since. It keeps one cursor per rack (a ring's
+// members each have one), and the racks keep nothing for it. It is the
+// single implementation of the loop that
 // loadgen, the msn simulator and the examples previously each hand-rolled.
 // It runs against any Backend — an in-process rack, a courier, a whole ring.
 // Not safe for concurrent use; run one Sweeper per goroutine (they may share
@@ -89,21 +88,16 @@ type Sweeper struct {
 	rv       broker.Backend
 	cfg      SweeperConfig
 	residues []core.ResidueSet
-	// seen is the window of evaluated IDs; window is the handle the racks
-	// hold their copy under, and acked is seen.Total() as of the last sweep
-	// that succeeded — what the racks' copies stand at.
-	seen   *broker.SeenWindow
-	window uint64
-	acked  uint64
-	// full says the next query carries the whole window whatever acked is:
-	// some rack of a ring did not answer the last one and has missed its delta.
-	full bool
-	// delta backs the per-tick list of IDs added since acked.
-	delta []string
+	// seen is the window of swept IDs, untagged; cursors are the positions
+	// the last sweeps answered with, one per rack; copies is how many
+	// copies the last answer carried.
+	seen    *broker.SeenWindow
+	cursors []broker.SweepCursor
+	copies  int
 	// pending holds replies whose post failed at the transport level; they
 	// are retried on the next Tick. Without it a failed post lost the reply
-	// forever: the bottle was already in the seen window (and in the
-	// participant's duplicate suppression), so no future sweep would ever
+	// forever: the cursor had moved past the bottle (and the participant's
+	// duplicate suppression held it), so no future sweep would ever
 	// reproduce the reply.
 	pending []broker.ReplyPost
 }
@@ -126,114 +120,62 @@ func NewSweeper(rv broker.Backend, cfg SweeperConfig) (*Sweeper, error) {
 	if cfg.SeenCap <= 0 {
 		cfg.SeenCap = DefaultSeenCap
 	}
-	if cfg.SeenCap > broker.MaxSeenCap {
-		return nil, fmt.Errorf("client: sweeper SeenCap %d exceeds the %d racks hold", cfg.SeenCap, broker.MaxSeenCap)
-	}
-	// The handle names this sweeper's window on every rack; random, so that
-	// sweepers sharing an identity never share a window, and nonzero.
-	var handle [8]byte
-	if _, err := rand.Read(handle[:]); err != nil {
-		return nil, fmt.Errorf("client: sweeper window handle: %w", err)
+	if cfg.Limit <= 0 {
+		cfg.Limit = broker.DefaultSweepLimit
 	}
 	matcher := cfg.Participant.Matcher()
 	residues := make([]core.ResidueSet, 0, len(cfg.Primes))
 	for _, p := range cfg.Primes {
 		residues = append(residues, matcher.ResidueSet(p))
 	}
-	return &Sweeper{
-		rv: rv, cfg: cfg, residues: residues,
-		seen:   broker.NewSeenWindow(cfg.SeenCap),
-		window: binary.BigEndian.Uint64(handle[:]) | 1,
-	}, nil
-}
-
-// sweep runs the tick's query: the IDs added to the window since the last
-// sweep that succeeded, or — first tick, a rack asked for a resync, or a rack
-// of the ring missed the last query — the whole window. A failed sweep leaves
-// acked alone, so the next tick sends the same delta again, which racks that
-// did apply it recognize.
-func (s *Sweeper) sweep(ctx context.Context) (res broker.SweepResult, resyncs int, err error) {
-	total := s.seen.Total()
-	q := broker.SweepQuery{
-		Residues:      s.residues,
-		Limit:         s.cfg.Limit,
-		ExcludeOrigin: s.cfg.ExcludeOrigin,
-		Window:        s.window,
-		SeenCap:       s.cfg.SeenCap,
-	}
-	// A delta as long as the window is the window.
-	unacked := total - s.acked
-	q.SeenFull = s.full || unacked >= uint64(s.seen.Len())
-	for {
-		if q.SeenFull {
-			// Whole-window lists are rare; not worth holding on to.
-			q.Seen = s.seen.AppendNewest(nil, s.seen.Len())
-		} else {
-			s.delta = s.seen.AppendNewest(s.delta[:0], int(unacked))
-			q.Seen = s.delta
-		}
-		q.SeenBase = total - uint64(len(q.Seen))
-		res, err = s.rv.Sweep(ctx, q)
-		switch {
-		case err != nil:
-			return res, resyncs, err
-		case !res.Resync:
-			s.acked, s.full = total, res.Partial
-			return res, resyncs, nil
-		case q.SeenFull:
-			return res, resyncs, errors.New("client: rack asked to resync a sweep that carried the whole window")
-		}
-		// A rack lost the window (restart, eviction, ticks missed while
-		// ejected) and scanned nothing: discard, resend everything.
-		resyncs++
-		q.SeenFull = true
-	}
+	return &Sweeper{rv: rv, cfg: cfg, residues: residues, seen: broker.NewSeenWindow(cfg.SeenCap)}, nil
 }
 
 // Tick performs one sweep-evaluate-reply cycle. The returned error is a
 // sweep failure (including the context ending mid-sweep — a canceled tick is
-// safe to repeat, nothing swept was marked seen); per-reply failures are
-// reported in the stats. Cancellation between sweep and post queues the
-// tick's replies for the next Tick instead of dropping them.
+// safe to repeat, no cursor moved and nothing swept was marked seen);
+// per-reply failures are reported in the stats. Cancellation between sweep
+// and post queues the tick's replies for the next Tick instead of dropping
+// them.
 func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 	var start time.Time
 	if s.cfg.Metrics != nil {
 		start = time.Now()
 	}
-	res, resyncs, err := s.sweep(ctx)
+	res, err := s.rv.Sweep(ctx, broker.SweepQuery{
+		Residues:      s.residues,
+		Limit:         s.cfg.Limit + min(s.copies, s.cfg.Limit),
+		ExcludeOrigin: s.cfg.ExcludeOrigin,
+		Cursors:       s.cursors,
+	})
 	if err != nil {
 		return TickStats{}, err
 	}
+	s.cursors = broker.MergeCursors(s.cursors, res.Cursors)
 	st := TickStats{
 		Swept:     len(res.Bottles),
 		Scanned:   res.Scanned,
 		Rejected:  res.Rejected,
 		Truncated: res.Truncated,
-		Resyncs:   resyncs,
 	}
 	// Replies whose post failed at the transport on an earlier tick are
-	// retried ahead of this tick's fresh posts. Keeping the bottle out of the
-	// seen window instead would not recover anything: the participant's own
-	// duplicate suppression drops a re-swept package as already evaluated and
-	// produces no second reply. The marshalled reply itself is what must
-	// survive the failed post.
+	// retried ahead of this tick's fresh posts. Sweeping the bottle again
+	// instead would not recover anything: the participant's own duplicate
+	// suppression drops a re-swept package as already evaluated and produces
+	// no second reply. The marshalled reply itself is what must survive the
+	// failed post.
 	posts := s.pending
 	s.pending = nil
-	// One bottle, one observation — regardless of how many replicas served
-	// it. tick collapses same-ID copies inside this sweep; the seen window
-	// stores the *untagged* ID because each rack strips only its own tag from
-	// inbound Seen entries: a tagged entry learned from replica A would never
-	// suppress the same bottle on replica B, and the candidate would evaluate
-	// it once per replica.
-	tick := make(map[string]struct{}, len(res.Bottles))
+	// One bottle, one observation — regardless of how many racks served it.
+	// The seen window holds the *untagged* ID: replicas tag one bottle
+	// differently, and a copy from replica B must find the entry replica A's
+	// copy made.
 	for _, b := range res.Bottles {
 		id := broker.UntagID(b.ID)
-		if _, dup := tick[id]; dup {
+		if !s.seen.Add(id) {
 			st.Duplicates++
 			continue
 		}
-		tick[id] = struct{}{}
-		s.seen.Add(id)
 		// Skip decides on the request ID proper; swept IDs may carry a rack
 		// tag ("tag@id") that callers keying by package ID never see.
 		if s.cfg.Skip != nil && s.cfg.Skip(id) {
@@ -258,6 +200,7 @@ func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 			posts = append(posts, broker.ReplyPost{RequestID: pkg.ID, Raw: hr.Reply.Marshal()})
 		}
 	}
+	s.copies = st.Duplicates
 	for i, err := range s.post(ctx, posts) {
 		switch {
 		case err == nil:

@@ -173,8 +173,8 @@ func TestSweeperSeenWindowBound(t *testing.T) {
 
 // flakyRV is a scripted Backend whose Reply fails a configured number of
 // times at the transport level before succeeding; Sweep honours the query's
-// seen list like the real broker, and ReplyBatch applies the same per-post
-// scripting as Reply.
+// cursor like the real broker (a bottle's sequence is its index plus one),
+// and ReplyBatch applies the same per-post scripting as Reply.
 type flakyRV struct {
 	bottles     []broker.SweptBottle
 	failReplies int
@@ -188,17 +188,14 @@ func (f *flakyRV) Submit(ctx context.Context, raw []byte) (string, error) {
 }
 
 func (f *flakyRV) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
-	seen := make(map[string]bool, len(q.Seen))
-	for _, id := range q.Seen {
-		seen[id] = true
+	after := 0
+	if len(q.Cursors) > 0 {
+		after = int(q.Cursors[0].After)
 	}
-	var res broker.SweepResult
-	for _, b := range f.bottles {
-		if !seen[b.ID] {
-			res.Bottles = append(res.Bottles, b)
-		}
-	}
-	return res, nil
+	return broker.SweepResult{
+		Bottles: f.bottles[after:],
+		Cursors: []broker.SweepCursor{{Epoch: 1, After: uint64(len(f.bottles))}},
+	}, nil
 }
 
 func (f *flakyRV) Reply(ctx context.Context, id string, raw []byte) error {
@@ -284,7 +281,7 @@ func TestSweeperRetriesFailedReplyPosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Swept != 0 {
-		t.Fatalf("tick 2 re-swept %d bottles; the bottle should be in the seen window", st.Swept)
+		t.Fatalf("tick 2 re-swept %d bottles; the cursor should stand past the bottle", st.Swept)
 	}
 	if st.Replies != 1 || st.ReplyErrors != 0 {
 		t.Fatalf("tick 2 = %+v, want the queued reply delivered", st)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -62,20 +63,22 @@ func lastingRaw(tb testing.TB, clock *windowClock, seed int64) []byte {
 }
 
 // faultyLink sits between the sweeper and the backend under test, plays the
-// faults of the differential test and keeps what the sweeper was handed.
+// faults of the differential test and keeps what the sweeper sent and was
+// handed.
 type faultyLink struct {
 	broker.Backend
 	// lose delivers the next sweep and then loses its answer; twice delivers
 	// it twice, as a retry on a fresh connection does, and answers with the
 	// second.
 	lose, twice bool
-	// answered holds the IDs of the last answer that was not a resync, and
-	// full whether the query it answered carried the whole window.
+	// sent holds the cursors of the last query, answered the IDs of the last
+	// answer delivered.
+	sent     []broker.SweepCursor
 	answered []string
-	full     bool
 }
 
 func (f *faultyLink) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
+	f.sent = slices.Clone(q.Cursors)
 	if f.twice {
 		f.twice = false
 		if _, err := f.Backend.Sweep(ctx, q); err != nil {
@@ -87,8 +90,8 @@ func (f *faultyLink) Sweep(ctx context.Context, q broker.SweepQuery) (broker.Swe
 		f.lose = false
 		return broker.SweepResult{}, context.Canceled
 	}
-	if err == nil && !res.Resync {
-		f.answered, f.full = sweptIDs(res), q.SeenFull
+	if err == nil {
+		f.answered = sweptIDs(res)
 	}
 	return res, err
 }
@@ -103,10 +106,10 @@ func sweptIDs(res broker.SweepResult) []string {
 }
 
 // windowHistory is the differential test's driver: every tick it changes the
-// population, asks the backend statelessly — the sweeper's whole window as an
-// ad-hoc list, the way every sweep worked before racks held windows — and
-// demands that the sweeper's own delta-mode tick is handed exactly the same
-// bottles.
+// population, asks the backend statelessly — one sweep without a cursor, the
+// way every sweep of a fresh sweeper works — and demands that the sweeper's
+// own tick evaluates exactly the passing bottles it has not evaluated
+// before: each one once, whatever the racks' cursors, restarts and copies.
 type windowHistory struct {
 	t       *testing.T
 	clock   *windowClock
@@ -114,28 +117,39 @@ type windowHistory struct {
 	sweeper *Sweeper
 	rng     *rand.Rand
 	held    []string
+	raws    map[string][]byte
 	built   int64
+	// handled is every ID the sweeper let past its seen window, ticked the
+	// IDs of the current tick; stateless is the reference of the last tick.
+	handled, stateless map[string]bool
+	ticked             []string
 }
 
-func newWindowHistory(t *testing.T, clock *windowClock, b broker.Backend) *windowHistory {
-	h := &windowHistory{t: t, clock: clock, link: &faultyLink{Backend: b}, rng: rand.New(rand.NewSource(5))}
+func newWindowHistory(t *testing.T, clock *windowClock, b broker.Backend, limit int) *windowHistory {
+	h := &windowHistory{
+		t: t, clock: clock, link: &faultyLink{Backend: b}, rng: rand.New(rand.NewSource(5)),
+		raws: make(map[string][]byte), handled: make(map[string]bool),
+	}
 	var err error
-	// A window shorter than the population: evicted bottles come back, so the
-	// two sides have to evict in the same order to keep agreeing.
-	h.sweeper, err = NewSweeper(h.link, SweeperConfig{Participant: newParticipant(t, "bob", "chess", "go"), SeenCap: 24})
+	h.sweeper, err = NewSweeper(h.link, SweeperConfig{
+		Participant: newParticipant(t, "bob", "chess", "go"),
+		Limit:       limit,
+		Skip: func(id string) bool {
+			h.ticked = append(h.ticked, id)
+			return false
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
 }
 
-// tick runs one step of the history and returns the sweeper's stats. A step
-// whose answer is lost is repeated, as a sweeper's owner would.
-func (h *windowHistory) tick(name string) TickStats {
+// churn removes bottles down to a population of 28 and submits a few new
+// ones through the backend.
+func (h *windowHistory) churn(name string) {
 	h.t.Helper()
 	ctx := context.Background()
-	// The population stays a little above the window, so that a tick's delta
-	// stays below it.
 	for len(h.held) > 28 {
 		k := h.rng.Intn(len(h.held))
 		if _, err := h.link.Backend.Remove(ctx, h.held[k]); err != nil {
@@ -145,46 +159,84 @@ func (h *windowHistory) tick(name string) TickStats {
 	}
 	for i := 2 + h.rng.Intn(4); i > 0; i-- {
 		h.built++
-		if id, err := h.link.Backend.Submit(ctx, lastingRaw(h.t, h.clock, h.built)); err == nil {
+		raw := lastingRaw(h.t, h.clock, h.built)
+		if id, err := h.link.Backend.Submit(ctx, raw); err == nil {
 			h.held = append(h.held, id)
+			h.raws[broker.UntagID(id)] = raw
 		}
 	}
-	window := h.sweeper.seen.AppendNewest(nil, h.sweeper.seen.Len())
-	ref, err := h.link.Backend.Sweep(ctx, broker.SweepQuery{Residues: h.sweeper.residues, Seen: window})
+}
+
+// tick runs one step of the history — churn unless quiet — and returns the
+// sweeper's stats. A step whose answer is lost is repeated, as a sweeper's
+// owner would. A truncated tick must evaluate a part of what is new, an
+// untruncated one all of it.
+func (h *windowHistory) tick(name string, quiet bool) TickStats {
+	h.t.Helper()
+	ctx := context.Background()
+	if !quiet {
+		h.churn(name)
+	}
+	ref, err := h.link.Backend.Sweep(ctx, broker.SweepQuery{Residues: h.sweeper.residues, Limit: 1 << 16})
 	if err != nil || ref.Truncated {
 		h.t.Fatalf("%s: stateless reference sweep: truncated %v, %v", name, ref.Truncated, err)
 	}
+	h.stateless = make(map[string]bool)
+	var want []string
+	for _, id := range sweptIDs(ref) {
+		h.stateless[id] = true
+		if !h.handled[id] {
+			want = append(want, id)
+		}
+	}
+	h.ticked = h.ticked[:0]
 	lost := h.link.lose
 	st, err := h.sweeper.Tick(ctx)
 	if lost {
-		if !errors.Is(err, context.Canceled) {
-			h.t.Fatalf("%s: tick with a lost answer = %v", name, err)
+		if !errors.Is(err, context.Canceled) || len(h.ticked) > 0 {
+			h.t.Fatalf("%s: tick with a lost answer = %v, evaluated %v", name, err, h.ticked)
 		}
 		st, err = h.sweeper.Tick(ctx)
 	}
 	if err != nil {
 		h.t.Fatalf("%s: %v", name, err)
 	}
-	if want := sweptIDs(ref); !slices.Equal(h.link.answered, want) {
-		h.t.Fatalf("%s: the sweeper was handed %d bottles, the stateless sweep %d\n got %v\nwant %v",
-			name, len(h.link.answered), len(want), h.link.answered, want)
+	got := slices.Sorted(slices.Values(h.ticked))
+	for _, id := range got {
+		if h.handled[id] || !slices.Contains(want, id) {
+			h.t.Fatalf("%s: evaluated %s, which was evaluated before or is not passing (handled %v)", name, id, h.handled[id])
+		}
+		h.handled[id] = true
+	}
+	if !st.Truncated && !slices.Equal(got, want) {
+		h.t.Fatalf("%s: the sweeper evaluated %d bottles, the stateless sweep has %d new\n got %v\nwant %v",
+			name, len(got), len(want), got, want)
 	}
 	return st
 }
 
-// steady runs n uneventful ticks and demands that none of them resyncs.
+// steady runs n ticks.
 func (h *windowHistory) steady(name string, n int) {
 	h.t.Helper()
 	for i := 0; i < n; i++ {
-		if st := h.tick(name); st.Resyncs != 0 {
-			h.t.Fatalf("%s: steady tick %d resynced", name, i)
-		}
+		h.tick(name, false)
 	}
 }
 
+// cursor is the sweeper's cursor for a member ("" for a lone rack).
+func (h *windowHistory) cursor(member string) broker.SweepCursor {
+	for _, c := range h.sweeper.cursors {
+		if c.Member == member {
+			return c
+		}
+	}
+	return broker.SweepCursor{}
+}
+
 // TestSweeperDeltaMatchesStatelessRack is the differential test on one
-// durable rack: steady state, a lost answer, a duplicated query, the window
-// reaped for idleness, and the rack restarted.
+// durable rack: steady state, a lost answer and a duplicated query (each
+// repeats the cursor and moves nothing twice), and a restart, whose new
+// epoch costs one sweep from zero.
 func TestSweeperDeltaMatchesStatelessRack(t *testing.T) {
 	clock := &windowClock{now: time.Date(2013, 7, 8, 0, 0, 0, 0, time.UTC)}
 	cfg := broker.Config{
@@ -196,25 +248,18 @@ func TestSweeperDeltaMatchesStatelessRack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { rack.Close() }()
-	h := newWindowHistory(t, clock, rack)
-	h.steady("filling the window", 12)
+	h := newWindowHistory(t, clock, rack, 0)
+	h.steady("first ticks", 12)
 
+	before := h.cursor("")
 	h.link.lose = true
-	if st := h.tick("lost answer"); st.Resyncs != 0 {
-		t.Fatal("the repeated delta after a lost answer cost a resync")
+	h.tick("lost answer", false)
+	if h.link.sent[0] != before {
+		t.Fatalf("the tick after a lost answer sent %+v, want the cursor %+v", h.link.sent, before)
 	}
 	h.link.twice = true
-	if st := h.tick("duplicated query"); st.Resyncs != 0 {
-		t.Fatal("a duplicated query cost a resync")
-	}
+	h.tick("duplicated query", false)
 	h.steady("after the repeats", 3)
-
-	clock.advance(time.Hour)
-	rack.Reap()
-	if st := h.tick("window reaped"); st.Resyncs != 1 {
-		t.Fatalf("tick after the window was reaped: %d resyncs, want 1", st.Resyncs)
-	}
-	h.steady("after the eviction", 3)
 
 	if err := rack.Close(); err != nil {
 		t.Fatal(err)
@@ -223,61 +268,101 @@ func TestSweeperDeltaMatchesStatelessRack(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.link.Backend = rack
-	if st := h.tick("rack restarted"); st.Resyncs != 1 {
-		t.Fatalf("tick after the restart: %d resyncs, want 1", st.Resyncs)
+	h.tick("rack restarted", false)
+	if !slices.Equal(h.link.answered, slices.Sorted(maps.Keys(h.stateless))) {
+		t.Fatalf("the first sweep after the restart returned %d bottles, want all %d", len(h.link.answered), len(h.stateless))
+	}
+	if st, _ := rack.Stats(context.Background()); st.CursorResets != 1 {
+		t.Fatalf("cursor resets = %d, want 1", st.CursorResets)
 	}
 	h.link.lose = true
-	h.tick("lost answer right after a resync")
+	h.tick("lost answer right after the restart", false)
 	h.steady("after the restart", 12)
 }
 
 // TestSweeperDeltaMatchesStatelessRing is the differential test through a
-// 3-rack ring at R=2 with one member dead for several ticks: it misses the
-// deltas the others applied, and its first answer back is a resync.
+// 3-rack ring at R=2: a member dead for six ticks keeps its cursor and is
+// swept from it when it returns, a member that sheds a sweep keeps its
+// cursor too, a copy of an evaluated bottle racked later on another member
+// (what hinted handoff does) is dropped by the sweeper's window, and at a
+// limit the ring cuts pages under, the sweeper still evaluates everything
+// once.
 func TestSweeperDeltaMatchesStatelessRing(t *testing.T) {
 	clock := &windowClock{now: time.Now()}
-	ring, backs, _ := testCluster(t, 3, 2)
-	h := newWindowHistory(t, clock, ring)
-	h.steady("filling the window", 10)
+	ring, backs, racks := testCluster(t, 3, 2)
+	h := newWindowHistory(t, clock, ring, 0)
+	h.steady("first ticks", 10)
 
 	backs[1].dead.Store(true)
+	down := h.cursor("rack-1")
 	for i := 0; i < 6; i++ {
-		h.tick("member down")
+		h.tick("member down", false)
+	}
+	if h.cursor("rack-1") != down {
+		t.Fatalf("the dead member's cursor moved: %+v to %+v", down, h.cursor("rack-1"))
 	}
 	backs[1].dead.Store(false)
 	ring.Probe(context.Background())
-	if st := h.tick("member back"); st.Resyncs != 1 {
-		t.Fatalf("tick after the member returned: %d resyncs, want 1", st.Resyncs)
-	}
-	h.steady("after the ejection", 10)
+	h.steady("member back", 10)
 
-	// A member that sheds a sweep stays in the ring and misses the delta. The
-	// ring says the sweep was partial and the next query carries the whole
-	// window: the member catches up on the first query it admits, not on the
-	// second of two in a row, which a rack that is shedding may never admit.
+	shed := h.cursor("rack-2")
 	backs[2].shed.Store(1)
-	if st, err := h.sweeper.Tick(context.Background()); err != nil || st.Resyncs != 0 {
-		t.Fatalf("tick with one member shedding: %d resyncs, %v", st.Resyncs, err)
+	h.tick("one member shedding", true)
+	if h.cursor("rack-2") != shed {
+		t.Fatalf("the shedding member's cursor moved: %+v to %+v", shed, h.cursor("rack-2"))
 	}
-	if h.steady("after the shed sweep", 1); !h.link.full {
-		t.Fatal("the query after a partial sweep did not carry the whole window")
+	h.steady("all members answering again", 3)
+
+	copied := 0
+	for id := range h.handled {
+		for _, r := range racks {
+			if _, err := r.Submit(context.Background(), h.raws[id]); err == nil {
+				copied++
+				break
+			}
+		}
 	}
-	if h.steady("all members answering again", 3); h.link.full {
-		t.Fatal("the sweeper kept sending the whole window after every member had answered")
+	if copied == 0 {
+		t.Fatal("no rack took a copy")
+	}
+	if st := h.tick("copies racked later", true); st.Duplicates < copied {
+		t.Fatalf("the sweeper dropped %d of %d copies", st.Duplicates, copied)
+	}
+
+	ring, _, _ = testCluster(t, 3, 2)
+	h = newWindowHistory(t, clock, ring, 2)
+	for round := 0; round < 4; round++ {
+		h.steady("arrivals at limit 2", 4)
+		for i := 0; ; i++ {
+			if i > 3*len(h.stateless) {
+				t.Fatal("the sweeper never caught up at limit 2")
+			}
+			if st := h.tick("catching up at limit 2", true); !st.Truncated {
+				break
+			}
+		}
+		for id := range h.stateless {
+			if !h.handled[id] {
+				t.Fatalf("round %d: %s passes and was never evaluated", round, id)
+			}
+		}
 	}
 }
 
-// TestSweeperSeenCapBound pins the constructor's side of the window bound.
+// TestSweeperSeenCapBound pins the constructor's side of the window bound:
+// zero takes DefaultSeenCap, and any bound is the sweeper's own business —
+// no rack holds the window.
 func TestSweeperSeenCapBound(t *testing.T) {
 	rack := broker.New(broker.Config{Shards: 1, ReapInterval: -1})
 	defer rack.Close()
-	cfg := SweeperConfig{Participant: newParticipant(t, "bob", "chess"), SeenCap: broker.MaxSeenCap}
-	if _, err := NewSweeper(rack, cfg); err != nil {
-		t.Fatalf("SeenCap at the bound: %v", err)
+	cfg := SweeperConfig{Participant: newParticipant(t, "bob", "chess")}
+	s, err := NewSweeper(rack, cfg)
+	if err != nil || s.cfg.SeenCap != DefaultSeenCap {
+		t.Fatalf("SeenCap zero: %v, bound %d", err, s.cfg.SeenCap)
 	}
-	cfg.SeenCap++
-	if _, err := NewSweeper(rack, cfg); err == nil {
-		t.Fatal("NewSweeper accepted a SeenCap no rack would hold")
+	cfg.SeenCap = 1 << 20
+	if _, err := NewSweeper(rack, cfg); err != nil {
+		t.Fatalf("a large SeenCap: %v", err)
 	}
 }
 
@@ -310,8 +395,8 @@ func relabel(tb testing.TB, raw []byte, n int64) []byte {
 
 // TestSweeperSteadyTickBudget pins what a steady-state tick costs over the
 // wire path (pipe listener, mux framing, server dispatch, rack) with a full
-// 4096-ID window and nothing new on the rack: some two dozen allocations and
-// a query of a few dozen bytes, where shipping the window cost 4096 strings on
+// 4096-ID window and nothing new on the rack: some fifteen allocations and a
+// query of a few dozen bytes, where shipping the window cost 4096 strings on
 // the server alone and 139 KB.
 func TestSweeperSteadyTickBudget(t *testing.T) {
 	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
@@ -351,21 +436,21 @@ func TestSweeperSteadyTickBudget(t *testing.T) {
 	}
 	tick := func() {
 		st, err := sweeper.Tick(ctx)
-		if err != nil || st.Swept != 0 || st.Resyncs != 0 {
+		if err != nil || st.Swept != 0 {
 			t.Fatalf("steady tick: %+v, %v", st, err)
 		}
 	}
-	tick() // the last fill's delta
+	tick() // the last fill's arrivals
 	before := sent.Load()
 	tick()
-	if n := sent.Load() - before; n >= 1000 {
-		t.Errorf("steady-state tick wrote %d bytes, want under 1000", n)
+	if n := sent.Load() - before; n >= 100 {
+		t.Errorf("steady-state tick wrote %d bytes, want under 100", n)
 	}
 	if raceEnabled {
 		return // the race detector's bookkeeping allocates
 	}
-	// Measured 25; the slack is for scheduler-dependent pool misses.
-	if avg := testing.AllocsPerRun(100, tick); avg > 32 {
-		t.Errorf("steady-state tick: %v allocs, budget 32", avg)
+	// Measured 15; the slack is for scheduler-dependent pool misses.
+	if avg := testing.AllocsPerRun(100, tick); avg > 20 {
+		t.Errorf("steady-state tick: %v allocs, budget 20", avg)
 	}
 }

@@ -434,7 +434,8 @@ type Participant struct {
 
 // dupGeneration is the size of one generation of a participant's duplicate
 // set; at least a sweeper's seen window (client.DefaultSeenCap), so that a
-// bottle a rack sweeps again is still known.
+// copy that comes back after leaving that window — a handoff copy arriving
+// late, a page a rack re-screens after a restart — is still known.
 const dupGeneration = 4096
 
 // requestKey is what a participant keeps of a request it has handled: a

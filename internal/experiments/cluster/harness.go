@@ -280,13 +280,14 @@ func (h *Harness) RackNames() []string {
 	return names
 }
 
-// RackBackends returns one courier per live rack — the degraded direct-sweep
-// path that bypasses the ring's replica merge. Severed racks are skipped.
-func (h *Harness) RackBackends() []sealedbottle.Backend {
-	var out []sealedbottle.Backend
+// RackBackends returns one courier per live rack, named as the ring names the
+// rack — the degraded direct-sweep path that bypasses the ring's replica
+// merge. Severed racks are skipped.
+func (h *Harness) RackBackends() []sealedbottle.RingBackend {
+	var out []sealedbottle.RingBackend
 	for _, r := range h.racks {
 		if !r.severed {
-			out = append(out, r.courier)
+			out = append(out, sealedbottle.RingBackend{Name: r.name, Backend: r.courier})
 		}
 	}
 	return out

@@ -124,7 +124,7 @@ func (c *Checker) ObserveEvaluation(client, bottleID, dropped string) {
 	if dropped == "duplicate" {
 		// The participant's last-resort suppression fired: the same bottle
 		// reached the matcher twice, so every collapsing layer above it (ring
-		// replica merge, tick dedup, seen window) failed.
+		// replica merge, cursors, seen window) failed.
 		c.extra = append(c.extra, fmt.Sprintf("sweeper %q was handed bottle %s twice (participant dropped the duplicate)", client, bottleID))
 		return
 	}

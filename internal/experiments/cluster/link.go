@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sealedbottle"
+	"sealedbottle/internal/broker"
 )
 
 // Link errors injected client-side. They are generic on purpose: the layers
@@ -177,7 +178,8 @@ func (l *link) Close() error { return nil }
 // cut off from the routing layer but still holding rack addresses would do.
 // Each bottle then arrives once per replica within a tick, and the Sweeper's
 // own duplicate collapsing (TickStats.Duplicates) is the only thing keeping
-// evaluation exactly-once. Everything except Sweep goes through the ring.
+// evaluation exactly-once. Each rack gets its own cursor, named by the rack,
+// as a ring would hand it. Everything except Sweep goes through the ring.
 type directSweep struct {
 	sealedbottle.Backend
 	harness *Harness
@@ -190,7 +192,9 @@ func (d *directSweep) Sweep(ctx context.Context, q sealedbottle.SweepQuery) (sea
 		firstErr error
 	)
 	for _, b := range d.harness.RackBackends() {
-		res, err := b.Sweep(ctx, q)
+		rq := q
+		rq.Cursors = broker.MemberCursors(nil, q.Cursors, b.Name)
+		res, err := b.Backend.Sweep(ctx, rq)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -202,7 +206,7 @@ func (d *directSweep) Sweep(ctx context.Context, q sealedbottle.SweepQuery) (sea
 		out.Scanned += res.Scanned
 		out.Rejected += res.Rejected
 		out.Truncated = out.Truncated || res.Truncated
-		out.Resync = out.Resync || res.Resync
+		out.Cursors = broker.AppendMemberAnswer(out.Cursors, res.Cursors, b.Name)
 	}
 	if answered == 0 {
 		if firstErr == nil {
@@ -210,6 +214,5 @@ func (d *directSweep) Sweep(ctx context.Context, q sealedbottle.SweepQuery) (sea
 		}
 		return sealedbottle.SweepResult{}, firstErr
 	}
-	out.Partial = firstErr != nil
 	return out, nil
 }

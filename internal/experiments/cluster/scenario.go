@@ -161,7 +161,6 @@ func addTicks(sum *sealedbottle.TickStats, st sealedbottle.TickStats) {
 	sum.Replies += st.Replies
 	sum.ReplyErrors += st.ReplyErrors
 	sum.Duplicates += st.Duplicates
-	sum.Resyncs += st.Resyncs
 	sum.Scanned += st.Scanned
 	sum.Rejected += st.Rejected
 	sum.Truncated = sum.Truncated || st.Truncated
@@ -356,7 +355,7 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 		sw, err := sealedbottle.NewSweeper(l, sealedbottle.SweeperConfig{
 			Participant: part,
 			Limit:       cfg.SweepLimit,
-			SeenCap:     min(4*cfg.Bottles+256, sealedbottle.MaxSeenCap),
+			SeenCap:     4*cfg.Bottles + 256,
 			OnResult: func(pkg *core.RequestPackage, hr *core.HandleResult) {
 				checker.ObserveEvaluation(sid, pkg.ID, hr.Dropped)
 			},

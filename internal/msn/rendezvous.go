@@ -23,9 +23,9 @@ type pendingRequest struct {
 	expires time.Time
 }
 
-// rendezvousSeenCap bounds the window of evaluated IDs the broker excludes
-// from the node's sweeps; without it a long-lived node would cost the broker
-// memory linear in its lifetime.
+// rendezvousSeenCap bounds the node's window of swept IDs, which drops the
+// copies of a bottle more than one rack hands over; without it a long-lived
+// node's sweeper would grow linear in its lifetime.
 const rendezvousSeenCap = 4096
 
 // initRendezvous builds the node's sweeper, wiring the participant's

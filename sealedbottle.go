@@ -213,9 +213,6 @@ const (
 	// DefaultSweepLimit caps a sweep's returned bottles when the query sets
 	// no limit.
 	DefaultSweepLimit = broker.DefaultSweepLimit
-	// MaxSeenCap is the largest SweeperConfig.SeenCap: racks hold a copy of
-	// every sweeper's seen window, at most this long.
-	MaxSeenCap = broker.MaxSeenCap
 	// DefaultReapInterval is the rack's background expiry period.
 	DefaultReapInterval = broker.DefaultReapInterval
 	// DefaultCallTimeout bounds one courier round trip unless configured.
@@ -249,7 +246,8 @@ var (
 	ErrUnknownBottle = broker.ErrUnknownBottle
 	// ErrDuplicateBottle indicates a submission reusing a held request ID.
 	ErrDuplicateBottle = broker.ErrDuplicateBottle
-	// ErrBadQuery indicates a sweep query with no valid residue sets.
+	// ErrBadQuery indicates a sweep query with no valid residue sets, or a
+	// sweep frame this protocol revision cannot decode.
 	ErrBadQuery = broker.ErrBadQuery
 	// ErrFetchBudget marks FetchBatch items left undrained by the batch byte
 	// budget; their replies are still queued.
