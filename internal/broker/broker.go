@@ -583,7 +583,7 @@ type SweepQuery struct {
 	// wants its own requests back).
 	ExcludeOrigin string
 	// Seen lists request IDs to skip server-side, for this one query; the
-	// rack keeps nothing of it.
+	// rack keeps nothing of it. A list longer than 65536 IDs is a bad query.
 	Seen []string
 	// Cursors are the sweeper's positions on the racks it has swept, as
 	// earlier results handed them out: the rack returns only bottles stamped
@@ -591,12 +591,19 @@ type SweepQuery struct {
 	Cursors []SweepCursor
 }
 
+// maxSeenIDs bounds a query's Seen list, on the wire and in process: the
+// rack builds an exclusion set of that size for the one query.
+const maxSeenIDs = 1 << 16
+
 // normalize validates the query and fills defaults. Residue sets are
 // deduplicated by prime (first wins): a query repeating a prime would
 // otherwise rescan that prime's group once per duplicate — returning the same
 // bottles several times and handing remote clients a scan-amplification
 // lever.
 func (q *SweepQuery) normalize() error {
+	if len(q.Seen) > maxSeenIDs {
+		return ErrBadQuery
+	}
 	valid := q.Residues[:0:0]
 	primes := make(map[uint32]struct{}, len(q.Residues))
 	for _, s := range q.Residues {
@@ -734,19 +741,14 @@ func (r *Rack) merge(run *sweepRun) SweepResult {
 	}
 	res.Bottles = make([]SweptBottle, 0, min(n, run.q.Limit))
 	for i, p := range run.parts {
-		kept := 0
+		kept := len(res.Bottles)
 		for _, f := range p.found {
 			if f.seq <= last {
 				res.Bottles = append(res.Bottles, SweptBottle{ID: r.tagID(f.b.id), Raw: f.b.raw, Seq: f.seq})
-				kept++
 			}
 		}
-		if dropped := len(p.found) - kept; dropped > 0 {
-			// The shard counted what it collected as returned.
-			sh := r.shards[i]
-			sh.mu.Lock()
-			sh.stats.Returned -= uint64(dropped)
-			sh.mu.Unlock()
+		if kept = len(res.Bottles) - kept; kept > 0 {
+			r.shards[i].returned.Add(uint64(kept))
 		}
 	}
 	run.cursor[0] = SweepCursor{Epoch: r.epoch, After: last}

@@ -373,6 +373,13 @@ func TestSweepRejectsBadQuery(t *testing.T) {
 	if _, err := rack.Sweep(context.Background(), SweepQuery{Residues: []core.ResidueSet{bad}}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("invalid residue set = %v, want ErrBadQuery", err)
 	}
+	good := []core.ResidueSet{core.NewResidueSet(11, []uint32{1})}
+	if _, err := rack.Sweep(context.Background(), SweepQuery{Residues: good, Seen: make([]string, maxSeenIDs)}); err != nil {
+		t.Fatalf("%d seen IDs = %v, want accepted", maxSeenIDs, err)
+	}
+	if _, err := rack.Sweep(context.Background(), SweepQuery{Residues: good, Seen: make([]string, maxSeenIDs+1)}); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("%d seen IDs = %v, want ErrBadQuery", maxSeenIDs+1, err)
+	}
 }
 
 func TestReplyValidation(t *testing.T) {

@@ -169,16 +169,23 @@ func unmarshalSweepQuery(data []byte) (SweepQuery, string) {
 		return q, err.Error()
 	}
 	seen, err := r.uint32()
-	if err != nil || int(seen) > r.remaining()/minIDBytes {
+	if err != nil || seen > maxSeenIDs || int(seen) > r.remaining()/minIDBytes {
 		return q, "seen count"
 	}
+	// The seen list is the frame's tail: its IDs are cut from one copy of
+	// the region, not copied out one by one.
+	var region string
+	base := r.off
 	if seen > 0 {
-		q.Seen = make([]string, seen)
+		region, q.Seen = string(data[base:]), make([]string, seen)
 	}
 	for i := range q.Seen {
-		if q.Seen[i], err = r.string16(); err != nil {
+		id, err := r.bytes16()
+		if err != nil {
 			return q, "seen id"
 		}
+		end := r.off - base
+		q.Seen[i] = region[end-len(id) : end]
 	}
 	if r.remaining() != 0 {
 		return q, "trailing bytes"

@@ -113,14 +113,21 @@ func TestCodecRefusesAmplifyingCounts(t *testing.T) {
 			t.Errorf("%s: refusing a 1 MiB lying frame allocated %d bytes (err %v)", c.name, n, err)
 		}
 	}
-	// A query's residue-set, word and cursor counts are bounded the same way
-	// as the lists above.
+	// The seen list has a cap of its own, and a query's residue-set, word
+	// and cursor counts are bounded the same way as the lists above.
+	seenList := func(n int) []byte {
+		return append(binary.BigEndian.AppendUint32(append([]byte(nil), query[:len(query)-4]...), uint32(n)), make([]byte, 2*n)...)
+	}
+	if q, err := UnmarshalSweepQuery(seenList(maxSeenIDs)); err != nil || len(q.Seen) != maxSeenIDs {
+		t.Errorf("query with %d seen IDs: %d decoded, err %v", maxSeenIDs, len(q.Seen), err)
+	}
 	cursorsAt := len(query) - 4 - 2
 	manyCursors := append(binary.BigEndian.AppendUint16(append([]byte(nil), query[:cursorsAt]...), 0xffff), make([]byte, 18*100+4)...)
 	for name, frame := range map[string][]byte{
-		"65535 residue sets": {0xff, 0xff, 0, 0, 0, 11, 0, 1},
-		"65535 words":        {0, 1, 0, 0, 0, 11, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
-		"65535 cursors":      manyCursors,
+		"seen count past the cap": seenList(maxSeenIDs + 1),
+		"65535 residue sets":      {0xff, 0xff, 0, 0, 0, 11, 0, 1},
+		"65535 words":             {0, 1, 0, 0, 0, 11, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
+		"65535 cursors":           manyCursors,
 	} {
 		if _, err := UnmarshalSweepQuery(frame); !errors.Is(err, ErrMalformedFrame) {
 			t.Errorf("query with %s: err = %v, want ErrMalformedFrame", name, err)

@@ -159,15 +159,18 @@ func stamp(last *atomic.Uint64, now int64) uint64 {
 func ownerAllows(owner, caller string) bool { return owner == "" || owner == caller }
 
 // shard is one lock domain of the rack: an ID index, insertion-ordered prime
-// groups for sweeps, per-request reply queues, and counters. All fields are
-// guarded by mu; sweeps hold the lock for the duration of one shard scan,
-// which is the unit a sweep's scanners claim.
+// groups for sweeps, per-request reply queues, and counters. All fields but
+// returned are guarded by mu; sweeps hold the lock for the duration of one
+// shard scan, which is the unit a sweep's scanners claim.
 type shard struct {
 	mu      sync.Mutex
 	bottles map[string]*bottle
 	byPrime map[uint32]*primeGroup
 	replies map[string][][]byte
 	stats   ShardStats
+	// returned counts the bottles of this shard that sweep results handed
+	// out; the merge that settles a result adds to it, without mu.
+	returned atomic.Uint64
 	// seq is the rack's last arrival stamp, shared by every shard.
 	seq *atomic.Uint64
 
@@ -328,7 +331,6 @@ func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, after, high uint64, now t
 	s.stats.Sweeps++
 	s.stats.Scanned += uint64(out.scanned)
 	s.stats.Rejected += uint64(out.rejected)
-	s.stats.Returned += uint64(len(out.found))
 	return out
 }
 
@@ -561,5 +563,6 @@ func (s *shard) snapshot() ShardStats {
 	defer s.mu.Unlock()
 	ss := s.stats
 	ss.Held = len(s.bottles)
+	ss.Returned = s.returned.Load()
 	return ss
 }

@@ -349,6 +349,81 @@ func TestSweeperDeltaMatchesStatelessRing(t *testing.T) {
 	}
 }
 
+// pageRecorder keeps the IDs of the last page its backend answered.
+type pageRecorder struct {
+	broker.Backend
+	last []string
+}
+
+func (p *pageRecorder) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
+	res, err := p.Backend.Sweep(ctx, q)
+	if err == nil {
+		p.last = sweptIDs(res)
+	}
+	return res, err
+}
+
+// TestSweeperDeltaMatchesStatelessNestedRing is the differential test
+// through a ring whose members are a rack and a ring of two racks, at a
+// limit the outer ring cuts the inner ring's page under: the inner ring's
+// cursors then stay where they were, the page comes back, the sweeper drops
+// what it already evaluated and still evaluates every passing bottle once
+// and catches up.
+func TestSweeperDeltaMatchesStatelessNestedRing(t *testing.T) {
+	clock := &windowClock{now: time.Now()}
+	inner, _, _ := testCluster(t, 2, 1)
+	outerRack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1, RackTag: "o0"})
+	defer outerRack.Close()
+	page := &pageRecorder{Backend: inner}
+	ring, err := NewRing(RingConfig{ProbeInterval: -1, Backends: []RingBackend{
+		{Name: "outer", Backend: outerRack},
+		{Name: "inner", Backend: page},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	h := newWindowHistory(t, clock, ring, 2)
+	cuts := 0
+	tick := func(name string, quiet bool) TickStats {
+		st := h.tick(name, quiet)
+		for _, id := range page.last {
+			if !slices.Contains(h.link.answered, id) {
+				cuts++
+				break
+			}
+		}
+		return st
+	}
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 4; i++ {
+			tick("arrivals at limit 2", false)
+		}
+		for i := 0; ; i++ {
+			if i > 3*len(h.stateless) {
+				t.Fatal("the sweeper never caught up at limit 2")
+			}
+			if st := tick("catching up at limit 2", true); !st.Truncated {
+				break
+			}
+		}
+		for id := range h.stateless {
+			if !h.handled[id] {
+				t.Fatalf("round %d: %s passes and was never evaluated", round, id)
+			}
+		}
+	}
+	t.Logf("%d cut pages, %d bottles evaluated", cuts, len(h.handled))
+	if cuts == 0 {
+		t.Fatal("the outer ring never cut the inner ring's page")
+	}
+	for _, member := range []string{"outer", "inner/rack-0", "inner/rack-1"} {
+		if h.cursor(member).Epoch == 0 {
+			t.Fatalf("no cursor for %s: %+v", member, h.sweeper.cursors)
+		}
+	}
+}
+
 // TestSweeperSeenCapBound pins the constructor's side of the window bound:
 // zero takes DefaultSeenCap, and any bound is the sweeper's own business —
 // no rack holds the window.
