@@ -4,14 +4,13 @@
 // to measure throughput, or point broker-mode simulator scenarios at it.
 //
 // The server speaks the multiplexed wire framing, so pipelined couriers
-// sustain many in-flight requests per connection. In a multi-rack cluster
-// give each rack a distinct -tag: issued request IDs then carry a "tag@"
-// prefix that lets the client-side Ring route replies and fetches back to
-// the owning rack even after a client restart. With -data-dir set the rack is
-// durable: every acknowledged mutation is written to a write-ahead log (fsync
-// policy per -fsync), snapshots bound replay time (periodic via
-// -snapshot-every, and one final snapshot on SIGINT/SIGTERM), and a restart
-// recovers every persisted bottle. It shuts down gracefully on signals
+// sustain many in-flight requests per connection. With -tag, issued request
+// IDs carry a "tag@" prefix naming the rack that issued them; the
+// client-side Ring routes by the untagged ID and ignores it. With -data-dir
+// set the rack is durable: every acknowledged mutation is written to a
+// write-ahead log (fsync policy per -fsync), snapshots bound replay time
+// (periodic via -snapshot-every, and one final snapshot on SIGINT/SIGTERM),
+// and a restart recovers every persisted bottle. It shuts down gracefully on signals
 // (closing the listener and every connection, then logging a final stats
 // snapshot) and logs operational stats — including recovery and WAL size
 // counters — periodically.
@@ -88,7 +87,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7117", "TCP listen address")
-	tag := flag.String("tag", "", "rack tag prefixed to issued request IDs (\"tag@id\") so cluster routers can route IDs back here; required per rack in multi-rack deployments")
+	tag := flag.String("tag", "", "rack tag prefixed to issued request IDs (\"tag@id\"), naming this rack as their issuer")
 	shards := flag.Int("shards", 32, "shard count (rounded up to a power of two)")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0: GOMAXPROCS)")
 	reap := flag.Duration("reap", sealedbottle.DefaultReapInterval, "background reaper interval")

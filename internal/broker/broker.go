@@ -99,9 +99,8 @@ type Config struct {
 	// RackTag, when non-empty, prefixes every ID the rack hands out (Submit
 	// results, swept bottle IDs) with "tag@", and the rack strips its own tag
 	// from inbound IDs (Reply/Fetch/Remove targets, sweep Seen lists). The tag
-	// is a pure routing hint for multi-rack deployments: a cluster router can
-	// recover which rack holds a bottle from the ID alone, even after losing
-	// its routing table to a restart. Internally — ID index, WAL, snapshots —
+	// names the rack that issued an ID; client.Ring routes by the untagged ID
+	// and does not read it. Internally — ID index, WAL, snapshots —
 	// bottles are always keyed by the untagged ID, so turning tagging on or
 	// off never invalidates a durable rack's on-disk state. Tags must satisfy
 	// ValidateTag ([A-Za-z0-9._-], at most MaxTagLen bytes).

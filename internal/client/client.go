@@ -29,16 +29,17 @@
 //   - Sweeper (NewSweeper) is the candidate-side loop: compute residue sets
 //     for the rack's live primes, sweep, evaluate returned bottles locally
 //     with the full core.Matcher, post replies batched (transport-failed
-//     posts are queued and retried next tick, never silently lost), and
-//     remember evaluated IDs in a bounded seen-window so the broker spends
-//     its sweep limit on fresh bottles (the racks hold a copy of the window;
-//     a sweep ships only what was added to it since the last one).
+//     posts are queued and retried next tick, never silently lost). It
+//     keeps one arrival cursor per rack, so each rack hands over each
+//     passing bottle once and keeps no state for it, and a bounded window
+//     of swept IDs to drop the copies a second rack hands over.
 //   - Ring (NewRing) scales all of the above out to a cluster: it implements
-//     the same Backend surface over N rack endpoints, routing submits by
-//     rendezvous hashing, fanning sweeps out to every healthy rack, and
-//     steering Reply/Fetch/Remove through a learned ID→rack table backed by
-//     the racks' ID tag prefixes (broker.Config.RackTag), with per-rack
-//     failure ejection and probe-based re-admission.
+//     the same Backend surface over N rack endpoints, placing every bottle
+//     on its top-R racks by rendezvous hashing of its ID, fanning sweeps out
+//     to every healthy rack, and sending Reply/Fetch/Remove to those same
+//     racks — the other healthy racks only when all of them answer "unknown
+//     bottle" — with per-rack failure ejection and probe-based
+//     re-admission.
 //
 // Cancellation is honored end to end: a context that ends mid-call abandons
 // the in-flight wire call (the pipelined connection keeps serving other

@@ -31,8 +31,6 @@ const (
 	DefaultFailThreshold = 3
 	// DefaultProbeInterval is the period of the re-admission prober.
 	DefaultProbeInterval = 2 * time.Second
-	// DefaultIDTableCap bounds the learned ID→rack routing table.
-	DefaultIDTableCap = 1 << 16
 )
 
 // RingBackend names one pre-built rack backend for RingConfig.Backends.
@@ -64,8 +62,6 @@ type RingConfig struct {
 	// racks (zero: DefaultProbeInterval; negative: no background prober —
 	// re-admission then happens only via Probe or a successful fan-out call).
 	ProbeInterval time.Duration
-	// IDTableCap bounds the learned ID→rack table (zero: DefaultIDTableCap).
-	IDTableCap int
 	// Replication is the replica count R for every bottle (zero: 1). It only
 	// sizes the intent set — the bottle's top-R rendezvous racks: submits
 	// write to it, reads and replies fan out to it merging the answers, and
@@ -79,12 +75,10 @@ type RingConfig struct {
 // rackNode is one rack of the ring with its health state. fails counts
 // consecutive rack faults; down flips once fails crosses the threshold and
 // back the moment any call (or probe) succeeds. owned marks backends the ring
-// dialed itself (and therefore closes); removed marks a node taken out of the
-// membership at runtime — stale routing-table references check it and treat
-// the node as gone. noHints marks a rack that answered a Hint by refusing to
-// relay any (it serves without replication); hints stop going through it
-// until it is readmitted after an ejection, which may be a reconfigured
-// restart.
+// dialed itself (and therefore closes). noHints marks a rack that answered a
+// Hint by refusing to relay any (it serves without replication); hints stop
+// going through it until it is readmitted after an ejection, which may be a
+// reconfigured restart.
 type rackNode struct {
 	idx     int
 	name    string
@@ -92,7 +86,6 @@ type rackNode struct {
 	fails   atomic.Int32
 	down    atomic.Bool
 	owned   bool
-	removed atomic.Bool
 	noHints atomic.Bool
 }
 
@@ -110,12 +103,12 @@ type rackNode struct {
 //     send one SubmitBatch per rack.
 //   - Sweeps fan out to every healthy rack concurrently, each with the
 //     sweeper's cursor for it, and merge under the query limit.
-//   - Reply, Fetch and Remove go, concurrently, to the holder a bounded
-//     ID→rack table learned from submits and sweeps, the rack the ID's tag
-//     prefix names (broker.Config.RackTag — it survives a client restart),
-//     and the live members of the intent set. Only when every one of them
-//     answers "unknown bottle" does the call try the other healthy racks, in
-//     hash order, until one recognizes the bottle.
+//   - Reply, Fetch and Remove go, concurrently, to the live members of the
+//     intent set of the untagged ID: the ring keeps no per-ID state. Only
+//     when every one of them answers "unknown bottle" does the call try the
+//     other healthy racks, in hash order, until one recognizes the bottle —
+//     one a submit placed past an ejected member, one a membership change
+//     re-ranked, or one this ring never placed.
 //
 // Health: a rack is ejected after FailThreshold consecutive rack faults
 // (transport-level failures — per-operation outcomes computed by a rack
@@ -144,10 +137,6 @@ type Ring struct {
 
 	failThreshold int
 	rf            int
-	idTab         *idTable
-
-	tagMu sync.Mutex
-	tags  map[string]*rackNode
 
 	// readRepairs and replicaDedup are the ring-side replication counters,
 	// folded into Stats (the rack-side counters live on the racks).
@@ -184,9 +173,6 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
-	if cfg.IDTableCap <= 0 {
-		cfg.IDTableCap = DefaultIDTableCap
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
@@ -196,8 +182,6 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	r := &Ring{
 		failThreshold: cfg.FailThreshold,
 		rf:            cfg.Replication,
-		idTab:         newIDTable(cfg.IDTableCap),
-		tags:          make(map[string]*rackNode),
 		courierTmpl:   cfg.Courier,
 		closed:        make(chan struct{}),
 	}
@@ -379,34 +363,6 @@ func rank(nodes []*rackNode, id string) []*rackNode {
 	return out
 }
 
-// learn records that a rack handed out (or recognized) an ID: the untagged
-// ID goes into the bounded routing table and the tag prefix, if any, is
-// remembered as naming that rack.
-func (r *Ring) learn(n *rackNode, id string) {
-	tag, rest := broker.SplitTaggedID(id)
-	r.idTab.put(rest, n)
-	if tag != "" {
-		r.tagMu.Lock()
-		// The tag set is racks-sized in practice; the cap only guards against
-		// a misbehaving rack minting unbounded tags.
-		if len(r.tags) < 4096 {
-			r.tags[tag] = n
-		}
-		r.tagMu.Unlock()
-	}
-}
-
-// tagNode resolves a learned rack tag; nodes removed from the membership no
-// longer resolve.
-func (r *Ring) tagNode(tag string) *rackNode {
-	r.tagMu.Lock()
-	defer r.tagMu.Unlock()
-	if n := r.tags[tag]; n != nil && !n.removed.Load() {
-		return n
-	}
-	return nil
-}
-
 // Sweep fans the query out to every healthy rack concurrently and merges the
 // results under the query limit. Each rack gets the query with its own
 // cursors (broker.MemberCursors) and answers with its next one, which the
@@ -417,10 +373,8 @@ func (r *Ring) tagNode(tag string) *rackNode {
 // health); the sweep only fails when no rack answered or the context ended.
 // Cancellation stops further rack dispatches, cancels the in-flight ones, and
 // returns the context error together with the partial merge of whatever racks
-// answered in time (bottles from those racks are real and already learned
-// into the routing table — callers may use or discard them). Each returned
-// bottle teaches the routing table which rack holds it, which is what lets
-// the subsequent replies route without fan-out.
+// answered in time (bottles from those racks are real — callers may use or
+// discard them).
 func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {
 	healthy := r.healthy()
 	if len(healthy) == 0 {
@@ -507,7 +461,6 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 			r.replicaDedup.Add(1)
 		} else if len(out.Bottles) < limit {
 			merged[broker.UntagID(b.ID)] = struct{}{}
-			r.learn(healthy[next], b.ID)
 			out.Bottles = append(out.Bottles, b)
 		} else {
 			out.Truncated, p.stopped = true, true
@@ -666,50 +619,4 @@ func (r *Ring) prober(interval time.Duration) {
 			return
 		}
 	}
-}
-
-// idTable is the bounded ID→rack routing table: a map plus a FIFO eviction
-// ring. Entries are learned from submit results and sweep fan-out; eviction
-// of a live entry is harmless — routing falls back to the ID's tag prefix
-// and then to hash-ordered fan-out.
-type idTable struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[string]*rackNode
-	keys []string
-	pos  int
-}
-
-func newIDTable(cap int) *idTable {
-	return &idTable{cap: cap, m: make(map[string]*rackNode, cap/4)}
-}
-
-func (t *idTable) put(id string, n *rackNode) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[id]; ok {
-		t.m[id] = n
-		return
-	}
-	if len(t.keys) < t.cap {
-		t.keys = append(t.keys, id)
-	} else {
-		delete(t.m, t.keys[t.pos])
-		t.keys[t.pos] = id
-		t.pos = (t.pos + 1) % t.cap
-	}
-	t.m[id] = n
-}
-
-func (t *idTable) get(id string) (*rackNode, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, ok := t.m[id]
-	return n, ok
-}
-
-func (t *idTable) del(id string) {
-	t.mu.Lock()
-	delete(t.m, id)
-	t.mu.Unlock()
 }

@@ -85,11 +85,10 @@ func (r *Ring) addNode(name string, b broker.Backend, owned bool) error {
 }
 
 // RemoveRack takes the named rack out of the membership at runtime. In-flight
-// operations holding the previous membership snapshot finish against it;
-// stale routing-table and tag references observe the removed mark and skip
-// it. An owned backend (Addrs mode, AddRackAddr) is closed. Re-placement is
-// again bounded by rendezvous hashing: only the removed member's ~R/N share
-// of the ID space re-ranks.
+// operations holding the previous membership snapshot finish against it. An
+// owned backend (Addrs mode, AddRackAddr) is closed. Re-placement is again
+// bounded by rendezvous hashing: only the removed member's ~R/N share of the
+// ID space re-ranks.
 func (r *Ring) RemoveRack(name string) error {
 	r.memberMu.Lock()
 	cur := r.members()
@@ -108,7 +107,6 @@ func (r *Ring) RemoveRack(name string) error {
 	}
 	r.nodes.Store(&next)
 	r.memberMu.Unlock()
-	victim.removed.Store(true)
 	if victim.owned {
 		if c, ok := victim.b.(interface{ Close() error }); ok {
 			c.Close()
@@ -152,33 +150,19 @@ type idPlan struct {
 	live, down []*rackNode
 }
 
-// route plans an ID-addressed operation: the learned holder, then the rack
-// the ID's tag names, then the intent set, split by health. The holder and
-// the tag's rack can sit outside the intent set — after a submit extended
-// past a down member, a membership change, or for a bottle this ring did not
-// place.
+// route plans an ID-addressed operation: the intent set of the untagged ID,
+// split by health. A holder outside it — a submit extended past a down
+// member, a membership change, a bottle this ring did not place — is found
+// by callID's last resort.
 func (r *Ring) route(id string) idPlan {
-	tag, rest := broker.SplitTaggedID(id)
-	p := idPlan{rest: rest, live: make([]*rackNode, 0, r.rf+2)}
-	add := func(n *rackNode) {
-		if n == nil || n.removed.Load() || slices.Contains(p.live, n) || slices.Contains(p.down, n) {
-			return
-		}
+	p := idPlan{rest: broker.UntagID(id), live: make([]*rackNode, 0, r.rf)}
+	ranked := rank(r.members(), p.rest)
+	for _, n := range ranked[:min(r.rf, len(ranked))] {
 		if n.down.Load() {
 			p.down = append(p.down, n)
 		} else {
 			p.live = append(p.live, n)
 		}
-	}
-	if n, ok := r.idTab.get(rest); ok {
-		add(n)
-	}
-	if tag != "" {
-		add(r.tagNode(tag))
-	}
-	ranked := rank(r.members(), rest)
-	for _, n := range ranked[:min(r.rf, len(ranked))] {
-		add(n)
 	}
 	return p
 }
@@ -398,10 +382,10 @@ func missedEverywhere(outs []outcome) bool {
 // callID runs an ID-addressed operation: op goes to the plan's live targets
 // concurrently, and only when every one answers "unknown bottle" do the
 // other healthy racks get asked, in rank order, one at a time, until one
-// answers something other than unknown or a fault — for bottles neither the
-// table, the tag nor the hash places. The returned targets and outcomes line
-// up, last-resort racks appended; a rack not asked because the context ended
-// reports its error. No targets at all means no rack was healthy.
+// answers something other than unknown or a fault — for bottles the intent
+// set does not hold. The returned targets and outcomes line up, last-resort
+// racks appended; a rack not asked because the context ended reports its
+// error. No targets at all means no rack was healthy.
 func (r *Ring) callID(ctx context.Context, p idPlan, op func(n *rackNode) outcome) ([]*rackNode, []outcome) {
 	targets := p.live
 	outs := r.fanout(ctx, targets, op)
@@ -470,11 +454,11 @@ func resolve(targets []*rackNode, outs []outcome, down int) (succ, missing, faul
 // Submit places a marshalled request package on its intent set and returns
 // the (rack-tagged, when so configured) request ID it is held under.
 func (r *Ring) Submit(ctx context.Context, raw []byte) (string, error) {
-	pkg, err := core.UnmarshalPackage(raw)
+	v, err := core.UnmarshalPackageView(raw)
 	if err != nil {
 		return "", err
 	}
-	live, missed := r.submitTargets(pkg.ID)
+	live, missed := r.submitTargets(v.ID)
 	if len(live) == 0 {
 		return "", ErrNoHealthyRacks
 	}
@@ -508,12 +492,12 @@ func (r *Ring) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitR
 	live := make([][]*rackNode, len(raws))
 	missed := make([][]*rackNode, len(raws))
 	for i, raw := range raws {
-		pkg, err := core.UnmarshalPackage(raw)
+		v, err := core.UnmarshalPackageView(raw)
 		if err != nil {
 			results[i].Err = err
 			continue
 		}
-		if live[i], missed[i] = r.submitTargets(pkg.ID); len(live[i]) == 0 {
+		if live[i], missed[i] = r.submitTargets(v.ID); len(live[i]) == 0 {
 			results[i].Err = ErrNoHealthyRacks
 		}
 	}
@@ -578,7 +562,6 @@ func (r *Ring) settleSubmit(h *hintSet, raw []byte, live, missed []*rackNode, ou
 		h.add(holders, missed, rec)
 		h.add(holders, failed, rec)
 	}
-	r.learn(live[first], outs[first].id)
 	return outs[first].id, nil
 }
 
@@ -600,7 +583,7 @@ func (r *Ring) Reply(ctx context.Context, requestID string, raw []byte) error {
 
 // ReplyBatch is Reply over a batch: one ReplyBatch per rack, concurrently,
 // outcomes per item, in order. Posts every target answered "unknown bottle"
-// for (a stale table entry) take the single-post path and its last resort.
+// for take the single-post path and its last resort.
 // Cancellation stops further rack dispatches and that per-item round;
 // affected items carry the context's error, which is also returned.
 func (r *Ring) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
@@ -645,9 +628,6 @@ func (r *Ring) settleReply(h *hintSet, p idPlan, raw []byte, targets []*rackNode
 	if err != nil {
 		return err
 	}
-	// Remember a holder for the untagged ID only: the outer tag names the
-	// rack that minted the ID, which need not be the replica that answered.
-	r.idTab.put(p.rest, succ[0])
 	if len(p.down)+len(faulted) > 0 {
 		rec := broker.HandoffRecord{Type: broker.RecReply, Payload: broker.MarshalReplyPost(p.rest, raw)}
 		h.add(succ, p.down, rec)
@@ -719,7 +699,6 @@ func (r *Ring) settleFetch(h *hintSet, p idPlan, targets []*rackNode, outs []out
 	if err != nil {
 		return nil, err
 	}
-	r.idTab.put(p.rest, succ[0])
 	r.repair(h, p.rest, succ, missing)
 	var merged [][]byte
 	var shed error
@@ -780,10 +759,8 @@ func (r *Ring) Remove(ctx context.Context, requestID string) (bool, error) {
 			h.add(succ, faulted, rec)
 			r.sendHints(ctx, h)
 		}
-		r.idTab.del(p.rest)
 		return true, ctx.Err()
 	case errors.Is(err, broker.ErrUnknownBottle):
-		r.idTab.del(p.rest)
 		return false, nil
 	}
 	return false, err

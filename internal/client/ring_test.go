@@ -377,12 +377,12 @@ func TestRingRepliesRouteAcrossRacks(t *testing.T) {
 	}
 }
 
-// TestRingTagRoutingSurvivesRestart proves an ID issued before the client
-// restarted still routes: a fresh ring with an empty table finds the bottle,
-// even when it lives on a rack the rendezvous hash would try last — at R=2
-// too, where on four racks half the planted bottles sit outside their intent
-// set and only the last resort reaches them.
-func TestRingTagRoutingSurvivesRestart(t *testing.T) {
+// TestRingFindsBottlesItNeverPlaced proves an ID issued outside this ring —
+// before a client restart, or by another client — still routes: the ring
+// finds the bottle even when it lives on a rack the rendezvous hash would try
+// last. On four racks about three in four planted bottles at R=1, and half at
+// R=2, sit outside their intent set, and only the last resort reaches them.
+func TestRingFindsBottlesItNeverPlaced(t *testing.T) {
 	forEachR(t, func(t *testing.T, rf int) {
 		ring, _, racks := testCluster(t, 4, rf)
 
@@ -565,7 +565,10 @@ func TestRingRoutedPrefersFaultOverUnknown(t *testing.T) {
 // TestRingCallsPerOperation pins the one path's "no extra call" rule: on a
 // healthy ring Submit, Reply, Fetch and Remove each call exactly the R racks
 // of the bottle's intent set, and the last resort costs a call only when
-// every one of them answers "unknown" — one per remaining healthy rack.
+// every one of them answers "unknown" — one per remaining healthy rack. A
+// bottle submitted past an ejected intent member is found again once the
+// member is back: the last resort walks the same rank order the submit
+// extended along. A malformed package fails before any rack is called.
 func TestRingCallsPerOperation(t *testing.T) {
 	forEachR(t, func(t *testing.T, rf int) {
 		ring, backs, _ := testCluster(t, 3, rf)
@@ -613,6 +616,41 @@ func TestRingCallsPerOperation(t *testing.T) {
 				return fmt.Errorf("err = %v, want unknown-bottle", err)
 			}
 			return nil
+		})
+
+		calls("Submit of a malformed package", 0, func() error {
+			if _, err := ring.Submit(ctx, raw[:len(raw)-1]); !errors.Is(err, core.ErrMalformedPackage) {
+				return fmt.Errorf("err = %v, want malformed package", err)
+			}
+			return nil
+		})
+
+		raw, pkg = buildRaw(t, 13_001)
+		home := rank(ring.members(), pkg.ID)[0]
+		home.down.Store(true)
+		calls("Submit past an ejected member", rf, func() (err error) {
+			id, err = ring.Submit(ctx, raw)
+			return err
+		})
+		ring.Probe(ctx)
+		if home.down.Load() {
+			t.Fatal("intent member not readmitted")
+		}
+		if _, _, _, ok := backs[home.idx].rack.PeekBottle(pkg.ID); ok {
+			t.Fatal("the readmitted member holds the bottle before any handoff")
+		}
+		// R = 1: the home rack answers unknown, the last resort's first rack
+		// holds it. R = 2: the intent set's second member holds it.
+		calls("Fetch after readmission", 2, func() error {
+			_, err := ring.Fetch(ctx, id)
+			return err
+		})
+		calls("Remove after readmission", 2, func() error {
+			held, err := ring.Remove(ctx, id)
+			if err == nil && !held {
+				err = errors.New("bottle was not held")
+			}
+			return err
 		})
 	})
 }
@@ -695,7 +733,7 @@ func (c *countingCourier) Hint(ctx context.Context, dest string, recs []broker.H
 // TestRingStopsHintingThroughNonReplicatingRack runs R=1 over racks served
 // without replication, the loadgen setup. A bottle submitted while its home
 // rack is ejected lands on the next rack; once the home rack is back, reads
-// and replies ask both (the learned holder and the intent set), and the home
+// and replies ask both (the intent set, then the last resort), and the home
 // rack's "unknown" would ask for a read repair. The holder refused the
 // submit's hint, so it is never asked to relay again and nothing is counted
 // as repaired.
@@ -783,30 +821,4 @@ func TestRingConfigValidation(t *testing.T) {
 	if _, err := NewRing(RingConfig{Backends: []RingBackend{{}}}); err == nil {
 		t.Fatal("NewRing accepted a nil backend")
 	}
-}
-
-// TestRingIDTableBounded proves the routing table evicts FIFO at its cap and
-// routing falls back gracefully for evicted IDs.
-func TestRingIDTableBounded(t *testing.T) {
-	forEachR(t, func(t *testing.T, rf int) {
-		ring, _, _ := testCluster(t, 2, rf)
-		ring.idTab = newIDTable(8)
-		var ids []string
-		for i := 0; i < 24; i++ {
-			raw, pkg := buildRaw(t, int64(11_000+i))
-			if _, err := ring.Submit(context.Background(), raw); err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, pkg.ID)
-		}
-		if n := len(ring.idTab.m); n > 8 {
-			t.Fatalf("id table grew to %d entries (cap 8)", n)
-		}
-		// Evicted IDs still route (the intent set holds them).
-		for _, id := range ids {
-			if held, err := ring.Remove(context.Background(), id); err != nil || !held {
-				t.Fatalf("Remove(%s) after eviction = %v, %v", id, held, err)
-			}
-		}
-	})
 }

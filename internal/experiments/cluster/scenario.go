@@ -397,7 +397,9 @@ func Run(ctx context.Context, h *Harness, preset Preset, cfg ScenarioConfig) (*R
 					// successfully: this sweeper's pending queue is empty.
 					s.flushed.Store(true)
 				}
-				if err != nil || st.Swept == 0 {
+				// Back off unless the tick handed over something new or was
+				// cut by its limit: a tick of copies alone is an idle one.
+				if err != nil || st.Swept == st.Duplicates && !st.Truncated {
 					time.Sleep(time.Millisecond)
 				}
 			}

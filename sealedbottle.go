@@ -116,9 +116,9 @@ type CourierConfig = client.Config
 func Dial(cfg CourierConfig) (*Courier, error) { return client.Dial(cfg) }
 
 // Ring routes the rendezvous protocol across N racks behind the same Backend
-// surface a single rack offers: submits by rendezvous hashing, sweeps fanned
-// out to every healthy rack, replies and fetches steered by a learned
-// ID→rack table, with per-rack failure ejection and probed re-admission.
+// surface a single rack offers: submits, replies and fetches to the ID's
+// top-R racks by rendezvous hashing, sweeps fanned out to every healthy
+// rack, with per-rack failure ejection and probed re-admission.
 type Ring = client.Ring
 
 // RingConfig tunes a Ring. Exactly one of Addrs and Backends must be set.
