@@ -1,7 +1,7 @@
 // Command bottlerack serves a bottle-rack rendezvous broker over TCP: it
 // accepts marshalled sealed-bottle request packages, serves residue-prefilter
 // sweeps, and routes replies back to initiators. Run cmd/loadgen against it
-// to measure throughput, or point broker-mode simulator scenarios at it.
+// to measure throughput.
 //
 // The server speaks the multiplexed wire framing, so pipelined couriers
 // sustain many in-flight requests per connection. With -tag, issued request

@@ -1,6 +1,6 @@
 // Package client is the courier SDK for the bottle-rack broker: the one
 // client-side implementation of the rendezvous protocol that every consumer
-// (cmd/loadgen, the msn simulator's broker-backed delivery, the examples)
+// (cmd/loadgen, the scenario runner, the examples)
 // builds on, so protocol behaviour — pooling, retry discipline, batching —
 // is decided once, here, rather than per caller. The public surface of the
 // module — the root sealedbottle package — re-exports everything here; new

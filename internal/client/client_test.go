@@ -25,6 +25,12 @@ func (d *detReader) Read(p []byte) (int, error) { return d.rng.Read(p) }
 // one of "go"/"shogi".
 func buildRaw(tb testing.TB, seed int64) ([]byte, *core.RequestPackage) {
 	tb.Helper()
+	return buildRawFrom(tb, seed, "alice")
+}
+
+// buildRawFrom is buildRaw with the package's origin named.
+func buildRawFrom(tb testing.TB, seed int64, origin string) ([]byte, *core.RequestPackage) {
+	tb.Helper()
 	built, err := core.BuildRequest(core.RequestSpec{
 		Necessary: []attr.Attribute{attr.MustNew("interest", "chess")},
 		Optional: []attr.Attribute{
@@ -33,7 +39,7 @@ func buildRaw(tb testing.TB, seed int64) ([]byte, *core.RequestPackage) {
 		},
 		MinOptional: 1,
 	}, core.BuildOptions{
-		Origin: "alice",
+		Origin: origin,
 		Rand:   &detReader{rng: rand.New(rand.NewSource(seed))},
 	})
 	if err != nil {

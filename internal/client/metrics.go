@@ -70,6 +70,7 @@ type SweeperMetrics struct {
 	matches     *obs.Counter
 	replies     *obs.Counter
 	replyErrors *obs.Counter
+	repliesShed *obs.Counter
 	duplicates  *obs.Counter
 }
 
@@ -88,6 +89,8 @@ func NewSweeperMetrics(reg *obs.Registry) *SweeperMetrics {
 			"Replies posted successfully."),
 		replyErrors: reg.Counter("sealedbottle_sweeper_reply_errors_total",
 			"Reply posts that failed (transport failures retry next tick)."),
+		repliesShed: reg.Counter("sealedbottle_sweeper_replies_shed_total",
+			"Queued failed replies dropped because the retry queue was full."),
 		duplicates: reg.Counter("sealedbottle_sweeper_duplicates_total",
 			"Swept bottles dropped as copies of a bottle already handled."),
 	}
@@ -101,5 +104,6 @@ func (m *SweeperMetrics) record(start time.Time, st TickStats) {
 	m.matches.Add(uint64(st.Matches))
 	m.replies.Add(uint64(st.Replies))
 	m.replyErrors.Add(uint64(st.ReplyErrors))
+	m.repliesShed.Add(uint64(st.RepliesShed))
 	m.duplicates.Add(uint64(st.Duplicates))
 }

@@ -91,7 +91,7 @@ type rackNode struct {
 
 // Ring routes the rendezvous protocol across N rack endpoints behind the
 // same broker.Backend surface a single rack offers, so every consumer —
-// Sweeper, the msn broker-backed delivery, loadgen, the examples — scales
+// Sweeper, the scenario runner, loadgen, the examples — scales
 // out with zero call-site changes.
 //
 // Routing:

@@ -737,18 +737,45 @@ func (r *Ring) routeBatch(n int, id func(i int) string) ([]idPlan, [][]*rackNode
 // Remove takes the bottle off every live holder, best-effort destructive:
 // it reports whether any held it, and holders the remove could not reach get
 // RecRemove hints so the bottle does not resurface from a returning replica.
-// When nothing answered that it held the bottle but a target faulted or was
-// down, the fault is returned — the bottle may live there, and a clean
+// When some but fewer than R racks answered that they held it, the other
+// healthy racks are asked on in rank order, one at a time, until R holders
+// answered: a submit made while an intent member was ejected left a copy
+// past the intent set, and once that member is back only this walk reaches
+// it. When nothing answered that it held the bottle but a target faulted or
+// was down, the fault is returned — the bottle may live there, and a clean
 // held=false would misreport that ambiguity.
 func (r *Ring) Remove(ctx context.Context, requestID string) (bool, error) {
 	p := r.route(requestID)
-	targets, outs := r.callID(ctx, p, func(n *rackNode) outcome {
+	op := func(n *rackNode) outcome {
 		held, err := n.b.Remove(ctx, p.rest)
 		if err == nil && !held {
 			err = broker.ErrUnknownBottle // not here: answered like any miss
 		}
 		return outcome{err: err}
-	})
+	}
+	targets, outs := r.callID(ctx, p, op)
+	held := 0
+	for _, o := range outs {
+		if o.err == nil {
+			held++
+		}
+	}
+	if held > 0 && held < r.rf {
+		for _, n := range rank(r.healthy(), p.rest) {
+			if held == r.rf || ctx.Err() != nil {
+				break
+			}
+			if slices.Contains(targets, n) || slices.Contains(p.down, n) {
+				continue
+			}
+			o := op(n)
+			r.note(n, o.err)
+			targets, outs = append(targets, n), append(outs, o)
+			if o.err == nil {
+				held++
+			}
+		}
+	}
 	succ, _, faulted, err := resolve(targets, outs, len(p.down))
 	switch {
 	case err == nil:

@@ -568,7 +568,8 @@ func TestRingRoutedPrefersFaultOverUnknown(t *testing.T) {
 // every one of them answers "unknown" — one per remaining healthy rack. A
 // bottle submitted past an ejected intent member is found again once the
 // member is back: the last resort walks the same rank order the submit
-// extended along. A malformed package fails before any rack is called.
+// extended along, and Remove walks it on until R holders answered, so no
+// copy outlives it. A malformed package fails before any rack is called.
 func TestRingCallsPerOperation(t *testing.T) {
 	forEachR(t, func(t *testing.T, rf int) {
 		ring, backs, _ := testCluster(t, 3, rf)
@@ -645,12 +646,21 @@ func TestRingCallsPerOperation(t *testing.T) {
 			_, err := ring.Fetch(ctx, id)
 			return err
 		})
-		calls("Remove after readmission", 2, func() error {
+		// R = 1: as Fetch. R = 2: the second member holds one copy, fewer
+		// than R, so the remove goes on to the third rack, which holds the
+		// extension copy.
+		calls("Remove after readmission", rf+1, func() error {
 			held, err := ring.Remove(ctx, id)
 			if err == nil && !held {
 				err = errors.New("bottle was not held")
 			}
 			return err
+		})
+		calls("Fetch after the remove", len(backs), func() error {
+			if _, err := ring.Fetch(ctx, id); !errors.Is(err, broker.ErrUnknownBottle) {
+				return fmt.Errorf("err = %v, want unknown-bottle: a copy outlived the remove", err)
+			}
+			return nil
 		})
 	})
 }

@@ -35,9 +35,6 @@ type SweeperConfig struct {
 	SeenCap int
 	// ExcludeOrigin skips bottles submitted by this origin server-side.
 	ExcludeOrigin string
-	// Skip, when non-nil, drops a swept bottle by request ID before it is
-	// unmarshalled (e.g. one's own requests in a shared-identity setup).
-	Skip func(requestID string) bool
 	// OnResult, when non-nil, observes every evaluated bottle with the
 	// participant's verdict, before its reply (if any) is posted.
 	OnResult func(pkg *core.RequestPackage, res *core.HandleResult)
@@ -63,6 +60,9 @@ type TickStats struct {
 	// queued and retried on the next Tick, so a hiccup shows up here without
 	// losing the reply; a definitive broker answer drops it for good.
 	ReplyErrors int
+	// RepliesShed is the number of queued replies dropped this tick because
+	// the retry queue held more than maxPendingReplies; they are lost.
+	RepliesShed int
 	// Duplicates is the number of swept bottles dropped as copies of a
 	// bottle already handled (same untagged ID, in the seen window).
 	Duplicates int
@@ -79,11 +79,10 @@ type TickStats struct {
 // replies batched, and moves its cursors so the next sweep returns only
 // bottles that arrived since. It keeps one cursor per rack (a ring's
 // members each have one), and the racks keep nothing for it. It is the
-// single implementation of the loop that
-// loadgen, the msn simulator and the examples previously each hand-rolled.
-// It runs against any Backend — an in-process rack, a courier, a whole ring.
-// Not safe for concurrent use; run one Sweeper per goroutine (they may share
-// a Courier).
+// single implementation of the loop that loadgen, the scenario runner and
+// the examples share. It runs against any Backend — an in-process rack, a
+// courier, a whole ring. Not safe for concurrent use; run one Sweeper per
+// goroutine (they may share a Courier).
 type Sweeper struct {
 	rv       broker.Backend
 	cfg      SweeperConfig
@@ -103,7 +102,7 @@ type Sweeper struct {
 }
 
 // maxPendingReplies bounds the failed-post retry queue; beyond it the oldest
-// replies are shed (their post failures were already reported).
+// replies are shed and counted in TickStats.RepliesShed.
 const maxPendingReplies = 1024
 
 // NewSweeper builds a sweeper, computing the participant's residue sets once.
@@ -176,11 +175,6 @@ func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 			st.Duplicates++
 			continue
 		}
-		// Skip decides on the request ID proper; swept IDs may carry a rack
-		// tag ("tag@id") that callers keying by package ID never see.
-		if s.cfg.Skip != nil && s.cfg.Skip(id) {
-			continue
-		}
 		pkg, err := core.UnmarshalPackage(b.Raw)
 		if err != nil {
 			continue
@@ -220,6 +214,7 @@ func (s *Sweeper) Tick(ctx context.Context) (TickStats, error) {
 	if excess := len(s.pending) - maxPendingReplies; excess > 0 {
 		// Shed the oldest queued replies; their failures were already
 		// reported in the ticks that queued them.
+		st.RepliesShed = excess
 		s.pending = append(s.pending[:0], s.pending[excess:]...)
 	}
 	if s.cfg.Metrics != nil {

@@ -3,12 +3,14 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"sealedbottle/internal/attr"
 	"sealedbottle/internal/broker"
 	"sealedbottle/internal/core"
+	"sealedbottle/internal/obs"
 )
 
 // newParticipant builds a participant whose profile satisfies buildRaw's
@@ -115,31 +117,6 @@ func TestSweeperNonMatching(t *testing.T) {
 	if st.Replies != 0 || st.Matches != 0 {
 		t.Fatalf("non-matching sweeper produced %+v", st)
 	}
-}
-
-// TestSweeperSkip proves the Skip hook drops bottles before evaluation.
-func TestSweeperSkip(t *testing.T) {
-	cfg, rack, cleanup := testServer(t)
-	defer cleanup()
-	raw, pkg := buildRaw(t, 3)
-	if _, err := rack.Submit(context.Background(), raw); err != nil {
-		t.Fatal(err)
-	}
-	sweeper, err := NewSweeper(rack, SweeperConfig{
-		Participant: newParticipant(t, "bob", "chess", "go"),
-		Skip:        func(id string) bool { return id == pkg.ID },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sweeper.Tick(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Swept != 1 || st.Evaluated != 0 {
-		t.Fatalf("skip hook did not drop the bottle: %+v", st)
-	}
-	_ = cfg
 }
 
 // TestSweeperSeenWindowBound proves the seen window stays bounded.
@@ -316,6 +293,102 @@ func TestSweeperDropsDefinitivelyFailedReplies(t *testing.T) {
 	if rv.replyCalls != calls {
 		t.Fatal("sweeper retried a reply the broker definitively rejected")
 	}
+}
+
+// TestSweeperShedsQueuedReplies proves the failed-post retry queue stays
+// bounded and counts what it drops: the oldest replies go first, and the
+// tick's stats and the shared metrics both report how many.
+func TestSweeperShedsQueuedReplies(t *testing.T) {
+	const extra = 6
+	rv := &flakyRV{failReplies: 1 << 30}
+	for i := range maxPendingReplies + extra {
+		raw, pkg := buildRawFrom(t, 30_000+int64(i), fmt.Sprintf("alice-%d", i))
+		rv.bottles = append(rv.bottles, broker.SweptBottle{ID: pkg.ID, Raw: raw})
+	}
+	m := NewSweeperMetrics(obs.NewRegistry())
+	sweeper, err := NewSweeper(rv, SweeperConfig{
+		Participant: newParticipant(t, "bob", "chess", "go"),
+		Limit:       len(rv.bottles),
+		Metrics:     m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sweeper.Tick(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Evaluated != len(rv.bottles) || st.ReplyErrors != len(rv.bottles) || st.RepliesShed != extra {
+		t.Fatalf("tick 1 = %+v, want %d failed posts and %d shed", st, len(rv.bottles), extra)
+	}
+	if len(sweeper.pending) != maxPendingReplies {
+		t.Fatalf("queue holds %d replies, want %d", len(sweeper.pending), maxPendingReplies)
+	}
+	if sweeper.pending[0].RequestID != rv.bottles[extra].ID {
+		t.Fatal("the queue did not shed its oldest replies first")
+	}
+	// The retry fails again: the queue is refilled to the bound, not past
+	// it, and nothing more is shed.
+	st, err = sweeper.Tick(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ReplyErrors != maxPendingReplies || st.RepliesShed != 0 || len(sweeper.pending) != maxPendingReplies {
+		t.Fatalf("tick 2 = %+v with %d queued, want %d failed retries and none shed", st, len(sweeper.pending), maxPendingReplies)
+	}
+	if got := m.repliesShed.Value(); got != extra {
+		t.Fatalf("shed counter = %d, want %d", got, extra)
+	}
+}
+
+// TestSweeperExcludeOriginThroughRing proves ExcludeOrigin holds end to end
+// through a ring: the sweeper never evaluates a bottle of its own origin,
+// and evaluates every other bottle once, whatever the replication.
+func TestSweeperExcludeOriginThroughRing(t *testing.T) {
+	forEachR(t, func(t *testing.T, rf int) {
+		ring, _, _ := testCluster(t, 3, rf)
+		ctx := context.Background()
+		others := make(map[string]bool)
+		for i := range 8 {
+			origin := "alice"
+			if i%2 == 0 {
+				origin = "bob"
+			}
+			raw, pkg := buildRawFrom(t, 40_000+int64(i), origin)
+			if _, err := ring.Submit(ctx, raw); err != nil {
+				t.Fatal(err)
+			}
+			if origin != "bob" {
+				others[pkg.ID] = false
+			}
+		}
+		sweeper, err := NewSweeper(ring, SweeperConfig{
+			Participant:   newParticipant(t, "bob", "chess", "go"),
+			ExcludeOrigin: "bob",
+			OnResult: func(pkg *core.RequestPackage, _ *core.HandleResult) {
+				if pkg.Origin == "bob" {
+					t.Errorf("evaluated %s, a bottle of the sweeper's own origin", pkg.ID)
+				}
+				if done, ok := others[pkg.ID]; !ok || done {
+					t.Errorf("evaluated %s unexpectedly (known %v, again %v)", pkg.ID, ok, done)
+				}
+				others[pkg.ID] = true
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, err := sweeper.Tick(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id, done := range others {
+			if !done {
+				t.Errorf("bottle %s of another origin was never evaluated", id)
+			}
+		}
+	})
 }
 
 // TestSweeperValidation proves constructor preconditions.

@@ -119,8 +119,8 @@ type windowHistory struct {
 	held    []string
 	raws    map[string][]byte
 	built   int64
-	// handled is every ID the sweeper let past its seen window, ticked the
-	// IDs of the current tick; stateless is the reference of the last tick.
+	// handled is every ID the sweeper evaluated, ticked the IDs evaluated
+	// in the current tick; stateless is the reference of the last tick.
 	handled, stateless map[string]bool
 	ticked             []string
 }
@@ -134,9 +134,8 @@ func newWindowHistory(t *testing.T, clock *windowClock, b broker.Backend, limit 
 	h.sweeper, err = NewSweeper(h.link, SweeperConfig{
 		Participant: newParticipant(t, "bob", "chess", "go"),
 		Limit:       limit,
-		Skip: func(id string) bool {
-			h.ticked = append(h.ticked, id)
-			return false
+		OnResult: func(pkg *core.RequestPackage, _ *core.HandleResult) {
+			h.ticked = append(h.ticked, pkg.ID)
 		},
 	})
 	if err != nil {

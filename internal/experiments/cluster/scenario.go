@@ -160,6 +160,7 @@ func addTicks(sum *sealedbottle.TickStats, st sealedbottle.TickStats) {
 	sum.Matches += st.Matches
 	sum.Replies += st.Replies
 	sum.ReplyErrors += st.ReplyErrors
+	sum.RepliesShed += st.RepliesShed
 	sum.Duplicates += st.Duplicates
 	sum.Scanned += st.Scanned
 	sum.Rejected += st.Rejected

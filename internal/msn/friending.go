@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sealedbottle/internal/attr"
-	"sealedbottle/internal/client"
 	"sealedbottle/internal/core"
 	"sealedbottle/internal/crypt"
 )
@@ -22,22 +21,6 @@ type FriendingApp struct {
 	part *core.Participant
 
 	initiators map[string]*core.Initiator // request ID -> local initiator state
-	// pending lists this node's requests in creation order with their expiry,
-	// so broker-mode reply fetching iterates deterministically and stops once
-	// a request's bottle has expired off the rack.
-	pending []pendingRequest
-
-	// rendezvous, when non-nil, delivers requests and replies through the
-	// bottle-rack broker instead of multi-hop flooding.
-	rendezvous Rendezvous
-	// sweepPrimes lists the remainder primes this node screens against.
-	sweepPrimes []uint32
-	// sweeper is the courier SDK's sweep-evaluate-reply loop bound to this
-	// node's participant; it owns the bounded seen-ID window.
-	sweeper *client.Sweeper
-	// tickNow is the simulated time of the RendezvousTick in progress, read by
-	// the sweeper's OnResult hook when recording peer matches.
-	tickNow time.Time
 
 	// PeerMatches records matches this node learned about as a participant
 	// (Protocol 1 only: the participant can verify locally).
@@ -67,14 +50,6 @@ type FriendingConfig struct {
 	// Rand supplies randomness for initiator/participant crypto (nil:
 	// crypto/rand).
 	Rand io.Reader
-	// Rendezvous, when non-nil, switches the node to broker-backed delivery:
-	// StartSearch submits the bottle to the rack and RendezvousTick (usually
-	// driven via Simulator.Every or AttachRendezvous) sweeps, replies and
-	// fetches instead of the flooding path.
-	Rendezvous Rendezvous
-	// SweepPrimes lists the remainder primes swept in broker mode
-	// (nil: core.DefaultPrime only).
-	SweepPrimes []uint32
 }
 
 // NewFriendingApp creates the application layer for one node and registers it
@@ -87,15 +62,10 @@ func NewFriendingApp(sim *Simulator, id NodeID, pos Position, cfg FriendingConfi
 		return nil, nil, errors.New("msn: friending node needs a non-empty profile")
 	}
 	app := &FriendingApp{
-		id:          id,
-		sim:         sim,
-		initiators:  make(map[string]*core.Initiator),
-		rejected:    make(map[core.RejectReason]int),
-		rendezvous:  cfg.Rendezvous,
-		sweepPrimes: cfg.SweepPrimes,
-	}
-	if app.rendezvous != nil && len(app.sweepPrimes) == 0 {
-		app.sweepPrimes = []uint32{core.DefaultPrime}
+		id:         id,
+		sim:        sim,
+		initiators: make(map[string]*core.Initiator),
+		rejected:   make(map[core.RejectReason]int),
 	}
 	pcfg := cfg.Participant
 	pcfg.ID = string(id)
@@ -108,11 +78,6 @@ func NewFriendingApp(sim *Simulator, id NodeID, pos Position, cfg FriendingConfi
 		return nil, nil, fmt.Errorf("msn: building participant for %q: %w", id, err)
 	}
 	app.part = part
-	if app.rendezvous != nil {
-		if err := app.initRendezvous(); err != nil {
-			return nil, nil, err
-		}
-	}
 	node, err := sim.AddNode(id, pos, app)
 	if err != nil {
 		return nil, nil, err
@@ -158,17 +123,6 @@ func (a *FriendingApp) StartSearch(spec core.RequestSpec, opts SearchOptions) (s
 		return "", fmt.Errorf("msn: marshalling request: %w", err)
 	}
 	a.initiators[pkg.ID] = init
-	if a.rendezvous != nil {
-		// pending is only consumed (and pruned) by RendezvousTick; the
-		// flooding path routes replies by correlation ID instead.
-		a.pending = append(a.pending, pendingRequest{id: pkg.ID, expires: pkg.ExpiresAt})
-		if err := a.startRendezvousSearch(payload); err != nil {
-			delete(a.initiators, pkg.ID)
-			a.pending = a.pending[:len(a.pending)-1]
-			return "", err
-		}
-		return pkg.ID, nil
-	}
 	msg := &Message{
 		Kind:    KindRequest,
 		ID:      pkg.ID,

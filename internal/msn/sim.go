@@ -27,20 +27,16 @@ type Simulator struct {
 	stats Stats
 }
 
-// event is a scheduled occurrence: a frame delivery, a mobility tick (nil msg
-// and fn), or a periodic hook registered with Every (non-nil fn).
+// event is a scheduled occurrence: a frame delivery, or a mobility tick (nil
+// msg).
 type event struct {
 	at  time.Time
 	seq uint64 // tie-breaker for determinism
 
-	// delivery fields (nil msg means this is a mobility tick or hook)
+	// delivery fields (nil msg means this is a mobility tick)
 	to   NodeID
 	from NodeID
 	msg  *Message
-
-	// periodic hook fields
-	fn    func(now time.Time)
-	every time.Duration
 }
 
 // eventQueue is a min-heap ordered by (time, sequence).
@@ -234,33 +230,12 @@ func (s *Simulator) Step() bool {
 	if e.at.After(s.clock) {
 		s.clock = e.at
 	}
-	if e.fn != nil {
-		e.fn(s.clock)
-		if e.every > 0 {
-			s.schedule(&event{at: s.clock.Add(e.every), fn: e.fn, every: e.every})
-		}
-		return true
-	}
 	if e.msg == nil {
 		s.mobilityTick()
 		return true
 	}
 	s.deliver(e)
 	return true
-}
-
-// Every schedules fn to run on the simulated clock each interval, starting
-// one interval from now. Hooks run in registration order when co-scheduled;
-// they drive periodic application behaviour such as rendezvous sweeps.
-func (s *Simulator) Every(interval time.Duration, fn func(now time.Time)) error {
-	if interval <= 0 {
-		return fmt.Errorf("msn: Every interval must be positive, got %v", interval)
-	}
-	if fn == nil {
-		return fmt.Errorf("msn: Every requires a non-nil hook")
-	}
-	s.schedule(&event{at: s.clock.Add(interval), fn: fn, every: interval})
-	return nil
 }
 
 // Run processes events until the queue drains or the simulated clock passes
@@ -287,10 +262,9 @@ func (s *Simulator) RunFor(d time.Duration) int {
 }
 
 // Drain processes events regardless of time until no frame deliveries remain
-// pending. Self-rescheduling periodic events (mobility ticks, Every hooks)
-// are processed while deliveries are outstanding but do not keep Drain alive
-// on their own — otherwise a simulation with mobility or a periodic hook
-// would never drain.
+// pending. Self-rescheduling mobility ticks are processed while deliveries
+// are outstanding but do not keep Drain alive on their own — otherwise a
+// simulation with mobility would never drain.
 func (s *Simulator) Drain() int {
 	processed := 0
 	for s.deliveries > 0 && s.Step() {

@@ -3,6 +3,9 @@ package msn
 import (
 	"testing"
 	"time"
+
+	"sealedbottle/internal/attr"
+	"sealedbottle/internal/core"
 )
 
 // collector is a Handler that records delivered messages and optionally
@@ -318,5 +321,41 @@ func TestNodeSpeedClamp(t *testing.T) {
 	n.SetPosition(Position{X: 7})
 	if n.Position().X != 7 {
 		t.Error("SetPosition failed")
+	}
+}
+
+// TestDrainTerminatesWithPeriodicHooks checks that the self-rescheduling
+// mobility tick neither keeps Drain alive on its own nor stops it before a
+// pending delivery is processed.
+func TestDrainTerminatesWithPeriodicHooks(t *testing.T) {
+	sim := NewSimulator(Config{MobilityInterval: time.Second})
+	if n := sim.Drain(); n != 0 {
+		t.Fatalf("Drain with only periodic events processed %d, want 0", n)
+	}
+	// With a delivery pending, Drain must process it (and any periodic events
+	// scheduled before it) and then stop again.
+	alice, _, err := NewFriendingApp(sim, "alice", Position{}, FriendingConfig{
+		Profile: attr.NewProfile(attr.MustNew("interest", "chess")),
+		Rand:    newDetReader(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := NewFriendingApp(sim, "bob", Position{X: 10}, FriendingConfig{
+		Profile: attr.NewProfile(attr.MustNew("interest", "chess")),
+		Rand:    newDetReader(2),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.StartSearch(core.PerfectMatch(attr.MustNew("interest", "chess")), SearchOptions{
+		Rand: newDetReader(3),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.Drain(); n == 0 {
+		t.Fatal("Drain ignored a pending delivery")
+	}
+	if len(alice.Matches()) != 1 {
+		t.Fatalf("matches = %d, want 1", len(alice.Matches()))
 	}
 }
