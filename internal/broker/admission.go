@@ -12,7 +12,9 @@ import (
 // would cross the bound, buckets that have refilled to capacity (identities
 // idle long enough to be indistinguishable from new ones) are pruned; a
 // hostile client minting unbounded identities therefore costs one bucket
-// each, recycled as soon as it goes idle.
+// each, recycled as soon as it goes idle. When none has refilled, the bucket
+// owing the least is evicted (Evicted counts these), so the table never
+// holds more than the bound.
 const admissionMaxBuckets = 8192
 
 // Admission is a per-identity token-bucket admission controller: each
@@ -28,6 +30,8 @@ type Admission struct {
 	burst float64 // bucket capacity
 	now   func() time.Time
 	shed  atomic.Uint64
+	// evicted counts buckets dropped at the table bound before refilling.
+	evicted atomic.Uint64
 
 	mu      sync.Mutex
 	buckets map[string]*admissionBucket
@@ -139,12 +143,25 @@ func (a *Admission) Allow(identity string) bool {
 }
 
 // pruneLocked drops buckets that have refilled to capacity; they carry no
-// state a fresh bucket would not.
+// state a fresh bucket would not. When none has, it evicts the bucket with
+// the most tokens, found in the same pass: its identity loses the least
+// debt by starting over.
 func (a *Admission) pruneLocked(now time.Time) {
+	var fullest string
+	most := -1.0
+	freed := false
 	for id, b := range a.buckets {
-		if b.tokens+now.Sub(b.last).Seconds()*a.rate >= a.burst {
+		tokens := b.tokens + now.Sub(b.last).Seconds()*a.rate
+		if tokens >= a.burst {
 			delete(a.buckets, id)
+			freed = true
+		} else if tokens > most {
+			fullest, most = id, tokens
 		}
+	}
+	if !freed {
+		delete(a.buckets, fullest)
+		a.evicted.Add(1)
 	}
 }
 
@@ -154,4 +171,14 @@ func (a *Admission) Shed() uint64 {
 		return 0
 	}
 	return a.shed.Load()
+}
+
+// Evicted returns the number of buckets evicted at the table bound before
+// they had refilled. An eviction sheds nothing: the identity's next call
+// starts a fresh bucket.
+func (a *Admission) Evicted() uint64 {
+	if a == nil {
+		return 0
+	}
+	return a.evicted.Load()
 }

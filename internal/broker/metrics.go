@@ -43,6 +43,7 @@ func CollectStats(e *obs.Emitter, st Stats) {
 func CollectAdmission(e *obs.Emitter, a *Admission) {
 	rate, burst := a.Limits()
 	e.Counter("sealedbottle_admission_shed_total", "Operations shed by per-identity admission quota.", a.Shed())
+	e.Counter("sealedbottle_admission_evicted_total", "Admission buckets evicted at the table bound before refilling.", a.Evicted())
 	e.Gauge("sealedbottle_admission_rate", "Admission rate limit per identity (ops/s; 0 = disabled).", rate)
 	e.Gauge("sealedbottle_admission_burst", "Admission burst capacity per identity (0 = disabled).", burst)
 }

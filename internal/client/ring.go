@@ -155,6 +155,11 @@ type Ring struct {
 	closed      chan struct{}
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
+
+	// jobs hands fan-out indexes to parked workers (each, fanWorker); parked
+	// counts the workers waiting on it, at most fanPark.
+	jobs   chan fanJob
+	parked atomic.Int32
 }
 
 // The ring implements the canonical Backend surface.
@@ -184,6 +189,7 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 		rf:            cfg.Replication,
 		courierTmpl:   cfg.Courier,
 		closed:        make(chan struct{}),
+		jobs:          make(chan fanJob),
 	}
 	var nodes []*rackNode
 	if len(cfg.Addrs) > 0 {
@@ -231,9 +237,11 @@ func (r *Ring) members() []*rackNode {
 	return *r.nodes.Load()
 }
 
-// Close stops the prober and closes the backends the ring dialed itself
-// (Addrs mode and AddRackAddr). Supplied Backends are left running — they
-// belong to the caller.
+// Close stops the prober and the parked fan-out workers, and closes the
+// backends the ring dialed itself (Addrs mode and AddRackAddr). Supplied
+// Backends are left running — they belong to the caller. A worker still
+// running a call's job exits when the job is done; a fan-out after Close
+// starts workers that exit the same way.
 func (r *Ring) Close() error {
 	r.closeOnce.Do(func() { close(r.closed) })
 	r.wg.Wait()
@@ -249,8 +257,8 @@ func (r *Ring) Close() error {
 }
 
 // sweepMergeSets pools Sweep's per-call replica-dedup sets. A set is only
-// used (and only Put back) by the Sweep call that Got it, after the fan-out
-// goroutines have been joined, so pooled sets are always empty and unshared.
+// used (and only Put back) by the Sweep call that Got it, after its fan-out
+// has been joined, so pooled sets are always empty and unshared.
 var sweepMergeSets = sync.Pool{
 	New: func() any { return make(map[string]struct{}, broker.DefaultSweepLimit) },
 }
@@ -344,9 +352,10 @@ func hrwScore(name, id string) uint64 {
 
 // rank orders nodes by descending rendezvous weight for an ID, ties going to
 // the lower rack index; every placement and fallback order reads it. Each
-// node is scored once (an insertion sort: rings are a handful of racks).
-func rank(nodes []*rackNode, id string) []*rackNode {
-	out := make([]*rackNode, len(nodes))
+// node is scored once (an insertion sort: rings are a handful of racks). The
+// order is built in dst's array when it has the room.
+func rank(dst, nodes []*rackNode, id string) []*rackNode {
+	out := slices.Grow(dst[:0], len(nodes))[:len(nodes)]
 	var small [8]uint64
 	scores := small[:]
 	if len(nodes) > len(small) {
@@ -401,7 +410,7 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 		cursors = broker.MemberCursors(cursors, q.Cursors, n.name)
 		parts[i].cursors = cursors[from:len(cursors):len(cursors)]
 	}
-	each(len(healthy), func(i int) {
+	r.each(len(healthy), func(i int) {
 		if err := ctx.Err(); err != nil {
 			parts[i].err = err
 			return
@@ -506,7 +515,7 @@ func (r *Ring) Stats(ctx context.Context) (broker.Stats, error) {
 	}
 	nodes := r.members()
 	parts := make([]part, len(nodes))
-	each(len(nodes), func(i int) {
+	r.each(len(nodes), func(i int) {
 		if err := ctx.Err(); err != nil {
 			parts[i] = part{err: err}
 			return

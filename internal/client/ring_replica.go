@@ -122,7 +122,7 @@ func (r *Ring) RemoveRack(name string) error {
 // currently ejected, which get hints instead of writes. With every rack
 // healthy at R=1 this is the top-ranked rack alone.
 func (r *Ring) submitTargets(id string) (live, missed []*rackNode) {
-	ranked := rank(r.members(), id)
+	ranked := rank(nil, r.members(), id)
 	rf := min(r.rf, len(ranked))
 	// live is compacted into ranked's own array: each write lands at or
 	// before the element the loop is reading.
@@ -156,7 +156,8 @@ type idPlan struct {
 // by callID's last resort.
 func (r *Ring) route(id string) idPlan {
 	p := idPlan{rest: broker.UntagID(id), live: make([]*rackNode, 0, r.rf)}
-	ranked := rank(r.members(), p.rest)
+	var buf [8]*rackNode
+	ranked := rank(buf[:0], r.members(), p.rest)
 	for _, n := range ranked[:min(r.rf, len(ranked))] {
 		if n.down.Load() {
 			p.down = append(p.down, n)
@@ -250,23 +251,72 @@ type outcome struct {
 	replies [][]byte
 }
 
-// each runs fn(i) for every i < n concurrently — every index but the last
-// on a goroutine of its own, the last on the caller's — and returns once all
-// have returned.
-func each(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := range n {
-		if i == n-1 {
-			fn(i)
-			break
+// fanPark caps the fan-out workers a ring keeps parked between calls. One
+// fan-out takes a worker per rack but the last, so this serves a few
+// concurrent callers of a small ring without starting a goroutine; past it,
+// a worker that finishes its job exits instead of parking.
+const fanPark = 8
+
+// fanJob is one index of a fan-out, handed to a worker; done is the join of
+// the each call it belongs to.
+type fanJob struct {
+	fn   func(i int)
+	i    int
+	done *sync.WaitGroup
+}
+
+// fanJoins pools each's joins. A join goes back only after its Wait has
+// returned, so a pooled one is always at zero and shared with nobody.
+var fanJoins = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
+// each runs fn(i) for every i < n concurrently — every index but the last on
+// one of the ring's parked fan-out workers (a new worker when none is idle),
+// the last on the caller's goroutine — and returns once all have returned.
+// Nothing is shared between callers but idle workers, so concurrent calls
+// to one rack stay concurrent and its Mux keeps pipelining them.
+func (r *Ring) each(n int, fn func(i int)) {
+	if n <= 1 {
+		if n == 1 {
+			fn(0)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i)
-		}()
+		return
 	}
+	wg := fanJoins.Get().(*sync.WaitGroup)
+	wg.Add(n - 1)
+	for i := range n - 1 {
+		job := fanJob{fn: fn, i: i, done: wg}
+		select {
+		case r.jobs <- job: // unbuffered: taken only by an idle worker
+		default:
+			go r.fanWorker(job)
+		}
+	}
+	fn(n - 1)
 	wg.Wait()
+	fanJoins.Put(wg)
+}
+
+// fanWorker runs job, then parks for the next one until the ring closes,
+// keeping the stack the jobs grew. It exits instead of parking when fanPark
+// workers already are. A parked worker holds nothing of the job it ran, so
+// it pins no sweep page or caller state.
+func (r *Ring) fanWorker(job fanJob) {
+	for {
+		job.fn(job.i)
+		job.done.Done()
+		job = fanJob{}
+		if r.parked.Add(1) > fanPark {
+			r.parked.Add(-1)
+			return
+		}
+		select {
+		case job = <-r.jobs:
+			r.parked.Add(-1)
+		case <-r.closed:
+			r.parked.Add(-1)
+			return
+		}
+	}
 }
 
 // fanout runs op against every target concurrently and returns the
@@ -274,7 +324,7 @@ func each(n int, fn func(i int)) {
 // called when the context ends report its error.
 func (r *Ring) fanout(ctx context.Context, targets []*rackNode, op func(n *rackNode) outcome) []outcome {
 	outs := make([]outcome, len(targets))
-	each(len(targets), func(i int) {
+	r.each(len(targets), func(i int) {
 		if err := ctx.Err(); err != nil {
 			outs[i].err = err
 			return
@@ -301,9 +351,15 @@ type rackCells struct {
 // each of its cells — as is the context's error for racks never called.
 func (r *Ring) dispatchGroups(ctx context.Context, targets [][]*rackNode, call func(n *rackNode, cells []cell, outs [][]outcome) error) [][]outcome {
 	outs := make([][]outcome, len(targets))
-	var groups []rackCells // in order of first appearance; racks are few
+	total := 0
+	for _, ts := range targets {
+		total += len(ts)
+	}
+	flat := make([]outcome, total) // one array backs every item's outcomes
+	// In order of first appearance; racks are few.
+	groups := make([]rackCells, 0, len(r.members()))
 	for i, ts := range targets {
-		outs[i] = make([]outcome, len(ts))
+		outs[i], flat = flat[:len(ts):len(ts)], flat[len(ts):]
 		for j, n := range ts {
 			k := slices.IndexFunc(groups, func(g rackCells) bool { return g.n == n })
 			if k < 0 {
@@ -313,21 +369,17 @@ func (r *Ring) dispatchGroups(ctx context.Context, targets [][]*rackNode, call f
 			groups[k].cells = append(groups[k].cells, cell{i, j})
 		}
 	}
-	fail := func(cells []cell, err error) {
-		for _, s := range cells {
-			outs[s.item][s.target] = outcome{err: err}
-		}
-	}
-	each(len(groups), func(k int) {
+	r.each(len(groups), func(k int) {
 		g := groups[k]
-		if err := ctx.Err(); err != nil {
-			fail(g.cells, err)
-			return
+		err := ctx.Err()
+		if err == nil {
+			err = call(g.n, g.cells, outs)
+			r.note(g.n, err)
 		}
-		err := call(g.n, g.cells, outs)
-		r.note(g.n, err)
 		if err != nil {
-			fail(g.cells, err)
+			for _, s := range g.cells {
+				outs[s.item][s.target] = outcome{err: err}
+			}
 		}
 	})
 	return outs
@@ -392,7 +444,7 @@ func (r *Ring) callID(ctx context.Context, p idPlan, op func(n *rackNode) outcom
 	if !missedEverywhere(outs) {
 		return targets, outs
 	}
-	for _, n := range rank(r.healthy(), p.rest) {
+	for _, n := range rank(nil, r.healthy(), p.rest) {
 		if slices.Contains(p.live, n) || slices.Contains(p.down, n) {
 			continue
 		}
@@ -414,8 +466,11 @@ func (r *Ring) callID(ctx context.Context, p idPlan, op func(n *rackNode) outcom
 // as down counts as one, since it may hold the bottle; then unknown-bottle.
 // "Unknown" reads as a definitive broker answer — the Sweeper drops, rather
 // than queues, replies on those — so it must never mask a rack that could
-// not answer. With no target called, every rack is ejected.
-func resolve(targets []*rackNode, outs []outcome, down int) (succ, missing, faulted []*rackNode, err error) {
+// not answer. With no target called, every rack is ejected. succ is built
+// in buf, which callers back with an array of their own: it never leaves
+// their call.
+func resolve(buf, targets []*rackNode, outs []outcome, down int) (succ, missing, faulted []*rackNode, err error) {
+	succ = buf[:0]
 	var defErr, faultErr, lastErr error
 	for i, n := range targets {
 		switch e := outs[i].err; classify(e) {
@@ -532,7 +587,9 @@ func (r *Ring) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitR
 // have been on a single rack. Targets that missed the write (ejected at
 // planning time, or failed during it) get RecSubmit hints through a holder.
 func (r *Ring) settleSubmit(h *hintSet, raw []byte, live, missed []*rackNode, outs []outcome) (string, error) {
-	var holders, failed []*rackNode
+	var buf [4]*rackNode
+	holders := buf[:0]
+	var failed []*rackNode
 	first := -1
 	var firstErr error
 	for i, n := range live {
@@ -624,7 +681,8 @@ func (r *Ring) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]erro
 // queued replies from a holder) for live ones that turned out not to hold
 // the bottle at all.
 func (r *Ring) settleReply(h *hintSet, p idPlan, raw []byte, targets []*rackNode, outs []outcome) error {
-	succ, missing, faulted, err := resolve(targets, outs, len(p.down))
+	var buf [4]*rackNode
+	succ, missing, faulted, err := resolve(buf[:], targets, outs, len(p.down))
 	if err != nil {
 		return err
 	}
@@ -695,7 +753,8 @@ func (r *Ring) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResu
 // drain, so its error comes back beside what was drained: the caller
 // retries after backoff instead of mistaking a partial drain for complete.
 func (r *Ring) settleFetch(h *hintSet, p idPlan, targets []*rackNode, outs []outcome) ([][]byte, error) {
-	succ, missing, _, err := resolve(targets, outs, len(p.down))
+	var buf [4]*rackNode
+	succ, missing, _, err := resolve(buf[:], targets, outs, len(p.down))
 	if err != nil {
 		return nil, err
 	}
@@ -761,7 +820,7 @@ func (r *Ring) Remove(ctx context.Context, requestID string) (bool, error) {
 		}
 	}
 	if held > 0 && held < r.rf {
-		for _, n := range rank(r.healthy(), p.rest) {
+		for _, n := range rank(nil, r.healthy(), p.rest) {
 			if held == r.rf || ctx.Err() != nil {
 				break
 			}
@@ -776,7 +835,8 @@ func (r *Ring) Remove(ctx context.Context, requestID string) (bool, error) {
 			}
 		}
 	}
-	succ, _, faulted, err := resolve(targets, outs, len(p.down))
+	var buf [4]*rackNode
+	succ, _, faulted, err := resolve(buf[:], targets, outs, len(p.down))
 	switch {
 	case err == nil:
 		if len(p.down)+len(faulted) > 0 {

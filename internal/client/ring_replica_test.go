@@ -31,7 +31,7 @@ func TestRingReplicatedSubmitPlacesRCopies(t *testing.T) {
 		if _, err := ring.Submit(ctx, raw); err != nil {
 			t.Fatal(err)
 		}
-		ranked := rank(ring.members(), pkg.ID)
+		ranked := rank(nil, ring.members(), pkg.ID)
 		for j, n := range ranked {
 			_, _, _, held := rackFor(t, n, racks).PeekBottle(pkg.ID)
 			if want := j < 2; held != want {
@@ -135,7 +135,7 @@ func TestRingReplicatedReadRepairCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop the second replica's copy behind the ring's back.
-	ranked := rank(ring.members(), pkg.ID)
+	ranked := rank(nil, ring.members(), pkg.ID)
 	if _, err := rackFor(t, ranked[1], racks).Remove(ctx, pkg.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRingReplicatedBatchPaths(t *testing.T) {
 		if subs[i].Err != nil {
 			t.Fatalf("item %d: %v", i, subs[i].Err)
 		}
-		ranked := rank(ring.members(), pkgs[i].ID)
+		ranked := rank(nil, ring.members(), pkgs[i].ID)
 		for j := 0; j < 2; j++ {
 			if _, _, _, ok := rackFor(t, ranked[j], racks).PeekBottle(pkgs[i].ID); !ok {
 				t.Fatalf("item %d missing from replica %d", i, j)
@@ -243,10 +243,10 @@ func TestRingMembershipAddRemove(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("bottle-%d", i)
 		oldSet := map[string]bool{}
-		for _, n := range rank(two, id)[:2] {
+		for _, n := range rank(nil, two, id)[:2] {
 			oldSet[n.name] = true
 		}
-		for _, n := range rank(all, id)[:2] {
+		for _, n := range rank(nil, all, id)[:2] {
 			if n.name != "rack-2" && !oldSet[n.name] {
 				t.Fatalf("id %q moved between pre-existing members on add", id)
 			}
@@ -256,7 +256,7 @@ func TestRingMembershipAddRemove(t *testing.T) {
 	placedOnNew := false
 	for seed := int64(300); seed < 340 && !placedOnNew; seed++ {
 		raw, pkg := buildRaw(t, seed)
-		ranked := rank(ring.members(), pkg.ID)
+		ranked := rank(nil, ring.members(), pkg.ID)
 		if ranked[0].name != "rack-2" && ranked[1].name != "rack-2" {
 			continue
 		}
@@ -367,7 +367,7 @@ func TestRingHintedHandoffConvergence(t *testing.T) {
 	ring, nodes := replicatedNodes(t, 3, 2)
 	ctx := context.Background()
 	raw, pkg := buildRaw(t, 1234)
-	ranked := rank(ring.members(), pkg.ID)
+	ranked := rank(nil, ring.members(), pkg.ID)
 	victim := ranked[1] // second replica goes down before the submit
 	victim.down.Store(true)
 
@@ -412,7 +412,7 @@ func TestRingReadRepairConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := rank(ring.members(), pkg.ID)
+	ranked := rank(nil, ring.members(), pkg.ID)
 	missing := nodeByName(t, nodes, ranked[1].name)
 	if _, err := missing.Remove(ctx, pkg.ID); err != nil {
 		t.Fatal(err)

@@ -189,7 +189,7 @@ func TestRingRoutingDeterminism(t *testing.T) {
 				t.Fatalf("rack %d does not hold %s: %v", rackIdx, pkg.ID, err)
 			}
 			// An independent ring agrees on placement.
-			if got := rank(ring2.healthy(), pkg.ID)[0].name; got != fmt.Sprintf("rack-%d", rackIdx) {
+			if got := rank(nil, ring2.healthy(), pkg.ID)[0].name; got != fmt.Sprintf("rack-%d", rackIdx) {
 				t.Fatalf("ring2 routes %s to %s, ring1 placed it on rack-%d", pkg.ID, got, rackIdx)
 			}
 		}
@@ -627,7 +627,7 @@ func TestRingCallsPerOperation(t *testing.T) {
 		})
 
 		raw, pkg = buildRaw(t, 13_001)
-		home := rank(ring.members(), pkg.ID)[0]
+		home := rank(nil, ring.members(), pkg.ID)[0]
 		home.down.Store(true)
 		calls("Submit past an ejected member", rf, func() (err error) {
 			id, err = ring.Submit(ctx, raw)
@@ -776,7 +776,7 @@ func TestRingStopsHintingThroughNonReplicatingRack(t *testing.T) {
 	}
 
 	raw, pkg := buildRaw(t, 14_000)
-	home := rank(ring.members(), pkg.ID)[0]
+	home := rank(nil, ring.members(), pkg.ID)[0]
 	home.down.Store(true)
 	id, err := ring.Submit(ctx, raw)
 	if err != nil {
