@@ -486,22 +486,32 @@ func BenchmarkRackSweep(b *testing.B) {
 // and 3 optional tags, swept by a candidate with 7 distinct residues mod 11
 // whose cursor already stands past every racked bottle. Each sweep screens
 // every bottle and returns none, so ns/bottle is the per-bottle cost of the
-// screen. racked=5000 is friend-1rack's
-// rack, 5000 distinct packages; racked=50000 is sweep-churn's, 2000 distinct
-// packages cloned round-robin under fresh IDs, which no longer fits a cache.
+// screen. racked=5000 is friend-1rack's rack, 5000 distinct packages;
+// racked=50000 is sweep-churn's, 2000 distinct packages cloned round-robin
+// under fresh IDs, which no longer fits a cache.
+// Two slow cases of friend-1rack's rack follow: a candidate holding a single
+// residue, which lacks all residue rows but one, and prime 67, past the
+// residue masks, where every bottle takes PrefilterMatch.
 func BenchmarkRackSweepScreening(b *testing.B) {
-	for _, c := range []struct{ racked, distinct int }{{5000, 5000}, {50000, 2000}} {
-		b.Run(fmt.Sprintf("racked=%d", c.racked), func(b *testing.B) {
-			benchSweepScreening(b, c.racked, c.distinct)
+	for _, c := range []struct {
+		name             string
+		racked, distinct int
+		residues         int
+		prime            uint32
+	}{
+		{"racked=5000", 5000, 5000, 7, core.DefaultPrime},
+		{"racked=50000", 50000, 2000, 7, core.DefaultPrime},
+		{"racked=5000,residues=1", 5000, 5000, 1, core.DefaultPrime},
+		{"racked=5000,prime=67", 5000, 5000, 7, 67},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			benchSweepScreening(b, c.racked, c.distinct, c.residues, c.prime)
 		})
 	}
 }
 
-func benchSweepScreening(b *testing.B, racked, distinct int) {
-	const (
-		shards   = 16
-		residues = 7
-	)
+func benchSweepScreening(b *testing.B, racked, distinct, residues int, prime uint32) {
+	const shards = 16
 	rng := mrand.New(mrand.NewSource(1))
 	rack := broker.New(broker.Config{Shards: shards, ReapInterval: -1})
 	defer rack.Close()
@@ -515,13 +525,13 @@ func benchSweepScreening(b *testing.B, racked, distinct int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		candidate = m.ResidueSet(core.DefaultPrime)
+		candidate = m.ResidueSet(prime)
 	}
 	templates := make([]*core.RequestPackage, distinct)
 	for i := range templates {
 		// Distinct tags out of a vocabulary of 5000, as the workload draws them.
 		necessary := 8 + i%3
-		spec := core.RequestSpec{MinOptional: 3 - (i/3)%2}
+		spec := core.RequestSpec{Prime: prime, MinOptional: 3 - (i/3)%2}
 		drawn := make(map[int]bool)
 		for len(drawn) < necessary+3 {
 			tag := rng.Intn(5000)

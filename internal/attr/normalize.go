@@ -48,10 +48,10 @@ func normalize(s, sep string) string {
 		// Expansion may introduce several words ("cs" -> "computer science");
 		// each expanded word goes through the remaining steps independently.
 		for part := range strings.FieldsSeq(expandAbbreviation(w)) {
-			for np := range strings.FieldsSeq(numberToWords(part)) {
-				if np = singularize(np); np != "" {
-					out = append(out, np)
-				}
+			from := len(out)
+			out = appendNumberWords(out, part)
+			for i, np := range out[from:] {
+				out[from+i] = singularize(np)
 			}
 		}
 	}
@@ -232,17 +232,14 @@ var _tens = []string{
 	"", "", "twenty", "thirty", "forty", "fifty", "sixty", "seventy", "eighty", "ninety",
 }
 
-// numberToWords converts a decimal digit string of any script into English
-// words, e.g. "1987" -> "one thousand nine hundred eighty seven". Non-numeric
-// words are returned unchanged. Numbers too large to matter for profile
-// attributes (>= 10^15) are spelled digit by digit.
-func numberToWords(w string) string {
-	if w == "" {
-		return w
-	}
+// appendNumberWords appends a decimal digit string of any script to out as
+// English words, e.g. "1987" -> one thousand nine hundred eighty seven, and
+// any other word as it is. Numbers too large to matter for profile attributes
+// (>= 10^15) are spelled digit by digit.
+func appendNumberWords(out []string, w string) []string {
 	for _, r := range w {
 		if !unicode.IsDigit(r) {
-			return w
+			return append(out, w)
 		}
 	}
 	// Strip leading zeros but keep a single zero.
@@ -253,20 +250,19 @@ func numberToWords(w string) string {
 		}
 	}
 	if len(digits) == 0 {
-		return "zero"
+		return append(out, _ones[0])
 	}
 	if len(digits) > 15 {
-		parts := make([]string, len(digits))
-		for i, d := range digits {
-			parts[i] = _ones[d]
+		for _, d := range digits {
+			out = append(out, _ones[d])
 		}
-		return strings.Join(parts, " ")
+		return out
 	}
 	var n int64
 	for _, d := range digits {
 		n = n*10 + int64(d)
 	}
-	return int64ToWords(n)
+	return appendInt64Words(out, n)
 }
 
 // digitValue returns the value of a decimal digit of any script. Unicode
@@ -284,43 +280,42 @@ func digitValue(r rune) byte {
 	return byte((r - start) % 10)
 }
 
-func int64ToWords(n int64) string {
+// _scales are the number words above a thousand, largest first.
+var _scales = []struct {
+	value int64
+	name  string
+}{
+	{1_000_000_000_000, "trillion"},
+	{1_000_000_000, "billion"},
+	{1_000_000, "million"},
+	{1_000, "thousand"},
+}
+
+// appendInt64Words appends n, 0 <= n < 10^15, to out as English words.
+func appendInt64Words(out []string, n int64) []string {
 	switch {
 	case n < 20:
-		return _ones[n]
+		return append(out, _ones[n])
 	case n < 100:
-		s := _tens[n/10]
-		if n%10 != 0 {
-			s += " " + _ones[n%10]
+		if out = append(out, _tens[n/10]); n%10 != 0 {
+			out = append(out, _ones[n%10])
 		}
-		return s
+		return out
 	case n < 1000:
-		s := _ones[n/100] + " hundred"
-		if n%100 != 0 {
-			s += " " + int64ToWords(n%100)
+		if out = append(out, _ones[n/100], "hundred"); n%100 != 0 {
+			out = appendInt64Words(out, n%100)
 		}
-		return s
+		return out
 	}
-	type scale struct {
-		value int64
-		name  string
-	}
-	scales := []scale{
-		{1_000_000_000_000, "trillion"},
-		{1_000_000_000, "billion"},
-		{1_000_000, "million"},
-		{1_000, "thousand"},
-	}
-	for _, sc := range scales {
+	for _, sc := range _scales {
 		if n >= sc.value {
-			s := int64ToWords(n/sc.value) + " " + sc.name
-			if n%sc.value != 0 {
-				s += " " + int64ToWords(n%sc.value)
+			if out = append(appendInt64Words(out, n/sc.value), sc.name); n%sc.value != 0 {
+				out = appendInt64Words(out, n%sc.value)
 			}
-			return s
+			return out
 		}
 	}
-	return _ones[0] // unreachable for n >= 1000
+	return append(out, _ones[0]) // unreachable for n >= 1000
 }
 
 // _irregularPlurals maps irregular English plurals to their singular form.

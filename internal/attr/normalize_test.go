@@ -160,8 +160,8 @@ func TestInt64ToWords(t *testing.T) {
 		{1000000000, "one billion"},
 	}
 	for _, tt := range tests {
-		if got := int64ToWords(tt.n); got != tt.want {
-			t.Errorf("int64ToWords(%d) = %q, want %q", tt.n, got, tt.want)
+		if got := strings.Join(appendInt64Words(nil, tt.n), " "); got != tt.want {
+			t.Errorf("appendInt64Words(%d) = %q, want %q", tt.n, got, tt.want)
 		}
 	}
 }

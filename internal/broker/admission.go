@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,10 +13,15 @@ import (
 // would cross the bound, buckets that have refilled to capacity (identities
 // idle long enough to be indistinguishable from new ones) are pruned; a
 // hostile client minting unbounded identities therefore costs one bucket
-// each, recycled as soon as it goes idle. When none has refilled, the bucket
-// owing the least is evicted (Evicted counts these), so the table never
-// holds more than the bound.
+// each, recycled as soon as it goes idle. When none has refilled, the
+// admissionEvictBatch buckets owing the least are evicted (Evicted counts
+// these), so the table never holds more than the bound.
 const admissionMaxBuckets = 8192
+
+// admissionEvictBatch is how many buckets one prune that frees nothing
+// evicts. The prune scans the whole table, so a batch of a 64th of it keeps
+// an insert at the bound to a constant share of a scan.
+const admissionEvictBatch = admissionMaxBuckets / 64
 
 // Admission is a per-identity token-bucket admission controller: each
 // identity may perform Rate operations per second with bursts up to Burst.
@@ -143,26 +149,55 @@ func (a *Admission) Allow(identity string) bool {
 }
 
 // pruneLocked drops buckets that have refilled to capacity; they carry no
-// state a fresh bucket would not. When none has, it evicts the bucket with
-// the most tokens, found in the same pass: its identity loses the least
-// debt by starting over.
+// state a fresh bucket would not. When none has, it evicts the
+// admissionEvictBatch buckets with the most tokens, found in the same pass:
+// their identities lose the least debt by starting over.
 func (a *Admission) pruneLocked(now time.Time) {
-	var fullest string
-	most := -1.0
+	var fullest bucketHeap
 	freed := false
 	for id, b := range a.buckets {
 		tokens := b.tokens + now.Sub(b.last).Seconds()*a.rate
-		if tokens >= a.burst {
+		switch {
+		case tokens >= a.burst:
 			delete(a.buckets, id)
 			freed = true
-		} else if tokens > most {
-			fullest, most = id, tokens
+		case freed:
+		case len(fullest) < admissionEvictBatch:
+			if fullest = append(fullest, heldBucket{id, tokens}); len(fullest) == admissionEvictBatch {
+				heap.Init(&fullest)
+			}
+		case tokens > fullest[0].tokens:
+			fullest[0] = heldBucket{id, tokens}
+			heap.Fix(&fullest, 0)
 		}
 	}
 	if !freed {
-		delete(a.buckets, fullest)
-		a.evicted.Add(1)
+		for _, v := range fullest {
+			delete(a.buckets, v.id)
+		}
+		a.evicted.Add(uint64(len(fullest)))
 	}
+}
+
+// heldBucket is an eviction candidate: an identity and its refilled tokens.
+type heldBucket struct {
+	id     string
+	tokens float64
+}
+
+// bucketHeap is a min-heap of eviction candidates by tokens, so its root is
+// the first to give way to a fuller bucket.
+type bucketHeap []heldBucket
+
+func (h bucketHeap) Len() int           { return len(h) }
+func (h bucketHeap) Less(i, j int) bool { return h[i].tokens < h[j].tokens }
+func (h bucketHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *bucketHeap) Push(x any)        { *h = append(*h, x.(heldBucket)) }
+func (h *bucketHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // Shed returns the number of operations shed over quota since construction.

@@ -8,8 +8,9 @@ import (
 
 // TestAdmissionBucketTableBounded drives twice the bucket bound of live
 // identities on a stopped clock, so no bucket refills and pruning frees
-// nothing: the table still stays at the bound, every insert past it evicts
-// exactly one bucket, and no operation is shed.
+// nothing: the table still stays at the bound, the inserts past it evict at
+// least one bucket each and less than one batch more, and no operation is
+// shed.
 func TestAdmissionBucketTableBounded(t *testing.T) {
 	a := NewAdmission(1, 8)
 	at := time.Unix(1_700_000_000, 0)
@@ -22,8 +23,9 @@ func TestAdmissionBucketTableBounded(t *testing.T) {
 			t.Fatalf("after %d identities the table holds %d buckets, bound %d", i+1, n, admissionMaxBuckets)
 		}
 	}
-	if got := a.Evicted(); got != admissionMaxBuckets {
-		t.Fatalf("evicted %d buckets, want %d", got, admissionMaxBuckets)
+	evicted := a.Evicted()
+	if evicted < admissionMaxBuckets || evicted >= admissionMaxBuckets+admissionEvictBatch {
+		t.Fatalf("evicted %d buckets, want %d to %d", evicted, admissionMaxBuckets, admissionMaxBuckets+admissionEvictBatch-1)
 	}
 	if got := a.Shed(); got != 0 {
 		t.Fatalf("shed %d operations, want 0", got)
@@ -31,8 +33,8 @@ func TestAdmissionBucketTableBounded(t *testing.T) {
 	// A bucket that has refilled is pruned in preference to an eviction.
 	at = at.Add(time.Minute)
 	a.Allow("late")
-	if got := a.Evicted(); got != admissionMaxBuckets {
-		t.Fatalf("an insert with refilled buckets evicted: %d, want %d", got, admissionMaxBuckets)
+	if got := a.Evicted(); got != evicted {
+		t.Fatalf("an insert with refilled buckets evicted: %d, want %d", got, evicted)
 	}
 	if n := len(a.buckets); n != 1 {
 		t.Fatalf("refilled buckets left after a prune: %d, want 1", n)

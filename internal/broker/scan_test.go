@@ -88,7 +88,7 @@ func TestMaskScreenSound(t *testing.T) {
 			return false
 		}
 		rs := synthResidues(rng, prime, rng.Float64())
-		have := rs.Bits[0] &^ deadSlot
+		have := rs.Bits[0]
 		match := b.pkg.PrefilterMatch(rs)
 		switch {
 		case b.need&^have != 0:
@@ -247,10 +247,11 @@ func (m *refRack) sweep(q SweepQuery, seen func(string) bool, after, high uint64
 // TestSweepMatchesReference runs seeded histories of submits, batches,
 // removals, clock advances, reaps and sweeps — with a sweeper's cursor, stale
 // cursors, ad-hoc seen lists, excluded origins and truncating limits, over a
-// prime with a mask column and one without — against a rack and the
+// prime with residue rows and one without — against a rack and the
 // reference. Every sweep must return the reference's bottles in its order
 // with its exact counters and cursor, truncated or not, on one shard or
-// several. Meant for -race -count=10 as well.
+// several. The edge histories lay one group out across the 64-slot words of
+// its rows (see checkSweepEdges). Meant for -race -count=10 as well.
 func TestSweepMatchesReference(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -259,6 +260,119 @@ func TestSweepMatchesReference(t *testing.T) {
 			})
 		}
 	}
+	// 61 is the largest prime with residue rows, 67 the smallest without.
+	for _, prime := range []uint32{11, 61, 67} {
+		t.Run(fmt.Sprintf("edges/prime=%d", prime), func(t *testing.T) {
+			checkSweepEdges(t, prime)
+		})
+	}
+}
+
+// checkSweepEdges racks one group of a prime on one shard, where a bottle's
+// slot is its submission index, and sweeps it at the edges of the rows' 64-slot
+// words: full, with dead slots at 63, 64, 127 and 128, then compacted and
+// grown again. Each layout is swept by a candidate holding every residue at
+// every limit, so a truncating limit lands on every slot (63 and 127, the
+// last of a word, included); by each single-residue candidate, which lacks
+// every row but one; and by random ones.
+func checkSweepEdges(t *testing.T, prime uint32) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(int64(prime)))
+	clock := newTestClock()
+	rack := newTestRack(clock, 1)
+	defer rack.Close()
+	ref := newRefRack(rack)
+	origins := []string{"", "alice", "bob"}
+	var ids []string
+	submit := func(n int) {
+		for range n {
+			id := fmt.Sprintf("edge-%04d", len(ids))
+			ids = append(ids, id)
+			now := clock.Now()
+			raw := synthPackage(t, rng, prime, id, origins[rng.Intn(len(origins))], now, now.Add(time.Hour))
+			if _, err := rack.Submit(ctx, raw); err != nil {
+				t.Fatal(err)
+			}
+			ref.submit(rack, raw, now)
+		}
+	}
+	// group reads the group under its shard's lock.
+	group := func(read func(g *primeGroup)) {
+		sh := rack.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		read(sh.byPrime[prime])
+	}
+	remove := func(id string) {
+		if _, err := rack.Remove(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		ref.remove(id)
+	}
+	step := 0
+	sweep := func(rs core.ResidueSet, limit int, exclude string) SweepResult {
+		q := SweepQuery{Residues: []core.ResidueSet{rs}, Limit: limit, ExcludeOrigin: exclude}
+		high := rack.seq.Load()
+		res, err := rack.Sweep(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		checkSweep(t, step, res, ref.sweep(q, func(string) bool { return false }, 0, high, clock.Now()), rack.epoch)
+		step++
+		return res
+	}
+	every := make([]uint32, prime)
+	for r := range every {
+		every[r] = uint32(r)
+	}
+	exclude := func() string { return origins[rng.Intn(len(origins))] }
+	layout := func() {
+		t.Helper()
+		for limit := 1; limit <= len(ids)+1; limit++ {
+			sweep(core.NewResidueSet(prime, every), limit, "")
+		}
+		for r := range min(prime, 2*maskPrimes) {
+			sweep(core.NewResidueSet(prime, []uint32{r}), len(ids), exclude())
+		}
+		for range 20 {
+			sweep(synthResidues(rng, prime, 0.3+0.7*rng.Float64()), 1+rng.Intn(len(ids)), exclude())
+		}
+	}
+
+	submit(3*64 + 5)
+	layout()
+	// Every bottle passes the full candidate, so at limit 63 the sweep stops
+	// at slot 63, the last of the first word, having scanned the word.
+	if res := sweep(core.NewResidueSet(prime, every), 63, ""); !res.Truncated || res.Scanned != 64 {
+		t.Fatalf("limit 63: truncated %v after %d scanned, want true after 64", res.Truncated, res.Scanned)
+	}
+	edges := []int{63, 64, 127, 128}
+	for _, slot := range edges {
+		remove(ids[slot])
+	}
+	group(func(g *primeGroup) {
+		for _, slot := range edges {
+			if g.bottles[slot] != nil || g.rows[slot/64*rowWords(prime)]&(1<<(slot%64)) != 0 {
+				t.Fatalf("slot %d is not dead", slot)
+			}
+		}
+	})
+	layout()
+	// Once over a quarter of its slots are dead, the group compacts and
+	// rebuilds its rows; it then grows new rows in the capacity it kept.
+	compacted := false
+	for slot := 0; !compacted; slot += 3 {
+		if !slices.Contains(edges, slot) {
+			remove(ids[slot])
+		}
+		group(func(g *primeGroup) { compacted = g.dead == 0 })
+	}
+	layout()
+	submit(64)
+	layout()
 }
 
 func checkSweepHistory(t *testing.T, shards int, seed int64) {
@@ -549,13 +663,13 @@ func TestRemoveFreesMemory(t *testing.T) {
 	}
 
 	// groups checks every prime group against a bound on its slots.
-	groups := func(what string, ok func(g *primeGroup) bool) {
+	groups := func(what string, ok func(p uint32, g *primeGroup) bool) {
 		t.Helper()
 		for _, sh := range rack.shards {
 			sh.mu.Lock()
 			for p, g := range sh.byPrime {
-				if !ok(g) {
-					t.Errorf("%s: prime %d group has %d slots (%d dead) in %d/%d capacity", what, p, len(g.bottles), g.dead, cap(g.bottles), cap(g.need))
+				if !ok(p, g) {
+					t.Errorf("%s: prime %d group has %d slots (%d dead) in %d capacity, %d of %d row words", what, p, len(g.bottles), g.dead, cap(g.bottles), len(g.rows), cap(g.rows))
 				}
 			}
 			sh.mu.Unlock()
@@ -578,7 +692,7 @@ func TestRemoveFreesMemory(t *testing.T) {
 		}
 	}
 	// Dead slots are bounded too, not only the bottles they held.
-	groups("steady churn", func(g *primeGroup) bool { return g.dead*deadShare <= len(g.bottles) })
+	groups("steady churn", func(_ uint32, g *primeGroup) bool { return g.dead*deadShare <= len(g.bottles) })
 
 	const burst = 20000
 	for i := n; i < n+burst; i++ {
@@ -590,7 +704,8 @@ func TestRemoveFreesMemory(t *testing.T) {
 	if st := statsOf(rack); st.Held != held {
 		t.Fatalf("held %d, want %d", st.Held, held)
 	}
-	groups("burst drained", func(g *primeGroup) bool {
-		return cap(g.bottles) <= 4*len(g.bottles)+8 && cap(g.need) <= 4*len(g.need)+8
+	groups("burst drained", func(p uint32, g *primeGroup) bool {
+		// The rows are held to the slots' bound, with one row of slack.
+		return cap(g.bottles) <= 4*len(g.bottles)+8 && cap(g.rows) <= 4*len(g.rows)+rowWords(p)
 	})
 }

@@ -25,10 +25,11 @@ type bottle struct {
 	// and the one copy of the bottle's prime and deadline.
 	raw []byte
 	pkg core.PackageView
-	// need, opt and gate are the bottle's entry in its prime group's screen
-	// columns (necessaryMask, optionalMask), derived once by bottleFromRaw;
-	// slot is its index in the group, kept current by compaction. Narrow
-	// slot and gate keep the bottle in a 256-byte allocation.
+	// need, opt and gate are the bottle's screen (necessaryMask,
+	// optionalMask), derived once by bottleFromRaw: need is sliced into its
+	// prime group's residue rows, opt and gate are its entries in the group's
+	// columns. slot is its index in the group, kept current by compaction.
+	// Narrow slot and gate keep the bottle in a 256-byte allocation.
 	need, opt uint64
 	slot      int32
 	gate      uint8
@@ -40,17 +41,20 @@ type bottle struct {
 // submitter's choice of prime never sizes anything the rack keeps.
 const maskPrimes = 64
 
-// deadSlot is the mask of a removed or expired bottle's slot until its group
-// is compacted. No live mask has bit 63 (it is a residue only of primes above
-// maskPrimes, whose masks are zero) and the sweep clears it from what the
-// candidate has, so a dead slot fails the screen like a reject and is told
-// apart from one by equality.
-const deadSlot uint64 = 1 << 63
+// rowWords is the length of one residue row of a prime's group: the live
+// word, then one word per residue of a prime below maskPrimes.
+func rowWords(prime uint32) int {
+	if prime >= maskPrimes {
+		return 1
+	}
+	return 1 + int(prime)
+}
 
 // necessaryMask is the presence bitmap of a package's necessary remainders,
 // in the shape of ResidueSet.Bits[0]: a candidate whose first word lacks any
 // of its bits fails the presence form of Eqs. 6–7 on a necessary position,
-// which PrefilterMatch would reject too.
+// which PrefilterMatch would reject too. The rack keeps it sliced by residue
+// in its prime group's rows, and on the bottle to rebuild them.
 func necessaryMask(v *core.PackageView) uint64 {
 	if v.Prime >= maskPrimes {
 		return 0
@@ -95,16 +99,20 @@ func optionalMask(v *core.PackageView) (uint64, uint8) {
 }
 
 // primeGroup is one prime's bottles on a shard in insertion order, with their
-// screen in columns beside them: the necessary mask, the optional mask and
-// the gate byte. The sweep's reject path reads these and never the bottle,
-// which it reads only for a slot that passes both masks. A removed or expired
-// bottle leaves a dead slot (nil bottle, deadSlot necessary mask) until the
-// group compacts. seq holds each bottle's arrival stamp; slots are appended
-// under the shard lock that stamps them and compaction keeps their order, so
-// the column only ever rises.
+// screen beside them. The necessary masks are bit-sliced into rows, one per
+// 64 slots and rowWords(prime) words each, back to back in rows: a row's
+// first word is its live word, whose bit i is set while slot i holds a
+// bottle, and the word for residue r has bit i set when slot i's necessary
+// mask holds r (bit-sliced signatures, Faloutsos & Chan, VLDB 1988). The
+// optional mask, the gate byte and the arrival stamp are per-slot columns.
+// The sweep's reject path reads the rows and columns and never the bottle,
+// which it reads only for a slot that passes both masks. A removed or
+// expired bottle leaves a dead slot (nil bottle, live bit clear) until the
+// group compacts. Slots are appended under the shard lock that stamps them
+// and compaction keeps their order, so the seq column only ever rises.
 type primeGroup struct {
 	bottles []*bottle
-	need    []uint64
+	rows    []uint64
 	opt     []uint64
 	gate    []uint8
 	seq     []uint64
@@ -117,13 +125,22 @@ type primeGroup struct {
 
 // deadShare is the share of a group's slots (one in so many) that may be dead
 // before it compacts: removal then costs a constant number of slot moves
-// however often the group is swept, and a dead slot costs the scan one word.
+// however often the group is swept, and a dead slot costs the scan one bit
+// of its row.
 const deadShare = 4
 
 func (g *primeGroup) add(b *bottle, seq uint64) {
-	b.slot = int32(len(g.bottles))
+	slot, w := len(g.bottles), rowWords(b.pkg.Prime)
+	if slot%64 == 0 {
+		g.rows = append(g.rows, make([]uint64, w)...)
+	}
+	row, bit := g.rows[slot/64*w:], uint64(1)<<(slot%64)
+	row[0] |= bit
+	for m := b.need; m != 0; m &= m - 1 {
+		row[1+bits.TrailingZeros64(m)] |= bit
+	}
+	b.slot = int32(slot)
 	g.bottles = append(g.bottles, b)
-	g.need = append(g.need, b.need)
 	g.opt = append(g.opt, b.opt)
 	g.gate = append(g.gate, b.gate)
 	g.seq = append(g.seq, seq)
@@ -260,17 +277,20 @@ type found struct {
 // sweep's scanners. A group whose earliest deadline has passed is compacted
 // first, so the scan meets no expired bottle (lazy expiry).
 //
-// The screen is ordered by cost and reads the group's columns first: a slot
-// is rejected when the candidate lacks one of its necessary residues or more
-// than γ of its distinct optional ones, without touching the bottle. Only a
-// survivor is read: one with the exact bit passes the prefilter outright, any
+// The screen is ordered by cost and takes a group 64 slots at a time: from a
+// row's live word it clears the rows of the residues the candidate lacks,
+// which rejects every slot missing a necessary residue without touching it.
+// Each surviving slot is then rejected from the columns when the candidate
+// lacks more than γ of its distinct optional residues. Only a survivor of
+// both is read: one with the exact bit passes the prefilter outright, any
 // other takes PrefilterMatch, and a pass then takes the cursor check, from
-// the sequence column, and the origin and exclusion checks. Every live bottle visited counts as scanned, whatever
-// its sequence, and every one the prefilter fails as rejected; the reject
-// path writes nothing, so both are settled per group from the passes and the
-// group's dead count. A group's sequences rise, so its first Limit bottles
-// collected are its Limit lowest: at a further one the group stops, the
-// sweep is truncated, and the merge keeps the Limit lowest of all groups.
+// the sequence column, and the origin and exclusion checks. Every live bottle
+// visited counts as scanned, whatever its sequence, and every one the
+// prefilter fails as rejected: a row's live bits are counted, and the
+// rejects are what the passes leave. A group's sequences rise, so its first
+// Limit bottles collected are its Limit lowest: at a further one the group
+// stops, the sweep is truncated, and the merge keeps the Limit lowest of all
+// groups.
 func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, after, high uint64, now time.Time) shardSweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,50 +303,57 @@ func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, after, high uint64, now t
 		if g == nil {
 			continue
 		}
-		have := rs.Bits[0] &^ deadSlot
-		// Resliced to one length, so indexing the columns needs no bounds
-		// check in the loop.
-		need := g.need
-		opt, gate, seq := g.opt[:len(need)], g.gate[:len(need)], g.seq[:len(need)]
-		passed, taken := 0, 0
-		for i, n := range need {
-			if n&^have != 0 || bits.OnesCount64(opt[i]&^have) > int(gate[i]&^gateExact) {
-				continue
+		// The offsets in a row of the residues the candidate lacks.
+		have, w := rs.Bits[0], rowWords(rs.Prime)
+		var lackBuf [maskPrimes]int
+		lacks := lackBuf[:0]
+		for r := range w - 1 {
+			if have&(1<<r) == 0 {
+				lacks = append(lacks, 1+r)
 			}
-			if gate[i]&gateExact == 0 && !g.bottles[i].pkg.PrefilterMatch(rs) {
-				continue
-			}
-			passed++
-			// The cursor first: it reads a column, the exclusions the bottle.
-			if seq[i] <= after || seq[i] > high {
-				continue
-			}
-			b := g.bottles[i]
-			if b.origin != "" && b.origin == q.ExcludeOrigin || seen != nil && seen.Has(b.id) {
-				continue
-			}
-			if taken == q.Limit {
-				// The group's Limit lowest are collected; the counters cover
-				// the slots visited, this one included.
-				need = need[:i+1]
-				out.truncated = true
-				break
-			}
-			taken++
-			out.found = append(out.found, found{b: b, seq: seq[i]})
 		}
-		live := len(need)
-		if len(need) == len(g.need) {
-			live -= g.dead
-		} else {
-			for _, n := range need {
-				if n == deadSlot {
-					live--
+		opt, gate, seq := g.opt, g.gate, g.seq
+		scanned, passed, taken := 0, 0, 0
+	rows:
+		for base, k := 0, 0; k < len(g.rows); base, k = base+64, k+w {
+			row := g.rows[k : k+w]
+			live := row[0]
+			pass := live
+			for _, o := range lacks {
+				pass &^= row[o]
+			}
+			scanned += bits.OnesCount64(live)
+			for ; pass != 0; pass &= pass - 1 {
+				j := bits.TrailingZeros64(pass)
+				i := base + j
+				if bits.OnesCount64(opt[i]&^have) > int(gate[i]&^gateExact) {
+					continue
 				}
+				if gate[i]&gateExact == 0 && !g.bottles[i].pkg.PrefilterMatch(rs) {
+					continue
+				}
+				passed++
+				// The cursor first: it reads a column, the exclusions the bottle.
+				if seq[i] <= after || seq[i] > high {
+					continue
+				}
+				b := g.bottles[i]
+				if b.origin != "" && b.origin == q.ExcludeOrigin || seen != nil && seen.Has(b.id) {
+					continue
+				}
+				if taken == q.Limit {
+					// The group's Limit lowest are collected; the counters cover
+					// the slots visited, this one included.
+					scanned -= bits.OnesCount64(live >> j >> 1)
+					out.truncated = true
+					break rows
+				}
+				taken++
+				out.found = append(out.found, found{b: b, seq: seq[i]})
 			}
 		}
-		out.scanned += live
-		out.rejected += live - passed
+		out.scanned += scanned
+		out.rejected += scanned - passed
 	}
 	s.stats.Sweeps++
 	s.stats.Scanned += uint64(out.scanned)
@@ -338,14 +365,15 @@ func (s *shard) sweep(q *SweepQuery, seen *SeenWindow, after, high uint64, now t
 // unlinking from the ID index) every bottle past its deadline on the way, and
 // returns the group, or nil once it is empty and gone. It is the single
 // compaction path shared by removal, lazy (sweep) and background (reap)
-// expiry. A group left under a quarter of its capacity is copied into smaller
-// slices, so a burst's high-water mark is not held until the next one. The
-// caller holds mu.
+// expiry. The rows are rebuilt from the survivors' necessary masks. A group
+// left under a quarter of its capacity is copied into smaller slices, so a
+// burst's high-water mark is not held until the next one. The caller holds
+// mu.
 func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *primeGroup {
 	// Survivors are re-added in place: each lands at or before the slot it
-	// is read from.
+	// is read from, and its row is cleared before it is rewritten.
 	old, seq := g.bottles, g.seq
-	g.bottles, g.need, g.opt, g.gate, g.seq = old[:0], g.need[:0], g.opt[:0], g.gate[:0], seq[:0]
+	g.bottles, g.rows, g.opt, g.gate, g.seq = old[:0], g.rows[:0], g.opt[:0], g.gate[:0], seq[:0]
 	g.dead, g.expiry = 0, time.Time{}
 	for i, b := range old {
 		if b == nil {
@@ -364,7 +392,7 @@ func (s *shard) compactLocked(prime uint32, g *primeGroup, now time.Time) *prime
 	}
 	clear(old[kept:])
 	if kept < cap(g.bottles)/4 {
-		g.bottles, g.need = slices.Clone(g.bottles), slices.Clone(g.need)
+		g.bottles, g.rows = slices.Clone(g.bottles), slices.Clone(g.rows)
 		g.opt, g.gate, g.seq = slices.Clone(g.opt), slices.Clone(g.gate), slices.Clone(g.seq)
 	}
 	return g
@@ -497,8 +525,9 @@ func (s *shard) peek(id string, now time.Time) (raw []byte, owner string, replie
 
 // remove unlinks a bottle by ID; caller is the authenticated identity
 // removing it (empty: anonymous). An imposter gets ErrUnauthorized and the
-// bottle stays racked. The bottle's slot goes dead at once, so nothing the
-// rack holds keeps the bottle alive; its group compacts when due.
+// bottle stays racked. The bottle's slot goes dead at once (its pointer
+// cleared, its live bit too), so nothing the rack holds keeps the bottle
+// alive and no sweep screens it; its group compacts when due.
 func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -515,7 +544,8 @@ func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 		s.logRec(walRecRemove, []byte(id))
 	}
 	g := s.byPrime[b.pkg.Prime]
-	g.bottles[b.slot], g.need[b.slot] = nil, deadSlot
+	g.bottles[b.slot] = nil
+	g.rows[int(b.slot)/64*rowWords(b.pkg.Prime)] &^= 1 << (b.slot % 64)
 	if g.dead++; g.due(now) {
 		s.compactLocked(b.pkg.Prime, g, now)
 	}
