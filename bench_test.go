@@ -702,11 +702,11 @@ func BenchmarkBrokerPrefilter(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecRoundTrips measures the steady-state codec paths of the
-// allocation-free hot path: the Append* encoders reuse caller scratch and the
-// *View decoders alias the frame, so a warmed round trip allocates nothing.
-// The budgets are pinned by TestCodecRoundTripAllocFree; this records them in
-// the perf trajectory.
+// BenchmarkCodecRoundTrips times the codec paths the transport runs for the
+// round trip's largest messages: a sweep result encoded with
+// MarshalSweepResult and decoded with UnmarshalSweepResult, and a reply post
+// encoded with AppendReplyPost into reused scratch (the shard's WAL reply
+// record) and decoded with UnmarshalReplyPost.
 func BenchmarkCodecRoundTrips(b *testing.B) {
 	raws := benchRawBottles(b, 3)
 	res := broker.SweepResult{
@@ -718,23 +718,19 @@ func BenchmarkCodecRoundTrips(b *testing.B) {
 		Scanned: 64,
 	}
 	b.Run("sweep-result", func(b *testing.B) {
-		var buf []byte
-		var view broker.SweepResultView
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = broker.AppendSweepResult(buf[:0], res)
-			if err := broker.UnmarshalSweepResultView(buf, &view); err != nil {
+			if _, err := broker.UnmarshalSweepResult(broker.MarshalSweepResult(res)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("reply-post", func(b *testing.B) {
 		var buf []byte
-		var view broker.ReplyPostView
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf = broker.AppendReplyPost(buf[:0], "bench-codec-1", raws[0])
-			if err := broker.UnmarshalReplyPostView(buf, &view); err != nil {
+			if _, _, err := broker.UnmarshalReplyPost(buf); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -220,7 +220,7 @@ func TestSubmitRequestIDCap(t *testing.T) {
 	if err != nil || res[0].Err != nil || !errors.Is(res[1].Err, core.ErrMalformedPackage) {
 		t.Fatalf("batch at and over the cap: %+v, %v", res, err)
 	}
-	if err := rack.replayRecord(walRecSubmit, withID(maxRequestIDLen+1)); err != nil {
+	if err := rack.replayRecord(RecSubmit, withID(maxRequestIDLen+1)); err != nil {
 		t.Fatalf("replaying an over-long ID: %v", err)
 	}
 	if st := statsOf(rack); st.Held != 2 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"sealedbottle/internal/core"
 )
@@ -14,13 +13,13 @@ import (
 // and server. The style matches the core package's request/reply format:
 // big-endian fixed-width integers and uint16/uint32 length prefixes.
 //
-// Memory discipline (see docs/ARCHITECTURE.md, "Memory and the hot path"):
-// every MarshalX has an AppendX twin that extends a caller-owned buffer, so
-// steady-state encoders can reuse scratch instead of allocating per call.
-// Decoders are zero-copy: returned []byte payloads (bottle Raw, reply blobs)
-// alias the input frame and are valid only as long as the caller keeps that
-// frame alive and unmodified — retain-after-return requires a copy, which the
-// shard boundary (bottleFromRaw, pushReplyLocked) already performs.
+// Each message has one encoder and one decoder (see docs/ARCHITECTURE.md,
+// "Memory and the hot path"). Decoders alias the frame: returned []byte
+// payloads (bottle Raw, reply blobs) are valid only as long as the caller
+// keeps that frame alive and unmodified, and whatever outlives it is copied
+// at the shard boundary (bottleFromRaw, pushReplyLocked). The reply post
+// alone encodes into caller scratch (AppendReplyPost), because the shard
+// encodes its WAL reply records into a reused buffer.
 
 // ErrMalformedFrame indicates a broker wire encoding that cannot be decoded.
 var ErrMalformedFrame = errors.New("broker: malformed frame")
@@ -34,12 +33,7 @@ func MarshalSweepQuery(q SweepQuery) []byte {
 	for _, id := range q.Seen {
 		n += 2 + len(id)
 	}
-	return AppendSweepQuery(make([]byte, 0, n), q)
-}
-
-// AppendSweepQuery appends the encoding of a sweep query to buf.
-func AppendSweepQuery(buf []byte, q SweepQuery) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(q.Residues)))
+	buf := binary.BigEndian.AppendUint16(make([]byte, 0, n), uint16(len(q.Residues)))
 	for _, s := range q.Residues {
 		buf = binary.BigEndian.AppendUint32(buf, s.Prime)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Bits)))
@@ -80,19 +74,18 @@ func appendCursors(buf []byte, cursors []SweepCursor) []byte {
 	return buf
 }
 
-// readCursors reads a list written by appendCursors into out (reusing its
-// backing array when capacity allows). A rack's own cursor has no member
-// name, so reading one allocates nothing but the list. An epoch is never
-// zero.
-func readCursors(r *reader, out []SweepCursor) ([]SweepCursor, error) {
+// readCursors reads a list written by appendCursors. A rack's own cursor has
+// no member name, so reading one allocates nothing but the list. An epoch is
+// never zero.
+func readCursors(r *reader) ([]SweepCursor, error) {
 	n, err := r.uint16()
 	if err != nil || int(n) > r.remaining()/minCursorBytes {
 		return nil, errors.New("cursor count")
 	}
 	if n == 0 {
-		return out[:0], nil
+		return nil, nil
 	}
-	out = slices.Grow(out[:0], int(n))
+	out := make([]SweepCursor, 0, n)
 	for range int(n) {
 		var c SweepCursor
 		if c.Member, err = r.string16(); err != nil {
@@ -165,7 +158,7 @@ func unmarshalSweepQuery(data []byte) (SweepQuery, string) {
 	if q.ExcludeOrigin, err = r.string16(); err != nil {
 		return q, "exclude origin"
 	}
-	if q.Cursors, err = readCursors(r, nil); err != nil {
+	if q.Cursors, err = readCursors(r); err != nil {
 		return q, err.Error()
 	}
 	seen, err := r.uint32()
@@ -180,7 +173,7 @@ func unmarshalSweepQuery(data []byte) (SweepQuery, string) {
 		region, q.Seen = string(data[base:]), make([]string, seen)
 	}
 	for i := range q.Seen {
-		id, err := r.bytes16()
+		id, err := r.idBytes()
 		if err != nil {
 			return q, "seen id"
 		}
@@ -199,12 +192,7 @@ func MarshalSweepResult(res SweepResult) []byte {
 	for _, b := range res.Bottles {
 		n += minSweptBottleBytes + len(b.ID) + len(b.Raw)
 	}
-	return AppendSweepResult(make([]byte, 0, n), res)
-}
-
-// AppendSweepResult appends the encoding of a sweep result to buf.
-func AppendSweepResult(buf []byte, res SweepResult) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(res.Bottles)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, n), uint32(len(res.Bottles)))
 	for _, b := range res.Bottles {
 		buf = appendString16(buf, b.ID)
 		buf = binary.BigEndian.AppendUint64(buf, b.Seq)
@@ -232,7 +220,7 @@ func UnmarshalSweepResult(data []byte) (SweepResult, error) {
 	}
 	res.Bottles = make([]SweptBottle, n)
 	for i := range res.Bottles {
-		if res.Bottles[i].ID, err = r.string16(); err != nil {
+		if res.Bottles[i].ID, err = r.id(); err != nil {
 			return res, fmt.Errorf("%w: bottle id", ErrMalformedFrame)
 		}
 		if res.Bottles[i].Seq, err = r.uint64(); err != nil {
@@ -257,7 +245,7 @@ func UnmarshalSweepResult(data []byte) (SweepResult, error) {
 	if res.Truncated, err = r.bool(); err != nil {
 		return res, fmt.Errorf("%w: truncated flag", ErrMalformedFrame)
 	}
-	if res.Cursors, err = readCursors(r, nil); err != nil {
+	if res.Cursors, err = readCursors(r); err != nil {
 		return res, fmt.Errorf("%w: %w", ErrMalformedFrame, err)
 	}
 	res.Scanned, res.Rejected = int(scanned), int(rejected)
@@ -277,10 +265,9 @@ func appendRawList(buf []byte, raws [][]byte) []byte {
 	return buf
 }
 
-// readRawList reads a count-prefixed list of sized byte blobs into out
-// (reusing its backing array when capacity allows). Blobs alias the reader's
-// data (zero-copy).
-func readRawList(r *reader, out [][]byte) ([][]byte, error) {
+// readRawList reads a count-prefixed list of sized byte blobs. Blobs alias
+// the reader's data (zero-copy).
+func readRawList(r *reader) ([][]byte, error) {
 	n, err := r.uint32()
 	if err != nil {
 		return nil, fmt.Errorf("%w: blob count", ErrMalformedFrame)
@@ -288,7 +275,7 @@ func readRawList(r *reader, out [][]byte) ([][]byte, error) {
 	if int(n) > r.remaining()/minBlobBytes {
 		return nil, fmt.Errorf("%w: implausible blob count %d", ErrMalformedFrame, n)
 	}
-	out = out[:0]
+	var out [][]byte
 	for i := 0; i < int(n); i++ {
 		size, err := r.uint32()
 		if err != nil {
@@ -305,28 +292,14 @@ func readRawList(r *reader, out [][]byte) ([][]byte, error) {
 
 // MarshalRawList encodes a list of opaque byte blobs (fetched replies,
 // batched submissions).
-func MarshalRawList(raws [][]byte) []byte {
-	return AppendRawList(nil, raws)
-}
-
-// AppendRawList appends the encoding of a blob list to buf.
-func AppendRawList(buf []byte, raws [][]byte) []byte {
-	return appendRawList(buf, raws)
-}
+func MarshalRawList(raws [][]byte) []byte { return appendRawList(nil, raws) }
 
 // UnmarshalRawList decodes a list of opaque byte blobs. The blobs alias data
 // (zero-copy): they are valid for as long as the caller keeps data alive and
 // unmodified.
 func UnmarshalRawList(data []byte) ([][]byte, error) {
-	return UnmarshalRawListInto(data, nil)
-}
-
-// UnmarshalRawListInto decodes a blob list reusing out's backing array when
-// its capacity allows, for allocation-free steady-state decoding. The blobs
-// alias data, exactly as in UnmarshalRawList.
-func UnmarshalRawListInto(data []byte, out [][]byte) ([][]byte, error) {
 	r := &reader{data: data}
-	out, err := readRawList(r, out)
+	out, err := readRawList(r)
 	if err != nil {
 		return nil, err
 	}
@@ -377,12 +350,7 @@ func readError(r *reader) (itemErr, err error) {
 
 // MarshalSubmitResults encodes the per-item outcomes of a SubmitBatch.
 func MarshalSubmitResults(results []SubmitResult) []byte {
-	return AppendSubmitResults(nil, results)
-}
-
-// AppendSubmitResults appends the encoding of SubmitBatch outcomes to buf.
-func AppendSubmitResults(buf []byte, results []SubmitResult) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(results)))
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(results)))
 	for _, res := range results {
 		buf = appendError(buf, res.Err)
 		if res.Err == nil {
@@ -412,7 +380,7 @@ func UnmarshalSubmitResults(data []byte) ([]SubmitResult, error) {
 			out[i].Err = itemErr
 			continue
 		}
-		if out[i].ID, err = r.string16(); err != nil {
+		if out[i].ID, err = r.id(); err != nil {
 			return nil, fmt.Errorf("%w: request id", ErrMalformedFrame)
 		}
 	}
@@ -423,15 +391,10 @@ func UnmarshalSubmitResults(data []byte) ([]SubmitResult, error) {
 }
 
 // MarshalReplyBatch encodes a batch of reply posts.
-func MarshalReplyBatch(posts []ReplyPost) []byte { return AppendReplyBatch(nil, posts) }
-
-// AppendReplyBatch appends the encoding of a reply-post batch to buf.
-func AppendReplyBatch(buf []byte, posts []ReplyPost) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(posts)))
+func MarshalReplyBatch(posts []ReplyPost) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(posts)))
 	for _, p := range posts {
-		buf = appendString16(buf, p.RequestID)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Raw)))
-		buf = append(buf, p.Raw...)
+		buf = AppendReplyPost(buf, p.RequestID, p.Raw)
 	}
 	return buf
 }
@@ -450,15 +413,8 @@ func UnmarshalReplyBatch(data []byte) ([]ReplyPost, error) {
 	}
 	out := make([]ReplyPost, n)
 	for i := range out {
-		if out[i].RequestID, err = r.string16(); err != nil {
-			return nil, fmt.Errorf("%w: request id", ErrMalformedFrame)
-		}
-		size, err := r.uint32()
-		if err != nil {
-			return nil, fmt.Errorf("%w: reply size", ErrMalformedFrame)
-		}
-		if out[i].Raw, err = r.bytes(int(size)); err != nil {
-			return nil, fmt.Errorf("%w: reply payload", ErrMalformedFrame)
+		if out[i], err = readReplyPost(r); err != nil {
+			return nil, err
 		}
 	}
 	if r.remaining() != 0 {
@@ -469,11 +425,8 @@ func UnmarshalReplyBatch(data []byte) ([]ReplyPost, error) {
 
 // MarshalErrorList encodes per-item outcomes that carry no payload (the
 // ReplyBatch response).
-func MarshalErrorList(errs []error) []byte { return AppendErrorList(nil, errs) }
-
-// AppendErrorList appends the encoding of payload-free outcomes to buf.
-func AppendErrorList(buf []byte, errs []error) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(errs)))
+func MarshalErrorList(errs []error) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(errs)))
 	for _, err := range errs {
 		buf = appendError(buf, err)
 	}
@@ -505,11 +458,8 @@ func UnmarshalErrorList(data []byte) ([]error, error) {
 }
 
 // MarshalIDList encodes a list of request IDs (the FetchBatch request).
-func MarshalIDList(ids []string) []byte { return AppendIDList(nil, ids) }
-
-// AppendIDList appends the encoding of an ID list to buf.
-func AppendIDList(buf []byte, ids []string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
+func MarshalIDList(ids []string) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(ids)))
 	for _, id := range ids {
 		buf = appendString16(buf, id)
 	}
@@ -528,7 +478,7 @@ func UnmarshalIDList(data []byte) ([]string, error) {
 	}
 	out := make([]string, n)
 	for i := range out {
-		if out[i], err = r.string16(); err != nil {
+		if out[i], err = r.id(); err != nil {
 			return nil, fmt.Errorf("%w: id", ErrMalformedFrame)
 		}
 	}
@@ -542,12 +492,7 @@ func UnmarshalIDList(data []byte) ([]string, error) {
 // item is an outcome flag followed by either the drained reply list or the
 // error text.
 func MarshalFetchResults(results []FetchResult) []byte {
-	return AppendFetchResults(nil, results)
-}
-
-// AppendFetchResults appends the encoding of FetchBatch outcomes to buf.
-func AppendFetchResults(buf []byte, results []FetchResult) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(results)))
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(results)))
 	for _, res := range results {
 		buf = appendError(buf, res.Err)
 		if res.Err == nil {
@@ -577,7 +522,7 @@ func UnmarshalFetchResults(data []byte) ([]FetchResult, error) {
 			out[i].Err = itemErr
 			continue
 		}
-		if out[i].Replies, err = readRawList(r, nil); err != nil {
+		if out[i].Replies, err = readRawList(r); err != nil {
 			return nil, err
 		}
 	}
@@ -619,11 +564,8 @@ func unmarshalShardStats(r *reader) (ShardStats, error) {
 }
 
 // MarshalStats encodes a stats snapshot.
-func MarshalStats(st Stats) []byte { return AppendStats(nil, st) }
-
-// AppendStats appends the encoding of a stats snapshot to buf.
-func AppendStats(buf []byte, st Stats) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(st.Shards))
+func MarshalStats(st Stats) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(st.Shards))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(st.Workers))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Held))
 	buf = marshalShardStats(buf, st.Totals)
@@ -715,12 +657,8 @@ func UnmarshalStats(data []byte) (Stats, error) {
 	return st, nil
 }
 
-// MarshalReplyPost encodes a reply post (request ID + marshalled reply).
-func MarshalReplyPost(requestID string, raw []byte) []byte {
-	return AppendReplyPost(nil, requestID, raw)
-}
-
-// AppendReplyPost appends the encoding of a reply post to buf.
+// AppendReplyPost appends the encoding of a reply post (request ID +
+// marshalled reply) to buf; AppendReplyPost(nil, …) encodes one on its own.
 func AppendReplyPost(buf []byte, requestID string, raw []byte) []byte {
 	buf = appendString16(buf, requestID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(raw)))
@@ -731,44 +669,33 @@ func AppendReplyPost(buf []byte, requestID string, raw []byte) []byte {
 // (zero-copy): it is valid for as long as the caller keeps data alive and
 // unmodified.
 func UnmarshalReplyPost(data []byte) (string, []byte, error) {
-	var v ReplyPostView
-	if err := UnmarshalReplyPostView(data, &v); err != nil {
+	r := &reader{data: data}
+	p, err := readReplyPost(r)
+	if err != nil {
 		return "", nil, err
 	}
-	return string(v.RequestID), v.Raw, nil
+	if r.remaining() != 0 {
+		return "", nil, fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
+	}
+	return p.RequestID, p.Raw, nil
 }
 
-// ReplyPostView is the allocation-free decode of a reply post: both fields
-// alias the frame the view was decoded from and share its lifetime.
-type ReplyPostView struct {
-	// RequestID addresses the racked bottle.
-	RequestID []byte
-	// Raw is the marshalled reply.
-	Raw []byte
-}
-
-// UnmarshalReplyPostView decodes a reply post without allocating: both view
-// fields alias data. It is the steady-state twin of UnmarshalReplyPost for
-// callers (WAL replay, handoff apply) that convert or copy on retain anyway.
-func UnmarshalReplyPostView(data []byte, v *ReplyPostView) error {
-	r := &reader{data: data}
-	id, err := r.bytes16()
-	if err != nil {
-		return fmt.Errorf("%w: request id", ErrMalformedFrame)
+// readReplyPost reads one post written by AppendReplyPost; its Raw aliases
+// the reader's data.
+func readReplyPost(r *reader) (ReplyPost, error) {
+	var p ReplyPost
+	var err error
+	if p.RequestID, err = r.id(); err != nil {
+		return p, fmt.Errorf("%w: request id", ErrMalformedFrame)
 	}
 	size, err := r.uint32()
 	if err != nil {
-		return fmt.Errorf("%w: reply size", ErrMalformedFrame)
+		return p, fmt.Errorf("%w: reply size", ErrMalformedFrame)
 	}
-	raw, err := r.bytes(int(size))
-	if err != nil {
-		return fmt.Errorf("%w: reply payload", ErrMalformedFrame)
+	if p.Raw, err = r.bytes(int(size)); err != nil {
+		return p, fmt.Errorf("%w: reply payload", ErrMalformedFrame)
 	}
-	if r.remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
-	}
-	v.RequestID, v.Raw = id, raw
-	return nil
+	return p, nil
 }
 
 // appendString16 appends a uint16-length-prefixed string. Strings beyond the
@@ -870,79 +797,28 @@ func (r *reader) bytes16() ([]byte, error) {
 	return r.bytes(int(n))
 }
 
-// SweptBottleView is one sweep-result entry decoded without allocating; ID
-// and Raw alias the source frame and share its lifetime.
-type SweptBottleView struct {
-	// ID is the request ID bytes.
-	ID []byte
-	// Raw is the marshalled request package.
-	Raw []byte
-	// Seq mirrors SweptBottle.Seq.
-	Seq uint64
+// maxWireIDLen bounds a request-ID field at decode: the longest ID a rack
+// hands out, a maxRequestIDLen ID behind a MaxTagLen tag and its "@".
+const maxWireIDLen = MaxTagLen + 1 + maxRequestIDLen
+
+// errLongID refuses a request ID no rack could have handed out.
+var errLongID = fmt.Errorf("request id over %d bytes", maxWireIDLen)
+
+// idBytes reads a string16 request ID like bytes16, refusing one longer
+// than maxWireIDLen.
+func (r *reader) idBytes() ([]byte, error) {
+	b, err := r.bytes16()
+	if err == nil && len(b) > maxWireIDLen {
+		return nil, errLongID
+	}
+	return b, err
 }
 
-// SweepResultView is the allocation-free decode of a sweep result. Reusing
-// one view across UnmarshalSweepResultView calls reuses its Bottles backing
-// array, making steady-state decode zero-alloc.
-type SweepResultView struct {
-	// Bottles holds the prefilter-passing packages, aliasing the frame.
-	Bottles []SweptBottleView
-	// Scanned, Rejected, Truncated and Cursors mirror SweepResult; Cursors
-	// reuses its backing array like Bottles.
-	Scanned   int
-	Rejected  int
-	Truncated bool
-	Cursors   []SweepCursor
-}
-
-// UnmarshalSweepResultView decodes a sweep result into v, reusing v.Bottles'
-// backing array when capacity allows. Every field of every bottle aliases
-// data: the view is valid for as long as the caller keeps data alive and
-// unmodified.
-func UnmarshalSweepResultView(data []byte, v *SweepResultView) error {
-	r := &reader{data: data}
-	n, err := r.uint32()
+// id reads a string16 request ID, refusing one longer than maxWireIDLen.
+func (r *reader) id() (string, error) {
+	b, err := r.idBytes()
 	if err != nil {
-		return fmt.Errorf("%w: bottle count", ErrMalformedFrame)
+		return "", err
 	}
-	if int(n) > r.remaining()/minSweptBottleBytes {
-		return fmt.Errorf("%w: implausible bottle count %d", ErrMalformedFrame, n)
-	}
-	v.Bottles = v.Bottles[:0]
-	for i := 0; i < int(n); i++ {
-		var b SweptBottleView
-		if b.ID, err = r.bytes16(); err != nil {
-			return fmt.Errorf("%w: bottle id", ErrMalformedFrame)
-		}
-		if b.Seq, err = r.uint64(); err != nil {
-			return fmt.Errorf("%w: bottle sequence", ErrMalformedFrame)
-		}
-		size, err := r.uint32()
-		if err != nil {
-			return fmt.Errorf("%w: bottle size", ErrMalformedFrame)
-		}
-		if b.Raw, err = r.bytes(int(size)); err != nil {
-			return fmt.Errorf("%w: bottle payload", ErrMalformedFrame)
-		}
-		v.Bottles = append(v.Bottles, b)
-	}
-	scanned, err := r.uint64()
-	if err != nil {
-		return fmt.Errorf("%w: scanned", ErrMalformedFrame)
-	}
-	rejected, err := r.uint64()
-	if err != nil {
-		return fmt.Errorf("%w: rejected", ErrMalformedFrame)
-	}
-	if v.Truncated, err = r.bool(); err != nil {
-		return fmt.Errorf("%w: truncated flag", ErrMalformedFrame)
-	}
-	if v.Cursors, err = readCursors(r, v.Cursors); err != nil {
-		return fmt.Errorf("%w: %w", ErrMalformedFrame, err)
-	}
-	v.Scanned, v.Rejected = int(scanned), int(rejected)
-	if r.remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
-	}
-	return nil
+	return string(b), nil
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"sealedbottle/internal/core"
@@ -58,8 +59,6 @@ func TestCodecRefusesAmplifyingCounts(t *testing.T) {
 		{"sweep query seen IDs", func(b []byte) error { _, err := UnmarshalSweepQuery(b); return err },
 			query, len(query) - 4, minIDBytes, fixed(0, 0)},
 		{"sweep result bottles", func(b []byte) error { _, err := UnmarshalSweepResult(b); return err },
-			MarshalSweepResult(SweepResult{}), 0, minSweptBottleBytes, fixed(make([]byte, minSweptBottleBytes)...)},
-		{"sweep result view bottles", func(b []byte) error { return UnmarshalSweepResultView(b, new(SweepResultView)) },
 			MarshalSweepResult(SweepResult{}), 0, minSweptBottleBytes, fixed(make([]byte, minSweptBottleBytes)...)},
 		{"raw list", func(b []byte) error { _, err := UnmarshalRawList(b); return err },
 			MarshalRawList(nil), 0, minBlobBytes, fixed(0, 0, 0, 0)},
@@ -165,7 +164,8 @@ func TestSweepQueryRefusesRevision6(t *testing.T) {
 
 // sweepFuzzSeeds are revision-7 sweep frames — an ad-hoc list, a sweeper's
 // query with its cursor, a ring member's with nested cursors, a scan answer
-// and one with a cursor — and the refused revision-6 window query.
+// and one with a cursor — the refused revision-6 window query, and a query
+// and an answer each refused for an ID one byte over the cap.
 func sweepFuzzSeeds() (queries, results [][]byte) {
 	q := SweepQuery{
 		Residues:      []core.ResidueSet{core.NewResidueSet(11, []uint32{0, 3, 7})},
@@ -183,7 +183,73 @@ func sweepFuzzSeeds() (queries, results [][]byte) {
 		MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1, 2, 3}}, {ID: "b"}}, Scanned: 9, Rejected: 7, Truncated: true}),
 		MarshalSweepResult(SweepResult{Cursors: []SweepCursor{{Epoch: 5, After: 300}}}), nil,
 		MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "r1@c"}}, Scanned: 1, Cursors: []SweepCursor{{Member: "r1", Epoch: 5, After: 3}, {Member: "r2", Epoch: 6}}}))
+	overCap := longestID() + "x"
+	queries = append(queries, MarshalSweepQuery(SweepQuery{Limit: 1, Seen: []string{"a", overCap}}))
+	results = append(results, MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: overCap, Raw: []byte{1}}}}))
 	return queries, results
+}
+
+// longestID is as long as a request ID a rack hands out can be: a
+// MaxTagLen tag, its "@" and a maxRequestIDLen ID.
+func longestID() string {
+	return strings.Repeat("t", MaxTagLen) + "@" + strings.Repeat("a", maxRequestIDLen)
+}
+
+// TestCodecCapsRequestIDs: every request-ID field decodes the longest ID a
+// rack hands out and refuses one a byte longer as a malformed frame — a sweep
+// query's as a bad query too.
+func TestCodecCapsRequestIDs(t *testing.T) {
+	first := func(ids []string) string {
+		if len(ids) == 0 {
+			return ""
+		}
+		return ids[0]
+	}
+	for _, c := range []struct {
+		name   string
+		encode func(id string) []byte
+		decode func([]byte) (string, error)
+	}{
+		{"sweep query seen", func(id string) []byte { return MarshalSweepQuery(SweepQuery{Seen: []string{id}}) },
+			func(b []byte) (string, error) { q, err := UnmarshalSweepQuery(b); return first(q.Seen), err }},
+		{"sweep result bottle", func(id string) []byte { return MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: id}}}) },
+			func(b []byte) (string, error) {
+				res, err := UnmarshalSweepResult(b)
+				if err != nil {
+					return "", err
+				}
+				return res.Bottles[0].ID, nil
+			}},
+		{"submit results", func(id string) []byte { return MarshalSubmitResults([]SubmitResult{{ID: id}}) },
+			func(b []byte) (string, error) {
+				res, err := UnmarshalSubmitResults(b)
+				if err != nil {
+					return "", err
+				}
+				return res[0].ID, nil
+			}},
+		{"reply batch", func(id string) []byte { return MarshalReplyBatch([]ReplyPost{{RequestID: id, Raw: []byte{1}}}) },
+			func(b []byte) (string, error) {
+				posts, err := UnmarshalReplyBatch(b)
+				if err != nil {
+					return "", err
+				}
+				return posts[0].RequestID, nil
+			}},
+		{"reply post", func(id string) []byte { return AppendReplyPost(nil, id, []byte{1}) },
+			func(b []byte) (string, error) { id, _, err := UnmarshalReplyPost(b); return id, err }},
+		{"id list", func(id string) []byte { return MarshalIDList([]string{id}) },
+			func(b []byte) (string, error) { ids, err := UnmarshalIDList(b); return first(ids), err }},
+	} {
+		longest := longestID()
+		if got, err := c.decode(c.encode(longest)); err != nil || got != longest {
+			t.Errorf("%s: a %d-byte ID decoded as %d bytes, err %v", c.name, len(longest), len(got), err)
+		}
+		_, err := c.decode(c.encode(longest + "x"))
+		if !errors.Is(err, ErrMalformedFrame) || c.name == "sweep query seen" && !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%s: a %d-byte ID: err = %v, want it refused as malformed", c.name, len(longest)+1, err)
+		}
+	}
 }
 
 // FuzzSweepQueryUnmarshal: the decoder never panics, refuses a frame only as
@@ -208,8 +274,9 @@ func FuzzSweepQueryUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzSweepResultUnmarshal: both result decoders never panic, agree with each
-// other, and accept their own re-encoding.
+// FuzzSweepResultUnmarshal: the decoder never panics, refuses a frame only as
+// malformed, and decodes its own re-encoding of whatever it took to the same
+// result.
 func FuzzSweepResultUnmarshal(f *testing.F) {
 	_, results := sweepFuzzSeeds()
 	for _, seed := range results {
@@ -217,18 +284,15 @@ func FuzzSweepResultUnmarshal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := UnmarshalSweepResult(data)
-		var view SweepResultView
-		if viewErr := UnmarshalSweepResultView(data, &view); (err == nil) != (viewErr == nil) {
-			t.Fatalf("decoders disagree: %v vs view %v", err, viewErr)
-		}
 		if err != nil {
+			if !errors.Is(err, ErrMalformedFrame) {
+				t.Fatalf("refused with %v", err)
+			}
 			return
 		}
-		if len(view.Bottles) != len(res.Bottles) || !slices.Equal(view.Cursors, res.Cursors) || view.Truncated != res.Truncated {
-			t.Fatalf("view %+v differs from %+v", view, res)
-		}
-		if _, err := UnmarshalSweepResult(MarshalSweepResult(res)); err != nil {
-			t.Fatalf("re-decode of the re-encoded result: %v", err)
+		again, err := UnmarshalSweepResult(MarshalSweepResult(res))
+		if err != nil || !reflect.DeepEqual(res, again) {
+			t.Fatalf("re-decode of the re-encoded result: %v\n got %+v\nwant %+v", err, again, res)
 		}
 	})
 }
@@ -286,9 +350,14 @@ var codecRoundTrips = []struct {
 // panic, and a frame it accepts must re-encode to the same bytes — every
 // accepted frame is the one encoding of what it decodes to.
 func FuzzCodecUnmarshal(f *testing.F) {
+	var overCap []byte // an ID list refused for an ID one byte over the cap
 	for i, c := range codecRoundTrips {
 		f.Add(append([]byte{byte(i)}, c.seed...))
+		if c.name == "id list" {
+			overCap = append([]byte{byte(i)}, MarshalIDList([]string{"a", longestID() + "x"})...)
+		}
 	}
+	f.Add(overCap)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -396,7 +465,7 @@ func TestStatsRoundTrip(t *testing.T) {
 }
 
 func TestReplyPostRoundTrip(t *testing.T) {
-	id, raw, err := UnmarshalReplyPost(MarshalReplyPost("req-9", []byte{9, 9}))
+	id, raw, err := UnmarshalReplyPost(AppendReplyPost(nil, "req-9", []byte{9, 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +486,7 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	})
 	res := MarshalSweepResult(SweepResult{Bottles: []SweptBottle{{ID: "a", Raw: []byte{1}}}, Scanned: 1, Cursors: []SweepCursor{{Epoch: 1}}})
 	st := MarshalStats(Stats{Shards: 1, PerShard: []ShardStats{{}}, Primes: []uint32{11}})
-	post := MarshalReplyPost("id", []byte{1})
+	post := AppendReplyPost(nil, "id", []byte{1})
 	list := MarshalRawList([][]byte{{1, 2}})
 
 	for name, enc := range map[string][]byte{"query": q, "result": res, "stats": st, "post": post, "list": list} {

@@ -9,29 +9,43 @@ import (
 	"sealedbottle/internal/broker/wal"
 )
 
-// WAL record types. Payloads reuse the existing wire encodings, so the log
-// can be read with the same codec as the transport (see docs/PROTOCOL.md):
-// a Submit record carries the marshalled request package exactly as
-// submitted, a Reply record the MarshalReplyPost encoding, and the ID-only
-// records the raw request ID bytes (the OpRemove/OpFetch body encoding).
+// Record types of the write-ahead log and of handoff records, one set for
+// both: a streamed hint replays on its destination the way the destination's
+// own log would have (replication.go). Payloads reuse the existing wire
+// encodings, so the log can be read with the same codec as the transport
+// (see docs/PROTOCOL.md): a submit record carries the marshalled request
+// package exactly as submitted, a reply record the AppendReplyPost encoding,
+// and the ID-only records the raw request ID bytes (the OpRemove/OpFetch
+// body encoding). The values are on disk and on the wire: never renumber.
 const (
-	// walRecSubmit racks a bottle; payload: the marshalled core.RequestPackage.
-	walRecSubmit byte = 1
-	// walRecReply queues a reply; payload: MarshalReplyPost(requestID, reply).
-	walRecReply byte = 2
-	// walRecRemove unracks a bottle; payload: the request ID bytes.
-	walRecRemove byte = 3
-	// walRecExpire unracks an expired bottle; payload: the request ID bytes.
-	walRecExpire byte = 4
-	// walRecDrain empties a bottle's reply queue (a Fetch); payload: the
-	// request ID bytes. Logged without waiting for fsync, so a crash between
-	// a fetch and the next sync re-delivers the fetched replies on recovery —
-	// fetches are at-least-once across restarts.
-	walRecDrain byte = 5
+	// RecSubmit racks a bottle; payload: the marshalled core.RequestPackage.
+	RecSubmit byte = 1
+	// RecReply queues a reply; payload: AppendReplyPost(nil, requestID, reply).
+	RecReply byte = 2
+	// RecRemove unracks a bottle; payload: the untagged request-ID bytes.
+	RecRemove byte = 3
+	// recExpire unracks an expired bottle; payload: the request ID bytes.
+	// Logged only, never handed off.
+	recExpire byte = 4
+	// recDrain empties a bottle's reply queue (a Fetch); payload: the
+	// request ID bytes. Logged only, and without waiting for fsync, so a
+	// crash between a fetch and the next sync re-delivers the fetched
+	// replies on recovery — fetches are at-least-once across restarts.
+	recDrain byte = 5
+	// RecRepair asks the queueing rack to re-replicate one of its own
+	// bottles; payload: the untagged request-ID bytes. Handed to Hint only,
+	// never logged or streamed: it is resolved into RecSubmit/RecReply
+	// records at queue time.
+	RecRepair byte = 6
 )
 
 // ErrNotDurable indicates a Snapshot call on a rack without durability.
 var ErrNotDurable = errors.New("broker: rack has no durability configured")
+
+// ErrWALCommit wraps a failed write-ahead-log commit: the mutation is applied
+// in memory, but the log has failed and the rack should be drained and
+// restarted.
+var ErrWALCommit = errors.New("broker: wal commit")
 
 // DurabilityConfig turns a rack durable: every acknowledged mutation is
 // written to a write-ahead log under Dir before (per the fsync policy) the
@@ -124,7 +138,7 @@ func (r *Rack) commitDur() error {
 		return nil
 	}
 	if err := r.dur.log.Commit(); err != nil {
-		return fmt.Errorf("broker: wal commit: %w", err)
+		return fmt.Errorf("%w: %w", ErrWALCommit, err)
 	}
 	return nil
 }
@@ -137,25 +151,25 @@ func (r *Rack) commitDur() error {
 func (r *Rack) replayRecord(typ byte, payload []byte) error {
 	now := r.cfg.Now().UTC()
 	switch typ {
-	case walRecSubmit:
+	case RecSubmit:
 		b, err := bottleFromRaw(payload, now)
 		if err != nil {
 			return nil // expired in the meantime, or unreadable: not recoverable state
 		}
 		_ = r.shardFor(b.id).put(b, now)
-	case walRecReply:
+	case RecReply:
 		id, raw, err := UnmarshalReplyPost(payload)
 		if err != nil {
 			return nil
 		}
 		_ = r.shardFor(id).pushReply(id, raw, r.cfg.MaxRepliesPerBottle, now)
-	case walRecRemove, walRecExpire:
+	case RecRemove, recExpire:
 		id := string(payload)
 		// Replay is pre-serving and owner-blind: recovered bottles carry open
 		// ownership (the record format predates it), so the empty caller is
 		// always allowed.
 		_, _ = r.shardFor(id).remove(id, "", now)
-	case walRecDrain:
+	case recDrain:
 		id := string(payload)
 		_, _ = r.shardFor(id).drainReplies(id, "")
 	}
@@ -276,7 +290,7 @@ func (r *Rack) installSnapshot(blob []byte) error {
 		if err != nil {
 			return fmt.Errorf("%w: bottle payload", ErrMalformedFrame)
 		}
-		replies, err := readRawList(rd, nil)
+		replies, err := readRawList(rd)
 		if err != nil {
 			return err
 		}

@@ -15,38 +15,19 @@ import (
 // transfer format, so a streamed hint replays on the destination exactly the
 // way its own log would have.
 
-// Handoff record types. The values and payload encodings of the first three
-// match the write-ahead-log record types (durability.go): RecSubmit carries a
-// marshalled core.RequestPackage, RecReply a MarshalReplyPost frame, and
-// RecRemove the raw request-ID bytes. RecRepair exists only on the hint
-// *queueing* path: it names a bottle by ID and is resolved by the queueing
-// rack into a RecSubmit (plus RecReply records for the queued replies) from
-// its own copy, so a read-repair never ships the package over the client
-// connection that noticed the divergence.
-const (
-	// RecSubmit racks a bottle; payload: the marshalled core.RequestPackage.
-	RecSubmit byte = 1
-	// RecReply queues a reply; payload: MarshalReplyPost(requestID, reply).
-	RecReply byte = 2
-	// RecRemove unracks a bottle; payload: the untagged request-ID bytes.
-	RecRemove byte = 3
-	// RecRepair asks the queueing rack to re-replicate one of its own bottles;
-	// payload: the untagged request-ID bytes. Never streamed — resolved into
-	// RecSubmit/RecReply records at queue time.
-	RecRepair byte = 6
-)
-
 // HandoffRecord is one replication transfer unit: a WAL-typed payload applied
 // idempotently on the destination rack.
 type HandoffRecord struct {
-	// Type is one of RecSubmit, RecReply, RecRemove or RecRepair.
+	// Type is one of RecSubmit, RecReply, RecRemove or RecRepair (the
+	// record types of durability.go).
 	Type byte
 	// Owner is the identity a RecSubmit bottle is racked under on the
-	// destination, so ownership survives replication: the submitter — not the
-	// rack that relayed the record — must stay the only identity allowed to
-	// Fetch or Remove the converged copy. The hint-queueing rack stamps it
-	// from its authenticated caller (or its own store for read-repair) and
-	// ignores whatever the client claims; empty means open ownership, which
+	// destination, and the identity a RecRemove is applied as, so ownership
+	// survives replication: the submitter — not the rack that relayed the
+	// record — must stay the only identity allowed to Fetch or Remove the
+	// converged copy. The hint-queueing rack stamps it from its
+	// authenticated caller (or its own store for read-repair) and ignores
+	// whatever the client claims; empty means open ownership, which
 	// pre-ownership peers produce. Unused by the other record types.
 	Owner string
 	// Payload is the record body in the WAL encoding for its type.

@@ -251,7 +251,7 @@ func (s *shard) putLocked(b *bottle, now int64) error {
 	g.add(b, stamp(s.seq, now))
 	s.stats.Submitted++
 	if s.logRec != nil {
-		s.logRec(walRecSubmit, b.raw)
+		s.logRec(RecSubmit, b.raw)
 	}
 	return nil
 }
@@ -406,7 +406,7 @@ func (s *shard) dropLocked(b *bottle) {
 	delete(s.replies, b.id)
 	s.stats.Expired++
 	if s.logRec != nil {
-		s.logRec(walRecExpire, []byte(b.id))
+		s.logRec(recExpire, []byte(b.id))
 	}
 }
 
@@ -444,7 +444,7 @@ func (s *shard) pushReplyLocked(id string, raw []byte, maxQueue int, now time.Ti
 	s.stats.RepliesIn++
 	if s.logRec != nil {
 		s.encBuf = AppendReplyPost(s.encBuf[:0], id, raw)
-		s.logRec(walRecReply, s.encBuf)
+		s.logRec(RecReply, s.encBuf)
 	}
 	return nil
 }
@@ -502,7 +502,7 @@ func (s *shard) drainRepliesLocked(id, caller string) ([][]byte, error) {
 	delete(s.replies, id)
 	s.stats.RepliesOut += uint64(len(out))
 	if s.logRec != nil && len(out) > 0 {
-		s.logRec(walRecDrain, []byte(id))
+		s.logRec(recDrain, []byte(id))
 	}
 	return out, nil
 }
@@ -541,7 +541,7 @@ func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 	delete(s.bottles, id)
 	delete(s.replies, id)
 	if s.logRec != nil {
-		s.logRec(walRecRemove, []byte(id))
+		s.logRec(RecRemove, []byte(id))
 	}
 	g := s.byPrime[b.pkg.Prime]
 	g.bottles[b.slot] = nil

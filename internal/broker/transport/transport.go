@@ -714,7 +714,7 @@ func (m *Mux) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResul
 
 // Reply posts a marshalled reply for the given request.
 func (m *Mux) Reply(ctx context.Context, requestID string, raw []byte) error {
-	_, err := m.call(ctx, OpReply, broker.MarshalReplyPost(requestID, raw))
+	_, err := m.call(ctx, OpReply, broker.AppendReplyPost(nil, requestID, raw))
 	return err
 }
 

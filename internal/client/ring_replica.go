@@ -687,7 +687,7 @@ func (r *Ring) settleReply(h *hintSet, p idPlan, raw []byte, targets []*rackNode
 		return err
 	}
 	if len(p.down)+len(faulted) > 0 {
-		rec := broker.HandoffRecord{Type: broker.RecReply, Payload: broker.MarshalReplyPost(p.rest, raw)}
+		rec := broker.HandoffRecord{Type: broker.RecReply, Payload: broker.AppendReplyPost(nil, p.rest, raw)}
 		h.add(succ, p.down, rec)
 		h.add(succ, faulted, rec)
 	}

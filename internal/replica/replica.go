@@ -159,18 +159,19 @@ func (n *Node) Close() error {
 // were shed against the queue bound or named bottles this rack no longer
 // holds.
 //
-// Ownership stamping happens here, on the queueing rack: a RecSubmit's Owner
-// is always the caller's authenticated identity (never the client-supplied
-// field — a caller can only queue bottles as itself), and a RecRepair's
-// resolved copy carries the owner this rack recorded at submit time. The
-// destination racks the converged bottle under that identity, so replication
-// never widens who may drain or remove it.
+// Ownership stamping happens here, on the queueing rack: a RecSubmit's or
+// RecRemove's Owner is always the caller's authenticated identity (never the
+// client-supplied field — a caller can only queue bottles, and removals, as
+// itself), and a RecRepair's resolved copy carries the owner this rack
+// recorded at submit time. The destination racks the converged bottle, and
+// applies the removal, under that identity, so replication never widens who
+// may drain or remove a bottle.
 func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecord) (int, error) {
 	caller := broker.IdentityFromContext(ctx)
 	resolved := make([]broker.HandoffRecord, 0, len(recs))
 	for _, rec := range recs {
 		if rec.Type != broker.RecRepair {
-			if rec.Type == broker.RecSubmit {
+			if rec.Type == broker.RecSubmit || rec.Type == broker.RecRemove {
 				rec.Owner = caller
 			}
 			resolved = append(resolved, rec)
@@ -186,7 +187,7 @@ func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecor
 		id := broker.UntagID(string(rec.Payload))
 		for _, rep := range replies {
 			resolved = append(resolved, broker.HandoffRecord{
-				Type: broker.RecReply, Payload: broker.MarshalReplyPost(id, rep),
+				Type: broker.RecReply, Payload: broker.AppendReplyPost(nil, id, rep),
 			})
 		}
 	}
@@ -222,8 +223,11 @@ func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecor
 // Handoff applies records handed off by a peer (or hinted to self). Records
 // apply idempotently: duplicate or expired submits, replies to bottles no
 // longer racked and removes of absent bottles all count as applied — the
-// state they wanted is already true (or moot). It returns the applied count;
-// the error is non-nil only when the rack itself is failing.
+// state they wanted is already true (or moot). A record the rack refuses on
+// its merits (an unauthorized remove, a malformed payload, a reply addressed
+// to another ID) is skipped and not counted, so it cannot hold back the
+// records behind it. It returns the applied count; the error is non-nil only
+// when the rack itself is failing: closed, its log commit failed, or ctx done.
 func (n *Node) Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, error) {
 	applied := 0
 	for _, rec := range recs {
@@ -247,13 +251,18 @@ func (n *Node) Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, e
 				err = nil
 			}
 		case broker.RecRemove:
-			_, err = n.Rack.Remove(ctx, string(rec.Payload))
+			// Remove as the identity that asked for the removal: the peer
+			// relaying it owns no client's bottle.
+			_, err = n.Rack.Remove(broker.WithIdentity(ctx, rec.Owner), string(rec.Payload))
 		default:
 			// Unknown record types (a newer peer) are skipped, not fatal.
 			continue
 		}
 		if err != nil {
-			return applied, err
+			if ctx.Err() != nil || errors.Is(err, broker.ErrRackClosed) || errors.Is(err, broker.ErrWALCommit) {
+				return applied, err
+			}
+			continue
 		}
 		applied++
 	}

@@ -92,10 +92,10 @@ func TestHandoffIdempotent(t *testing.T) {
 	ghostRep := (&core.Reply{RequestID: "ghost", From: "bob", SentAt: time.Now()}).Marshal()
 	recs := []broker.HandoffRecord{
 		{Type: broker.RecSubmit, Payload: raw},
-		{Type: broker.RecReply, Payload: broker.MarshalReplyPost(pkg.ID, rep)},
-		{Type: broker.RecReply, Payload: broker.MarshalReplyPost("ghost", ghostRep)}, // unknown bottle: moot
-		{Type: broker.RecRemove, Payload: []byte("ghost")},                           // absent bottle: moot
-		{Type: 99, Payload: []byte("future")},                                        // unknown type: skipped
+		{Type: broker.RecReply, Payload: broker.AppendReplyPost(nil, pkg.ID, rep)},
+		{Type: broker.RecReply, Payload: broker.AppendReplyPost(nil, "ghost", ghostRep)}, // unknown bottle: moot
+		{Type: broker.RecRemove, Payload: []byte("ghost")},                               // absent bottle: moot
+		{Type: 99, Payload: []byte("future")},                                            // unknown type: skipped
 	}
 	applied, err := n.Handoff(ctx, recs)
 	if err != nil || applied != 4 {
@@ -107,6 +107,11 @@ func TestHandoffIdempotent(t *testing.T) {
 	}
 	if got, err := n.Fetch(ctx, pkg.ID); err != nil || len(got) != 2 {
 		t.Fatalf("Fetch = %d replies, %v; want the original and re-delivered reply", len(got), err)
+	}
+	// A failing rack fails the batch, so the sender keeps its queue.
+	n.Close()
+	if applied, err := n.Handoff(ctx, recs); !errors.Is(err, broker.ErrRackClosed) || applied != 0 {
+		t.Fatalf("Handoff on a closed rack = %d, %v; want 0 and ErrRackClosed", applied, err)
 	}
 }
 
@@ -196,6 +201,46 @@ func TestHandoffPreservesOwnership(t *testing.T) {
 	if _, owner, _, ok := dst.PeekBottle(pkg2.ID); !ok || owner != "alice" {
 		t.Fatalf("read-repaired bottle owner = %q (held %v), want alice", owner, ok)
 	}
+
+	// A hinted remove applies as the identity that asked for it, not as the
+	// relaying rack: alice's removal of her own bottle converges, and the
+	// write queued behind it arrives.
+	raw3, pkg3 := buildRaw(t, 9)
+	if _, err := src.Hint(aliceCtx, "rack-1", []broker.HandoffRecord{
+		{Type: broker.RecRemove, Payload: []byte(pkg.ID)},
+		{Type: broker.RecSubmit, Payload: raw3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Flush(ctx); err != nil || src.Pending() != 0 {
+		t.Fatalf("Flush: %v, %d pending; want the remove and the submit delivered", err, src.Pending())
+	}
+	if _, _, _, ok := dst.PeekBottle(pkg.ID); ok {
+		t.Fatal("alice's hinted remove left her bottle on the replica")
+	}
+	if _, owner, _, ok := dst.PeekBottle(pkg3.ID); !ok || owner != "alice" {
+		t.Fatalf("submit queued behind the remove: owner = %q (held %v), want alice", owner, ok)
+	}
+
+	// mallory's remove of alice's bottle, under whatever owner the hint
+	// claims, is refused on the replica and dropped without holding back
+	// the write queued behind it.
+	raw4, pkg4 := buildRaw(t, 10)
+	if _, err := src.Hint(broker.WithIdentity(ctx, "mallory"), "rack-1", []broker.HandoffRecord{
+		{Type: broker.RecRemove, Owner: "alice", Payload: []byte(pkg2.ID)},
+		{Type: broker.RecSubmit, Payload: raw4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Flush(ctx); err != nil || src.Pending() != 0 {
+		t.Fatalf("Flush: %v, %d pending; want the forged remove dropped and the submit delivered", err, src.Pending())
+	}
+	if _, owner, _, ok := dst.PeekBottle(pkg2.ID); !ok || owner != "alice" {
+		t.Fatalf("after mallory's remove hint: owner = %q (held %v), want alice's bottle still held", owner, ok)
+	}
+	if _, owner, _, ok := dst.PeekBottle(pkg4.ID); !ok || owner != "mallory" {
+		t.Fatalf("submit queued behind the forged remove: owner = %q (held %v), want mallory", owner, ok)
+	}
 }
 
 func TestPeerTableAdmin(t *testing.T) {
@@ -257,7 +302,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	rep := (&core.Reply{RequestID: pkg.ID, From: "bob", SentAt: time.Now()}).Marshal()
 	if _, err := n0.Hint(ctx, "rack-1", []broker.HandoffRecord{
 		{Type: broker.RecSubmit, Payload: raw},
-		{Type: broker.RecReply, Payload: broker.MarshalReplyPost(pkg.ID, rep)},
+		{Type: broker.RecReply, Payload: broker.AppendReplyPost(nil, pkg.ID, rep)},
 	}); err != nil {
 		t.Fatal(err)
 	}
