@@ -473,13 +473,8 @@ func (r *Rack) ReplyBatch(ctx context.Context, posts []ReplyPost) ([]error, erro
 	errs := make([]error, len(posts))
 	perShard := make(map[*shard][]int)
 	for i, p := range posts {
-		rep, err := core.UnmarshalReply(p.Raw)
-		if err != nil {
+		if err := checkReply(p.RequestID, p.Raw); err != nil {
 			errs[i] = err
-			continue
-		}
-		if rep.RequestID != p.RequestID {
-			errs[i] = fmt.Errorf("broker: reply addressed to %q but carries request id %q", p.RequestID, rep.RequestID)
 			continue
 		}
 		sh := r.shardFor(p.RequestID)
@@ -779,6 +774,20 @@ func (r *Rack) Reply(ctx context.Context, requestID string, raw []byte) error {
 		return ErrRackClosed
 	}
 	requestID = r.untagID(requestID)
+	if err := checkReply(requestID, raw); err != nil {
+		return err
+	}
+	sh := r.shardFor(requestID)
+	if err := sh.pushReply(requestID, raw, r.cfg.MaxRepliesPerBottle, r.cfg.Now().UTC()); err != nil {
+		return err
+	}
+	return r.commitDur()
+}
+
+// checkReply makes the checks every queued reply passes, whichever path
+// queues it: the reply parses, and it echoes the request ID it is posted
+// under.
+func checkReply(requestID string, raw []byte) error {
 	rep, err := core.UnmarshalReply(raw)
 	if err != nil {
 		return err
@@ -786,11 +795,7 @@ func (r *Rack) Reply(ctx context.Context, requestID string, raw []byte) error {
 	if rep.RequestID != requestID {
 		return fmt.Errorf("broker: reply addressed to %q but carries request id %q", requestID, rep.RequestID)
 	}
-	sh := r.shardFor(requestID)
-	if err := sh.pushReply(requestID, raw, r.cfg.MaxRepliesPerBottle, r.cfg.Now().UTC()); err != nil {
-		return err
-	}
-	return r.commitDur()
+	return nil
 }
 
 // Fetch drains and returns the replies queued for a request. Only bottles

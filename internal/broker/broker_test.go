@@ -220,8 +220,8 @@ func TestSubmitRequestIDCap(t *testing.T) {
 	if err != nil || res[0].Err != nil || !errors.Is(res[1].Err, core.ErrMalformedPackage) {
 		t.Fatalf("batch at and over the cap: %+v, %v", res, err)
 	}
-	if err := rack.replayRecord(RecSubmit, withID(maxRequestIDLen+1)); err != nil {
-		t.Fatalf("replaying an over-long ID: %v", err)
+	if err := rack.apply(HandoffRecord{Type: RecSubmit, Payload: withID(maxRequestIDLen + 1)}, clock.Now()); !errors.Is(err, core.ErrMalformedPackage) {
+		t.Fatalf("replaying an over-long ID: %v, want ErrMalformedPackage", err)
 	}
 	if st := statsOf(rack); st.Held != 2 {
 		t.Fatalf("held %d bottles, want the 2 at or under the cap", st.Held)

@@ -1,22 +1,25 @@
 package broker
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"sealedbottle/internal/broker/wal"
+	"sealedbottle/internal/core"
 )
 
-// Record types of the write-ahead log and of handoff records, one set for
-// both: a streamed hint replays on its destination the way the destination's
-// own log would have (replication.go). Payloads reuse the existing wire
-// encodings, so the log can be read with the same codec as the transport
-// (see docs/PROTOCOL.md): a submit record carries the marshalled request
-// package exactly as submitted, a reply record the AppendReplyPost encoding,
-// and the ID-only records the raw request ID bytes (the OpRemove/OpFetch
-// body encoding). The values are on disk and on the wire: never renumber.
+// Record types of the write-ahead log, the snapshot and handoff records, one
+// set for all three, applied by one function (apply): a streamed hint
+// replays on its destination the way the destination's own log would have.
+// Payloads reuse the existing wire encodings, so the log can be read with
+// the same codec as the transport (see docs/PROTOCOL.md): a submit record
+// carries the marshalled request package exactly as submitted, a reply
+// record the AppendReplyPost encoding, and the ID-only records the raw
+// request ID bytes (the OpRemove/OpFetch body encoding). The values are on
+// disk and on the wire: never renumber.
 const (
 	// RecSubmit racks a bottle; payload: the marshalled core.RequestPackage.
 	RecSubmit byte = 1
@@ -92,13 +95,26 @@ func (r *Rack) openDurability(dc DurabilityConfig) error {
 		l.Close()
 		return err
 	}
+	// The snapshot and the log tail both go through apply. A record it
+	// refuses (a bottle that expired while the rack was down, a reply to a
+	// bottle removed later in the log) is skipped; only a malformed snapshot
+	// or log aborts recovery. Log records carry no owner, so replay is
+	// owner-blind: every recovered bottle is open.
 	if blob != nil {
-		if err := r.installSnapshot(blob); err != nil {
+		recs, err := UnmarshalHandoffRecords(blob)
+		if err != nil {
 			l.Close()
 			return fmt.Errorf("broker: install snapshot: %w", err)
 		}
+		now := r.cfg.Now().UTC()
+		for _, rec := range recs {
+			_ = r.apply(rec, now)
+		}
 	}
-	if _, err := l.Replay(r.replayRecord); err != nil {
+	if _, err := l.Replay(func(typ byte, payload []byte) error {
+		_ = r.apply(HandoffRecord{Type: typ, Payload: payload}, r.cfg.Now().UTC())
+		return nil
+	}); err != nil {
 		l.Close()
 		return fmt.Errorf("broker: replay wal: %w", err)
 	}
@@ -143,39 +159,78 @@ func (r *Rack) commitDur() error {
 	return nil
 }
 
-// replayRecord applies one recovered log record. Records that no longer
-// apply — expired bottles, duplicate IDs from a Submit racing the snapshot,
-// replies to bottles removed later in the log — are skipped, exactly as the
-// live paths would refuse them; only structural impossibilities abort
-// recovery, and those are handled by the caller.
-func (r *Rack) replayRecord(typ byte, payload []byte) error {
-	now := r.cfg.Now().UTC()
-	switch typ {
+// apply changes rack state by one record. It is the one place a record type
+// becomes a mutation, shared by WAL replay, snapshot install and peer
+// handoff (Apply), so a record means the same on every path. A RecSubmit
+// racks its bottle under exactly rec.Owner ("" is open ownership); a
+// RecReply queues its reply after the checks Reply makes; a RecRemove or
+// recExpire unracks the bottle as rec.Owner, and a recDrain empties its
+// reply queue as rec.Owner. An outcome that leaves the state the record asks
+// for returns nil: a duplicate or expired submit, a reply to a bottle no
+// longer racked, a remove of an absent bottle. A record refused on its
+// merits returns the refusal. Unknown types are skipped, so a downgraded
+// broker replays what it understands rather than refusing to start.
+func (r *Rack) apply(rec HandoffRecord, now time.Time) error {
+	var err error
+	switch rec.Type {
 	case RecSubmit:
-		b, err := bottleFromRaw(payload, now)
-		if err != nil {
-			return nil // expired in the meantime, or unreadable: not recoverable state
+		var b *bottle
+		if b, err = bottleFromRaw(rec.Payload, now); err == nil {
+			b.owner = rec.Owner
+			err = r.shardFor(b.id).put(b, now)
 		}
-		_ = r.shardFor(b.id).put(b, now)
-	case RecReply:
-		id, raw, err := UnmarshalReplyPost(payload)
-		if err != nil {
+		if errors.Is(err, ErrDuplicateBottle) || errors.Is(err, core.ErrExpired) {
 			return nil
 		}
-		_ = r.shardFor(id).pushReply(id, raw, r.cfg.MaxRepliesPerBottle, now)
+	case RecReply:
+		var id string
+		var raw []byte
+		if id, raw, err = UnmarshalReplyPost(rec.Payload); err == nil {
+			err = checkReply(id, raw)
+		}
+		if err == nil {
+			err = r.shardFor(id).pushReply(id, raw, r.cfg.MaxRepliesPerBottle, now)
+		}
 	case RecRemove, recExpire:
-		id := string(payload)
-		// Replay is pre-serving and owner-blind: recovered bottles carry open
-		// ownership (the record format predates it), so the empty caller is
-		// always allowed.
-		_, _ = r.shardFor(id).remove(id, "", now)
+		id := string(rec.Payload)
+		_, err = r.shardFor(id).remove(id, rec.Owner, now)
 	case recDrain:
-		id := string(payload)
-		_, _ = r.shardFor(id).drainReplies(id, "")
+		id := string(rec.Payload)
+		_, err = r.shardFor(id).drainReplies(id, rec.Owner)
 	}
-	// Unknown record types are skipped: a downgraded broker replays what it
-	// understands rather than refusing to start.
-	return nil
+	if errors.Is(err, ErrUnknownBottle) {
+		return nil
+	}
+	return err
+}
+
+// Apply applies records handed off by a peer (or hinted to this rack) with
+// the function WAL replay uses, so a hint lands exactly as the write it
+// stands for. Only RecSubmit, RecReply and RecRemove are taken from a peer;
+// any other type is skipped and not counted. A record counts as applied when
+// the state it asks for holds afterwards, a duplicate submit or a remove of
+// an absent bottle included; one refused on its merits (an unauthorized
+// remove, a malformed payload) is skipped and not counted, so it cannot hold
+// back the records behind it. As in SubmitBatch, the rack and ctx are checked
+// once and one durability wait covers the batch: the error is non-nil only
+// when the rack is closed, ctx is done or the log commit failed.
+func (r *Rack) Apply(ctx context.Context, recs []HandoffRecord) (applied int, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if r.isClosed() {
+		return 0, ErrRackClosed
+	}
+	now := r.cfg.Now().UTC()
+	for _, rec := range recs {
+		if rec.Type != RecSubmit && rec.Type != RecReply && rec.Type != RecRemove {
+			continue
+		}
+		if r.apply(rec, now) == nil {
+			applied++
+		}
+	}
+	return applied, r.commitDur()
 }
 
 // Snapshot persists a point-in-time snapshot of the live rack state and
@@ -196,8 +251,8 @@ func (r *Rack) Snapshot() error {
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 	}
-	captured := r.captureSnapshotLocked()
-	wait := r.dur.log.Snapshot(func() []byte { return encodeSnapshot(captured) })
+	bottles, replies := r.captureSnapshotLocked()
+	wait := r.dur.log.Snapshot(func() []byte { return encodeSnapshot(bottles, replies) })
 	for _, sh := range r.shards {
 		sh.mu.Unlock()
 	}
@@ -224,94 +279,49 @@ func (r *Rack) snapshotLoop() {
 	}
 }
 
-// Snapshot blob encoding, reusing the transport codec's primitives:
-//
-//	u32 bottle count
-//	per bottle: u32 rawLen | raw package | rawList replies
-//
-// The raw package carries the ID and expiry deadline, so recovery re-derives
-// everything else (prime group membership, expiry re-arming) exactly as a
-// live Submit would.
-
-// capturedBottle pins one bottle's state by reference: b.raw is written once
-// at validation and never mutated, and reply queue elements are copied on
-// push and never mutated in place — a later concurrent append either writes
-// past the captured length or reallocates, so the captured headers keep
-// describing exactly the capture-time content.
-type capturedBottle struct {
-	raw     []byte
-	replies [][]byte
-}
-
-// captureSnapshotLocked collects references to every live bottle and reply
-// queue. The caller holds every shard lock; only slice headers are copied.
-func (r *Rack) captureSnapshotLocked() []capturedBottle {
+// captureSnapshotLocked collects references to every live bottle and its
+// reply queue. The caller holds every shard lock; only pointers and slice
+// headers are copied. A bottle's id and raw are written once at validation
+// and never mutated, and reply queue elements are copied on push and never
+// mutated in place — a later concurrent append either writes past the
+// captured length or reallocates, so the captured headers keep describing
+// exactly the capture-time content.
+func (r *Rack) captureSnapshotLocked() ([]*bottle, [][][]byte) {
 	total := 0
 	for _, sh := range r.shards {
 		total += len(sh.bottles)
 	}
-	out := make([]capturedBottle, 0, total)
+	bottles := make([]*bottle, 0, total)
+	replies := make([][][]byte, 0, total)
 	for _, sh := range r.shards {
 		for id, b := range sh.bottles {
-			out = append(out, capturedBottle{raw: b.raw, replies: sh.replies[id]})
+			bottles = append(bottles, b)
+			replies = append(replies, sh.replies[id])
 		}
 	}
-	return out
+	return bottles, replies
 }
 
-// encodeSnapshot serializes a captured rack state; it runs on the log's
-// committer goroutine, after the shard locks are released.
-func encodeSnapshot(bottles []capturedBottle) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(bottles)))
-	for _, b := range bottles {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.raw)))
-		buf = append(buf, b.raw...)
-		buf = appendRawList(buf, b.replies)
+// encodeSnapshot writes a captured rack state as one handoff-record batch
+// (appendHandoffRecords' encoding): per bottle an owner-less RecSubmit, then
+// a RecReply per queued reply in arrival order. Recovery applies the batch
+// with apply, as it does the log tail, so a recovered bottle is re-derived
+// (prime group, screen, expiry) exactly as a live Submit would derive it.
+// It runs on the log's committer goroutine, after the shard locks are
+// released.
+func encodeSnapshot(bottles []*bottle, replies [][][]byte) []byte {
+	n := len(bottles)
+	for _, q := range replies {
+		n += len(q)
+	}
+	buf := binary.BigEndian.AppendUint32(nil, uint32(n))
+	var post []byte
+	for i, b := range bottles {
+		buf = appendHandoffRecord(buf, HandoffRecord{Type: RecSubmit, Payload: b.raw})
+		for _, rep := range replies[i] {
+			post = AppendReplyPost(post[:0], b.id, rep)
+			buf = appendHandoffRecord(buf, HandoffRecord{Type: RecReply, Payload: post})
+		}
 	}
 	return buf
-}
-
-// installSnapshot loads a snapshot blob into the (empty, pre-serving) rack.
-// Bottles that expired while the rack was down are dropped here, which is
-// how recovery honours their persisted deadlines.
-func (r *Rack) installSnapshot(blob []byte) error {
-	rd := &reader{data: blob}
-	count, err := rd.uint32()
-	if err != nil {
-		return fmt.Errorf("%w: bottle count", ErrMalformedFrame)
-	}
-	now := r.cfg.Now().UTC()
-	for i := 0; i < int(count); i++ {
-		size, err := rd.uint32()
-		if err != nil {
-			return fmt.Errorf("%w: bottle size", ErrMalformedFrame)
-		}
-		raw, err := rd.bytes(int(size))
-		if err != nil {
-			return fmt.Errorf("%w: bottle payload", ErrMalformedFrame)
-		}
-		replies, err := readRawList(rd)
-		if err != nil {
-			return err
-		}
-		// readRawList is zero-copy; installReplies retains the queues, so copy
-		// them out of the snapshot blob instead of pinning it whole (cold
-		// path: recovery only).
-		for j, rep := range replies {
-			replies[j] = append([]byte(nil), rep...)
-		}
-		b, err := bottleFromRaw(raw, now)
-		if err != nil {
-			continue // expired while down (or unreadable): not recovered
-		}
-		sh := r.shardFor(b.id)
-		if err := sh.put(b, now); err != nil {
-			continue
-		}
-		sh.installReplies(b.id, replies)
-	}
-	if rd.remaining() != 0 {
-		return fmt.Errorf("%w: trailing bytes", ErrMalformedFrame)
-	}
-	return nil
 }

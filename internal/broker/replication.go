@@ -12,8 +12,9 @@ import (
 // streams them), and the transport (which carries them rack-to-rack). A
 // handoff record is deliberately the same (type, payload) shape as a
 // write-ahead-log record — the WAL encodings double as the rack-to-rack
-// transfer format, so a streamed hint replays on the destination exactly the
-// way its own log would have.
+// transfer format and the snapshot format, and Rack.Apply applies a streamed
+// hint with the function WAL replay uses, so it lands on the destination
+// exactly as its own log would have.
 
 // HandoffRecord is one replication transfer unit: a WAL-typed payload applied
 // idempotently on the destination rack.
@@ -27,8 +28,8 @@ type HandoffRecord struct {
 	// record — must stay the only identity allowed to Fetch or Remove the
 	// converged copy. The hint-queueing rack stamps it from its
 	// authenticated caller (or its own store for read-repair) and ignores
-	// whatever the client claims; empty means open ownership, which
-	// pre-ownership peers produce. Unused by the other record types.
+	// whatever the client claims. Empty means open ownership and is applied
+	// exactly as such. Unused by the other record types.
 	Owner string
 	// Payload is the record body in the WAL encoding for its type.
 	Payload []byte
@@ -94,12 +95,16 @@ func MarshalHandoffRecords(recs []HandoffRecord) []byte {
 func appendHandoffRecords(buf []byte, recs []HandoffRecord) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
 	for _, rec := range recs {
-		buf = append(buf, rec.Type)
-		buf = appendString16(buf, rec.Owner)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Payload)))
-		buf = append(buf, rec.Payload...)
+		buf = appendHandoffRecord(buf, rec)
 	}
 	return buf
+}
+
+func appendHandoffRecord(buf []byte, rec HandoffRecord) []byte {
+	buf = append(buf, rec.Type)
+	buf = appendString16(buf, rec.Owner)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.Payload)))
+	return append(buf, rec.Payload...)
 }
 
 func readHandoffRecords(r *reader) ([]HandoffRecord, error) {

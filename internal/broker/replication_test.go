@@ -151,6 +151,50 @@ func TestPeekBottle(t *testing.T) {
 	}
 }
 
+// TestHandoffSkipsPeerOnlyRecords pins the peer-side filter of Apply. WAL
+// replay and handoff share one apply function, which also acts on expire and
+// drain records, so a peer's recExpire, recDrain or RecRepair must not reach
+// it: the held bottle and its reply queue stay intact, those records are not
+// counted, and the records behind them still apply.
+func TestHandoffSkipsPeerOnlyRecords(t *testing.T) {
+	clock := newTestClock()
+	rack := newTestRack(clock, 2)
+	defer rack.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	raw, pkg := buildRawPackage(t, rng, clock, "alice", interests("chess"), nil, 0)
+	raw2, pkg2 := buildRawPackage(t, rng, clock, "carol", interests("go"), nil, 0)
+	if _, err := rack.Submit(ctx, raw); err != nil {
+		t.Fatal(err)
+	}
+	rep1 := (&core.Reply{RequestID: pkg.ID, From: "bob", SentAt: clock.Now()}).Marshal()
+	rep2 := (&core.Reply{RequestID: pkg.ID, From: "dave", SentAt: clock.Now()}).Marshal()
+	if err := rack.Reply(ctx, pkg.ID, rep1); err != nil {
+		t.Fatal(err)
+	}
+	id := []byte(pkg.ID)
+	applied, err := rack.Apply(WithIdentity(ctx, "rack:rack-0"), []HandoffRecord{
+		{Type: recExpire, Payload: id},
+		{Type: recDrain, Payload: id},
+		{Type: RecRepair, Payload: id},
+		{Type: RecReply, Payload: AppendReplyPost(nil, pkg.ID, rep2)},
+		{Type: RecSubmit, Payload: raw2},
+	})
+	if err != nil || applied != 2 {
+		t.Fatalf("Apply = %d, %v; want 2 (the reply and the submit behind the skipped records)", applied, err)
+	}
+	_, _, replies, ok := rack.PeekBottle(pkg.ID)
+	if !ok {
+		t.Fatal("a peer's expire record unracked the bottle")
+	}
+	if len(replies) != 2 || !bytes.Equal(replies[0], rep1) || !bytes.Equal(replies[1], rep2) {
+		t.Fatalf("reply queue holds %d replies, want the queued one and the handed-off one, in order", len(replies))
+	}
+	if _, _, _, ok := rack.PeekBottle(pkg2.ID); !ok {
+		t.Fatal("the submit behind the skipped records was not racked")
+	}
+}
+
 func FuzzHandoffUnmarshal(f *testing.F) {
 	f.Add(MarshalHandoffRecords([]HandoffRecord{{Type: RecSubmit, Payload: []byte{1, 2, 3}}}))
 	f.Add(MarshalHint("rack-1", []HandoffRecord{{Type: RecRepair, Payload: []byte("id")}}))

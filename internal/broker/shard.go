@@ -552,19 +552,6 @@ func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 	return true, nil
 }
 
-// installReplies restores a recovered reply queue for a racked bottle; it is
-// only called during recovery, before the rack serves traffic.
-func (s *shard) installReplies(id string, raws [][]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.bottles[id]; !ok {
-		return
-	}
-	if len(raws) > 0 {
-		s.replies[id] = raws
-	}
-}
-
 // reap removes every expired bottle and compacts the prime groups.
 func (s *shard) reap(now time.Time) int {
 	s.mu.Lock()

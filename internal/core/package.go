@@ -311,127 +311,45 @@ func (p *RequestPackage) WireSize() (int, error) {
 	return p.wireSize(), nil
 }
 
-// UnmarshalPackage decodes a package from its wire form.
+// UnmarshalPackage decodes a package from its wire form. The header goes
+// through UnmarshalPackageView's parser, which makes every structural check;
+// what is added here is the hint matrix, whose elements must each be
+// canonical, and a copy of the sealed message.
 func UnmarshalPackage(data []byte) (*RequestPackage, error) {
-	r := &byteReader{data: data}
-	magic, err := r.bytes(len(packageMagic))
-	if err != nil || string(magic) != packageMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrMalformedPackage)
-	}
-	version, err := r.byte()
-	if err != nil || version != packageVersion {
-		return nil, fmt.Errorf("%w: unsupported version", ErrMalformedPackage)
-	}
-	modeByte, err := r.byte()
+	v, hint, err := parsePackage(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated mode", ErrMalformedPackage)
+		return nil, err
 	}
 	a := new(packageAlloc)
 	p := &a.pkg
-	p.Mode = SealMode(modeByte)
-	if p.Prime, err = r.uint32(); err != nil {
-		return nil, fmt.Errorf("%w: truncated prime", ErrMalformedPackage)
-	}
-	if p.ID, err = r.string(); err != nil {
-		return nil, fmt.Errorf("%w: truncated id", ErrMalformedPackage)
-	}
-	if p.Origin, err = r.string(); err != nil {
-		return nil, fmt.Errorf("%w: truncated origin", ErrMalformedPackage)
-	}
-	created, err := r.uint64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated created", ErrMalformedPackage)
-	}
-	expires, err := r.uint64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated expires", ErrMalformedPackage)
-	}
-	p.CreatedAt = time.Unix(0, int64(created)).UTC()
-	p.ExpiresAt = time.Unix(0, int64(expires)).UTC()
-	count, err := r.uint16()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated attribute count", ErrMalformedPackage)
-	}
-	p.Remainders = make([]uint32, count)
+	p.ID, p.Origin, p.Mode, p.Prime = v.ID, v.Origin, v.Mode, v.Prime
+	p.CreatedAt, p.ExpiresAt, p.MaxUnknown = v.CreatedAt, v.ExpiresAt, v.MaxUnknown
+	p.Remainders = make([]uint32, v.attrCount)
+	p.Optional = make([]bool, v.attrCount)
 	for i := range p.Remainders {
-		if p.Remainders[i], err = r.uint32(); err != nil {
-			return nil, fmt.Errorf("%w: truncated remainders", ErrMalformedPackage)
-		}
+		p.Remainders[i] = v.Remainder(i)
+		p.Optional[i] = v.IsOptional(i)
 	}
-	p.Optional = make([]bool, count)
-	for i := range p.Optional {
-		b, err := r.byte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated optional mask", ErrMalformedPackage)
-		}
-		p.Optional[i] = b != 0
-	}
-	maxUnknown, err := r.uint16()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated γ", ErrMalformedPackage)
-	}
-	p.MaxUnknown = int(maxUnknown)
-	hintPresent, err := r.byte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated hint flag", ErrMalformedPackage)
-	}
-	if hintPresent == 1 {
-		rows, err := r.uint16()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated hint rows", ErrMalformedPackage)
-		}
-		cols, err := r.uint16()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated hint cols", ErrMalformedPackage)
-		}
-		if rows == 0 || cols == 0 || int(rows) > int(count) || int(cols) > int(count) {
-			return nil, fmt.Errorf("%w: implausible hint shape %dx%d", ErrMalformedPackage, rows, cols)
-		}
-		hint, err := a.hint.init(int(rows), int(cols))
-		if err != nil {
+	if hint != nil {
+		rows, cols := int(binary.BigEndian.Uint16(hint)), int(binary.BigEndian.Uint16(hint[2:]))
+		if p.Hint, err = a.hint.init(rows, cols); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMalformedPackage, err)
 		}
-		for i := 0; i < int(rows); i++ {
-			for j := 0; j < int(cols); j++ {
-				raw, err := r.bytes(field.ElementSize)
-				if err != nil {
-					return nil, fmt.Errorf("%w: truncated hint matrix", ErrMalformedPackage)
-				}
-				e, err := field.ElementFromCanonicalBytes(raw)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrMalformedPackage, err)
-				}
-				hint.C.Set(i, j, e)
-			}
-		}
-		for i := range hint.B {
-			raw, err := r.bytes(field.ElementSize)
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated hint rhs", ErrMalformedPackage)
-			}
-			e, err := field.ElementFromCanonicalBytes(raw)
+		// The parser sized the section: rows×cols matrix entries, then the
+		// rows-long right-hand side.
+		for k, elems := 0, hint[4:]; k < rows*cols+rows; k++ {
+			e, err := field.ElementFromCanonicalBytes(elems[k*field.ElementSize : (k+1)*field.ElementSize])
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrMalformedPackage, err)
 			}
-			hint.B[i] = e
+			if k < rows*cols {
+				p.Hint.C.Set(k/cols, k%cols, e)
+			} else {
+				p.Hint.B[k-rows*cols] = e
+			}
 		}
-		p.Hint = hint
 	}
-	sealedLen, err := r.uint32()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated sealed length", ErrMalformedPackage)
-	}
-	sealed, err := r.bytes(int(sealedLen))
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated sealed message", ErrMalformedPackage)
-	}
-	p.Sealed = append([]byte(nil), sealed...)
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformedPackage, r.remaining())
-	}
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
+	p.Sealed = append([]byte(nil), data[len(data)-v.sealedLen:]...)
 	return p, nil
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"sort"
 
 	"sealedbottle/internal/crypt"
@@ -113,30 +111,6 @@ func (p *RequestPackage) PrefilterMatch(s ResidueSet) bool {
 		}
 	}
 	return true
-}
-
-// PrefilterKey is a 64-bit digest of the package's prime, remainder vector
-// and optional mask — everything the prefilter consults. Brokers use it to
-// place packages with identical screening behaviour together and to build
-// cheap secondary indexes; it carries no more information than the public
-// remainder vector itself.
-func (p *RequestPackage) PrefilterKey() uint64 {
-	h := fnv.New64a()
-	var w [4]byte
-	binary.BigEndian.PutUint32(w[:], p.Prime)
-	h.Write(w[:])
-	for i, r := range p.Remainders {
-		binary.BigEndian.PutUint32(w[:], r)
-		h.Write(w[:])
-		if p.Optional[i] {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	binary.BigEndian.PutUint32(w[:], uint32(p.MaxUnknown))
-	h.Write(w[:])
-	return h.Sum64()
 }
 
 // MergePrimes returns the sorted union of the primes of the given residue

@@ -105,36 +105,6 @@ func TestPrefilterMatchPrimeMismatch(t *testing.T) {
 	}
 }
 
-func TestPrefilterKey(t *testing.T) {
-	spec := FuzzyMatch(2,
-		attr.MustNew("interest", "chess"),
-		attr.MustNew("interest", "go"),
-		attr.MustNew("interest", "shogi"),
-	)
-	a, err := BuildRequest(spec, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildRequest(spec, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Package.PrefilterKey() != b.Package.PrefilterKey() {
-		t.Fatal("same spec must produce the same prefilter key")
-	}
-	other, err := BuildRequest(FuzzyMatch(1,
-		attr.MustNew("interest", "chess"),
-		attr.MustNew("interest", "go"),
-		attr.MustNew("interest", "shogi"),
-	), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Package.PrefilterKey() == other.Package.PrefilterKey() {
-		t.Fatal("different γ must change the prefilter key")
-	}
-}
-
 func TestMergePrimes(t *testing.T) {
 	got := MergePrimes(13, 11, 13, 3, 11)
 	want := []uint32{3, 11, 13}

@@ -109,116 +109,126 @@ func (v *PackageView) PrefilterMatch(s ResidueSet) bool {
 // Every package accepted by UnmarshalPackage is accepted here with identical
 // field values; packages rejected here are also rejected there.
 func UnmarshalPackageView(data []byte) (PackageView, error) {
-	var v PackageView
+	v, _, err := parsePackage(data)
+	return v, err
+}
+
+// parsePackage is the one parser of a package's wire form. It makes every
+// structural check and returns the view with the hint section it skipped
+// (rows, cols, then the elements; nil when the package has none), for
+// UnmarshalPackage to decode.
+func parsePackage(data []byte) (v PackageView, hint []byte, err error) {
 	r := &byteReader{data: data}
 	magic, err := r.bytes(len(packageMagic))
 	if err != nil || string(magic) != packageMagic {
-		return v, fmt.Errorf("%w: bad magic", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: bad magic", ErrMalformedPackage)
 	}
 	version, err := r.byte()
 	if err != nil || version != packageVersion {
-		return v, fmt.Errorf("%w: unsupported version", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: unsupported version", ErrMalformedPackage)
 	}
 	modeByte, err := r.byte()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated mode", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated mode", ErrMalformedPackage)
 	}
 	v.Mode = SealMode(modeByte)
 	if !v.Mode.valid() {
-		return v, fmt.Errorf("%w: invalid seal mode %d", ErrMalformedPackage, v.Mode)
+		return v, nil, fmt.Errorf("%w: invalid seal mode %d", ErrMalformedPackage, v.Mode)
 	}
 	if v.Prime, err = r.uint32(); err != nil {
-		return v, fmt.Errorf("%w: truncated prime", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated prime", ErrMalformedPackage)
 	}
 	if v.Prime < 3 || !isSmallPrime(v.Prime) {
-		return v, fmt.Errorf("%w: bad prime %d", ErrMalformedPackage, v.Prime)
+		return v, nil, fmt.Errorf("%w: bad prime %d", ErrMalformedPackage, v.Prime)
 	}
 	if v.ID, err = r.string(); err != nil {
-		return v, fmt.Errorf("%w: truncated id", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated id", ErrMalformedPackage)
 	}
 	if v.Origin, err = r.string(); err != nil {
-		return v, fmt.Errorf("%w: truncated origin", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated origin", ErrMalformedPackage)
 	}
 	created, err := r.uint64()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated created", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated created", ErrMalformedPackage)
 	}
 	expires, err := r.uint64()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated expires", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated expires", ErrMalformedPackage)
 	}
 	v.CreatedAt = time.Unix(0, int64(created)).UTC()
 	v.ExpiresAt = time.Unix(0, int64(expires)).UTC()
 	count, err := r.uint16()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated attribute count", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated attribute count", ErrMalformedPackage)
 	}
 	v.attrCount = int(count)
 	if v.attrCount == 0 {
-		return v, fmt.Errorf("%w: remainder/optional length mismatch", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: remainder/optional length mismatch", ErrMalformedPackage)
 	}
 	if v.remainders, err = r.bytes(4 * v.attrCount); err != nil {
-		return v, fmt.Errorf("%w: truncated remainders", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated remainders", ErrMalformedPackage)
 	}
 	for i := 0; i < v.attrCount; i++ {
 		if rem := binary.BigEndian.Uint32(v.remainders[4*i:]); rem >= v.Prime {
-			return v, fmt.Errorf("%w: remainder %d not reduced mod %d", ErrMalformedPackage, rem, v.Prime)
+			return v, nil, fmt.Errorf("%w: remainder %d not reduced mod %d", ErrMalformedPackage, rem, v.Prime)
 		}
 	}
 	if v.optional, err = r.bytes(v.attrCount); err != nil {
-		return v, fmt.Errorf("%w: truncated optional mask", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated optional mask", ErrMalformedPackage)
 	}
 	maxUnknown, err := r.uint16()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated γ", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated γ", ErrMalformedPackage)
 	}
 	v.MaxUnknown = int(maxUnknown)
 	optionalCount := v.OptionalCount()
 	if v.MaxUnknown > optionalCount {
-		return v, fmt.Errorf("%w: γ=%d out of range", ErrMalformedPackage, v.MaxUnknown)
+		return v, nil, fmt.Errorf("%w: γ=%d out of range", ErrMalformedPackage, v.MaxUnknown)
 	}
 	hintPresent, err := r.byte()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated hint flag", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated hint flag", ErrMalformedPackage)
 	}
 	if hintPresent == 1 {
+		hintAt := r.off
 		rows, err := r.uint16()
 		if err != nil {
-			return v, fmt.Errorf("%w: truncated hint rows", ErrMalformedPackage)
+			return v, nil, fmt.Errorf("%w: truncated hint rows", ErrMalformedPackage)
 		}
 		cols, err := r.uint16()
 		if err != nil {
-			return v, fmt.Errorf("%w: truncated hint cols", ErrMalformedPackage)
+			return v, nil, fmt.Errorf("%w: truncated hint cols", ErrMalformedPackage)
 		}
 		if rows == 0 || cols == 0 || int(rows) > v.attrCount || int(cols) > v.attrCount {
-			return v, fmt.Errorf("%w: implausible hint shape %dx%d", ErrMalformedPackage, rows, cols)
+			return v, nil, fmt.Errorf("%w: implausible hint shape %dx%d", ErrMalformedPackage, rows, cols)
 		}
 		// Skip the elements themselves: rows×cols matrix entries plus the
 		// rows-long RHS vector, ElementSize bytes each. Canonicality of each
 		// element is the one check deferred to the full decode.
 		if _, err := r.bytes((int(rows)*int(cols) + int(rows)) * field.ElementSize); err != nil {
-			return v, fmt.Errorf("%w: truncated hint matrix", ErrMalformedPackage)
+			return v, nil, fmt.Errorf("%w: truncated hint matrix", ErrMalformedPackage)
 		}
 		if v.MaxUnknown > 0 && (int(rows) != v.MaxUnknown || int(cols) != optionalCount) {
-			return v, fmt.Errorf("%w: hint matrix shape %dx%d inconsistent with γ=%d, optional=%d",
+			return v, nil, fmt.Errorf("%w: hint matrix shape %dx%d inconsistent with γ=%d, optional=%d",
 				ErrMalformedPackage, rows, cols, v.MaxUnknown, optionalCount)
 		}
+		hint = data[hintAt:r.off]
 	} else if v.MaxUnknown > 0 {
-		return v, fmt.Errorf("%w: γ=%d but no hint matrix", ErrMalformedPackage, v.MaxUnknown)
+		return v, nil, fmt.Errorf("%w: γ=%d but no hint matrix", ErrMalformedPackage, v.MaxUnknown)
 	}
 	sealedLen, err := r.uint32()
 	if err != nil {
-		return v, fmt.Errorf("%w: truncated sealed length", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated sealed length", ErrMalformedPackage)
 	}
 	v.sealedLen = int(sealedLen)
 	if v.sealedLen == 0 {
-		return v, fmt.Errorf("%w: empty sealed message", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: empty sealed message", ErrMalformedPackage)
 	}
 	if _, err := r.bytes(v.sealedLen); err != nil {
-		return v, fmt.Errorf("%w: truncated sealed message", ErrMalformedPackage)
+		return v, nil, fmt.Errorf("%w: truncated sealed message", ErrMalformedPackage)
 	}
 	if r.remaining() != 0 {
-		return v, fmt.Errorf("%w: %d trailing bytes", ErrMalformedPackage, r.remaining())
+		return v, nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformedPackage, r.remaining())
 	}
-	return v, nil
+	return v, hint, nil
 }

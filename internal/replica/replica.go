@@ -32,7 +32,6 @@ import (
 
 	"sealedbottle/internal/broker"
 	"sealedbottle/internal/broker/transport"
-	"sealedbottle/internal/core"
 )
 
 // Defaults for Config's zero values.
@@ -220,56 +219,16 @@ func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecor
 	return accepted, nil
 }
 
-// Handoff applies records handed off by a peer (or hinted to self). Records
-// apply idempotently: duplicate or expired submits, replies to bottles no
-// longer racked and removes of absent bottles all count as applied — the
-// state they wanted is already true (or moot). A record the rack refuses on
-// its merits (an unauthorized remove, a malformed payload, a reply addressed
-// to another ID) is skipped and not counted, so it cannot hold back the
-// records behind it. It returns the applied count; the error is non-nil only
-// when the rack itself is failing: closed, its log commit failed, or ctx done.
+// Handoff applies records handed off by a peer (or hinted to self) with
+// Rack.Apply, the function WAL replay uses, and counts what it applied.
+// Each record carries its owner, so the relaying peer's identity on ctx
+// plays no part.
 func (n *Node) Handoff(ctx context.Context, recs []broker.HandoffRecord) (int, error) {
-	applied := 0
-	for _, rec := range recs {
-		var err error
-		switch rec.Type {
-		case broker.RecSubmit:
-			// Rack the converged copy under the identity that submitted the
-			// original, not the peer relaying it: ownership checks on Fetch
-			// and Remove must give the same answer on every replica.
-			_, err = n.Rack.Submit(broker.WithIdentity(ctx, rec.Owner), rec.Payload)
-			if errors.Is(err, broker.ErrDuplicateBottle) || errors.Is(err, core.ErrExpired) {
-				err = nil
-			}
-		case broker.RecReply:
-			var id string
-			var raw []byte
-			if id, raw, err = broker.UnmarshalReplyPost(rec.Payload); err == nil {
-				err = n.Rack.Reply(ctx, id, raw)
-			}
-			if errors.Is(err, broker.ErrUnknownBottle) {
-				err = nil
-			}
-		case broker.RecRemove:
-			// Remove as the identity that asked for the removal: the peer
-			// relaying it owns no client's bottle.
-			_, err = n.Rack.Remove(broker.WithIdentity(ctx, rec.Owner), string(rec.Payload))
-		default:
-			// Unknown record types (a newer peer) are skipped, not fatal.
-			continue
-		}
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, broker.ErrRackClosed) || errors.Is(err, broker.ErrWALCommit) {
-				return applied, err
-			}
-			continue
-		}
-		applied++
-	}
+	applied, err := n.Rack.Apply(ctx, recs)
 	n.mu.Lock()
 	n.stats.HandoffApplied += uint64(applied)
 	n.mu.Unlock()
-	return applied, nil
+	return applied, err
 }
 
 // SetPeer maps a member name to a dial address.

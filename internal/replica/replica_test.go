@@ -243,6 +243,32 @@ func TestHandoffPreservesOwnership(t *testing.T) {
 	}
 }
 
+// TestHandoffOwnerlessStaysOpen: an anonymous submit stays open on the copy
+// it converges to. The record carries an empty owner, and the relaying peer's
+// identity on the handoff connection must not stand in for it, or the
+// submitter's own Fetch of the copy is refused.
+func TestHandoffOwnerlessStaysOpen(t *testing.T) {
+	ctx := context.Background()
+	dst := newNode(t, "rack-1", Config{})
+	src := newNode(t, "rack-0", Config{
+		Peers: map[string]string{"rack-1": "pipe:rack-1"},
+		Dial:  func(string) (HandoffTarget, error) { return localTarget{dst}, nil },
+	})
+	raw, pkg := buildRaw(t, 12)
+	if _, err := src.Hint(ctx, "rack-1", []broker.HandoffRecord{{Type: broker.RecSubmit, Payload: raw}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Flush(ctx); err != nil || src.Pending() != 0 {
+		t.Fatalf("Flush: %v, %d pending; want the submit delivered", err, src.Pending())
+	}
+	if _, owner, _, ok := dst.PeekBottle(pkg.ID); !ok || owner != "" {
+		t.Fatalf("converged bottle owner = %q (held %v), want open ownership", owner, ok)
+	}
+	if _, err := dst.Fetch(ctx, pkg.ID); err != nil {
+		t.Fatalf("anonymous fetch of the converged copy: %v", err)
+	}
+}
+
 func TestPeerTableAdmin(t *testing.T) {
 	n := newNode(t, "rack-0", Config{Peers: map[string]string{"rack-1": "a:1"}})
 	if err := n.SetPeer("rack-2", "b:2"); err != nil {
