@@ -417,8 +417,8 @@ func BenchmarkBrokerSubmit(b *testing.B) {
 }
 
 // BenchmarkBrokerSweepShards measures sweep latency over a fixed-size rack as
-// the shard count grows — the caller and idle workers claim shards of one
-// query between them.
+// the shard count grows — the caller screens the shards of one query in
+// index order, so this is what each shard's lock and part cost.
 func BenchmarkBrokerSweepShards(b *testing.B) {
 	const rackSize = 4096
 	for _, shards := range []int{1, 8, 64} {
@@ -444,13 +444,12 @@ func BenchmarkBrokerSweepShards(b *testing.B) {
 
 // BenchmarkRackSweep measures the steady-state sweep shape: a large rack
 // where far more bottles pass the prefilter than the query limit admits.
-// Every bottle here passes, so the sweep's cost is pure collection — the
-// case the shared whole-rack collection budget exists for. Before it, each
-// of the 64 shards collected up to the full limit and the merge threw all
-// but `limit` away (shards×limit collected bottles per sweep); now shards
-// stop scanning as soon as the shared budget is spent, so small-limit sweeps
-// over big racks no longer pay for the rack's size. Compare limit=16 against
-// limit=unbounded (which must still scan everything) to see the win.
+// Every bottle here passes, so the sweep's cost is pure collection. Each
+// prime group of each of the 64 shards stops at its limit-th collected
+// bottle, the lowest sequences it holds, and the merge keeps the limit lowest
+// of all, so a small-limit sweep over a big rack collects shards × groups ×
+// limit bottles, not the rack. Compare limit=16 against limit=all, which
+// collects everything.
 func BenchmarkRackSweep(b *testing.B) {
 	const rackSize = 32768
 	rack := broker.New(broker.Config{Shards: 64, ReapInterval: -1})

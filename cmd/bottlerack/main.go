@@ -51,7 +51,7 @@
 //
 // Usage:
 //
-//	bottlerack [-addr :7117] [-tag r1] [-shards 32] [-workers 0] [-reap 5s] [-stats 10s]
+//	bottlerack [-addr :7117] [-tag r1] [-shards 32] [-reap 5s] [-stats 10s]
 //	           [-read-idle 10m] [-write-timeout 1m] [-inflight 64]
 //	           [-ops-addr :9117] [-drain-grace 3s]
 //	           [-data-dir DIR] [-fsync interval] [-fsync-interval 100ms]
@@ -89,7 +89,6 @@ func main() {
 	addr := flag.String("addr", ":7117", "TCP listen address")
 	tag := flag.String("tag", "", "rack tag prefixed to issued request IDs (\"tag@id\"), naming this rack as their issuer")
 	shards := flag.Int("shards", 32, "shard count (rounded up to a power of two)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0: GOMAXPROCS)")
 	reap := flag.Duration("reap", sealedbottle.DefaultReapInterval, "background reaper interval")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats logging interval (0: disabled)")
 	readIdle := flag.Duration("read-idle", 10*time.Minute, "drop connections idle longer than this (0: never)")
@@ -157,7 +156,7 @@ func main() {
 		log.Fatalf("bottlerack: %v", err)
 	}
 
-	cfg := sealedbottle.RackConfig{Shards: *shards, Workers: *workers, ReapInterval: *reap, RackTag: *tag}
+	cfg := sealedbottle.RackConfig{Shards: *shards, ReapInterval: *reap, RackTag: *tag}
 	if *dataDir == "" {
 		// Durability flags without a data directory would silently run an
 		// in-memory broker the operator believes is persistent.
@@ -221,8 +220,8 @@ func main() {
 		tagNote = fmt.Sprintf(", tag %q", *tag)
 	}
 	startStats, _ := rack.Stats(ctx)
-	log.Printf("bottlerack: listening on %s (%d shards, %d workers, read-idle %v, write-timeout %v%s)",
-		l.Addr(), startStats.Shards, startStats.Workers, *readIdle, *writeTimeout, tagNote)
+	log.Printf("bottlerack: listening on %s (%d shards, read-idle %v, write-timeout %v%s)",
+		l.Addr(), startStats.Shards, *readIdle, *writeTimeout, tagNote)
 
 	quota := sealedbottle.NewAdmission(*quotaRate, *quotaBurst)
 	srvOpts := sealedbottle.ServerOptions{

@@ -185,8 +185,8 @@ func run(w io.Writer, opts options) error {
 	fmt.Fprintf(w, "submit     p50 / p95 / p99 %v\n", rep.SubmitLatency)
 	fmt.Fprintf(w, "sweep      p50 / p95 / p99 %v\n", rep.SweepLatency)
 	st := rep.ClusterStats
-	fmt.Fprintf(w, "rack       shards=%d workers=%d held=%d submitted=%d scanned=%d prefilter-reject=%.1f%% match=%.1f%% replies=%d\n",
-		st.Shards, st.Workers, st.Held, st.Totals.Submitted, st.Totals.Scanned,
+	fmt.Fprintf(w, "rack       shards=%d held=%d submitted=%d scanned=%d prefilter-reject=%.1f%% match=%.1f%% replies=%d\n",
+		st.Shards, st.Held, st.Totals.Submitted, st.Totals.Scanned,
 		100*st.PrefilterRejectRate(), 100*st.MatchRate(), st.Totals.RepliesIn)
 	if rep.Replication > 1 {
 		fmt.Fprintf(w, "replica    dedup=%d read-repairs=%d hints q/s/drop=%d/%d/%d handoff=%d\n",

@@ -55,4 +55,18 @@ func TestCodecDecodersAliasSource(t *testing.T) {
 	}
 	// The bottle's payload is followed by the counters and the cursor list.
 	aliases("sweep result", result[:len(result)-(8+8+1+2)], res.Bottles[0].Raw, 'e')
+
+	recs := MarshalHandoffRecords([]HandoffRecord{{Type: RecSubmit, Owner: "alice", Payload: []byte("record")}})
+	got, err := UnmarshalHandoffRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases("handoff records", recs, got[0].Payload, 'd')
+
+	hint := MarshalHint("rack-1", []HandoffRecord{{Type: RecRemove, Payload: []byte("req-hinted")}})
+	_, got, err = UnmarshalHint(hint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases("hint", hint, got[0].Payload, 'd')
 }

@@ -159,7 +159,7 @@ func TestDrainBatchBudget(t *testing.T) {
 
 // TestBatchOpsOnClosedRack proves the batch entry points respect Close.
 func TestBatchOpsOnClosedRack(t *testing.T) {
-	rack := New(Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := New(Config{Shards: 2, ReapInterval: -1})
 	rack.Close()
 	if _, err := rack.SubmitBatch(context.Background(), [][]byte{{1}}); !errors.Is(err, ErrRackClosed) {
 		t.Fatalf("SubmitBatch on closed rack = %v", err)

@@ -10,11 +10,12 @@
 // social network has.
 //
 // The rack is sharded (power-of-two shard count, one mutex per shard) so
-// submissions scale across cores, and a sweep's caller scans shards itself
-// while idle workers of a fixed pool claim the rest, so a single large query
-// is served by every idle core and none waits behind another's queue. Expiry
-// is lazy (expired bottles are skipped and unlinked as sweeps encounter them)
-// with a background reaper closing the long tail.
+// concurrent calls scale across cores. Every call runs on its caller's
+// goroutine: a sweep screens the shards in index order, and a list of
+// submits, replies or fetches takes each shard's lock once, in the same
+// order; a single call is a list of one. Expiry is lazy (expired bottles are
+// skipped and unlinked as sweeps encounter them) with a background reaper
+// closing the long tail.
 //
 // Racks are in-memory by default; Config.Durability backs one with the
 // write-ahead log and snapshots of internal/broker/wal, in which case Open
@@ -28,8 +29,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -84,10 +85,6 @@ type Config struct {
 	// Shards is the shard count; it is rounded up to a power of two
 	// (zero: DefaultShards).
 	Shards int
-	// Workers sizes the pool that helps sweeps and bounds the goroutines
-	// scanning one sweep: its caller scans shards itself, and up to
-	// Workers-1 idle workers claim shards beside it (zero: GOMAXPROCS).
-	Workers int
 	// ReapInterval is the background reaper period (zero: default; negative:
 	// no background reaper, expiry is purely lazy).
 	ReapInterval time.Duration
@@ -123,9 +120,6 @@ func (c Config) withDefaults() Config {
 		n <<= 1
 	}
 	c.Shards = n
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.ReapInterval == 0 {
 		c.ReapInterval = DefaultReapInterval
 	}
@@ -139,7 +133,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Rack is the concurrent bottle rack. All methods are safe for concurrent
-// use; Close releases the worker pool and reaper.
+// use; Close stops the reaper and the snapshot loop.
 type Rack struct {
 	cfg    Config
 	mask   uint64
@@ -157,68 +151,25 @@ type Rack struct {
 	seq          atomic.Uint64
 	cursorResets atomic.Uint64
 
-	// jobs hands a sweep to an idle worker; unbuffered, so a post never
-	// waits for a busy one.
-	jobs    chan *sweepRun
 	closed  chan struct{}
 	closeMu sync.Mutex
 	done    bool
 	wg      sync.WaitGroup
 }
 
-// sweepRun is what the scanners of one sweep — its caller and the workers
-// helping it — share. They claim shards through next, each index once, and
-// write each shard's result into parts at its index. seen is the query's
-// one-off exclusion list, read-only while they scan; the scanners collect
-// the bottles stamped in (after, high].
+// sweepRun is one sweep: its query, and each shard's part of the result at
+// the shard's index, which merge assembles. seen is the query's one-off
+// exclusion list; the sweep collects the bottles stamped in (after, high].
 type sweepRun struct {
 	q           SweepQuery
 	seen        *SeenWindow
 	after, high uint64
-	now         time.Time
-	shards      []*shard
-	next        atomic.Int64
 	parts       []shardSweep
 	// cursor backs the result's one cursor.
 	cursor [1]SweepCursor
-
-	// pending counts the shards not yet reported; the report that takes it
-	// to zero closes done.
-	pending atomic.Int64
-	done    chan struct{}
 }
 
-// scan claims shards and screens them until none is left to claim or ctx
-// ends, reporting each one it screened.
-func (run *sweepRun) scan(ctx context.Context) {
-	for ctx.Err() == nil {
-		i := run.next.Add(1) - 1
-		if i >= int64(len(run.shards)) {
-			return
-		}
-		run.parts[i] = run.shards[i].sweep(&run.q, run.seen, run.after, run.high, run.now)
-		run.reported(1)
-	}
-}
-
-// reported accounts n shards as screened (or never to be) and, after the
-// last, closes done.
-func (run *sweepRun) reported(n int64) {
-	if run.pending.Add(-n) == 0 {
-		close(run.done)
-	}
-}
-
-// cancel stops the run: the shards nobody claimed yet are claimed here and
-// reported unscanned, and in-flight claims finish into parts nobody reads.
-func (run *sweepRun) cancel() {
-	n := int64(len(run.shards))
-	if claimed := run.next.Swap(n); claimed < n {
-		run.reported(n - claimed)
-	}
-}
-
-// New builds a rack and starts its worker pool and (unless disabled) reaper.
+// New builds a rack and starts its reaper (unless disabled).
 // It panics if the config's durability setup fails; durable racks should use
 // Open, whose error is the disk's to give.
 func New(cfg Config) *Rack {
@@ -230,8 +181,8 @@ func New(cfg Config) *Rack {
 }
 
 // Open builds a rack, recovering prior state from the durability directory
-// when the config asks for it, and starts its worker pool, reaper and
-// (when configured) periodic snapshot loop.
+// when the config asks for it, and starts its reaper and (when configured)
+// periodic snapshot loop.
 func Open(cfg Config) (*Rack, error) {
 	cfg = cfg.withDefaults()
 	if err := ValidateTag(cfg.RackTag); err != nil {
@@ -242,7 +193,6 @@ func Open(cfg Config) (*Rack, error) {
 		mask:   uint64(cfg.Shards - 1),
 		shards: make([]*shard, cfg.Shards),
 		epoch:  rand.Uint64() | 1,
-		jobs:   make(chan *sweepRun),
 		closed: make(chan struct{}),
 	}
 	for i := range r.shards {
@@ -252,10 +202,6 @@ func Open(cfg Config) (*Rack, error) {
 		if err := r.openDurability(*cfg.Durability); err != nil {
 			return nil, err
 		}
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		r.wg.Add(1)
-		go r.worker()
 	}
 	if cfg.ReapInterval > 0 {
 		r.wg.Add(1)
@@ -268,7 +214,7 @@ func Open(cfg Config) (*Rack, error) {
 	return r, nil
 }
 
-// Close stops the worker pool and reaper. Operations after Close return
+// Close stops the reaper and the snapshot loop. Operations after Close return
 // ErrRackClosed. On a durable rack the returned error reports a failed
 // final flush/fsync of the write-ahead-log tail — silent loss of the last
 // interval's records would otherwise surface only at the next recovery;
@@ -280,15 +226,24 @@ func (r *Rack) Close() error {
 		return nil
 	}
 	r.done = true
-	// Workers exit via the closed channel once their claims are screened;
-	// r.jobs is deliberately never closed, since a sweep between its isClosed
-	// check and its post could otherwise panic sending on it.
 	close(r.closed)
 	r.wg.Wait()
 	if r.dur != nil {
-		// Flush and fsync the log tail; the workers are gone, so nothing new
-		// can enqueue behind the close.
+		// Flush and fsync the log tail; the reaper, which logs expiries, is
+		// gone.
 		return r.dur.log.Close()
+	}
+	return nil
+}
+
+// ready returns the error a call answers with before it touches a shard: the
+// context's, or ErrRackClosed.
+func (r *Rack) ready(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if r.isClosed() {
+		return ErrRackClosed
 	}
 	return nil
 }
@@ -303,42 +258,70 @@ func (r *Rack) isClosed() bool {
 	}
 }
 
-// shardFor hashes a request ID to its shard with an inlined FNV-1a —
-// hash/fnv's New64a allocates its state object, and this runs once per
-// operation on the hot path. The values are identical to fnv.New64a.
-func (r *Rack) shardFor(id string) *shard {
+// shardIndex hashes a request ID to its shard's index with an inlined
+// FNV-1a — hash/fnv's New64a allocates its state object, and this runs once
+// per item on the hot path. The values are identical to fnv.New64a.
+func (r *Rack) shardIndex(id string) uint64 {
 	h := uint64(14695981039346269811)
 	for i := 0; i < len(id); i++ {
 		h ^= uint64(id[i])
 		h *= 1099511628211
 	}
-	return r.shards[h&r.mask]
+	return h & r.mask
 }
 
-// Submit validates a marshalled request package and racks it. It returns the
-// request ID under which the bottle is held — prefixed with the rack's tag
-// when one is configured; on a durable rack, a nil error additionally means
-// the bottle is persisted per the fsync policy.
+// shardFor returns the shard that holds a request ID.
+func (r *Rack) shardFor(id string) *shard { return r.shards[r.shardIndex(id)] }
+
+// listBuf is how many items of a list the rack groups by shard in stack
+// buffers; a longer list allocates its grouping.
+const listBuf = 16
+
+// shardKey packs an item's shard index above its index in the list, so that
+// sorted keys group a list's items by shard, in shard-index order, and keep
+// each shard's items in list order.
+func (r *Rack) shardKey(id string, i int) uint64 { return r.shardIndex(id)<<32 | uint64(i) }
+
+// eachShard visits the shards a list's items touch, in shard-index order:
+// keys holds a shardKey for each item that reaches a shard, and visit runs
+// for each such item under its shard's lock, which is taken once per shard.
+// ctx is checked before each shard; once it has ended, cut runs instead for
+// every item not yet visited, and eachShard returns the context's error. A
+// canceled list is thus applied up to a shard boundary that depends only on
+// its items and the moment ctx ended.
+func (r *Rack) eachShard(ctx context.Context, keys []uint64, visit func(sh *shard, i int), cut func(i int, err error)) error {
+	slices.Sort(keys)
+	for len(keys) > 0 {
+		n, s := 1, keys[0]>>32
+		for n < len(keys) && keys[n]>>32 == s {
+			n++
+		}
+		if err := ctx.Err(); err != nil {
+			for _, k := range keys {
+				cut(int(uint32(k)), err)
+			}
+			return err
+		}
+		r.shards[s].visit(keys[:n], visit)
+		keys = keys[n:]
+	}
+	return nil
+}
+
+// Submit validates a marshalled request package and racks it, as a
+// one-item SubmitBatch. It returns the request ID under which the bottle is
+// held — prefixed with the rack's tag when one is configured; on a durable
+// rack, a nil error additionally means the bottle is persisted per the fsync
+// policy.
 func (r *Rack) Submit(ctx context.Context, raw []byte) (string, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return "", err
 	}
-	if r.isClosed() {
-		return "", ErrRackClosed
-	}
-	now := r.cfg.Now().UTC()
-	b, err := bottleFromRaw(raw, now)
-	if err != nil {
+	var res [1]SubmitResult
+	if err := r.submit(ctx, [][]byte{raw}, res[:]); err != nil {
 		return "", err
 	}
-	b.owner = IdentityFromContext(ctx)
-	if err := r.shardFor(b.id).put(b, now); err != nil {
-		return "", err
-	}
-	if err := r.commitDur(); err != nil {
-		return "", err
-	}
-	return r.tagID(b.id), nil
+	return res[0].ID, res[0].Err
 }
 
 // SubmitResult is the outcome of one package within a SubmitBatch.
@@ -376,28 +359,34 @@ func bottleFromRaw(raw []byte, now time.Time) (*bottle, error) {
 	return b, nil
 }
 
-// SubmitBatch racks several marshalled packages at once: bottles are grouped
-// by shard and each shard's lock is taken once for its whole group, so the
-// per-operation locking cost is amortized across the batch. Outcomes are
-// returned per item, in order; the call itself only fails if the rack is
-// closed or the context ends. Cancellation is honored between shard visits:
-// shards already visited keep their bottles (their items report success),
-// unvisited items carry the context's error, and the call returns it too.
+// SubmitBatch racks several marshalled packages at once, taking each shard's
+// lock once for all its bottles (eachShard). Outcomes are returned per item,
+// in order; the call itself only fails if the rack is closed, the context
+// ends or the log commit fails. Cancellation is honored between shard
+// visits: shards already visited keep their bottles (their items report
+// success), unvisited items carry the context's error, and the call returns
+// it too.
 func (r *Rack) SubmitBatch(ctx context.Context, raws [][]byte) ([]SubmitResult, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return nil, err
 	}
-	if r.isClosed() {
-		return nil, ErrRackClosed
-	}
+	results := make([]SubmitResult, len(raws))
+	return results, r.submit(ctx, raws, results)
+}
+
+// submit is Submit and SubmitBatch: it validates every package, racks the
+// bottles shard by shard, writes each item's outcome to results, and waits
+// once for the durability of the whole list — when anything was racked, for
+// a list that racked nothing enqueued nothing to wait for.
+func (r *Rack) submit(ctx context.Context, raws [][]byte, results []SubmitResult) error {
 	now := r.cfg.Now().UTC()
 	owner := IdentityFromContext(ctx)
-	results := make([]SubmitResult, len(raws))
-	type item struct {
-		idx int
-		b   *bottle
+	var keyBuf [listBuf]uint64
+	var bottleBuf [listBuf]*bottle
+	keys, bs := keyBuf[:0], bottleBuf[:]
+	if len(raws) > listBuf {
+		bs = make([]*bottle, len(raws))
 	}
-	perShard := make(map[*shard][]item)
 	for i, raw := range raws {
 		b, err := bottleFromRaw(raw, now)
 		if err != nil {
@@ -405,37 +394,27 @@ func (r *Rack) SubmitBatch(ctx context.Context, raws [][]byte) ([]SubmitResult, 
 			continue
 		}
 		b.owner = owner
-		sh := r.shardFor(b.id)
-		perShard[sh] = append(perShard[sh], item{idx: i, b: b})
+		bs[i] = b
+		keys = append(keys, r.shardKey(b.id, i))
 		results[i].ID = r.tagID(b.id)
 	}
-	var ctxErr error
-	for sh, items := range perShard {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			// Cancellation between shard visits: unvisited items are marked
-			// with the context error instead of silently reporting the IDs
-			// they never racked under.
-			for _, it := range items {
-				results[it.idx] = SubmitResult{Err: ctxErr}
-			}
-			continue
+	applied := false
+	err := r.eachShard(ctx, keys, func(sh *shard, i int) {
+		if err := sh.putLocked(bs[i], now.UnixNano()); err != nil {
+			results[i] = SubmitResult{Err: err}
+			return
 		}
-		bs := make([]*bottle, len(items))
-		for j, it := range items {
-			bs[j] = it.b
-		}
-		for j, err := range sh.putBatch(bs, now) {
-			if err != nil {
-				results[items[j].idx] = SubmitResult{Err: err}
-			}
+		applied = true
+	}, func(i int, err error) {
+		// The context's error, not the ID the bottle was never racked under.
+		results[i] = SubmitResult{Err: err}
+	})
+	if applied {
+		if cerr := r.commitDur(); cerr != nil {
+			return cerr
 		}
 	}
-	// One durability wait for the whole batch: the shard loops above enqueued
-	// every racked bottle, so a single group commit covers them all.
-	if err := r.commitDur(); err != nil {
-		return results, err
-	}
-	return results, ctxErr
+	return err
 }
 
 // ReplyPost is one reply within a ReplyBatch: the request it is addressed to
@@ -447,55 +426,43 @@ type ReplyPost struct {
 	Raw []byte
 }
 
-// ReplyBatch posts several replies at once, grouping by shard so each shard's
-// lock is taken once per batch. Outcomes are returned per item, in order; the
-// call itself only fails if the rack is closed or the context ends.
-// Cancellation is honored between shard visits: posted replies stay posted,
-// unvisited items carry the context's error.
+// ReplyBatch posts several replies at once, taking each shard's lock once
+// for all its replies (eachShard). Outcomes are returned per item, in order;
+// the call itself only fails if the rack is closed, the context ends or the
+// log commit fails. Cancellation is honored between shard visits: posted
+// replies stay posted, unvisited items carry the context's error.
 func (r *Rack) ReplyBatch(ctx context.Context, posts []ReplyPost) ([]error, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return nil, err
 	}
-	if r.isClosed() {
-		return nil, ErrRackClosed
-	}
-	if r.cfg.RackTag != "" {
-		// Normalize addressed IDs on a copy — the caller's slice is not ours
-		// to rewrite.
-		norm := make([]ReplyPost, len(posts))
-		copy(norm, posts)
-		for i := range norm {
-			norm[i].RequestID = r.untagID(norm[i].RequestID)
-		}
-		posts = norm
-	}
-	now := r.cfg.Now().UTC()
 	errs := make([]error, len(posts))
-	perShard := make(map[*shard][]int)
+	return errs, r.reply(ctx, posts, errs)
+}
+
+// reply is Reply and ReplyBatch: it checks every reply (checkReply), queues
+// them shard by shard, writes each item's outcome to errs, and, as submit
+// does, waits once for the durability of what it queued.
+func (r *Rack) reply(ctx context.Context, posts []ReplyPost, errs []error) error {
+	now := r.cfg.Now().UTC()
+	var keyBuf [listBuf]uint64
+	keys := keyBuf[:0]
 	for i, p := range posts {
-		if err := checkReply(p.RequestID, p.Raw); err != nil {
-			errs[i] = err
-			continue
-		}
-		sh := r.shardFor(p.RequestID)
-		perShard[sh] = append(perShard[sh], i)
-	}
-	var ctxErr error
-	for sh, idxs := range perShard {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			for _, i := range idxs {
-				errs[i] = ctxErr
-			}
-			continue
-		}
-		for j, err := range sh.pushReplyBatch(posts, idxs, r.cfg.MaxRepliesPerBottle, now) {
-			errs[idxs[j]] = err
+		id := r.untagID(p.RequestID)
+		if errs[i] = checkReply(id, p.Raw); errs[i] == nil {
+			keys = append(keys, r.shardKey(id, i))
 		}
 	}
-	if err := r.commitDur(); err != nil {
-		return errs, err
+	applied := false
+	err := r.eachShard(ctx, keys, func(sh *shard, i int) {
+		errs[i] = sh.pushReplyLocked(r.untagID(posts[i].RequestID), posts[i].Raw, r.cfg.MaxRepliesPerBottle, now)
+		applied = applied || errs[i] == nil
+	}, func(i int, err error) { errs[i] = err })
+	if applied {
+		if cerr := r.commitDur(); cerr != nil {
+			return cerr
+		}
 	}
-	return errs, ctxErr
+	return err
 }
 
 // FetchResult is the outcome of one request ID within a FetchBatch.
@@ -517,46 +484,36 @@ var ErrFetchBudget = errors.New("broker: fetch batch byte budget exhausted, retr
 // ErrFetchBudget instead of drained-and-then-dropped by an oversized frame.
 const MaxFetchBatchBytes = 8 << 20
 
-// FetchBatch drains the reply queues of several requests at once, grouping by
-// shard so each shard's lock is taken once per batch. Outcomes are returned
-// per item, in order; items beyond MaxFetchBatchBytes are left queued and
-// marked ErrFetchBudget. The call itself only fails if the rack is closed or
-// the context ends. Cancellation is honored between shard visits: queues
-// already drained stay drained (their items carry the replies), unvisited
-// items keep their queues and carry the context's error.
+// FetchBatch drains the reply queues of several requests at once, taking
+// each shard's lock once for all its queues (eachShard). Outcomes are
+// returned per item, in order; items beyond MaxFetchBatchBytes are left
+// queued and marked ErrFetchBudget. The call itself only fails if the rack is
+// closed or the context ends. Cancellation is honored between shard visits:
+// queues already drained stay drained (their items carry the replies),
+// unvisited items keep their queues and carry the context's error.
 func (r *Rack) FetchBatch(ctx context.Context, ids []string) ([]FetchResult, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return nil, err
 	}
-	if r.isClosed() {
-		return nil, ErrRackClosed
-	}
-	if r.cfg.RackTag != "" {
-		norm := make([]string, len(ids))
-		for i, id := range ids {
-			norm[i] = r.untagID(id)
-		}
-		ids = norm
-	}
 	results := make([]FetchResult, len(ids))
-	perShard := make(map[*shard][]int)
+	return results, r.fetch(ctx, ids, results, MaxFetchBatchBytes)
+}
+
+// fetch is Fetch and FetchBatch: it drains the queues shard by shard, as the
+// caller's identity, while their replies fit the byte budget, and writes
+// each item's outcome to results.
+func (r *Rack) fetch(ctx context.Context, ids []string, results []FetchResult, budget int) error {
+	var keyBuf [listBuf]uint64
+	keys := keyBuf[:0]
 	for i, id := range ids {
-		sh := r.shardFor(id)
-		perShard[sh] = append(perShard[sh], i)
+		keys = append(keys, r.shardKey(r.untagID(id), i))
 	}
-	var ctxErr error
 	caller := IdentityFromContext(ctx)
-	budget := MaxFetchBatchBytes
-	for sh, idxs := range perShard {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			for _, i := range idxs {
-				results[i].Err = ctxErr
-			}
-			continue
-		}
-		budget = sh.drainBatch(ids, idxs, results, budget, caller)
-	}
-	return results, ctxErr
+	return r.eachShard(ctx, keys, func(sh *shard, i int) {
+		var size int
+		results[i].Replies, size, results[i].Err = sh.drainLocked(r.untagID(ids[i]), caller, budget)
+		budget -= size
+	}, func(i int, err error) { results[i].Err = err })
 }
 
 // maxRequestIDLen bounds a racked request ID: room for a 32-hex-character ID
@@ -653,27 +610,17 @@ type SweepResult struct {
 
 // Sweep screens every racked bottle against the query's residue sets and
 // returns the ones the candidate could plausibly open that arrived after the
-// query's cursor, with the cursor to send next. The caller scans the shards
-// itself, claiming them one at a time, and up to Workers-1 idle workers of
-// the rack's pool help by claiming from the same sequence; a spare worker is
-// left to a concurrent sweep. Cancellation stops further claims and returns
-// the context's error; bottles already collected are discarded. A sweep
+// query's cursor, with the cursor to send next. The caller's goroutine
+// screens the shards in index order, checking ctx before each; cancellation
+// returns the context's error and discards the bottles collected. A sweep
 // mutates nothing a later sweep reads, so a canceled or lost sweep is free to
 // repeat.
 func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return SweepResult{}, err
 	}
-	if r.isClosed() {
-		return SweepResult{}, ErrRackClosed
-	}
-	run := &sweepRun{
-		q:      q,
-		now:    r.cfg.Now().UTC(),
-		shards: r.shards,
-		parts:  make([]shardSweep, len(r.shards)),
-		done:   make(chan struct{}),
-	}
+	now := r.cfg.Now().UTC()
+	run := &sweepRun{q: q, parts: make([]shardSweep, len(r.shards))}
 	if err := run.q.normalize(); err != nil {
 		return SweepResult{}, err
 	}
@@ -689,21 +636,11 @@ func (r *Rack) Sweep(ctx context.Context, q SweepQuery) (SweepResult, error) {
 	// bottle this sweep did not see.
 	run.high = r.seq.Load()
 	run.after = r.sweepFrom(q.Cursors, run.high)
-	run.pending.Store(int64(len(r.shards)))
-post:
-	for range min(r.cfg.Workers-1, len(r.shards)-1) {
-		select {
-		case r.jobs <- run:
-		default:
-			break post
+	for i, sh := range r.shards {
+		if err := ctx.Err(); err != nil {
+			return SweepResult{}, err
 		}
-	}
-	run.scan(ctx)
-	select {
-	case <-run.done:
-	case <-ctx.Done():
-		run.cancel()
-		return SweepResult{}, ctx.Err()
+		run.parts[i] = sh.sweep(&run.q, run.seen, run.after, run.high, now)
 	}
 	return r.merge(run), nil
 }
@@ -750,38 +687,19 @@ func (r *Rack) merge(run *sweepRun) SweepResult {
 	return res
 }
 
-// worker helps the sweeps posted to it claim shards until the rack closes.
-func (r *Rack) worker() {
-	defer r.wg.Done()
-	for {
-		select {
-		case run := <-r.jobs:
-			run.scan(context.Background())
-		case <-r.closed:
-			return
-		}
-	}
-}
-
 // Reply racks a marshalled core.Reply for the initiator of the addressed
-// request to fetch. The reply must parse and must echo the request ID it is
-// posted under; replies to unknown or expired bottles are rejected.
+// request to fetch, as a one-item ReplyBatch. The reply must parse and must
+// echo the request ID it is posted under; replies to unknown or expired
+// bottles are rejected.
 func (r *Rack) Reply(ctx context.Context, requestID string, raw []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return err
 	}
-	if r.isClosed() {
-		return ErrRackClosed
-	}
-	requestID = r.untagID(requestID)
-	if err := checkReply(requestID, raw); err != nil {
+	var errs [1]error
+	if err := r.reply(ctx, []ReplyPost{{RequestID: requestID, Raw: raw}}, errs[:]); err != nil {
 		return err
 	}
-	sh := r.shardFor(requestID)
-	if err := sh.pushReply(requestID, raw, r.cfg.MaxRepliesPerBottle, r.cfg.Now().UTC()); err != nil {
-		return err
-	}
-	return r.commitDur()
+	return errs[0]
 }
 
 // checkReply makes the checks every queued reply passes, whichever path
@@ -798,29 +716,27 @@ func checkReply(requestID string, raw []byte) error {
 	return nil
 }
 
-// Fetch drains and returns the replies queued for a request. Only bottles
-// still on the rack (not yet reaped) can be fetched from, and only by the
-// identity that submitted them when ownership is recorded.
+// Fetch drains and returns the replies queued for a request, as a one-item
+// FetchBatch with no byte budget: the transport's frame cap bounds it. Only
+// bottles still on the rack (not yet reaped) can be fetched from, and only
+// by the identity that submitted them when ownership is recorded.
 func (r *Rack) Fetch(ctx context.Context, requestID string) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return nil, err
 	}
-	if r.isClosed() {
-		return nil, ErrRackClosed
+	var res [1]FetchResult
+	if err := r.fetch(ctx, []string{requestID}, res[:], math.MaxInt); err != nil {
+		return nil, err
 	}
-	requestID = r.untagID(requestID)
-	return r.shardFor(requestID).drainReplies(requestID, IdentityFromContext(ctx))
+	return res[0].Replies, res[0].Err
 }
 
 // Remove takes a bottle (and its pending replies) off the rack, e.g. when an
 // initiator has found enough matches. It reports whether the bottle was
 // held; the error is only non-nil on a durable rack whose log commit failed.
 func (r *Rack) Remove(ctx context.Context, requestID string) (bool, error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return false, err
-	}
-	if r.isClosed() {
-		return false, ErrRackClosed
 	}
 	requestID = r.untagID(requestID)
 	held, err := r.shardFor(requestID).remove(requestID, IdentityFromContext(ctx), r.cfg.Now().UTC())
@@ -893,9 +809,8 @@ type ShardStats struct {
 
 // Stats is a point-in-time snapshot of the whole rack.
 type Stats struct {
-	// Shards and Workers echo the effective configuration.
-	Shards  int
-	Workers int
+	// Shards echoes the effective shard count.
+	Shards int
 	// Held is the number of live bottles across all shards.
 	Held int
 	// Totals aggregates every shard's counters.
@@ -947,7 +862,6 @@ func (r *Rack) Stats(ctx context.Context) (Stats, error) {
 	}
 	st := Stats{
 		Shards:   r.cfg.Shards,
-		Workers:  r.cfg.Workers,
 		PerShard: make([]ShardStats, len(r.shards)),
 	}
 	var primes []uint32

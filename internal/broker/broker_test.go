@@ -73,7 +73,7 @@ func interests(names ...string) []attr.Attribute {
 }
 
 func newTestRack(clock *testClock, shards int) *Rack {
-	return New(Config{Shards: shards, Workers: 2, ReapInterval: -1, Now: clock.Now})
+	return New(Config{Shards: shards, ReapInterval: -1, Now: clock.Now})
 }
 
 func TestSubmitSweepReplyFetchLifecycle(t *testing.T) {
@@ -406,7 +406,7 @@ func TestReplyValidation(t *testing.T) {
 
 func TestReplyQueueBound(t *testing.T) {
 	clock := newTestClock()
-	rack := New(Config{Shards: 1, Workers: 1, ReapInterval: -1, Now: clock.Now, MaxRepliesPerBottle: 2})
+	rack := New(Config{Shards: 1, ReapInterval: -1, Now: clock.Now, MaxRepliesPerBottle: 2})
 	defer rack.Close()
 	rng := rand.New(rand.NewSource(6))
 	raw, pkg := buildRawPackage(t, rng, clock, "a", interests("x"), nil, 0)
@@ -462,7 +462,7 @@ func TestSweepDeduplicatesQueryPrimes(t *testing.T) {
 func TestCloseDuringSweeps(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		clock := newTestClock()
-		rack := New(Config{Shards: 8, Workers: 2, ReapInterval: -1, Now: clock.Now})
+		rack := New(Config{Shards: 8, ReapInterval: -1, Now: clock.Now})
 		rng := rand.New(rand.NewSource(int64(trial)))
 		raw, pkg := buildRawPackage(t, rng, clock, "a", interests("x"), nil, 0)
 		if _, err := rack.Submit(context.Background(), raw); err != nil {
@@ -491,7 +491,7 @@ func TestCloseDuringSweeps(t *testing.T) {
 }
 
 func TestClosedRack(t *testing.T) {
-	rack := New(Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := New(Config{Shards: 2, ReapInterval: -1})
 	rack.Close()
 	rack.Close() // idempotent
 	if _, err := rack.Submit(context.Background(), nil); !errors.Is(err, ErrRackClosed) {
@@ -512,7 +512,7 @@ func TestClosedRack(t *testing.T) {
 // is under -race, where any unsynchronized shard access trips the detector.
 func TestRackConcurrent(t *testing.T) {
 	clock := newTestClock()
-	rack := New(Config{Shards: 8, Workers: 4, ReapInterval: time.Millisecond, Now: clock.Now})
+	rack := New(Config{Shards: 8, ReapInterval: time.Millisecond, Now: clock.Now})
 	defer rack.Close()
 
 	matcher, err := core.NewMatcher(attr.NewProfile(interests("x", "y", "z")...), core.MatcherConfig{})

@@ -17,9 +17,10 @@ import (
 // "Memory and the hot path"). Decoders alias the frame: returned []byte
 // payloads (bottle Raw, reply blobs) are valid only as long as the caller
 // keeps that frame alive and unmodified, and whatever outlives it is copied
-// at the shard boundary (bottleFromRaw, pushReplyLocked). The reply post
-// alone encodes into caller scratch (AppendReplyPost), because the shard
-// encodes its WAL reply records into a reused buffer.
+// where it is kept: at the shard boundary (bottleFromRaw, pushReplyLocked)
+// and in a hint queue (replica.Node.Hint). The reply post alone encodes into
+// caller scratch (AppendReplyPost), because the shard encodes its WAL reply
+// records into a reused buffer.
 
 // ErrMalformedFrame indicates a broker wire encoding that cannot be decoded.
 var ErrMalformedFrame = errors.New("broker: malformed frame")
@@ -566,7 +567,6 @@ func unmarshalShardStats(r *reader) (ShardStats, error) {
 // MarshalStats encodes a stats snapshot.
 func MarshalStats(st Stats) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(st.Shards))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(st.Workers))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Held))
 	buf = marshalShardStats(buf, st.Totals)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.PerShard)))
@@ -598,15 +598,11 @@ func UnmarshalStats(data []byte) (Stats, error) {
 	if err != nil {
 		return st, fmt.Errorf("%w: shard count", ErrMalformedFrame)
 	}
-	workers, err := r.uint32()
-	if err != nil {
-		return st, fmt.Errorf("%w: worker count", ErrMalformedFrame)
-	}
 	held, err := r.uint64()
 	if err != nil {
 		return st, fmt.Errorf("%w: held", ErrMalformedFrame)
 	}
-	st.Shards, st.Workers, st.Held = int(shards), int(workers), int(held)
+	st.Shards, st.Held = int(shards), int(held)
 	if st.Totals, err = unmarshalShardStats(r); err != nil {
 		return st, fmt.Errorf("%w: totals", ErrMalformedFrame)
 	}

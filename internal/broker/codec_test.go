@@ -45,7 +45,7 @@ func TestSweepQueryRoundTrip(t *testing.T) {
 // shard counters) before its first entry fails to parse.
 func TestCodecRefusesAmplifyingCounts(t *testing.T) {
 	query := MarshalSweepQuery(SweepQuery{Residues: []core.ResidueSet{core.NewResidueSet(11, []uint32{1})}})
-	const perShardAt = 4 + 4 + 8 + minShardStatsBytes // shards, workers, held, totals
+	const perShardAt = 4 + 8 + minShardStatsBytes // shards, held, totals
 	fixed := func(entry ...byte) func(int) []byte { return func(int) []byte { return entry } }
 	type list struct {
 		name    string
@@ -443,10 +443,9 @@ func TestRawListRoundTrip(t *testing.T) {
 
 func TestStatsRoundTrip(t *testing.T) {
 	st := Stats{
-		Shards:  4,
-		Workers: 2,
-		Held:    7,
-		Totals:  ShardStats{Held: 7, Submitted: 9, Scanned: 100, Rejected: 60, Returned: 40, RepliesIn: 3},
+		Shards: 4,
+		Held:   7,
+		Totals: ShardStats{Held: 7, Submitted: 9, Scanned: 100, Rejected: 60, Returned: 40, RepliesIn: 3},
 		PerShard: []ShardStats{
 			{Held: 3, Submitted: 4},
 			{Held: 4, Submitted: 5, Duplicates: 1, Expired: 2, Sweeps: 3, RepliesOut: 1, RepliesDropped: 2},

@@ -244,7 +244,7 @@ func TestRackAdHocSeenList(t *testing.T) {
 func TestRackCursorRaces(t *testing.T) {
 	ctx := context.Background()
 	clock := newTestClock()
-	rack := New(Config{Shards: 16, Workers: 2, ReapInterval: -1, Now: clock.Now})
+	rack := New(Config{Shards: 16, ReapInterval: -1, Now: clock.Now})
 	defer rack.Close()
 	rng := rand.New(rand.NewSource(21))
 	primes := []uint32{11, 67}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"sealedbottle/internal/broker/wal"
@@ -77,9 +78,9 @@ type durability struct {
 }
 
 // openDurability recovers rack state from the data directory (snapshot plus
-// log tail) and arms the shards' record hooks. Called by Open before any
-// worker goroutine starts, so recovery needs no locking discipline beyond
-// the shard methods' own.
+// log tail) and arms the shards' record hooks. Called by Open before the
+// rack serves or starts a goroutine, so recovery needs no locking discipline
+// beyond apply's own.
 func (r *Rack) openDurability(dc DurabilityConfig) error {
 	l, err := wal.Open(wal.Options{
 		Dir:          dc.Dir,
@@ -177,7 +178,10 @@ func (r *Rack) apply(rec HandoffRecord, now time.Time) error {
 		var b *bottle
 		if b, err = bottleFromRaw(rec.Payload, now); err == nil {
 			b.owner = rec.Owner
-			err = r.shardFor(b.id).put(b, now)
+			sh := r.shardFor(b.id)
+			sh.mu.Lock()
+			err = sh.putLocked(b, now.UnixNano())
+			sh.mu.Unlock()
 		}
 		if errors.Is(err, ErrDuplicateBottle) || errors.Is(err, core.ErrExpired) {
 			return nil
@@ -189,14 +193,20 @@ func (r *Rack) apply(rec HandoffRecord, now time.Time) error {
 			err = checkReply(id, raw)
 		}
 		if err == nil {
-			err = r.shardFor(id).pushReply(id, raw, r.cfg.MaxRepliesPerBottle, now)
+			sh := r.shardFor(id)
+			sh.mu.Lock()
+			err = sh.pushReplyLocked(id, raw, r.cfg.MaxRepliesPerBottle, now)
+			sh.mu.Unlock()
 		}
 	case RecRemove, recExpire:
 		id := string(rec.Payload)
 		_, err = r.shardFor(id).remove(id, rec.Owner, now)
 	case recDrain:
 		id := string(rec.Payload)
-		_, err = r.shardFor(id).drainReplies(id, rec.Owner)
+		sh := r.shardFor(id)
+		sh.mu.Lock()
+		_, _, err = sh.drainLocked(id, rec.Owner, math.MaxInt)
+		sh.mu.Unlock()
 	}
 	if errors.Is(err, ErrUnknownBottle) {
 		return nil
@@ -215,11 +225,8 @@ func (r *Rack) apply(rec HandoffRecord, now time.Time) error {
 // once and one durability wait covers the batch: the error is non-nil only
 // when the rack is closed, ctx is done or the log commit failed.
 func (r *Rack) Apply(ctx context.Context, recs []HandoffRecord) (applied int, err error) {
-	if err := ctx.Err(); err != nil {
+	if err := r.ready(ctx); err != nil {
 		return 0, err
-	}
-	if r.isClosed() {
-		return 0, ErrRackClosed
 	}
 	now := r.cfg.Now().UTC()
 	for _, rec := range recs {

@@ -45,7 +45,6 @@ func rackState(r *Rack) map[string]bottleState {
 func durableConfig(clock *testClock, dir string, policy wal.Policy) Config {
 	return Config{
 		Shards:       8,
-		Workers:      2,
 		ReapInterval: -1,
 		Now:          clock.Now,
 		Durability:   &DurabilityConfig{Dir: dir, Fsync: policy},
@@ -168,7 +167,7 @@ func TestDurableRecoverCleanClose(t *testing.T) {
 	want := rackState(durable)
 	durable.Close()
 
-	twin := New(Config{Shards: 4, Workers: 2, ReapInterval: -1, Now: clock.Now})
+	twin := New(Config{Shards: 4, ReapInterval: -1, Now: clock.Now})
 	defer twin.Close()
 	driveMixedLoad(t, twin, clock, raws)
 	if twinState := rackState(twin); !reflect.DeepEqual(want, twinState) {
@@ -223,7 +222,7 @@ func TestDurableCrashReplayEquivalence(t *testing.T) {
 	durable.dur.log.Crash()
 	durable.Close()
 
-	twin := New(Config{Shards: 16, Workers: 2, ReapInterval: -1, Now: clock.Now})
+	twin := New(Config{Shards: 16, ReapInterval: -1, Now: clock.Now})
 	defer twin.Close()
 	driveMixedLoad(t, twin, clock, raws)
 	want := rackState(twin)

@@ -127,16 +127,15 @@ func readHandoffRecords(r *reader) ([]HandoffRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: record size", ErrMalformedFrame)
 		}
-		payload, err := r.bytes(int(size))
-		if err != nil {
+		if out[i].Payload, err = r.bytes(int(size)); err != nil {
 			return nil, fmt.Errorf("%w: record payload", ErrMalformedFrame)
 		}
-		out[i].Payload = append([]byte(nil), payload...)
 	}
 	return out, nil
 }
 
-// UnmarshalHandoffRecords decodes a batch of handoff records.
+// UnmarshalHandoffRecords decodes a batch of handoff records; like every
+// decoder of the codec, it returns payloads that alias data.
 func UnmarshalHandoffRecords(data []byte) ([]HandoffRecord, error) {
 	r := &reader{data: data}
 	out, err := readHandoffRecords(r)

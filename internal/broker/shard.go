@@ -178,7 +178,7 @@ func ownerAllows(owner, caller string) bool { return owner == "" || owner == cal
 // shard is one lock domain of the rack: an ID index, insertion-ordered prime
 // groups for sweeps, per-request reply queues, and counters. All fields but
 // returned are guarded by mu; sweeps hold the lock for the duration of one
-// shard scan, which is the unit a sweep's scanners claim.
+// shard scan, between whose scans a sweep checks its context.
 type shard struct {
 	mu      sync.Mutex
 	bottles map[string]*bottle
@@ -214,29 +214,21 @@ func newShard(seq *atomic.Uint64) *shard {
 	}
 }
 
-// put racks a bottle, rejecting duplicate IDs; now is the rack's clock.
-func (s *shard) put(b *bottle, now time.Time) error {
+// visit runs f for each item of keys (shardKey) under the shard's lock: the
+// one place a list's items meet a shard (Rack.eachShard).
+func (s *shard) visit(keys []uint64, f func(sh *shard, i int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putLocked(b, now.UnixNano())
-}
-
-// putBatch racks several bottles under one lock acquisition, returning one
-// outcome per bottle in order.
-func (s *shard) putBatch(bs []*bottle, now time.Time) []error {
-	errs := make([]error, len(bs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, b := range bs {
-		errs[i] = s.putLocked(b, now.UnixNano())
+	for _, k := range keys {
+		f(s, int(uint32(k)))
 	}
-	return errs
 }
 
-// putLocked is the insertion path shared by put and putBatch, and so by
-// Submit, WAL replay and handoff ingest. It stamps the bottle's arrival
-// under mu: a sweep that reads the last stamp at or past this one takes this
-// lock after it, and so finds the bottle. The caller holds mu.
+// putLocked racks a bottle, rejecting duplicate IDs; now is the rack's
+// clock. It is the one insertion path: Submit, WAL replay and handoff ingest
+// all rack through it. It stamps the bottle's arrival under mu: a sweep that
+// reads the last stamp at or past this one takes this lock after it, and so
+// finds the bottle. The caller holds mu.
 func (s *shard) putLocked(b *bottle, now int64) error {
 	if _, dup := s.bottles[b.id]; dup {
 		s.stats.Duplicates++
@@ -273,9 +265,9 @@ type found struct {
 
 // sweep screens the shard's bottles against the query and collects those
 // that pass, were stamped in (after, high] and are not excluded; seen is the
-// query's one-off exclusion list (nil: none), shared read-only across the
-// sweep's scanners. A group whose earliest deadline has passed is compacted
-// first, so the scan meets no expired bottle (lazy expiry).
+// query's one-off exclusion list (nil: none), read-only here. A group whose
+// earliest deadline has passed is compacted first, so the scan meets no
+// expired bottle (lazy expiry).
 //
 // The screen is ordered by cost and takes a group 64 slots at a time: from a
 // row's live word it clears the rows of the residues the candidate lacks,
@@ -410,27 +402,8 @@ func (s *shard) dropLocked(b *bottle) {
 	}
 }
 
-// pushReply queues a reply for a racked bottle.
-func (s *shard) pushReply(id string, raw []byte, maxQueue int, now time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushReplyLocked(id, raw, maxQueue, now)
-}
-
-// pushReplyBatch queues the posts at the given indices under one lock
-// acquisition, returning one outcome per index in order.
-func (s *shard) pushReplyBatch(posts []ReplyPost, idxs []int, maxQueue int, now time.Time) []error {
-	errs := make([]error, len(idxs))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, idx := range idxs {
-		errs[i] = s.pushReplyLocked(posts[idx].RequestID, posts[idx].Raw, maxQueue, now)
-	}
-	return errs
-}
-
-// pushReplyLocked is the reply-queueing path shared by pushReply and
-// pushReplyBatch. The caller holds mu.
+// pushReplyLocked queues a reply for a racked bottle: the one reply path,
+// of Reply, ReplyBatch, WAL replay and handoff ingest. The caller holds mu.
 func (s *shard) pushReplyLocked(id string, raw []byte, maxQueue int, now time.Time) error {
 	b, ok := s.bottles[id]
 	if !ok || b.pkg.Expired(now) {
@@ -449,62 +422,35 @@ func (s *shard) pushReplyLocked(id string, raw []byte, maxQueue int, now time.Ti
 	return nil
 }
 
-// drainReplies returns and clears the reply queue for a racked bottle.
-// caller is the authenticated identity draining it (empty: anonymous).
-func (s *shard) drainReplies(id, caller string) ([][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainRepliesLocked(id, caller)
-}
-
-// drainBatch drains the reply queues of the bottles at the given indices
-// under one lock acquisition, writing each outcome back to results. Draining
-// stops once the byte budget is spent — remaining items keep their queues and
-// are marked ErrFetchBudget — and the leftover budget is returned.
-func (s *shard) drainBatch(ids []string, idxs []int, results []FetchResult, budget int, caller string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, idx := range idxs {
-		if b, ok := s.bottles[ids[idx]]; ok && !ownerAllows(b.owner, caller) {
-			// Refused before sizing: an imposter must not learn whether the
-			// queue would have fit the budget, let alone drain it.
-			results[idx].Err = ErrUnauthorized
-			continue
-		}
-		size := 0
-		for _, raw := range s.replies[ids[idx]] {
-			size += len(raw)
-		}
-		// Sized before draining so the budget is never overshot; a queue that
-		// alone exceeds the whole budget is as unfetchable as it would be
-		// through a single Fetch's frame cap.
-		if size > budget {
-			results[idx].Err = ErrFetchBudget
-			continue
-		}
-		results[idx].Replies, results[idx].Err = s.drainRepliesLocked(ids[idx], caller)
-		budget -= size
-	}
-	return budget
-}
-
-// drainRepliesLocked is the drain path shared by drainReplies and drainBatch.
-// The caller holds mu.
-func (s *shard) drainRepliesLocked(id, caller string) ([][]byte, error) {
+// drainLocked returns and clears the reply queue of a racked bottle, and its
+// size in bytes, when the queue fits budget: the one drain path, of Fetch,
+// FetchBatch and WAL replay. caller is the identity draining it (empty:
+// anonymous). A queue over budget is left whole and answers ErrFetchBudget;
+// a queue that alone exceeds a FetchBatch's whole budget is as unfetchable
+// as it would be through a single Fetch's frame cap. The caller holds mu.
+func (s *shard) drainLocked(id, caller string, budget int) ([][]byte, int, error) {
 	b, ok := s.bottles[id]
 	if !ok {
-		return nil, ErrUnknownBottle
+		return nil, 0, ErrUnknownBottle
 	}
 	if !ownerAllows(b.owner, caller) {
-		return nil, ErrUnauthorized
+		// Refused before sizing: an imposter must not learn whether the
+		// queue would have fit the budget, let alone drain it.
+		return nil, 0, ErrUnauthorized
 	}
-	out := s.replies[id]
+	out, size := s.replies[id], 0
+	for _, raw := range out {
+		size += len(raw)
+	}
+	if size > budget {
+		return nil, 0, ErrFetchBudget
+	}
 	delete(s.replies, id)
 	s.stats.RepliesOut += uint64(len(out))
 	if s.logRec != nil && len(out) > 0 {
 		s.logRec(recDrain, []byte(id))
 	}
-	return out, nil
+	return out, size, nil
 }
 
 // peek returns copies of a live bottle's raw package and queued replies

@@ -48,7 +48,7 @@ func TestSplitTaggedID(t *testing.T) {
 // cluster router and tag-oblivious single-rack clients both rely on.
 func TestRackTagLifecycle(t *testing.T) {
 	clock := newTestClock()
-	rack := New(Config{Shards: 2, Workers: 1, ReapInterval: -1, Now: clock.Now, RackTag: "r1"})
+	rack := New(Config{Shards: 2, ReapInterval: -1, Now: clock.Now, RackTag: "r1"})
 	defer rack.Close()
 	rng := rand.New(rand.NewSource(9))
 

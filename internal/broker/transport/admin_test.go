@@ -98,7 +98,7 @@ func TestAdminSnapshot(t *testing.T) {
 	}
 
 	rack, err := broker.Open(broker.Config{
-		Shards: 4, Workers: 2, ReapInterval: -1,
+		Shards: 4, ReapInterval: -1,
 		Durability: &broker.DurabilityConfig{Dir: t.TempDir()},
 	})
 	if err != nil {

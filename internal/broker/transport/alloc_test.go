@@ -74,7 +74,7 @@ func TestMuxRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; budgets are pinned by the non-race run")
 	}
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer rack.Close()
 	l := ListenPipe()
 	defer l.Close()

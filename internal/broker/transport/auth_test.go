@@ -39,7 +39,7 @@ func mintToken(tb testing.TB, key []byte, identity string, ops auth.Ops) []byte 
 // server options, tearing everything down with the test.
 func startAuthServer(tb testing.TB, opts ServerOptions) *PipeListener {
 	tb.Helper()
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	l := ListenPipe()
 	srv := NewServer(rack, opts)
 	go srv.Serve(l)
@@ -235,7 +235,7 @@ func tlsPair(tb testing.TB, mutual bool) (srvOpts ServerOptions, cliOpts Options
 // startTLSServer serves a fresh rack over loopback TCP with the given options.
 func startTLSServer(tb testing.TB, opts ServerOptions) string {
 	tb.Helper()
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Skipf("cannot listen on loopback: %v", err)
@@ -307,7 +307,7 @@ func FuzzHello(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rack := broker.New(broker.Config{Shards: 1, Workers: 1, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 1, ReapInterval: -1})
 	srv := NewServer(rack, ServerOptions{AuthKey: key})
 	f.Cleanup(func() { srv.Close(); rack.Close() })
 	for _, tok := range [][]byte{

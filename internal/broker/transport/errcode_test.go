@@ -113,7 +113,7 @@ func exerciseErrCodeRoundTrip(t *testing.T) {
 // codes through the outcome-flag byte: a transported ReplyBatch/FetchBatch
 // miss is errors.Is-identical to the in-process sentinel.
 func TestErrCodeBatchItemRoundTrip(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	defer rack.Close()
 	l := ListenPipe()
 	srv := NewServer(rack)

@@ -150,7 +150,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // counts the server's writes: the read loop must hold its answers until the
 // burst is read and then flush them together.
 func TestServerAnswersBurstInTwoWrites(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer rack.Close()
 	srv := NewServer(rack)
 	defer srv.Close()
@@ -249,7 +249,7 @@ func waitLabelled(t *testing.T, want int, value string) {
 // when idle, none beyond its callers under concurrent calls, and none after
 // Close.
 func TestMuxRunsNoGoroutine(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer rack.Close()
 	srv := NewServer(rack)
 	defer srv.Close()
@@ -925,7 +925,7 @@ func (g *gatedReplica) Hint(ctx context.Context, dest string, recs []broker.Hand
 // later requests, and leave none behind once the connection closes.
 func TestServerConnectionGoroutinesBounded(t *testing.T) {
 	const maxInflight = 3
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer rack.Close()
 	rep := &gatedReplica{fakeReplica: newFakeReplica(), gate: make(chan struct{})}
 	// A failed run must not leave its held requests blocked for the next

@@ -51,7 +51,7 @@ func TestMetricsRecordAllocFree(t *testing.T) {
 // exposition.
 func TestServerMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	l := ListenPipe()
 	srv := NewServer(rack, ServerOptions{Metrics: NewServerMetrics(reg)})
 	go srv.Serve(l)

@@ -18,7 +18,7 @@ import (
 
 func newMuxPair(t *testing.T, opts ...Options) (*Mux, func()) {
 	t.Helper()
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	l := ListenPipe()
 	srv := NewServer(rack)
 	go srv.Serve(l)
@@ -45,7 +45,7 @@ func TestMuxEndToEndOverPipe(t *testing.T) {
 }
 
 func TestMuxEndToEndOverTCP(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer rack.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -277,7 +277,7 @@ func TestMuxBatchOps(t *testing.T) {
 // TestServerReadIdleTimeout proves the server drops connections that stay
 // silent past the idle deadline.
 func TestServerReadIdleTimeout(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	defer rack.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

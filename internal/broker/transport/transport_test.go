@@ -115,7 +115,7 @@ func exerciseEndToEnd(t *testing.T, c *Mux) {
 // TestConcurrentClients exercises many clients over the pipe listener at
 // once, one connection each; its value is under -race.
 func TestConcurrentClients(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 8, Workers: 4, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 8, ReapInterval: -1})
 	defer rack.Close()
 	l := ListenPipe()
 	srv := NewServer(rack)
@@ -221,7 +221,7 @@ func TestServerRefusesLockStep(t *testing.T) {
 		{"over tls", srvTLS, cliTLS, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+			rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 			defer rack.Close()
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {

@@ -78,7 +78,7 @@ func (s *sheddingBackend) Sweep(ctx context.Context, q broker.SweepQuery) (broke
 // aggressive fail threshold, so any misclassification ejects immediately.
 func ringOverShedder(t *testing.T) (*Ring, *sheddingBackend) {
 	t.Helper()
-	rack := broker.New(broker.Config{Shards: 2, Workers: 2, ReapInterval: -1, RackTag: "r0"})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1, RackTag: "r0"})
 	shed := &sheddingBackend{Backend: rack}
 	ring, err := NewRing(RingConfig{
 		Backends:      []RingBackend{{Name: "rack-0", Backend: shed}},
@@ -163,7 +163,7 @@ func (r *replyShedder) ReplyBatch(ctx context.Context, posts []broker.ReplyPost)
 // deferred work: replies shed with ErrOverload are queued and delivered on a
 // later tick once the bucket refills, not dropped.
 func TestSweeperDefersOverloadedReplies(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 2, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	defer rack.Close()
 	shed := &replyShedder{Backend: rack}
 	shed.shedding.Store(true)

@@ -215,7 +215,7 @@ func (b *blockingBackend) SubmitBatch(ctx context.Context, raws [][]byte) ([]bro
 // rack fault), and closing the ring returns the goroutine count to baseline.
 func TestRingCancelMidFanout(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	ring, err := NewRing(RingConfig{
 		ProbeInterval: -1,
 		Backends:      []RingBackend{{Name: "slow", Backend: &blockingBackend{rack}}},

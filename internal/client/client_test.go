@@ -56,7 +56,7 @@ func buildRawFrom(tb testing.TB, seed int64, origin string) ([]byte, *core.Reque
 // dialing it.
 func testServer(t *testing.T) (Config, *broker.Rack, func()) {
 	t.Helper()
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	l := transport.ListenPipe()
 	srv := transport.NewServer(rack)
 	go srv.Serve(l)
@@ -153,7 +153,7 @@ func TestCourierMultiplexed(t *testing.T) {
 // TestCourierReconnects proves the pool redials after the server drops an
 // idle connection.
 func TestCourierReconnects(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	defer rack.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -506,8 +506,7 @@ func (r *Ring) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResu
 // that fail to answer are skipped (their failure is noted against their
 // health — Stats doubles as a probe); the call only fails when no rack
 // answered or the context ended (cancellation stops further rack dispatches
-// and returns the context error). Shards and Workers report cluster-wide
-// sums.
+// and returns the context error). Shards reports the cluster-wide sum.
 func (r *Ring) Stats(ctx context.Context) (broker.Stats, error) {
 	type part struct {
 		st  broker.Stats
@@ -540,7 +539,6 @@ func (r *Ring) Stats(ctx context.Context) (broker.Stats, error) {
 		}
 		answered++
 		out.Shards += p.st.Shards
-		out.Workers += p.st.Workers
 		out.Held += p.st.Held
 		out.PerShard = append(out.PerShard, p.st.PerShard...)
 		addShardStats(&out.Totals, p.st.Totals)

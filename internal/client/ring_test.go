@@ -119,7 +119,7 @@ func testCluster(t *testing.T, n, rf int) (*Ring, []*unstableBackend, []*broker.
 	cfg := RingConfig{ProbeInterval: -1, Replication: rf}
 	for i := 0; i < n; i++ {
 		racks[i] = broker.New(broker.Config{
-			Shards: 4, Workers: 2, ReapInterval: -1,
+			Shards: 4, ReapInterval: -1,
 			RackTag: fmt.Sprintf("r%d", i),
 		})
 		backs[i] = &unstableBackend{rack: racks[i]}
@@ -204,7 +204,7 @@ func TestRingRoutingDeterminism(t *testing.T) {
 // cluster sweep returns them all.
 func TestRingBatchEquivalence(t *testing.T) {
 	ring, _, racks := testCluster(t, 3, 1)
-	single := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	single := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer single.Close()
 
 	const n = 40
@@ -819,7 +819,7 @@ func TestRingConfigValidation(t *testing.T) {
 	if _, err := NewRing(RingConfig{}); !errors.Is(err, ErrNoRacks) {
 		t.Fatalf("empty config = %v, want ErrNoRacks", err)
 	}
-	rack := broker.New(broker.Config{Shards: 2, Workers: 1, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
 	defer rack.Close()
 	_, err := NewRing(RingConfig{
 		Addrs:    []string{"127.0.0.1:1"},

@@ -371,7 +371,7 @@ func (p *pageRecorder) Sweep(ctx context.Context, q broker.SweepQuery) (broker.S
 func TestSweeperDeltaMatchesStatelessNestedRing(t *testing.T) {
 	clock := &windowClock{now: time.Now()}
 	inner, _, _ := testCluster(t, 2, 1)
-	outerRack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1, RackTag: "o0"})
+	outerRack := broker.New(broker.Config{Shards: 4, ReapInterval: -1, RackTag: "o0"})
 	defer outerRack.Close()
 	page := &pageRecorder{Backend: inner}
 	ring, err := NewRing(RingConfig{ProbeInterval: -1, Backends: []RingBackend{
@@ -473,7 +473,7 @@ func relabel(tb testing.TB, raw []byte, n int64) []byte {
 // query of a few dozen bytes, where shipping the window cost 4096 strings on
 // the server alone and 139 KB.
 func TestSweeperSteadyTickBudget(t *testing.T) {
-	rack := broker.New(broker.Config{Shards: 4, Workers: 2, ReapInterval: -1})
+	rack := broker.New(broker.Config{Shards: 4, ReapInterval: -1})
 	defer rack.Close()
 	l := transport.ListenPipe()
 	srv := transport.NewServer(rack)

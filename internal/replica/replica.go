@@ -26,6 +26,7 @@ import (
 	"context"
 	"crypto/tls"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -212,6 +213,9 @@ func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecor
 			continue
 		}
 		q.keys[key] = struct{}{}
+		// The queue outlives the call, and a decoded record aliases the
+		// frame it came in: the queue keeps its own copy.
+		rec.Payload = slices.Clone(rec.Payload)
 		q.recs = append(q.recs, rec)
 		n.stats.HintsQueued++
 		accepted++

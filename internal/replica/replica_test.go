@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -266,6 +267,31 @@ func TestHandoffOwnerlessStaysOpen(t *testing.T) {
 	}
 	if _, err := dst.Fetch(ctx, pkg.ID); err != nil {
 		t.Fatalf("anonymous fetch of the converged copy: %v", err)
+	}
+}
+
+// TestHintKeepsItsOwnCopy: a hint queue outlives the call that fills it,
+// so it keeps a copy of each record's payload. A caller that reuses its
+// buffer after an in-process Hint, as a transport frame is reused after the
+// handler returns, must not change what is streamed.
+func TestHintKeepsItsOwnCopy(t *testing.T) {
+	ctx := context.Background()
+	dst := newNode(t, "rack-1", Config{})
+	src := newNode(t, "rack-0", Config{
+		Peers: map[string]string{"rack-1": "pipe:rack-1"},
+		Dial:  func(string) (HandoffTarget, error) { return localTarget{dst}, nil },
+	})
+	raw, pkg := buildRaw(t, 13)
+	buf := append([]byte(nil), raw...)
+	if _, err := src.Hint(ctx, "rack-1", []broker.HandoffRecord{{Type: broker.RecSubmit, Payload: buf}}); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	if _, err := src.Flush(ctx); err != nil || src.Pending() != 0 {
+		t.Fatalf("Flush: %v, %d pending; want the submit delivered", err, src.Pending())
+	}
+	if got, _, _, ok := dst.PeekBottle(pkg.ID); !ok || !bytes.Equal(got, raw) {
+		t.Fatalf("destination holds the bottle: %v; want it as hinted, not the reused buffer", ok)
 	}
 }
 

@@ -88,15 +88,14 @@ type (
 // broker itself.
 type Rack = broker.Rack
 
-// RackConfig tunes a Rack (shards, workers, expiry, tagging, durability).
+// RackConfig tunes a Rack (shards, expiry, tagging, durability).
 type RackConfig = broker.Config
 
 // DurabilityConfig backs a rack with a write-ahead log and snapshots.
 type DurabilityConfig = broker.DurabilityConfig
 
-// NewRack builds an in-memory rack and starts its worker pool and reaper. It
-// panics if the config's durability setup fails; durable racks should use
-// OpenRack.
+// NewRack builds an in-memory rack and starts its reaper. It panics if the
+// config's durability setup fails; durable racks should use OpenRack.
 func NewRack(cfg RackConfig) *Rack { return broker.New(cfg) }
 
 // OpenRack builds a rack, recovering prior state from the durability
