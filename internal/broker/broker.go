@@ -273,8 +273,8 @@ func (r *Rack) shardIndex(id string) uint64 {
 // shardFor returns the shard that holds a request ID.
 func (r *Rack) shardFor(id string) *shard { return r.shards[r.shardIndex(id)] }
 
-// listBuf is how many items of a list the rack groups by shard in stack
-// buffers; a longer list allocates its grouping.
+// listBuf is how many items of a list the rack groups by shard (and holds
+// untagged) in stack buffers; a longer list allocates them, once each.
 const listBuf = 16
 
 // shardKey packs an item's shard index above its index in the list, so that
@@ -385,7 +385,7 @@ func (r *Rack) submit(ctx context.Context, raws [][]byte, results []SubmitResult
 	var bottleBuf [listBuf]*bottle
 	keys, bs := keyBuf[:0], bottleBuf[:]
 	if len(raws) > listBuf {
-		bs = make([]*bottle, len(raws))
+		keys, bs = make([]uint64, 0, len(raws)), make([]*bottle, len(raws))
 	}
 	for i, raw := range raws {
 		b, err := bottleFromRaw(raw, now)
@@ -445,16 +445,20 @@ func (r *Rack) ReplyBatch(ctx context.Context, posts []ReplyPost) ([]error, erro
 func (r *Rack) reply(ctx context.Context, posts []ReplyPost, errs []error) error {
 	now := r.cfg.Now().UTC()
 	var keyBuf [listBuf]uint64
-	keys := keyBuf[:0]
+	var idBuf [listBuf]string
+	keys, own := keyBuf[:0], idBuf[:]
+	if len(posts) > listBuf {
+		keys, own = make([]uint64, 0, len(posts)), make([]string, len(posts))
+	}
 	for i, p := range posts {
-		id := r.untagID(p.RequestID)
-		if errs[i] = checkReply(id, p.Raw); errs[i] == nil {
-			keys = append(keys, r.shardKey(id, i))
+		own[i] = r.untagID(p.RequestID)
+		if errs[i] = checkReply(own[i], p.Raw); errs[i] == nil {
+			keys = append(keys, r.shardKey(own[i], i))
 		}
 	}
 	applied := false
 	err := r.eachShard(ctx, keys, func(sh *shard, i int) {
-		errs[i] = sh.pushReplyLocked(r.untagID(posts[i].RequestID), posts[i].Raw, r.cfg.MaxRepliesPerBottle, now)
+		errs[i] = sh.pushReplyLocked(own[i], posts[i].Raw, r.cfg.MaxRepliesPerBottle, now)
 		applied = applied || errs[i] == nil
 	}, func(i int, err error) { errs[i] = err })
 	if applied {
@@ -503,16 +507,23 @@ func (r *Rack) FetchBatch(ctx context.Context, ids []string) ([]FetchResult, err
 // caller's identity, while their replies fit the byte budget, and writes
 // each item's outcome to results.
 func (r *Rack) fetch(ctx context.Context, ids []string, results []FetchResult, budget int) error {
+	// Each item's untagged ID is kept as the length of the tag cut from it,
+	// not as a string: a buffer of strings would make ids escape, and a
+	// caller that converts a frame to the ID would then allocate per call.
 	var keyBuf [listBuf]uint64
-	keys := keyBuf[:0]
+	var cutBuf [listBuf]int
+	keys, cut := keyBuf[:0], cutBuf[:]
+	if len(ids) > listBuf {
+		keys, cut = make([]uint64, 0, len(ids)), make([]int, len(ids))
+	}
 	for i, id := range ids {
-		keys = append(keys, r.shardKey(r.untagID(id), i))
+		own := r.untagID(id)
+		cut[i] = len(id) - len(own)
+		keys = append(keys, r.shardKey(own, i))
 	}
 	caller := IdentityFromContext(ctx)
 	return r.eachShard(ctx, keys, func(sh *shard, i int) {
-		var size int
-		results[i].Replies, size, results[i].Err = sh.drainLocked(r.untagID(ids[i]), caller, budget)
-		budget -= size
+		results[i].Replies, results[i].Err = sh.drainLocked(ids[i][cut[i]:], caller, &budget)
 	}, func(i int, err error) { results[i].Err = err })
 }
 

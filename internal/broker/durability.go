@@ -204,8 +204,9 @@ func (r *Rack) apply(rec HandoffRecord, now time.Time) error {
 	case recDrain:
 		id := string(rec.Payload)
 		sh := r.shardFor(id)
+		budget := math.MaxInt
 		sh.mu.Lock()
-		_, _, err = sh.drainLocked(id, rec.Owner, math.MaxInt)
+		_, err = sh.drainLocked(id, rec.Owner, &budget)
 		sh.mu.Unlock()
 	}
 	if errors.Is(err, ErrUnknownBottle) {

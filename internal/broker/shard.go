@@ -422,35 +422,37 @@ func (s *shard) pushReplyLocked(id string, raw []byte, maxQueue int, now time.Ti
 	return nil
 }
 
-// drainLocked returns and clears the reply queue of a racked bottle, and its
-// size in bytes, when the queue fits budget: the one drain path, of Fetch,
-// FetchBatch and WAL replay. caller is the identity draining it (empty:
-// anonymous). A queue over budget is left whole and answers ErrFetchBudget;
-// a queue that alone exceeds a FetchBatch's whole budget is as unfetchable
-// as it would be through a single Fetch's frame cap. The caller holds mu.
-func (s *shard) drainLocked(id, caller string, budget int) ([][]byte, int, error) {
+// drainLocked returns and clears the reply queue of a racked bottle when the
+// queue fits *budget, and spends the queue's size in bytes from *budget: the
+// one drain path, of Fetch, FetchBatch and WAL replay. caller is the identity
+// draining it (empty: anonymous). A queue over budget is left whole and
+// answers ErrFetchBudget; a queue that alone exceeds a FetchBatch's whole
+// budget is as unfetchable as it would be through a single Fetch's frame cap.
+// The caller holds mu.
+func (s *shard) drainLocked(id, caller string, budget *int) ([][]byte, error) {
 	b, ok := s.bottles[id]
 	if !ok {
-		return nil, 0, ErrUnknownBottle
+		return nil, ErrUnknownBottle
 	}
 	if !ownerAllows(b.owner, caller) {
 		// Refused before sizing: an imposter must not learn whether the
 		// queue would have fit the budget, let alone drain it.
-		return nil, 0, ErrUnauthorized
+		return nil, ErrUnauthorized
 	}
 	out, size := s.replies[id], 0
 	for _, raw := range out {
 		size += len(raw)
 	}
-	if size > budget {
-		return nil, 0, ErrFetchBudget
+	if size > *budget {
+		return nil, ErrFetchBudget
 	}
+	*budget -= size
 	delete(s.replies, id)
 	s.stats.RepliesOut += uint64(len(out))
 	if s.logRec != nil && len(out) > 0 {
 		s.logRec(recDrain, []byte(id))
 	}
-	return out, size, nil
+	return out, nil
 }
 
 // peek returns copies of a live bottle's raw package and queued replies

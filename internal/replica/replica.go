@@ -174,6 +174,12 @@ func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecor
 			if rec.Type == broker.RecSubmit || rec.Type == broker.RecRemove {
 				rec.Owner = caller
 			}
+			if dest != n.cfg.Self {
+				// A queued hint outlives the call, and a decoded record
+				// aliases the frame it came in: the queue keeps its own
+				// copy. Repair records below are built fresh.
+				rec.Payload = slices.Clone(rec.Payload)
+			}
 			resolved = append(resolved, rec)
 			continue
 		}
@@ -213,9 +219,6 @@ func (n *Node) Hint(ctx context.Context, dest string, recs []broker.HandoffRecor
 			continue
 		}
 		q.keys[key] = struct{}{}
-		// The queue outlives the call, and a decoded record aliases the
-		// frame it came in: the queue keeps its own copy.
-		rec.Payload = slices.Clone(rec.Payload)
 		q.recs = append(q.recs, rec)
 		n.stats.HintsQueued++
 		accepted++
