@@ -60,11 +60,25 @@ func (s *sheddingBackend) Submit(ctx context.Context, raw []byte) (string, error
 	return s.Backend.Submit(ctx, raw)
 }
 
+func (s *sheddingBackend) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
+	if err := s.errOr(); err != nil {
+		return nil, err
+	}
+	return s.Backend.SubmitBatch(ctx, raws)
+}
+
 func (s *sheddingBackend) Fetch(ctx context.Context, id string) ([][]byte, error) {
 	if err := s.errOr(); err != nil {
 		return nil, err
 	}
 	return s.Backend.Fetch(ctx, id)
+}
+
+func (s *sheddingBackend) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResult, error) {
+	if err := s.errOr(); err != nil {
+		return nil, err
+	}
+	return s.Backend.FetchBatch(ctx, ids)
 }
 
 func (s *sheddingBackend) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepResult, error) {

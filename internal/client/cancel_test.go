@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 
 	"sealedbottle/internal/broker"
 	"sealedbottle/internal/broker/transport"
+	"sealedbottle/internal/core"
 )
 
 // assertGoroutinesReturn waits (with retries — runtime teardown is
@@ -192,9 +194,9 @@ func TestCourierPerCallTimeoutLeavesConnection(t *testing.T) {
 	assertGoroutinesReturn(t, baseline)
 }
 
-// blockingBackend blocks Sweep and SubmitBatch until the caller's context
-// ends, standing in for an arbitrarily slow rack; everything else delegates
-// to a real in-process rack.
+// blockingBackend blocks Sweep and both forms of Submit, Reply and Fetch
+// until the caller's context ends, standing in for an arbitrarily slow
+// rack; everything else delegates to a real in-process rack.
 type blockingBackend struct {
 	*broker.Rack
 }
@@ -204,15 +206,43 @@ func (b *blockingBackend) Sweep(ctx context.Context, q broker.SweepQuery) (broke
 	return broker.SweepResult{}, ctx.Err()
 }
 
+func (b *blockingBackend) Submit(ctx context.Context, raw []byte) (string, error) {
+	<-ctx.Done()
+	return "", ctx.Err()
+}
+
 func (b *blockingBackend) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
 
+func (b *blockingBackend) Reply(ctx context.Context, id string, raw []byte) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (b *blockingBackend) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (b *blockingBackend) Fetch(ctx context.Context, id string) ([][]byte, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+func (b *blockingBackend) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResult, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 // TestRingCancelMidFanout cancels a context while Ring fan-outs are blocked
-// on a slow rack: Sweep and SubmitBatch must return promptly with the
-// context's error, the rack must not be ejected (a canceled call is not a
-// rack fault), and closing the ring returns the goroutine count to baseline.
+// on a slow rack: Sweep and the lists must return promptly with the
+// context's error — a one-item SubmitBatch reaches the rack as its single
+// Submit, two-item ReplyBatch and FetchBatch as its list calls, and every
+// item of those carries the context's error — the rack must not be ejected
+// (a canceled call is not a rack fault), and closing the ring returns the
+// goroutine count to baseline.
 func TestRingCancelMidFanout(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
@@ -223,6 +253,16 @@ func TestRingCancelMidFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// each checks that every item of a list carries the context's error.
+	each := func(errs ...error) error {
+		for i, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("item %d = %v, want context.Canceled", i, err)
+			}
+		}
+		return nil
+	}
+	ids := []string{"1111111111111111", "2222222222222222"}
 
 	for _, op := range []struct {
 		name string
@@ -234,7 +274,25 @@ func TestRingCancelMidFanout(t *testing.T) {
 		}},
 		{"SubmitBatch", func(ctx context.Context) error {
 			raw, _ := buildRaw(t, 31_000)
-			_, err := ring.SubmitBatch(ctx, [][]byte{raw})
+			res, err := ring.SubmitBatch(ctx, [][]byte{raw})
+			if e := each(res[0].Err); e != nil {
+				return e
+			}
+			return err
+		}},
+		{"ReplyBatch", func(ctx context.Context) error {
+			reply := (&core.Reply{RequestID: ids[0], From: "bob", SentAt: time.Now()}).Marshal()
+			errs, err := ring.ReplyBatch(ctx, []broker.ReplyPost{{RequestID: ids[0], Raw: reply}, {RequestID: ids[1], Raw: reply}})
+			if e := each(errs...); e != nil {
+				return e
+			}
+			return err
+		}},
+		{"FetchBatch", func(ctx context.Context) error {
+			res, err := ring.FetchBatch(ctx, ids)
+			if e := each(res[0].Err, res[1].Err); e != nil {
+				return e
+			}
 			return err
 		}},
 	} {

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -195,74 +197,115 @@ func TestRingCloseStopsFanWorkers(t *testing.T) {
 }
 
 // TestRingAllocsPerOperation pins what each Backend operation of a 3-rack
-// R = 2 ring over in-process racks allocates, the racks' own work included.
-// The fan-out takes parked workers and a pooled join, and the merges build
-// their holder lists on the stack: a goroutine and its closure per rack
-// call, or a heap list per merge, would show here.
+// ring over in-process racks allocates at R = 1 and R = 2, the racks' own
+// work included. Every verb runs one list body: a one-item list costs its
+// single call plus the result slice it returns, and the single calls cost no
+// more than they did as a path of their own. The fan-out takes parked
+// workers and a pooled join, a call keeps its routing in one object, and
+// the merges build their holder lists on the stack: a goroutine and its
+// closure per rack call, or a heap slice per item or per merge, would show
+// here.
 func TestRingAllocsPerOperation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
-	ring, _, _ := testCluster(t, 3, 2)
-	ctx := context.Background()
-	// Ceilings are the counts measured with the parked workers, plus one for
-	// a pool miss; a fresh goroutine per rack call adds two to every
-	// operation.
-	const runs = 50
-	// AllocsPerRun calls its function once more than runs; every call takes
-	// a bottle of its own.
-	raws := make([][]byte, 2*(runs+1))
-	ids := make([]string, runs+1)
-	replies := make([][]byte, runs+1)
-	for i := range raws {
-		raw, pkg := buildRaw(t, int64(46_000+i))
-		raws[i] = raw
-		if i < len(ids) {
-			if _, err := ring.Submit(ctx, raw); err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = pkg.ID
-			replies[i] = (&core.Reply{RequestID: pkg.ID, From: "bob", SentAt: time.Now(), Acks: [][]byte{{7}}}).Marshal()
-		}
+	// Ceilings, at R = 1 and R = 2, are the counts measured with the parked
+	// workers, plus one for a pool miss; a fresh goroutine per rack call
+	// adds two to every operation.
+	ceilings := map[string][2]float64{
+		"Submit":         {11, 16},
+		"SubmitBatch/1":  {11, 16},
+		"SubmitBatch/32": {251, 417},
+		"Sweep":          {125, 132},
+		"Reply":          {10, 17},
+		"ReplyBatch/1":   {11, 18},
+		"ReplyBatch/32":  {244, 474},
+		"Fetch":          {5, 5},
+		"FetchBatch/1":   {6, 6},
+		"FetchBatch/32":  {77, 83},
+		"Remove":         {3, 3},
 	}
-	fresh := raws[len(ids):]
-	q := broker.SweepQuery{Residues: chessResidues(t), Limit: 16}
-	var k int
-	measure := func(op string, ceiling float64, fn func() error) {
-		t.Helper()
-		k = 0
-		avg := testing.AllocsPerRun(runs, func() {
-			if err := fn(); err != nil {
-				t.Fatalf("%s: %v", op, err)
+	forEachR(t, func(t *testing.T, rf int) {
+		ring, _, _ := testCluster(t, 3, rf)
+		ctx := context.Background()
+		// AllocsPerRun calls its function once more than runs; every call
+		// takes items of its own.
+		const runs, longRuns, long = 50, 10, 32
+		seed := int64(46_000)
+		// bottles builds n bottles with a reply to each.
+		bottles := func(n int) (raws [][]byte, ids []string, posts []broker.ReplyPost) {
+			for range n {
+				raw, pkg := buildRaw(t, seed)
+				seed++
+				raws, ids = append(raws, raw), append(ids, pkg.ID)
+				posts = append(posts, broker.ReplyPost{RequestID: pkg.ID, Raw: (&core.Reply{RequestID: pkg.ID, From: "bob", SentAt: time.Now(), Acks: [][]byte{{7}}}).Marshal()})
 			}
-			k++
+			return raws, ids, posts
+		}
+		measure := func(op string, runs, per int, fn func(i, j int) error) {
+			t.Helper()
+			k := 0
+			avg := testing.AllocsPerRun(runs, func() {
+				if err := fn(k*per, (k+1)*per); err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+				k++
+			})
+			ceiling := ceilings[op][rf-1]
+			t.Logf("%s: %.1f allocs", op, avg)
+			if avg > ceiling {
+				t.Errorf("%s: %.1f allocs, ceiling %.0f", op, avg, ceiling)
+			}
+		}
+		q := broker.SweepQuery{Residues: chessResidues(t), Limit: 16}
+
+		raws, ids, posts := bottles(runs + 1)
+		if _, err := ring.SubmitBatch(ctx, raws); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _, _ := bottles(runs + 1)
+		measure("Submit", runs, 1, func(i, _ int) error {
+			_, err := ring.Submit(ctx, fresh[i])
+			return err
 		})
-		t.Logf("%s: %.1f allocs", op, avg)
-		if avg > ceiling {
-			t.Errorf("%s: %.1f allocs, ceiling %.0f", op, avg, ceiling)
+		measure("Sweep", runs, 1, func(int, int) error {
+			_, err := ring.Sweep(ctx, q)
+			return err
+		})
+		measure("Reply", runs, 1, func(i, _ int) error {
+			return ring.Reply(ctx, ids[i], posts[i].Raw)
+		})
+		measure("Fetch", runs, 1, func(i, _ int) error {
+			_, err := ring.Fetch(ctx, ids[i])
+			return err
+		})
+		measure("Remove", runs, 1, func(i, _ int) error {
+			_, err := ring.Remove(ctx, ids[i])
+			return err
+		})
+
+		for _, c := range []struct {
+			runs, per int
+		}{{runs, 1}, {longRuns, long}} {
+			raws, ids, posts := bottles((c.runs + 1) * c.per)
+			measure(fmt.Sprintf("SubmitBatch/%d", c.per), c.runs, c.per, func(i, j int) error {
+				res, err := ring.SubmitBatch(ctx, raws[i:j])
+				for _, r := range res {
+					err = cmp.Or(err, r.Err)
+				}
+				return err
+			})
+			measure(fmt.Sprintf("ReplyBatch/%d", c.per), c.runs, c.per, func(i, j int) error {
+				errs, err := ring.ReplyBatch(ctx, posts[i:j])
+				return cmp.Or(err, cmp.Or(errs...))
+			})
+			measure(fmt.Sprintf("FetchBatch/%d", c.per), c.runs, c.per, func(i, j int) error {
+				res, err := ring.FetchBatch(ctx, ids[i:j])
+				for _, r := range res {
+					err = cmp.Or(err, r.Err)
+				}
+				return err
+			})
 		}
-	}
-	measure("Submit", 19, func() error {
-		_, err := ring.Submit(ctx, fresh[k])
-		return err
-	})
-	measure("Sweep", 135, func() error {
-		_, err := ring.Sweep(ctx, q)
-		return err
-	})
-	measure("ReplyBatch", 37, func() error {
-		errs, err := ring.ReplyBatch(ctx, []broker.ReplyPost{{RequestID: ids[k], Raw: replies[k]}})
-		if err == nil {
-			err = errs[0]
-		}
-		return err
-	})
-	measure("Fetch", 7, func() error {
-		_, err := ring.Fetch(ctx, ids[k])
-		return err
-	})
-	measure("Remove", 5, func() error {
-		_, err := ring.Remove(ctx, ids[k])
-		return err
 	})
 }

@@ -99,8 +99,10 @@ type rackNode struct {
 //   - Submits go to the bottle's intent set: the top-R members by
 //     rendezvous (highest-random-weight) hash of the package's request ID,
 //     extended past ejected members to the next live ones. The hash is
-//     deterministic, so independent rings agree on placement. Batch submits
-//     send one SubmitBatch per rack.
+//     deterministic, so independent rings agree on placement.
+//   - Every verb runs one list body; a single call is a list of one. A list
+//     asks each rack once: a rack given one item gets its single call, a
+//     rack given more its list call.
 //   - Sweeps fan out to every healthy rack concurrently, each with the
 //     sweeper's cursor for it, and merge under the query limit.
 //   - Reply, Fetch and Remove go, concurrently, to the live members of the
@@ -108,7 +110,8 @@ type rackNode struct {
 //     when every one of them answers "unknown bottle" does the call try the
 //     other healthy racks, in hash order, until one recognizes the bottle —
 //     one a submit placed past an ejected member, one a membership change
-//     re-ranked, or one this ring never placed.
+//     re-ranked, or one this ring never placed. A remove goes on until R
+//     racks held it.
 //
 // Health: a rack is ejected after FailThreshold consecutive rack faults
 // (transport-level failures — per-operation outcomes computed by a rack

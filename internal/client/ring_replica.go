@@ -1,6 +1,7 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -115,57 +116,91 @@ func (r *Ring) RemoveRack(name string) error {
 	return nil
 }
 
-// submitTargets plans a submit for an untagged ID: live is the healthy
-// members to write to — the healthy part of the top-R intent set, extended
-// along the rank order until R live targets (so R copies exist immediately
-// even with an intent member down) — and missed is the intent members
-// currently ejected, which get hints instead of writes. With every rack
-// healthy at R=1 this is the top-ranked rack alone.
-func (r *Ring) submitTargets(id string) (live, missed []*rackNode) {
-	ranked := rank(nil, r.members(), id)
-	rf := min(r.rf, len(ranked))
-	// live is compacted into ranked's own array: each write lands at or
-	// before the element the loop is reading.
-	live = ranked[:0]
+// idPlan is one item of a list call and where it goes: rest is the
+// untagged ID every target is asked about, raw the package a submit places
+// or the reply a post carries, down the intent members skipped as ejected
+// (hint destinations for writes), and from and to bound the item's cells.
+type idPlan struct {
+	rest     string
+	raw      []byte
+	down     []*rackNode
+	from, to int
+}
+
+// verb names the rack call a list call makes.
+type verb uint8
+
+const (
+	verbSubmit verb = iota
+	verbReply
+	verbFetch
+	verbRemove
+)
+
+// callInline is the items, and the racks, a list call holds in its own
+// arrays, and half its (item, target) cells: a one-item call at R ≤ 8
+// allocates no slice.
+const callInline = 4
+
+// listCall is one call of a verb: per item its plan, per (item, target)
+// cell the rack asked and its answer, and the racks asked, each once. A
+// call of a few items is this one object.
+type listCall struct {
+	r     *Ring
+	ctx   context.Context
+	verb  verb
+	items []idPlan
+	nodes []*rackNode
+	outs  []outcome
+	racks []*rackNode
+
+	itemBuf [callInline]idPlan
+	nodeBuf [2 * callInline]*rackNode
+	outBuf  [2 * callInline]outcome
+	rackBuf [callInline]*rackNode
+}
+
+// newCall starts a call of v with room for n items.
+func (r *Ring) newCall(ctx context.Context, v verb, n int) *listCall {
+	c := &listCall{r: r, ctx: ctx, verb: v}
+	c.items, c.nodes, c.outs, c.racks = c.itemBuf[:0], c.nodeBuf[:0], c.outBuf[:0], c.rackBuf[:0]
+	if n > callInline {
+		c.items = make([]idPlan, 0, n)
+		c.nodes = make([]*rackNode, 0, n*r.rf)
+		c.outs = make([]outcome, 0, n*r.rf)
+	}
+	return c
+}
+
+// route adds an item about the untagged ID rest and reports whether it has
+// a target. Its targets are the healthy members of the ID's intent set (the
+// top R by rank), its down the ejected ones; a submit's targets extend along
+// the rank order until R are live, so R copies exist even with an intent
+// member down. A holder outside the intent set is found by the walk.
+func (c *listCall) route(rest string, raw []byte) bool {
+	p := idPlan{rest: rest, raw: raw, from: len(c.nodes)}
+	var buf [8]*rackNode
+	ranked := rank(buf[:0], c.r.members(), rest)
+	rf := min(c.r.rf, len(ranked))
 	for i, n := range ranked {
-		if i >= rf && len(live) == rf {
+		live := len(c.nodes) - p.from
+		if i >= rf && (c.verb != verbSubmit || live == rf) {
 			break
 		}
 		if n.down.Load() {
 			if i < rf {
-				missed = append(missed, n)
+				p.down = append(p.down, n)
 			}
-		} else if len(live) < rf {
-			live = append(live, n)
+		} else if live < rf {
+			c.nodes, c.outs = append(c.nodes, n), append(c.outs, outcome{})
+			if !slices.Contains(c.racks, n) {
+				c.racks = append(c.racks, n)
+			}
 		}
 	}
-	return live, missed
-}
-
-// idPlan is where an ID-addressed operation goes: rest is the untagged ID
-// every target is asked about; live are the targets to call, down the ones
-// skipped as ejected (hint destinations for writes).
-type idPlan struct {
-	rest       string
-	live, down []*rackNode
-}
-
-// route plans an ID-addressed operation: the intent set of the untagged ID,
-// split by health. A holder outside it — a submit extended past a down
-// member, a membership change, a bottle this ring did not place — is found
-// by callID's last resort.
-func (r *Ring) route(id string) idPlan {
-	p := idPlan{rest: broker.UntagID(id), live: make([]*rackNode, 0, r.rf)}
-	var buf [8]*rackNode
-	ranked := rank(buf[:0], r.members(), p.rest)
-	for _, n := range ranked[:min(r.rf, len(ranked))] {
-		if n.down.Load() {
-			p.down = append(p.down, n)
-		} else {
-			p.live = append(p.live, n)
-		}
-	}
-	return p
+	p.to = len(c.nodes)
+	c.items = append(c.items, p)
+	return p.to > p.from
 }
 
 // hintKey addresses one per-destination hint batch through the replica that
@@ -319,70 +354,96 @@ func (r *Ring) fanWorker(job fanJob) {
 	}
 }
 
-// fanout runs op against every target concurrently and returns the
-// per-target outcomes, noting each against rack health. Targets not yet
-// called when the context ends report its error.
-func (r *Ring) fanout(ctx context.Context, targets []*rackNode, op func(n *rackNode) outcome) []outcome {
-	outs := make([]outcome, len(targets))
-	r.each(len(targets), func(i int) {
-		if err := ctx.Err(); err != nil {
-			outs[i].err = err
-			return
-		}
-		outs[i] = op(targets[i])
-		r.note(targets[i], outs[i].err)
-	})
-	return outs
+// dispatch asks every rack about its items, racks concurrently, each once:
+// a rack given one item gets its single call, a rack given more its list
+// call, whose whole-call error answers for each of them — as does the
+// context's error for a rack never called.
+func (c *listCall) dispatch() {
+	c.r.each(len(c.racks), func(k int) { c.callRack(c.racks[k]) })
 }
 
-// cell addresses one (batch item, target) pair of a dispatchGroups result.
-type cell struct{ item, target int }
-
-// rackCells is one rack's share of a dispatchGroups batch.
-type rackCells struct {
-	n     *rackNode
-	cells []cell
-}
-
-// dispatchGroups runs a batch against its per-item targets: every rack gets
-// one call carrying all the items it is a target of, racks concurrently. The
-// result holds one outcome per (item, target). call fills its cells of outs
-// and returns nil, or returns the whole call's error, which is recorded for
-// each of its cells — as is the context's error for racks never called.
-func (r *Ring) dispatchGroups(ctx context.Context, targets [][]*rackNode, call func(n *rackNode, cells []cell, outs [][]outcome) error) [][]outcome {
-	outs := make([][]outcome, len(targets))
-	total := 0
-	for _, ts := range targets {
-		total += len(ts)
-	}
-	flat := make([]outcome, total) // one array backs every item's outcomes
-	// In order of first appearance; racks are few.
-	groups := make([]rackCells, 0, len(r.members()))
-	for i, ts := range targets {
-		outs[i], flat = flat[:len(ts):len(ts)], flat[len(ts):]
-		for j, n := range ts {
-			k := slices.IndexFunc(groups, func(g rackCells) bool { return g.n == n })
-			if k < 0 {
-				k = len(groups)
-				groups = append(groups, rackCells{n: n})
+// cells calls fn(i, j) for each cell j of item i that asks rack n, in order.
+func (c *listCall) cells(n *rackNode, fn func(i, j int)) {
+	for i, p := range c.items {
+		for j := p.from; j < p.to; j++ {
+			if c.nodes[j] == n {
+				fn(i, j)
 			}
-			groups[k].cells = append(groups[k].cells, cell{i, j})
 		}
 	}
-	r.each(len(groups), func(k int) {
-		g := groups[k]
-		err := ctx.Err()
-		if err == nil {
-			err = call(g.n, g.cells, outs)
-			r.note(g.n, err)
+}
+
+func (c *listCall) callRack(n *rackNode) {
+	count, item, cell := 0, 0, 0
+	c.cells(n, func(i, j int) { count, item, cell = count+1, i, j })
+	err := c.ctx.Err()
+	switch {
+	case err != nil:
+	case count == 1:
+		c.outs[cell] = c.ask(item, n)
+		return
+	default:
+		err = c.askList(n, count)
+		c.r.note(n, err)
+	}
+	if err != nil {
+		c.cells(n, func(_, j int) { c.outs[j] = outcome{err: err} })
+	}
+}
+
+// ask sends item i to rack n as the rack's single call and notes the answer
+// against its health. A remove that finds nothing answers like any miss.
+func (c *listCall) ask(i int, n *rackNode) outcome {
+	p := &c.items[i]
+	var o outcome
+	switch c.verb {
+	case verbSubmit:
+		o.id, o.err = n.b.Submit(c.ctx, p.raw)
+	case verbReply:
+		o.err = n.b.Reply(c.ctx, p.rest, p.raw)
+	case verbFetch:
+		o.replies, o.err = n.b.Fetch(c.ctx, p.rest)
+	case verbRemove:
+		var held bool
+		if held, o.err = n.b.Remove(c.ctx, p.rest); o.err == nil && !held {
+			o.err = broker.ErrUnknownBottle
 		}
+	}
+	c.r.note(n, o.err)
+	return o
+}
+
+// askList sends rack n its count items as the rack's list call and writes
+// each answer to its item's cell. A remove is one item: it has no list call.
+func (c *listCall) askList(n *rackNode, count int) error {
+	k := 0
+	switch c.verb {
+	case verbSubmit:
+		sub := make([][]byte, 0, count)
+		c.cells(n, func(i, _ int) { sub = append(sub, c.items[i].raw) })
+		rs, err := n.b.SubmitBatch(c.ctx, sub)
 		if err != nil {
-			for _, s := range g.cells {
-				outs[s.item][s.target] = outcome{err: err}
-			}
+			return err
 		}
-	})
-	return outs
+		c.cells(n, func(_, j int) { c.outs[j], k = outcome{id: rs[k].ID, err: rs[k].Err}, k+1 })
+	case verbReply:
+		sub := make([]broker.ReplyPost, 0, count)
+		c.cells(n, func(i, _ int) { sub = append(sub, broker.ReplyPost{RequestID: c.items[i].rest, Raw: c.items[i].raw}) })
+		rs, err := n.b.ReplyBatch(c.ctx, sub)
+		if err != nil {
+			return err
+		}
+		c.cells(n, func(_, j int) { c.outs[j], k = outcome{err: rs[k]}, k+1 })
+	case verbFetch:
+		sub := make([]string, 0, count)
+		c.cells(n, func(i, _ int) { sub = append(sub, c.items[i].rest) })
+		rs, err := n.b.FetchBatch(c.ctx, sub)
+		if err != nil {
+			return err
+		}
+		c.cells(n, func(_, j int) { c.outs[j], k = outcome{replies: rs[k].Replies, err: rs[k].Err}, k+1 })
+	}
+	return nil
 }
 
 // replyClass classifies one target's answer to an ID-addressed operation.
@@ -420,45 +481,57 @@ func classify(err error) replyClass {
 	}
 }
 
-// missedEverywhere reports that every target answered "unknown bottle" (so
-// does a plan with no live target): the case for the last resort.
-func missedEverywhere(outs []outcome) bool {
-	for _, o := range outs {
-		if classify(o.err) != classMissing {
-			return false
+// walk goes past the intent set for each item short of need holders — R
+// for a remove, so no copy outlives it, 1 otherwise — that some target held
+// or every target answered "unknown" for: a fault or a down target may be
+// where the bottle is. It asks the other healthy racks one at a time in
+// rank order, until need of them hold the item or one answers definitively.
+// That is the order a submit extends along past an ejected member, so it
+// finds such a copy, as well as one a membership change re-ranked or a
+// bottle this ring never placed. A rack not asked because the context ended
+// reports its error.
+func (c *listCall) walk(need int) {
+	for i := range c.items {
+		p := &c.items[i]
+		held, missed := 0, 0
+		for _, o := range c.outs[p.from:p.to] {
+			switch classify(o.err) {
+			case classOK:
+				held++
+			case classMissing:
+				missed++
+			}
 		}
-	}
-	return true
-}
-
-// callID runs an ID-addressed operation: op goes to the plan's live targets
-// concurrently, and only when every one answers "unknown bottle" do the
-// other healthy racks get asked, in rank order, one at a time, until one
-// answers something other than unknown or a fault — for bottles the intent
-// set does not hold. The returned targets and outcomes line up, last-resort
-// racks appended; a rack not asked because the context ended reports its
-// error. No targets at all means no rack was healthy.
-func (r *Ring) callID(ctx context.Context, p idPlan, op func(n *rackNode) outcome) ([]*rackNode, []outcome) {
-	targets := p.live
-	outs := r.fanout(ctx, targets, op)
-	if !missedEverywhere(outs) {
-		return targets, outs
-	}
-	for _, n := range rank(nil, r.healthy(), p.rest) {
-		if slices.Contains(p.live, n) || slices.Contains(p.down, n) {
+		if held >= need || held == 0 && missed < p.to-p.from {
 			continue
 		}
-		o := outcome{err: ctx.Err()}
-		if o.err == nil {
-			o = op(n)
-			r.note(n, o.err)
+		if p.to != len(c.nodes) { // the item's cells stay one range
+			from := len(c.nodes)
+			c.nodes = append(c.nodes, c.nodes[p.from:p.to]...)
+			c.outs = append(c.outs, c.outs[p.from:p.to]...)
+			p.from, p.to = from, len(c.nodes)
 		}
-		targets, outs = append(targets, n), append(outs, o)
-		if c := classify(o.err); c == classOK || c == classOther {
-			break
+		var buf [8]*rackNode
+		for _, n := range rank(buf[:0], c.r.members(), p.rest) {
+			if held == need {
+				break
+			}
+			if n.down.Load() || slices.Contains(c.nodes[p.from:p.to], n) || slices.Contains(p.down, n) {
+				continue
+			}
+			o := outcome{err: c.ctx.Err()}
+			if o.err == nil {
+				o = c.ask(i, n)
+			}
+			c.nodes, c.outs = append(c.nodes, n), append(c.outs, o)
+			p.to++
+			if k := classify(o.err); k == classOK {
+				held++
+			} else if k == classOther {
+				break
+			}
 		}
 	}
-	return targets, outs
 }
 
 // resolve merges one item's per-target outcomes with the ring's precedence:
@@ -506,78 +579,57 @@ func resolve(buf, targets []*rackNode, outs []outcome, down int) (succ, missing,
 	return succ, missing, faulted, err
 }
 
-// Submit places a marshalled request package on its intent set and returns
-// the (rack-tagged, when so configured) request ID it is held under.
+// Submit places a marshalled request package on its intent set, as a
+// one-item SubmitBatch, and returns the (rack-tagged, when so configured)
+// request ID it is held under.
 func (r *Ring) Submit(ctx context.Context, raw []byte) (string, error) {
-	v, err := core.UnmarshalPackageView(raw)
-	if err != nil {
+	var res [1]broker.SubmitResult
+	if err := r.submit(ctx, [][]byte{raw}, res[:]); err != nil && res[0].Err == nil {
 		return "", err
 	}
-	live, missed := r.submitTargets(v.ID)
-	if len(live) == 0 {
-		return "", ErrNoHealthyRacks
-	}
-	outs := r.fanout(ctx, live, func(n *rackNode) outcome {
-		id, err := n.b.Submit(ctx, raw)
-		return outcome{id: id, err: err}
-	})
-	var h hintSet
-	id, err := r.settleSubmit(&h, raw, live, missed, outs)
-	r.sendHints(ctx, h)
-	if err != nil {
-		return "", err
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return id, nil
+	return res[0].ID, res[0].Err
 }
 
-// SubmitBatch is Submit over a batch: one SubmitBatch per rack, concurrently,
-// outcomes per item, in order. A rack call that faults marks that rack's
-// items with the fault. The call itself only fails when every rack is
-// ejected or the context ends — cancellation stops further rack dispatches
-// (their items carry the context error) and returns the context error
-// alongside the partial outcomes.
+// SubmitBatch is Submit over a batch, outcomes per item, in order. A rack
+// call that faults marks that rack's items with the fault. The call itself
+// only fails when every rack is ejected or the context ends — cancellation
+// stops further rack dispatches (their items carry the context error) and
+// returns the context error alongside the partial outcomes.
 func (r *Ring) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
-	if len(r.healthy()) == 0 {
-		return nil, ErrNoHealthyRacks
-	}
 	results := make([]broker.SubmitResult, len(raws))
-	live := make([][]*rackNode, len(raws))
-	missed := make([][]*rackNode, len(raws))
+	return results, r.submit(ctx, raws, results)
+}
+
+// submit is Submit and SubmitBatch: it routes every package, asks each rack
+// once, settles each item (settleSubmit) and sends the hints. With every
+// rack ejected, the call and each item fail with ErrNoHealthyRacks.
+func (r *Ring) submit(ctx context.Context, raws [][]byte, results []broker.SubmitResult) error {
+	if !slices.ContainsFunc(r.members(), func(n *rackNode) bool { return !n.down.Load() }) {
+		for i := range results {
+			results[i].Err = ErrNoHealthyRacks
+		}
+		return ErrNoHealthyRacks
+	}
+	c := r.newCall(ctx, verbSubmit, len(raws))
 	for i, raw := range raws {
 		v, err := core.UnmarshalPackageView(raw)
-		if err != nil {
+		switch {
+		case err != nil:
 			results[i].Err = err
-			continue
-		}
-		if live[i], missed[i] = r.submitTargets(v.ID); len(live[i]) == 0 {
+			c.items = append(c.items, idPlan{})
+		case !c.route(v.ID, raw):
 			results[i].Err = ErrNoHealthyRacks
 		}
 	}
-	outs := r.dispatchGroups(ctx, live, func(n *rackNode, cells []cell, outs [][]outcome) error {
-		sub := make([][]byte, len(cells))
-		for k, s := range cells {
-			sub[k] = raws[s.item]
-		}
-		rs, err := n.b.SubmitBatch(ctx, sub)
-		if err != nil {
-			return err
-		}
-		for k, s := range cells {
-			outs[s.item][s.target] = outcome{id: rs[k].ID, err: rs[k].Err}
-		}
-		return nil
-	})
+	c.dispatch()
 	var h hintSet
-	for i := range raws {
-		if len(live[i]) > 0 {
-			results[i].ID, results[i].Err = r.settleSubmit(&h, raws[i], live[i], missed[i], outs[i])
+	for i, p := range c.items {
+		if p.from < p.to {
+			results[i].ID, results[i].Err = r.settleSubmit(&h, p.raw, c.nodes[p.from:p.to], p.down, c.outs[p.from:p.to])
 		}
 	}
 	r.sendHints(ctx, h)
-	return results, ctx.Err()
+	return ctx.Err()
 }
 
 // settleSubmit applies the submit rule to one bottle's per-target outcomes.
@@ -623,56 +675,37 @@ func (r *Ring) settleSubmit(h *hintSet, raw []byte, live, missed []*rackNode, ou
 }
 
 // Reply posts a marshalled reply to every live holder of the addressed
-// bottle, so any of them can serve the fetch.
+// bottle, so any of them can serve the fetch, as a one-item ReplyBatch.
 func (r *Ring) Reply(ctx context.Context, requestID string, raw []byte) error {
-	p := r.route(requestID)
-	targets, outs := r.callID(ctx, p, func(n *rackNode) outcome {
-		return outcome{err: n.b.Reply(ctx, p.rest, raw)}
-	})
-	var h hintSet
-	err := r.settleReply(&h, p, raw, targets, outs)
-	r.sendHints(ctx, h)
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
+	var errs [1]error
+	err := r.reply(ctx, []broker.ReplyPost{{RequestID: requestID, Raw: raw}}, errs[:])
+	return cmp.Or(errs[0], err)
 }
 
-// ReplyBatch is Reply over a batch: one ReplyBatch per rack, concurrently,
-// outcomes per item, in order. Posts every target answered "unknown bottle"
-// for take the single-post path and its last resort.
-// Cancellation stops further rack dispatches and that per-item round;
-// affected items carry the context's error, which is also returned.
+// ReplyBatch is Reply over a batch, outcomes per item, in order.
+// Cancellation stops further rack dispatches and the walks past the intent
+// sets; affected items carry the context's error, which is also returned.
 func (r *Ring) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
-	if len(posts) == 0 {
-		return nil, nil
-	}
-	plans, live := r.routeBatch(len(posts), func(i int) string { return posts[i].RequestID })
-	outs := r.dispatchGroups(ctx, live, func(n *rackNode, cells []cell, outs [][]outcome) error {
-		sub := make([]broker.ReplyPost, len(cells))
-		for k, s := range cells {
-			sub[k] = broker.ReplyPost{RequestID: plans[s.item].rest, Raw: posts[s.item].Raw}
-		}
-		rs, err := n.b.ReplyBatch(ctx, sub)
-		if err != nil {
-			return err
-		}
-		for k, s := range cells {
-			outs[s.item][s.target].err = rs[k]
-		}
-		return nil
-	})
 	errs := make([]error, len(posts))
+	return errs, r.reply(ctx, posts, errs)
+}
+
+// reply is Reply and ReplyBatch: it routes every post, asks each rack once,
+// walks on for the posts no target held, settles each post (settleReply)
+// and sends the hints.
+func (r *Ring) reply(ctx context.Context, posts []broker.ReplyPost, errs []error) error {
+	c := r.newCall(ctx, verbReply, len(posts))
+	for _, post := range posts {
+		c.route(broker.UntagID(post.RequestID), post.Raw)
+	}
+	c.dispatch()
+	c.walk(1)
 	var h hintSet
-	for i, p := range plans {
-		if missedEverywhere(outs[i]) {
-			errs[i] = r.Reply(ctx, posts[i].RequestID, posts[i].Raw)
-			continue
-		}
-		errs[i] = r.settleReply(&h, p, posts[i].Raw, p.live, outs[i])
+	for i, p := range c.items {
+		errs[i] = r.settleReply(&h, p, p.raw, c.nodes[p.from:p.to], c.outs[p.from:p.to])
 	}
 	r.sendHints(ctx, h)
-	return errs, ctx.Err()
+	return ctx.Err()
 }
 
 // settleReply applies the reply rule to one post's per-target outcomes.
@@ -696,54 +729,40 @@ func (r *Ring) settleReply(h *hintSet, p idPlan, raw []byte, targets []*rackNode
 }
 
 // Fetch drains the replies queued for a request from every live holder and
-// merges them.
+// merges them, as a one-item FetchBatch.
 func (r *Ring) Fetch(ctx context.Context, requestID string) ([][]byte, error) {
-	p := r.route(requestID)
-	targets, outs := r.callID(ctx, p, func(n *rackNode) outcome {
-		raws, err := n.b.Fetch(ctx, p.rest)
-		return outcome{replies: raws, err: err}
-	})
-	var h hintSet
-	replies, err := r.settleFetch(&h, p, targets, outs)
-	r.sendHints(ctx, h)
-	if cerr := ctx.Err(); cerr != nil && err == nil {
-		return replies, cerr
-	}
-	return replies, err
+	var res [1]broker.FetchResult
+	err := r.fetch(ctx, []string{requestID}, res[:])
+	return res[0].Replies, cmp.Or(res[0].Err, err)
 }
 
-// FetchBatch is Fetch over a batch: one FetchBatch per rack, concurrently,
-// outcomes per item, in order. IDs every target answered "unknown bottle"
-// for take the single-ID path and its last resort. Cancellation stops
-// further rack dispatches and that per-item round; affected items carry the
-// context's error (their queues stay intact), which is also returned.
+// FetchBatch is Fetch over a batch, outcomes per item, in order. An item
+// alone on its rack is drained by the rack's single Fetch, without
+// MaxFetchBatchBytes' budget (the frame cap bounds it). Cancellation stops
+// further rack dispatches and the walks past the intent sets; affected
+// items carry the context's error (their queues stay intact), which is also
+// returned.
 func (r *Ring) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResult, error) {
-	plans, live := r.routeBatch(len(ids), func(i int) string { return ids[i] })
-	outs := r.dispatchGroups(ctx, live, func(n *rackNode, cells []cell, outs [][]outcome) error {
-		sub := make([]string, len(cells))
-		for k, s := range cells {
-			sub[k] = plans[s.item].rest
-		}
-		rs, err := n.b.FetchBatch(ctx, sub)
-		if err != nil {
-			return err
-		}
-		for k, s := range cells {
-			outs[s.item][s.target] = outcome{replies: rs[k].Replies, err: rs[k].Err}
-		}
-		return nil
-	})
 	results := make([]broker.FetchResult, len(ids))
+	return results, r.fetch(ctx, ids, results)
+}
+
+// fetch is Fetch and FetchBatch: it routes every ID, asks each rack once,
+// walks on for the IDs no target held, settles each item (settleFetch) and
+// sends the hints.
+func (r *Ring) fetch(ctx context.Context, ids []string, results []broker.FetchResult) error {
+	c := r.newCall(ctx, verbFetch, len(ids))
+	for _, id := range ids {
+		c.route(broker.UntagID(id), nil)
+	}
+	c.dispatch()
+	c.walk(1)
 	var h hintSet
-	for i, p := range plans {
-		if missedEverywhere(outs[i]) {
-			results[i].Replies, results[i].Err = r.Fetch(ctx, ids[i])
-			continue
-		}
-		results[i].Replies, results[i].Err = r.settleFetch(&h, p, p.live, outs[i])
+	for i, p := range c.items {
+		results[i].Replies, results[i].Err = r.settleFetch(&h, p, c.nodes[p.from:p.to], c.outs[p.from:p.to])
 	}
 	r.sendHints(ctx, h)
-	return results, ctx.Err()
+	return ctx.Err()
 }
 
 // settleFetch applies the fetch rule to one bottle's per-target outcomes:
@@ -781,62 +800,23 @@ func (r *Ring) settleFetch(h *hintSet, p idPlan, targets []*rackNode, outs []out
 	return merged, shed
 }
 
-// routeBatch routes every item of an ID-addressed batch, returning the
-// plans and their live targets side by side for dispatchGroups.
-func (r *Ring) routeBatch(n int, id func(i int) string) ([]idPlan, [][]*rackNode) {
-	plans := make([]idPlan, n)
-	live := make([][]*rackNode, n)
-	for i := range plans {
-		plans[i] = r.route(id(i))
-		live[i] = plans[i].live
-	}
-	return plans, live
-}
-
 // Remove takes the bottle off every live holder, best-effort destructive:
 // it reports whether any held it, and holders the remove could not reach get
 // RecRemove hints so the bottle does not resurface from a returning replica.
-// When some but fewer than R racks answered that they held it, the other
-// healthy racks are asked on in rank order, one at a time, until R holders
-// answered: a submit made while an intent member was ejected left a copy
-// past the intent set, and once that member is back only this walk reaches
-// it. When nothing answered that it held the bottle but a target faulted or
-// was down, the fault is returned — the bottle may live there, and a clean
-// held=false would misreport that ambiguity.
+// The walk goes on until R racks answered that they held it: a submit made
+// while an intent member was ejected left a copy past the intent set, and
+// once that member is back only the walk reaches it. When nothing answered
+// that it held the bottle but a target faulted or was down, the fault is
+// returned — the bottle may live there, and a clean held=false would
+// misreport that ambiguity.
 func (r *Ring) Remove(ctx context.Context, requestID string) (bool, error) {
-	p := r.route(requestID)
-	op := func(n *rackNode) outcome {
-		held, err := n.b.Remove(ctx, p.rest)
-		if err == nil && !held {
-			err = broker.ErrUnknownBottle // not here: answered like any miss
-		}
-		return outcome{err: err}
-	}
-	targets, outs := r.callID(ctx, p, op)
-	held := 0
-	for _, o := range outs {
-		if o.err == nil {
-			held++
-		}
-	}
-	if held > 0 && held < r.rf {
-		for _, n := range rank(nil, r.healthy(), p.rest) {
-			if held == r.rf || ctx.Err() != nil {
-				break
-			}
-			if slices.Contains(targets, n) || slices.Contains(p.down, n) {
-				continue
-			}
-			o := op(n)
-			r.note(n, o.err)
-			targets, outs = append(targets, n), append(outs, o)
-			if o.err == nil {
-				held++
-			}
-		}
-	}
+	c := r.newCall(ctx, verbRemove, 1)
+	c.route(broker.UntagID(requestID), nil)
+	c.dispatch()
+	c.walk(r.rf)
+	p := c.items[0]
 	var buf [4]*rackNode
-	succ, _, faulted, err := resolve(buf[:], targets, outs, len(p.down))
+	succ, _, faulted, err := resolve(buf[:], c.nodes[p.from:p.to], c.outs[p.from:p.to], len(p.down))
 	switch {
 	case err == nil:
 		if len(p.down)+len(faulted) > 0 {

@@ -1,9 +1,11 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -564,12 +566,15 @@ func TestRingRoutedPrefersFaultOverUnknown(t *testing.T) {
 
 // TestRingCallsPerOperation pins the one path's "no extra call" rule: on a
 // healthy ring Submit, Reply, Fetch and Remove each call exactly the R racks
-// of the bottle's intent set, and the last resort costs a call only when
-// every one of them answers "unknown" — one per remaining healthy rack. A
-// bottle submitted past an ejected intent member is found again once the
-// member is back: the last resort walks the same rank order the submit
-// extended along, and Remove walks it on until R holders answered, so no
-// copy outlives it. A malformed package fails before any rack is called.
+// of the bottle's intent set, and a list, of one item or of items on
+// different intent sets, calls each rack of their intent sets once. The
+// last resort costs a call only when every intent rack answers "unknown" —
+// one per remaining healthy rack, so an ID no rack holds costs one call per
+// healthy rack through every form. A bottle submitted past an ejected
+// intent member is found again once the member is back: the last resort
+// walks the same rank order the submit extended along, and Remove walks it
+// on until R holders answered, so no copy outlives it. A malformed package
+// fails before any rack is called.
 func TestRingCallsPerOperation(t *testing.T) {
 	forEachR(t, func(t *testing.T, rf int) {
 		ring, backs, _ := testCluster(t, 3, rf)
@@ -612,12 +617,86 @@ func TestRingCallsPerOperation(t *testing.T) {
 			}
 			return err
 		})
-		calls("Fetch of an unknown ID", len(backs), func() error {
-			if _, err := ring.Fetch(ctx, "ffffffffffffffffffffffffffffffff"); !errors.Is(err, broker.ErrUnknownBottle) {
+		unknown := "ffffffffffffffffffffffffffffffff"
+		unknownReply := (&core.Reply{RequestID: unknown, From: "bob", SentAt: time.Now(), Acks: [][]byte{{7}}}).Marshal()
+		isUnknown := func(err error) error {
+			if !errors.Is(err, broker.ErrUnknownBottle) {
 				return fmt.Errorf("err = %v, want unknown-bottle", err)
 			}
 			return nil
+		}
+		calls("Fetch of an unknown ID", len(backs), func() error {
+			_, err := ring.Fetch(ctx, unknown)
+			return isUnknown(err)
 		})
+		calls("Reply to an unknown ID", len(backs), func() error {
+			return isUnknown(ring.Reply(ctx, unknown, unknownReply))
+		})
+		calls("Remove of an unknown ID", len(backs), func() error {
+			held, err := ring.Remove(ctx, unknown)
+			if err == nil && held {
+				err = errors.New("an unknown bottle was held")
+			}
+			return err
+		})
+		calls("FetchBatch of an unknown ID", len(backs), func() error {
+			res, err := ring.FetchBatch(ctx, []string{unknown})
+			return isUnknown(cmp.Or(err, res[0].Err))
+		})
+		calls("ReplyBatch to an unknown ID", len(backs), func() error {
+			errs, err := ring.ReplyBatch(ctx, []broker.ReplyPost{{RequestID: unknown, Raw: unknownReply}})
+			return isUnknown(cmp.Or(err, errs[0]))
+		})
+
+		// Lists of one item, and of two items on different intent sets: each
+		// rack of their intent sets is called once.
+		type list struct {
+			raws  [][]byte
+			ids   []string
+			racks []*rackNode
+		}
+		build := func(seed int64) ([]byte, string, []*rackNode) {
+			raw, pkg := buildRaw(t, seed)
+			return raw, pkg.ID, rank(nil, ring.members(), pkg.ID)[:rf]
+		}
+		raw1, id1, set1 := build(13_100)
+		raw2, id2, set2 := build(13_101)
+		lists := []list{{[][]byte{raw1}, []string{id1}, set1}, {[][]byte{raw2}, []string{id2}, set2}}
+		for seed := int64(13_102); len(lists[1].ids) < 2; seed++ {
+			raw, id, set := build(seed)
+			if extra := slices.DeleteFunc(set, func(n *rackNode) bool { return slices.Contains(lists[1].racks, n) }); len(extra) > 0 {
+				l := &lists[1]
+				l.raws, l.ids, l.racks = append(l.raws, raw), append(l.ids, id), append(l.racks, extra...)
+			}
+		}
+		for _, l := range lists {
+			n := len(l.ids)
+			posts := make([]broker.ReplyPost, n)
+			for i, id := range l.ids {
+				posts[i] = broker.ReplyPost{RequestID: id, Raw: (&core.Reply{RequestID: id, From: "bob", SentAt: time.Now(), Acks: [][]byte{{7}}}).Marshal()}
+			}
+			calls(fmt.Sprintf("SubmitBatch of %d", n), len(l.racks), func() error {
+				res, err := ring.SubmitBatch(ctx, l.raws)
+				for _, r := range res {
+					err = cmp.Or(err, r.Err)
+				}
+				return err
+			})
+			calls(fmt.Sprintf("ReplyBatch of %d", n), len(l.racks), func() error {
+				errs, err := ring.ReplyBatch(ctx, posts)
+				return cmp.Or(err, cmp.Or(errs...))
+			})
+			calls(fmt.Sprintf("FetchBatch of %d", n), len(l.racks), func() error {
+				res, err := ring.FetchBatch(ctx, l.ids)
+				for _, r := range res {
+					if r.Err == nil && len(r.Replies) != 1 {
+						r.Err = fmt.Errorf("%d replies, want 1", len(r.Replies))
+					}
+					err = cmp.Or(err, r.Err)
+				}
+				return err
+			})
+		}
 
 		calls("Submit of a malformed package", 0, func() error {
 			if _, err := ring.Submit(ctx, raw[:len(raw)-1]); !errors.Is(err, core.ErrMalformedPackage) {
@@ -646,6 +725,10 @@ func TestRingCallsPerOperation(t *testing.T) {
 			_, err := ring.Fetch(ctx, id)
 			return err
 		})
+		calls("FetchBatch after readmission", 2, func() error {
+			res, err := ring.FetchBatch(ctx, []string{id})
+			return cmp.Or(err, res[0].Err)
+		})
 		// R = 1: as Fetch. R = 2: the second member holds one copy, fewer
 		// than R, so the remove goes on to the third rack, which holds the
 		// extension copy.
@@ -659,6 +742,16 @@ func TestRingCallsPerOperation(t *testing.T) {
 		calls("Fetch after the remove", len(backs), func() error {
 			if _, err := ring.Fetch(ctx, id); !errors.Is(err, broker.ErrUnknownBottle) {
 				return fmt.Errorf("err = %v, want unknown-bottle: a copy outlived the remove", err)
+			}
+			return nil
+		})
+		calls("FetchBatch after the remove", len(backs), func() error {
+			res, err := ring.FetchBatch(ctx, []string{id})
+			if err != nil {
+				return err
+			}
+			if !errors.Is(res[0].Err, broker.ErrUnknownBottle) {
+				return fmt.Errorf("err = %v, want unknown-bottle: a copy outlived the remove", res[0].Err)
 			}
 			return nil
 		})
@@ -713,8 +806,8 @@ func TestRingAllRacksDown(t *testing.T) {
 	})
 }
 
-// countingCourier is a ring backend over a real courier that counts the ID
-// ops and hints routed to it.
+// countingCourier is a ring backend over a real courier that counts the
+// submit, reply and fetch calls, in either form, and the hints routed to it.
 type countingCourier struct {
 	*Courier
 	calls, hints atomic.Int32
@@ -733,6 +826,21 @@ func (c *countingCourier) Reply(ctx context.Context, id string, raw []byte) erro
 func (c *countingCourier) Fetch(ctx context.Context, id string) ([][]byte, error) {
 	c.calls.Add(1)
 	return c.Courier.Fetch(ctx, id)
+}
+
+func (c *countingCourier) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
+	c.calls.Add(1)
+	return c.Courier.SubmitBatch(ctx, raws)
+}
+
+func (c *countingCourier) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
+	c.calls.Add(1)
+	return c.Courier.ReplyBatch(ctx, posts)
+}
+
+func (c *countingCourier) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResult, error) {
+	c.calls.Add(1)
+	return c.Courier.FetchBatch(ctx, ids)
 }
 
 func (c *countingCourier) Hint(ctx context.Context, dest string, recs []broker.HandoffRecord) (int, error) {

@@ -236,23 +236,18 @@ func retriablePost(err error) bool {
 }
 
 // post delivers the tick's replies in one batched round trip, returning one
-// outcome per post in order; a whole-batch transport failure falls back to
-// per-item posting (unless the context ended — then every post reports the
-// context error and the pending queue keeps the replies for the next tick).
+// outcome per post in order. When the whole call fails, every post carries
+// its error: Tick queues the retriable ones for the next tick.
 func (s *Sweeper) post(ctx context.Context, posts []broker.ReplyPost) []error {
 	if len(posts) == 0 {
 		return nil
 	}
-	if errs, err := s.rv.ReplyBatch(ctx, posts); err == nil {
-		return errs
-	}
-	errs := make([]error, len(posts))
-	for i, p := range posts {
-		if err := ctx.Err(); err != nil {
+	errs, err := s.rv.ReplyBatch(ctx, posts)
+	if err != nil {
+		errs = make([]error, len(posts))
+		for i := range errs {
 			errs[i] = err
-			continue
 		}
-		errs[i] = s.rv.Reply(ctx, p.RequestID, p.Raw)
 	}
 	return errs
 }

@@ -148,16 +148,22 @@ func TestSweeperSeenWindowBound(t *testing.T) {
 	}
 }
 
-// flakyRV is a scripted Backend whose Reply fails a configured number of
-// times at the transport level before succeeding; Sweep honours the query's
-// cursor like the real broker (a bottle's sequence is its index plus one),
-// and ReplyBatch applies the same per-post scripting as Reply.
+// flakyRV is a scripted Backend whose reply posts fail a configured number
+// of times at the transport level before succeeding, in either form, and
+// whose ReplyBatch can fail whole; Sweep honours the query's cursor like the
+// real broker (a bottle's sequence is its index plus one).
 type flakyRV struct {
 	bottles     []broker.SweptBottle
 	failReplies int
 	replyErr    error
+	// failBatches is how many ReplyBatch calls fail whole with batchErr.
+	failBatches int
+	batchErr    error
 	posted      map[string][][]byte
-	replyCalls  int
+	// replyCalls counts the posts tried, in either form; singleReplies the
+	// Reply calls.
+	replyCalls    int
+	singleReplies int
 }
 
 func (f *flakyRV) Submit(ctx context.Context, raw []byte) (string, error) {
@@ -176,6 +182,23 @@ func (f *flakyRV) Sweep(ctx context.Context, q broker.SweepQuery) (broker.SweepR
 }
 
 func (f *flakyRV) Reply(ctx context.Context, id string, raw []byte) error {
+	f.singleReplies++
+	return f.post(id, raw)
+}
+
+func (f *flakyRV) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
+	if f.failBatches > 0 {
+		f.failBatches--
+		return nil, f.batchErr
+	}
+	errs := make([]error, len(posts))
+	for i, p := range posts {
+		errs[i] = f.post(p.RequestID, p.Raw)
+	}
+	return errs, nil
+}
+
+func (f *flakyRV) post(id string, raw []byte) error {
 	f.replyCalls++
 	if f.failReplies > 0 {
 		f.failReplies--
@@ -189,14 +212,6 @@ func (f *flakyRV) Reply(ctx context.Context, id string, raw []byte) error {
 	}
 	f.posted[id] = append(f.posted[id], raw)
 	return nil
-}
-
-func (f *flakyRV) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
-	errs := make([]error, len(posts))
-	for i, p := range posts {
-		errs[i] = f.Reply(ctx, p.RequestID, p.Raw)
-	}
-	return errs, nil
 }
 
 func (f *flakyRV) Fetch(ctx context.Context, id string) ([][]byte, error) { return f.posted[id], nil }
@@ -265,6 +280,60 @@ func TestSweeperRetriesFailedReplyPosts(t *testing.T) {
 	}
 	if got := len(rv.posted[pkg.ID]); got != 1 {
 		t.Fatalf("initiator sees %d replies, want 1 — the reply was lost", got)
+	}
+}
+
+// TestSweeperQueuesFailedReplyBatch proves a ReplyBatch that fails whole is
+// not posted again one reply at a time over the same backend: every post
+// carries the call's error, the tick queues them all — a transport fault
+// and a quota shed are both retriable — and the next tick delivers them.
+func TestSweeperQueuesFailedReplyBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"transport fault", errors.New("write tcp: broken pipe (scripted)")},
+		{"overload", fmt.Errorf("transport: identity %q over admission quota: %w", "bob", broker.ErrOverload)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var bottles []broker.SweptBottle
+			for i := range 3 {
+				raw, pkg := buildRaw(t, int64(23+i))
+				bottles = append(bottles, broker.SweptBottle{ID: pkg.ID, Raw: raw})
+			}
+			rv := &flakyRV{bottles: bottles, failBatches: 1, batchErr: tc.err}
+			sweeper, err := NewSweeper(rv, SweeperConfig{
+				Participant: newParticipant(t, "bob", "chess", "go"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sweeper.Tick(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Evaluated != 3 || st.Replies != 0 || st.ReplyErrors != 3 || len(sweeper.pending) != 3 {
+				t.Fatalf("tick 1 = %+v with %d queued; want every post failed and queued", st, len(sweeper.pending))
+			}
+			if rv.singleReplies != 0 {
+				t.Fatalf("tick 1 made %d single Reply calls after the batch failed, want 0", rv.singleReplies)
+			}
+			st, err = sweeper.Tick(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Replies != 3 || st.ReplyErrors != 0 || len(sweeper.pending) != 0 {
+				t.Fatalf("tick 2 = %+v; want the queued replies delivered", st)
+			}
+			for _, b := range bottles {
+				if got := len(rv.posted[b.ID]); got != 1 {
+					t.Fatalf("bottle %s got %d replies, want 1", b.ID, got)
+				}
+			}
+			if rv.singleReplies != 0 {
+				t.Fatalf("%d single Reply calls, want 0", rv.singleReplies)
+			}
+		})
 	}
 }
 
