@@ -615,8 +615,8 @@ func BenchmarkBrokerSweepRackSize(b *testing.B) {
 // write-ahead log on, one sub-benchmark per fsync policy; hold against
 // BenchmarkBrokerSubmit (the in-memory path) on the same shard count. The
 // acceptance bar for the durability subsystem is fsync=interval within 2× of
-// in-memory: the hot path adds one record encode and one channel send, while
-// syncing rides the background timer. fsync=always pays a (group-committed)
+// in-memory: the hot path adds one record encode into the log's staging
+// buffer, while syncing rides the background timer. fsync=always pays a (group-committed)
 // fsync per acknowledged operation and is expected to be disk-bound.
 func BenchmarkBrokerSubmitDurable(b *testing.B) {
 	for _, policy := range []wal.Policy{wal.PolicyNever, wal.PolicyInterval, wal.PolicyAlways} {

@@ -25,6 +25,16 @@ import (
 // ErrMalformedFrame indicates a broker wire encoding that cannot be decoded.
 var ErrMalformedFrame = errors.New("broker: malformed frame")
 
+// CheckListAnswer passes err on, or refuses a list answer of got outcomes to
+// a request of want items as malformed: a caller that reads the answer by
+// request position must never run past a short one.
+func CheckListAnswer(got, want int, err error) error {
+	if err == nil && got != want {
+		return fmt.Errorf("%w: %d answers to a list of %d", ErrMalformedFrame, got, want)
+	}
+	return err
+}
+
 // MarshalSweepQuery encodes a sweep query into one allocation.
 func MarshalSweepQuery(q SweepQuery) []byte {
 	n := 2 + 4 + 2 + len(q.ExcludeOrigin) + cursorsSize(q.Cursors) + 4

@@ -198,10 +198,10 @@ type shard struct {
 	// Nil on in-memory racks and during recovery replay.
 	logRec func(typ byte, payload []byte)
 
-	// encBuf is scratch for encoding logRec payloads (guarded by mu). logRec
-	// copies the payload before returning (wal.Log.Enqueue encodes it into a
-	// pooled record buffer synchronously), so the scratch is free again as
-	// soon as the call returns.
+	// encBuf is scratch for staging logRec payloads (guarded by mu). logRec
+	// copies the payload before returning (wal.Log.Enqueue encodes it into
+	// the log's staging buffer), so the scratch is free again as soon as the
+	// call returns.
 	encBuf []byte
 }
 
@@ -398,7 +398,8 @@ func (s *shard) dropLocked(b *bottle) {
 	delete(s.replies, b.id)
 	s.stats.Expired++
 	if s.logRec != nil {
-		s.logRec(recExpire, []byte(b.id))
+		s.encBuf = append(s.encBuf[:0], b.id...)
+		s.logRec(recExpire, s.encBuf)
 	}
 }
 
@@ -450,7 +451,8 @@ func (s *shard) drainLocked(id, caller string, budget *int) ([][]byte, error) {
 	delete(s.replies, id)
 	s.stats.RepliesOut += uint64(len(out))
 	if s.logRec != nil && len(out) > 0 {
-		s.logRec(recDrain, []byte(id))
+		s.encBuf = append(s.encBuf[:0], id...)
+		s.logRec(recDrain, s.encBuf)
 	}
 	return out, nil
 }
@@ -489,7 +491,8 @@ func (s *shard) remove(id, caller string, now time.Time) (bool, error) {
 	delete(s.bottles, id)
 	delete(s.replies, id)
 	if s.logRec != nil {
-		s.logRec(RecRemove, []byte(id))
+		s.encBuf = append(s.encBuf[:0], id...)
+		s.logRec(RecRemove, s.encBuf)
 	}
 	g := s.byPrime[b.pkg.Prime]
 	g.bottles[b.slot] = nil

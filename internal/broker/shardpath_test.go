@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sealedbottle/internal/broker/wal"
 	"sealedbottle/internal/core"
 )
 
@@ -60,17 +61,38 @@ func TestFetchListBudget(t *testing.T) {
 	}
 }
 
-// TestRackCallAllocs pins what one call costs the rack in allocations
-// (in-memory rack, 16 shards): a single Submit, Reply and Fetch, and the same
-// call as a one-item list, which may cost its single plus the result slice
-// it returns and nothing more — grouping one item by shard is free.
+// TestRackCallAllocs pins what one call costs the rack in allocations (16
+// shards): a single Submit, Reply, Fetch and Remove, and the same call as a
+// one-item list, which may cost its single plus the result slice it returns
+// and nothing more — grouping one item by shard is free. A durable rack, at
+// either fsync policy, costs exactly what an in-memory rack does: its log
+// stages each record into a reused buffer.
 func TestRackCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; budgets are pinned by the non-race run")
 	}
-	clock := newTestClock()
-	rack := newTestRack(clock, 16)
-	defer rack.Close()
+	for _, rc := range []struct {
+		name    string
+		durable bool
+		policy  wal.Policy
+	}{{"memory", false, 0}, {"interval", true, wal.PolicyInterval}, {"always", true, wal.PolicyAlways}} {
+		t.Run(rc.name, func(t *testing.T) {
+			clock := newTestClock()
+			cfg := Config{Shards: 16, ReapInterval: -1, Now: clock.Now}
+			if rc.durable {
+				cfg.Durability = &DurabilityConfig{Dir: t.TempDir(), Fsync: rc.policy}
+			}
+			rack, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rack.Close()
+			testRackCallAllocs(t, clock, rack)
+		})
+	}
+}
+
+func testRackCallAllocs(t *testing.T, clock *testClock, rack *Rack) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(47))
 	// A rack already holding a thousand bottles, so a submit meets grown
@@ -78,8 +100,11 @@ func TestRackCallAllocs(t *testing.T) {
 	// allocation per call on average, which AllocsPerRun truncates away.
 	const runs, held = 50, 1000
 	raws := make([][]byte, held+2*(runs+1)) // runs+1: AllocsPerRun warms up once
+	ids := make([]string, len(raws))
 	for i := range raws {
-		raws[i], _ = buildRawPackage(t, rng, clock, "alloc", interests("x"), nil, 0)
+		var pkg *core.RequestPackage
+		raws[i], pkg = buildRawPackage(t, rng, clock, "alloc", interests("x"), nil, 0)
+		ids[i] = pkg.ID
 	}
 	if _, err := rack.SubmitBatch(ctx, raws[:held]); err != nil {
 		t.Fatal(err)
@@ -93,7 +118,7 @@ func TestRackCallAllocs(t *testing.T) {
 	idFrame := []byte(pkg.ID)
 	// Each loop is followed by a Fetch, so no loop meets a queue another
 	// filled.
-	n := held
+	n, gone := held, held
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -132,6 +157,13 @@ func TestRackCallAllocs(t *testing.T) {
 			if res, err := rack.FetchBatch(ctx, []string{pkg.ID}); err != nil || res[0].Err != nil {
 				t.Fatal(err, res)
 			}
+		}},
+		// Removes the bottles the Submit loop racked.
+		{"Remove", 0, func() {
+			if ok, err := rack.Remove(ctx, ids[gone]); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+			gone++
 		}},
 	} {
 		got := testing.AllocsPerRun(runs, c.call)

@@ -411,3 +411,40 @@ func FuzzMuxFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestMuxRefusesShortListAnswer: a peer that answers a list of two with one
+// outcome fails the call with broker.ErrMalformedFrame, for each list verb,
+// so no caller reads past the answer.
+func TestMuxRefusesShortListAnswer(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		answer []byte
+		call   func(*Mux) error
+	}{
+		{"SubmitBatch", broker.MarshalSubmitResults([]broker.SubmitResult{{ID: "a"}}), func(m *Mux) error {
+			_, err := m.SubmitBatch(context.Background(), [][]byte{[]byte("a"), []byte("b")})
+			return err
+		}},
+		{"ReplyBatch", broker.MarshalErrorList([]error{nil}), func(m *Mux) error {
+			_, err := m.ReplyBatch(context.Background(), []broker.ReplyPost{{RequestID: "a"}, {RequestID: "b"}})
+			return err
+		}},
+		{"FetchBatch", broker.MarshalFetchResults([]broker.FetchResult{{}}), func(m *Mux) error {
+			_, err := m.FetchBatch(context.Background(), []string{"a", "b"})
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, peer := scriptedMux(t, nil)
+			done := make(chan error, 1)
+			go func() { done <- c.call(m) }()
+			seq := peerRead(t, peer)
+			if err := writeMuxFrame(peer, seq, statusOK, c.answer); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; !errors.Is(err, broker.ErrMalformedFrame) {
+				t.Fatalf("short answer: err = %v, want ErrMalformedFrame", err)
+			}
+		})
+	}
+}

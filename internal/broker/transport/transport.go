@@ -746,13 +746,15 @@ func (m *Mux) Remove(ctx context.Context, requestID string) (bool, error) {
 }
 
 // SubmitBatch racks several packages in one round trip, returning per-item
-// outcomes.
+// outcomes. Like ReplyBatch and FetchBatch, it refuses an answer that does
+// not carry one outcome per item as broker.ErrMalformedFrame.
 func (m *Mux) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
 	resp, err := m.call(ctx, OpSubmitBatch, broker.MarshalRawList(raws))
 	if err != nil {
 		return nil, err
 	}
-	return broker.UnmarshalSubmitResults(resp)
+	out, err := broker.UnmarshalSubmitResults(resp)
+	return out, broker.CheckListAnswer(len(out), len(raws), err)
 }
 
 // ReplyBatch posts several replies in one round trip, returning per-item
@@ -762,7 +764,8 @@ func (m *Mux) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error
 	if err != nil {
 		return nil, err
 	}
-	return broker.UnmarshalErrorList(resp)
+	out, err := broker.UnmarshalErrorList(resp)
+	return out, broker.CheckListAnswer(len(out), len(posts), err)
 }
 
 // FetchBatch drains replies for several requests in one round trip, returning
@@ -772,7 +775,8 @@ func (m *Mux) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResul
 	if err != nil {
 		return nil, err
 	}
-	return broker.UnmarshalFetchResults(resp)
+	out, err := broker.UnmarshalFetchResults(resp)
+	return out, broker.CheckListAnswer(len(out), len(ids), err)
 }
 
 // Hint asks the rack to queue handoff records for an unreachable peer; it

@@ -37,13 +37,15 @@ const (
 // castagnoli is the CRC-32C table shared by records and snapshots.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord appends one encoded record to buf.
+// appendRecord appends one encoded record to buf. The CRC is taken over the
+// type and payload bytes as staged in buf.
 func appendRecord(buf []byte, typ byte, payload []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(payload)))
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
-	buf = binary.BigEndian.AppendUint32(buf, crc)
-	buf = append(buf, typ)
-	return append(buf, payload...)
+	at := len(buf)
+	buf = append(buf, 0, 0, 0, 0, typ)
+	buf = append(buf, payload...)
+	binary.BigEndian.PutUint32(buf[at:], crc32.Checksum(buf[at+4:], castagnoli))
+	return buf
 }
 
 // segmentInfo is one scanned segment file.
@@ -65,13 +67,10 @@ type segmentWriter struct {
 	seq  uint64
 	path string
 	f    *os.File
-	bw   *bufio.Writer
 	size int64
 }
 
-// createSegment creates (exclusively) and headers a new segment file. The
-// header goes straight to the file, not through the buffer: SizeBytes counts
-// it the moment the segment exists, so it must be on disk by then too.
+// createSegment creates (exclusively) and headers a new segment file.
 func createSegment(dir string, seq uint64) (*segmentWriter, error) {
 	path := segmentPath(dir, seq)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -86,16 +85,14 @@ func createSegment(dir string, seq uint64) (*segmentWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	return &segmentWriter{seq: seq, path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16), size: segmentHeaderSize}, nil
+	return &segmentWriter{seq: seq, path: path, f: f, size: segmentHeaderSize}, nil
 }
 
-// write appends encoded record bytes to the segment buffer.
+// write appends encoded record bytes to the segment file.
 func (w *segmentWriter) write(rec []byte) error {
-	if _, err := w.bw.Write(rec); err != nil {
-		return err
-	}
-	w.size += int64(len(rec))
-	return nil
+	n, err := w.f.Write(rec)
+	w.size += int64(n)
+	return err
 }
 
 // scan inventories the data directory's segments and snapshots.

@@ -11,10 +11,12 @@
 // the exact on-disk formats). What the log provides is ordering, durability
 // and bounded disk use:
 //
-//   - Records are appended through a single committer goroutine fed by an
-//     ordered channel, so the log order equals the order in which callers
+//   - Enqueue encodes each record straight into one staging buffer under the
+//     log's mutex, so the log order equals the order in which callers
 //     enqueued (callers enqueue inside the same critical section that applies
-//     the mutation, making replay order equal apply order).
+//     the mutation, making replay order equal apply order). A single
+//     committer goroutine swaps the buffer out and writes it, one write per
+//     burst; the buffer is bounded, so enqueuers feel back-pressure.
 //   - Durability follows the fsync Policy: PolicyAlways makes Commit a group
 //     commit — every record enqueued before the call is fsynced, with
 //     concurrent committers amortized into one fsync; PolicyInterval fsyncs
@@ -45,9 +47,10 @@ const (
 	DefaultSegmentBytes = 64 << 20
 )
 
-// enqueueDepth is the committer channel's buffer; enqueuers (who may hold a
-// rack shard lock) only block once this many records are waiting.
-const enqueueDepth = 4096
+// maxStaged bounds the record bytes staged for the committer; an enqueuer
+// (who may hold a rack shard lock) blocks once one more record would pass it.
+// A record is always admitted into an empty stage, however large.
+const maxStaged = 1 << 20
 
 // Errors of the log.
 var (
@@ -121,31 +124,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// op is one unit of committer work: a record, a commit barrier, or a
-// snapshot request.
-type op struct {
-	rec      *[]byte       // pooled encoded record, nil for control ops
-	commit   chan error    // commit barrier: flush+sync everything enqueued before it
-	snap     func() []byte // produces the snapshot blob to persist
-	snapDone chan error
-}
-
-// recBufs recycles record encode buffers between Enqueue (which fills one)
-// and the committer (which returns it after staging the bytes). Without the
-// pool every logged mutation allocates its record's encoding.
-var recBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledRecBuf caps the capacity recycled through recBufs so one oversized
-// record does not pin a large buffer forever.
-const maxPooledRecBuf = 1 << 20
-
-// putRecBuf returns a record buffer to the pool (dropping oversized ones).
-func putRecBuf(buf *[]byte) {
-	if cap(*buf) > maxPooledRecBuf {
-		return
-	}
-	*buf = (*buf)[:0]
-	recBufs.Put(buf)
+// mark is a committer action at a byte offset of the staged records: a
+// segment roll, or (done non-nil) a snapshot.
+type mark struct {
+	at   int
+	snap func() []byte
+	done chan error
 }
 
 // Log is a segmented write-ahead log bound to one data directory. Open scans
@@ -164,14 +148,27 @@ type Log struct {
 	tornSeq   uint64 // segment where Replay hit a torn record (0: none)
 	tornValid int64  // valid byte prefix of the torn segment
 
-	ch      chan op
-	stop    chan struct{} // closed by Close/Crash; enqueuers bail out on it
-	exited  chan struct{} // closed when the committer returns
-	started bool
-	crash   atomic.Bool // Crash: committer abandons buffered state
+	started bool // set by Start, before the committer runs
 
-	mu     sync.Mutex // guards closing state transitions
-	closed bool
+	// poke wakes the committer. It is sent without blocking when the stage
+	// turns non-empty, when a Commit needs an fsync and on shutdown; one
+	// pending poke covers any number of these.
+	poke chan struct{}
+
+	mu sync.Mutex // guards the stage and the shutdown state below
+	// room wakes enqueuers blocked on maxStaged; flushed wakes commits
+	// waiting on an fsync and a shutdown waiting on the committer's exit.
+	room, flushed sync.Cond
+	staged        []byte // encoded records not yet taken by the committer
+	marks         []mark // rolls and snapshots at offsets of staged, in order
+	segSize       int64  // current segment's size once staged is written
+	enqueued      uint64 // records staged since Start
+	syncWant      uint64 // enqueued count a waiting Commit needs fsynced
+	synced        uint64 // records fsynced
+	crash         bool   // the shutdown is a Crash: staged records are dropped
+	exited        bool   // the committer has returned
+	// closed is set under mu by Close or Crash and read without it by Commit.
+	closed atomic.Bool
 
 	err      atomic.Value // sticky first write error, type error
 	size     atomic.Int64 // on-disk bytes: live segments + live snapshot
@@ -179,11 +176,6 @@ type Log struct {
 
 	// Committer-owned state.
 	cur *segmentWriter
-	// batch stages the records of one committer burst (one fsync window under
-	// PolicyAlways, one channel drain otherwise) so they reach the segment as
-	// a single write instead of one bufio copy per record. Capacity is reused
-	// across bursts.
-	batch []byte
 }
 
 // Open scans (creating if needed) the data directory and returns a log ready
@@ -200,13 +192,8 @@ func Open(opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{
-		opts:   opts,
-		unlock: unlock,
-		ch:     make(chan op, enqueueDepth),
-		stop:   make(chan struct{}),
-		exited: make(chan struct{}),
-	}
+	l := &Log{opts: opts, unlock: unlock, poke: make(chan struct{}, 1)}
+	l.room.L, l.flushed.L = &l.mu, &l.mu
 	if err := l.scan(); err != nil {
 		unlock()
 		return nil, err
@@ -264,6 +251,7 @@ func (l *Log) Start() error {
 		return err
 	}
 	l.cur = w
+	l.segSize = w.size
 	l.size.Add(w.size)
 	l.segs = append(l.segs, segmentInfo{seq: next, path: w.path, size: w.size})
 	l.started = true
@@ -271,19 +259,44 @@ func (l *Log) Start() error {
 	return nil
 }
 
-// Enqueue appends one record to the log's ordered queue. It is meant to be
-// called inside the same critical section that applies the record's effect,
-// so log order equals apply order; durability (per the policy) is what Commit
-// is for. Records enqueued during shutdown may be dropped — the caller's
+// Enqueue appends one record to the log. It is meant to be called inside
+// the same critical section that applies the record's effect, so log order
+// equals apply order; durability (per the policy) is what Commit is for. The
+// record is encoded into the stage before Enqueue returns, so payload is the
+// caller's again at once. Enqueue blocks while the stage holds maxStaged
+// bytes. Records enqueued during shutdown may be dropped — the caller's
 // Commit reports the close.
 func (l *Log) Enqueue(typ byte, payload []byte) {
 	l.appended.Add(1)
-	buf := recBufs.Get().(*[]byte)
-	*buf = appendRecord((*buf)[:0], typ, payload)
+	n := recordHeaderSize + 1 + len(payload)
+	l.mu.Lock()
+	for len(l.staged) > 0 && len(l.staged)+n > maxStaged && !l.closed.Load() {
+		l.room.Wait()
+	}
+	if l.closed.Load() {
+		l.mu.Unlock()
+		return
+	}
+	wake := len(l.staged) == 0 && len(l.marks) == 0
+	// Roll where the record would overflow a segment that holds records.
+	if l.segSize+int64(n) > l.opts.SegmentBytes && l.segSize > segmentHeaderSize {
+		l.marks = append(l.marks, mark{at: len(l.staged)})
+		l.segSize = segmentHeaderSize
+	}
+	l.staged = appendRecord(l.staged, typ, payload)
+	l.segSize += int64(n)
+	l.enqueued++
+	l.mu.Unlock()
+	if wake {
+		l.wake()
+	}
+}
+
+// wake pokes the committer without blocking.
+func (l *Log) wake() {
 	select {
-	case l.ch <- op{rec: buf}:
-	case <-l.stop:
-		putRecBuf(buf)
+	case l.poke <- struct{}{}:
+	default:
 	}
 }
 
@@ -296,29 +309,30 @@ func (l *Log) Commit() error {
 	if err := l.stickyErr(); err != nil {
 		return err
 	}
-	select {
-	case <-l.stop:
+	if l.closed.Load() {
 		return ErrClosed
-	default:
 	}
 	if l.opts.Policy != PolicyAlways {
 		return nil
 	}
-	done := make(chan error, 1)
-	select {
-	case l.ch <- op{commit: done}:
-	case <-l.stop:
-		return ErrClosed
+	l.mu.Lock()
+	target := l.enqueued
+	if l.synced < target && l.syncWant < target {
+		l.syncWant = target
+		l.wake()
 	}
-	select {
-	case err := <-done:
+	for l.synced < target && !l.exited && l.stickyErr() == nil {
+		l.flushed.Wait()
+	}
+	durable := l.synced >= target
+	l.mu.Unlock()
+	if err := l.stickyErr(); err != nil {
 		return err
-	case <-l.exited:
-		if err := l.stickyErr(); err != nil {
-			return err
-		}
+	}
+	if !durable {
 		return ErrClosed
 	}
+	return nil
 }
 
 // Snapshot persists a point-in-time snapshot superseding every record
@@ -330,234 +344,168 @@ func (l *Log) Commit() error {
 // (the broker captures immutable references under every shard lock and
 // serializes them lazily here, keeping the stop-the-world window short).
 // The returned wait function reports when the snapshot is durable; the
-// enqueue itself establishes its position in the log order.
+// call itself establishes its position in the log order.
 func (l *Log) Snapshot(blob func() []byte) (wait func() error) {
 	done := make(chan error, 1)
-	select {
-	case l.ch <- op{snap: blob, snapDone: done}:
-	case <-l.stop:
+	l.mu.Lock()
+	if l.closed.Load() {
+		l.mu.Unlock()
 		return func() error { return ErrClosed }
 	}
-	return func() error {
-		select {
-		case err := <-done:
-			return err
-		case <-l.exited:
-			if err := l.stickyErr(); err != nil {
-				return err
-			}
-			return ErrClosed
-		}
+	wake := len(l.staged) == 0 && len(l.marks) == 0
+	l.marks = append(l.marks, mark{at: len(l.staged), snap: blob, done: done})
+	l.segSize = segmentHeaderSize
+	l.mu.Unlock()
+	if wake {
+		l.wake()
 	}
+	return func() error { return <-done }
 }
 
-// Close drains the queue, flushes and fsyncs the tail, and closes the
+// Close writes out the staged records, fsyncs the tail, and closes the
 // current segment. The log cannot be reused; Open the directory again.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !l.shut(false) {
 		return nil
 	}
-	l.closed = true
-	close(l.stop)
-	l.mu.Unlock()
-	defer l.unlock()
-	if !l.started {
-		close(l.exited)
-		return nil
-	}
-	<-l.exited
 	return l.stickyErr()
 }
 
-// Crash abandons the log the way a kill -9 would: queued records and
-// buffered bytes are dropped without flushing, and the file is closed
-// mid-state. It exists so durability tests can exercise recovery from an
-// unclean shutdown in-process; production code calls Close.
-func (l *Log) Crash() {
+// Crash abandons the log the way a kill -9 would: staged records are
+// dropped unwritten and the file is closed mid-state. It exists so
+// durability tests can exercise recovery from an unclean shutdown
+// in-process; production code calls Close.
+func (l *Log) Crash() { l.shut(true) }
+
+// shut stops the log and returns once the committer has exited; false means
+// the log was already shut. Enqueuers blocked on the bound are released at
+// once and drop their records.
+func (l *Log) shut(crash bool) bool {
 	l.mu.Lock()
-	if l.closed {
+	if l.closed.Load() {
 		l.mu.Unlock()
-		return
+		return false
 	}
-	l.closed = true
-	l.crash.Store(true)
-	close(l.stop)
-	l.mu.Unlock()
-	// The flock is released so the same test process can reopen the
-	// directory; a real kill -9 releases it via process death anyway.
-	defer l.unlock()
+	l.closed.Store(true)
+	l.crash = crash
+	l.room.Broadcast()
 	if !l.started {
-		close(l.exited)
-		return
+		l.exited = true
 	}
-	<-l.exited
+	l.wake()
+	for !l.exited {
+		l.flushed.Wait()
+	}
+	l.mu.Unlock()
+	// The flock is released so the same process can reopen the directory;
+	// a real kill -9 releases it via process death anyway.
+	l.unlock()
+	return true
 }
 
-// run is the committer: the single goroutine that writes records, serves
-// commit barriers (group commit), rolls segments, and persists snapshots.
+// run is the committer: the single goroutine that writes the staged
+// records, rolls segments, persists snapshots and fsyncs for waiting
+// commits. Each burst takes the whole stage in one swap with the
+// committer's spare buffer and writes the bytes between marks with one
+// write each.
 func (l *Log) run() {
-	defer close(l.exited)
+	defer func() {
+		l.mu.Lock()
+		l.exited = true
+		l.mu.Unlock()
+		l.flushed.Broadcast()
+	}()
 	var tick <-chan time.Time
 	if l.opts.Policy == PolicyInterval {
 		t := time.NewTicker(l.opts.Interval)
 		defer t.Stop()
 		tick = t.C
 	}
-	dirty := false // bytes flushed to the OS but not yet fsynced
+	var spare []byte
+	dirty := false // bytes written to the OS but not yet fsynced
 	for {
 		select {
-		case o := <-l.ch:
-			l.handleBatch(o, &dirty)
+		case <-l.poke:
 		case <-tick:
 			if dirty && l.sync() == nil {
 				dirty = false
 			}
-		case <-l.stop:
-			l.drainAndExit(dirty)
-			return
+			continue
 		}
-	}
-}
-
-// handleBatch serves one op plus everything else already queued, then
-// flushes the burst; commit barriers collected along the way share one
-// fsync (group commit).
-func (l *Log) handleBatch(first op, dirty *bool) {
-	var commits []chan error
-	apply := func(o op) {
-		switch {
-		case o.rec != nil:
-			l.writeRecord(*o.rec)
-			putRecBuf(o.rec)
-			*dirty = true
-		case o.commit != nil:
-			commits = append(commits, o.commit)
-		case o.snapDone != nil:
-			l.flush()
-			l.persistSnapshot(o.snap, o.snapDone)
-			*dirty = false
-		}
-	}
-	apply(first)
-	for drained := false; !drained; {
-		select {
-		case o := <-l.ch:
-			apply(o)
-		default:
-			drained = true
-		}
-	}
-	l.flush()
-	if len(commits) > 0 {
-		err := l.sync()
-		if err == nil {
-			*dirty = false
-		}
-		for _, c := range commits {
-			c <- err
-		}
-	}
-}
-
-// drainAndExit finishes queued work on Close; on Crash it abandons
-// everything unflushed instead.
-func (l *Log) drainAndExit(dirty bool) {
-	if l.crash.Load() {
-		if l.cur != nil {
-			l.cur.f.Close() // abandon bufio contents
-		}
-		return
-	}
-	for {
-		select {
-		case o := <-l.ch:
-			l.handleBatch(o, &dirty)
-		default:
-			l.flush()
-			l.sync()
-			if l.cur != nil {
-				if err := l.cur.f.Close(); err != nil {
-					l.setErr(err)
+		l.mu.Lock()
+		buf, marks, upTo := l.staged, l.marks, l.enqueued
+		l.staged, l.marks = spare[:0], nil
+		closing, crash := l.closed.Load(), l.crash
+		syncNow := closing || l.syncWant > l.synced
+		l.mu.Unlock()
+		l.room.Broadcast()
+		if crash {
+			l.cur.f.Close() // abandon the stage unwritten
+			for _, m := range marks {
+				if m.done != nil {
+					m.done <- ErrClosed
 				}
 			}
 			return
 		}
-	}
-}
-
-// batchFlushBytes caps how much one burst stages before the batch buffer is
-// flushed mid-drain. Kept well under maxPooledRecBuf so the buffer's capacity
-// survives flushBatch and steady state regrows nothing: an uncapped burst
-// (the committer drains up to enqueueDepth records) would stage several
-// megabytes, trip the release cap every flush, and rebuild the buffer from
-// zero through repeated doublings.
-const batchFlushBytes = 512 << 10
-
-// writeRecord stages one encoded record into the committer's batch buffer,
-// rolling the segment first when the staged size would overflow it. The
-// bytes reach the segment writer in flushBatch, one write per burst (or per
-// batchFlushBytes within an oversized burst).
-func (l *Log) writeRecord(rec []byte) {
-	if l.stickyErr() != nil {
-		return
-	}
-	staged := l.cur.size + int64(len(l.batch))
-	if staged+int64(len(rec)) > l.opts.SegmentBytes && staged > segmentHeaderSize {
-		l.flushBatch()
-		if err := l.roll(); err != nil {
-			l.setErr(err)
+		at := 0
+		for _, m := range marks {
+			l.write(buf[at:m.at])
+			at = m.at
+			// Both a roll and a snapshot fsync the segment they retire.
+			if m.done != nil {
+				l.persistSnapshot(m.snap, m.done)
+			} else if l.stickyErr() == nil {
+				if err := l.roll(); err != nil {
+					l.setErr(err)
+				}
+			}
+			dirty = false
+		}
+		l.write(buf[at:])
+		dirty = dirty || at < len(buf)
+		if syncNow && dirty && l.sync() == nil {
+			dirty = false
+		}
+		l.mu.Lock()
+		if !dirty {
+			l.synced = upTo
+		}
+		l.mu.Unlock()
+		l.flushed.Broadcast()
+		if closing {
+			if err := l.cur.f.Close(); err != nil {
+				l.setErr(err)
+			}
 			return
 		}
-	}
-	l.batch = append(l.batch, rec...)
-	l.size.Add(int64(len(rec)))
-	if len(l.batch) >= batchFlushBytes {
-		l.flushBatch()
-	}
-}
-
-// flushBatch hands the staged burst to the segment writer as a single write,
-// keeping the batch buffer's capacity for the next burst (oversized buffers
-// are released so one large burst does not pin memory forever).
-func (l *Log) flushBatch() {
-	if len(l.batch) == 0 {
-		return
-	}
-	if l.stickyErr() == nil {
-		if err := l.cur.write(l.batch); err != nil {
-			l.setErr(err)
+		// Only a record larger than the bound grows the stage this far; do
+		// not pin its buffer.
+		if cap(buf) > 2*maxStaged {
+			buf = nil
 		}
-		l.segs[len(l.segs)-1].size = l.cur.size
-	}
-	if cap(l.batch) > maxPooledRecBuf {
-		l.batch = nil
-	} else {
-		l.batch = l.batch[:0]
+		spare = buf
 	}
 }
 
-// flush pushes staged and buffered bytes to the operating system.
-func (l *Log) flush() {
-	l.flushBatch()
-	if l.stickyErr() != nil {
+// write appends staged record bytes to the current segment.
+func (l *Log) write(b []byte) {
+	if len(b) == 0 || l.stickyErr() != nil {
 		return
 	}
-	if err := l.cur.bw.Flush(); err != nil {
+	before := l.cur.size
+	err := l.cur.write(b)
+	l.size.Add(l.cur.size - before)
+	l.segs[len(l.segs)-1].size = l.cur.size
+	if err != nil {
 		l.setErr(err)
 	}
 }
 
-// sync flushes and fsyncs the current segment.
+// sync fsyncs the current segment.
 func (l *Log) sync() error {
-	l.flushBatch()
 	if err := l.stickyErr(); err != nil {
 		return err
-	}
-	if err := l.cur.bw.Flush(); err != nil {
-		l.setErr(err)
-		return l.stickyErr()
 	}
 	if err := l.cur.f.Sync(); err != nil {
 		l.setErr(err)

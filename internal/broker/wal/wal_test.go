@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // rec is one replayed record, for comparing recoveries.
@@ -221,9 +224,6 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := seg2.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	seg2.f.Close()
 	if _, err := writeSnapshotFile(dir, 3, []byte("newer-snapshot")); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,6 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg3.bw.Flush()
 	seg3.f.Close()
 	// Corrupt the newer snapshot's blob.
 	data, err := os.ReadFile(snapshotPath(dir, 3))
@@ -473,5 +472,189 @@ func TestSizeBytesTracksDisk(t *testing.T) {
 	}
 	if got, want := l.SizeBytes(), onDisk(); got != want {
 		t.Fatalf("SizeBytes after compaction = %d, on disk %d", got, want)
+	}
+}
+
+// holdCommitter stages a snapshot whose blob function blocks, and returns
+// once the committer is inside it: until release is closed, nothing staged
+// after the call reaches the disk.
+func holdCommitter(t *testing.T, l *Log, blob string) (release chan struct{}, wait func() error) {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	wait = l.Snapshot(func() []byte {
+		close(entered)
+		<-release
+		return []byte(blob)
+	})
+	<-entered
+	return release, wait
+}
+
+// fillStage enqueues records of recLen encoded bytes from a goroutine, more
+// than the stage holds, and returns once the stage is too full for the next
+// one; done is closed when the goroutine's last Enqueue returns.
+func fillStage(t *testing.T, l *Log, prefix string) (recs []rec, done chan struct{}) {
+	t.Helper()
+	const recLen = 64 << 10
+	filler := strings.Repeat("f", recLen-recordHeaderSize-1-len(prefix)-4)
+	for i := 0; i < maxStaged/recLen+2; i++ {
+		recs = append(recs, rec{typ: 4, payload: fmt.Sprintf("%s%04d%s", prefix, i, filler)})
+	}
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, r := range recs {
+			l.Enqueue(r.typ, []byte(r.payload))
+		}
+	}()
+	for {
+		l.mu.Lock()
+		staged := len(l.staged)
+		l.mu.Unlock()
+		if staged > maxStaged {
+			t.Fatalf("stage holds %d bytes, bound %d", staged, maxStaged)
+		}
+		if staged+recLen > maxStaged {
+			return recs, done
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStageBoundBehindSnapshot holds the committer in one snapshot, stages
+// records, a second snapshot and then records past maxStaged behind it: the
+// Enqueue that meets the bound blocks until the committer is released, the
+// next burst carries the snapshot mark and the full stage, and recovery
+// returns the second snapshot and exactly the records enqueued after it, in
+// order.
+func TestStageBoundBehindSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l := writeLog(t, dir, Options{Policy: PolicyAlways}, someRecords(5))
+	release, waitFirst := holdCommitter(t, l, "first")
+	for _, r := range someRecords(3) {
+		l.Enqueue(r.typ, []byte(r.payload))
+	}
+	waitSecond := l.Snapshot(func() []byte { return []byte("second") })
+	want, done := fillStage(t, l, "after-")
+	select {
+	case <-done:
+		t.Fatal("every Enqueue returned past a full stage while the committer was held")
+	default:
+	}
+	close(release)
+	<-done
+	if err := waitFirst(); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitSecond(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, got := collect(t, dir)
+	if string(snap) != "second" {
+		t.Fatalf("snapshot = %q, want second", snap)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want the %d enqueued after the snapshot", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %.12q, want %.12q", i, got[i].payload, want[i].payload)
+		}
+	}
+}
+
+// TestCloseReleasesBlockedCallers: with the committer held, Close releases
+// an Enqueue blocked on the bound at once, and a PolicyAlways Commit waiting
+// on its fsync once the committer exits.
+func TestCloseReleasesBlockedCallers(t *testing.T) {
+	l := writeLog(t, t.TempDir(), Options{Policy: PolicyAlways}, nil)
+	release, wait := holdCommitter(t, l, "held")
+	_, enqueued := fillStage(t, l, "blocked-")
+	committed := make(chan error, 1)
+	go func() { committed <- l.Commit() }()
+	for {
+		l.mu.Lock()
+		waiting := l.syncWant > l.synced
+		l.mu.Unlock()
+		if waiting {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	<-enqueued
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-committed; err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatalf("Commit across Close = %v, want nil or ErrClosed", err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Commit after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestConcurrentCommitsKeepOrder: goroutines enqueue and commit under
+// PolicyAlways across many segment rolls; replay returns each goroutine's
+// records in its own order, and every segment ends on a record boundary.
+func TestConcurrentCommitsKeepOrder(t *testing.T) {
+	dir := t.TempDir()
+	l := writeLog(t, dir, Options{Policy: PolicyAlways, SegmentBytes: 1024}, nil)
+	const writers, each = 4, 100
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Enqueue(byte(g), []byte(fmt.Sprintf("w%d-%04d", g, i)))
+				if err := l.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got := collect(t, dir)
+	if len(got) != writers*each {
+		t.Fatalf("replayed %d records, want %d", len(got), writers*each)
+	}
+	var next [writers]int
+	for _, r := range got {
+		g := int(r.typ)
+		if want := fmt.Sprintf("w%d-%04d", g, next[g]); r.payload != want {
+			t.Fatalf("writer %d: replayed %q, want %q", g, r.payload, want)
+		}
+		next[g]++
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if len(segs) < 3 {
+		t.Fatalf("want several segments, got %d", len(segs))
+	}
+	for _, path := range segs {
+		seq, _ := parseName(filepath.Base(path), "wal-", ".log")
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, valid, intact, err := replaySegmentFile(path, seq, func(byte, []byte) error { return nil })
+		if err != nil || !intact || valid != st.Size() {
+			t.Fatalf("%s: intact %v, valid %d of %d bytes (%v)", filepath.Base(path), intact, valid, st.Size(), err)
+		}
 	}
 }

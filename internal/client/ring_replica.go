@@ -414,7 +414,9 @@ func (c *listCall) ask(i int, n *rackNode) outcome {
 }
 
 // askList sends rack n its count items as the rack's list call and writes
-// each answer to its item's cell. A remove is one item: it has no list call.
+// each answer to its item's cell. An answer without one outcome per item is
+// the rack's error for all of them. A remove is one item: it has no list
+// call.
 func (c *listCall) askList(n *rackNode, count int) error {
 	k := 0
 	switch c.verb {
@@ -422,7 +424,7 @@ func (c *listCall) askList(n *rackNode, count int) error {
 		sub := make([][]byte, 0, count)
 		c.cells(n, func(i, _ int) { sub = append(sub, c.items[i].raw) })
 		rs, err := n.b.SubmitBatch(c.ctx, sub)
-		if err != nil {
+		if err = broker.CheckListAnswer(len(rs), count, err); err != nil {
 			return err
 		}
 		c.cells(n, func(_, j int) { c.outs[j], k = outcome{id: rs[k].ID, err: rs[k].Err}, k+1 })
@@ -430,7 +432,7 @@ func (c *listCall) askList(n *rackNode, count int) error {
 		sub := make([]broker.ReplyPost, 0, count)
 		c.cells(n, func(i, _ int) { sub = append(sub, broker.ReplyPost{RequestID: c.items[i].rest, Raw: c.items[i].raw}) })
 		rs, err := n.b.ReplyBatch(c.ctx, sub)
-		if err != nil {
+		if err = broker.CheckListAnswer(len(rs), count, err); err != nil {
 			return err
 		}
 		c.cells(n, func(_, j int) { c.outs[j], k = outcome{err: rs[k]}, k+1 })
@@ -438,7 +440,7 @@ func (c *listCall) askList(n *rackNode, count int) error {
 		sub := make([]string, 0, count)
 		c.cells(n, func(i, _ int) { sub = append(sub, c.items[i].rest) })
 		rs, err := n.b.FetchBatch(c.ctx, sub)
-		if err != nil {
+		if err = broker.CheckListAnswer(len(rs), count, err); err != nil {
 			return err
 		}
 		c.cells(n, func(_, j int) { c.outs[j], k = outcome{replies: rs[k].Replies, err: rs[k].Err}, k+1 })

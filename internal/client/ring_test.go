@@ -940,3 +940,61 @@ func TestRingConfigValidation(t *testing.T) {
 		t.Fatal("NewRing accepted a nil backend")
 	}
 }
+
+// shortBackend answers every list call with its last outcome dropped, as a
+// rack, nested ring or fake with a broken list path would.
+type shortBackend struct{ broker.Backend }
+
+func (s shortBackend) SubmitBatch(ctx context.Context, raws [][]byte) ([]broker.SubmitResult, error) {
+	rs, err := s.Backend.SubmitBatch(ctx, raws)
+	return rs[:len(rs)-1], err
+}
+
+func (s shortBackend) ReplyBatch(ctx context.Context, posts []broker.ReplyPost) ([]error, error) {
+	errs, err := s.Backend.ReplyBatch(ctx, posts)
+	return errs[:len(errs)-1], err
+}
+
+func (s shortBackend) FetchBatch(ctx context.Context, ids []string) ([]broker.FetchResult, error) {
+	rs, err := s.Backend.FetchBatch(ctx, ids)
+	return rs[:len(rs)-1], err
+}
+
+// TestRingRefusesShortListAnswer: a rack whose list answer is one outcome
+// short fails every item it was sent with broker.ErrMalformedFrame, for
+// each list verb, instead of panicking the ring on the missing outcome.
+func TestRingRefusesShortListAnswer(t *testing.T) {
+	rack := broker.New(broker.Config{Shards: 2, ReapInterval: -1})
+	defer rack.Close()
+	ring, err := NewRing(RingConfig{
+		Backends:      []RingBackend{{Name: "short", Backend: shortBackend{rack}}},
+		FailThreshold: 100,
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ring.Close()
+	ctx := context.Background()
+	rawA, pkgA := buildRaw(t, 1)
+	rawB, pkgB := buildRaw(t, 2)
+	ids := []string{pkgA.ID, pkgB.ID}
+	want := func(verb string, i int, err error) {
+		t.Helper()
+		if !errors.Is(err, broker.ErrMalformedFrame) {
+			t.Errorf("%s item %d: err = %v, want ErrMalformedFrame", verb, i, err)
+		}
+	}
+	subs, _ := ring.SubmitBatch(ctx, [][]byte{rawA, rawB})
+	for i, r := range subs {
+		want("SubmitBatch", i, r.Err)
+	}
+	errs, _ := ring.ReplyBatch(ctx, []broker.ReplyPost{{RequestID: ids[0], Raw: []byte("r")}, {RequestID: ids[1], Raw: []byte("r")}})
+	for i, err := range errs {
+		want("ReplyBatch", i, err)
+	}
+	fetched, _ := ring.FetchBatch(ctx, ids)
+	for i, r := range fetched {
+		want("FetchBatch", i, r.Err)
+	}
+}
